@@ -39,6 +39,7 @@ class NashState:
     g: MultiPoly  # over ambient variables + t
     arc: Dict[str, PowerSeries]  # ambient coordinates; the t-coordinate is t itself
     step: int
+    center: Tuple[Fraction, ...] = ()  # ambient point blown up to reach this state
 
     def multiplicity(self) -> int:
         o = self.g.order_at_origin()
@@ -120,7 +121,8 @@ def nash_step(state: NashState, m0: int) -> NashState:
         point.append(c)
         new_arc[name] = s - PowerSeries((c,), s.precision)
     g1 = g1.translate(point)
-    out = NashState(g1, new_arc, state.step + 1)
+    center = tuple(c for name, c in zip(state.g.vars, point) if name != T)
+    out = NashState(g1, new_arc, state.step + 1, center)
     out.check_arc_on_transform()
     return out
 
@@ -150,9 +152,11 @@ def nash_sequence_equation(
     equations = [] if trace else None
     while True:
         if state.step >= _MAX_STEPS:
+            precisions = [s.precision for s in coords.values() if s.precision is not None]
+            known = f"to precision {min(precisions)}" if precisions else "exactly"
             raise ValidationError(
-                f"no multiplicity drop after {_MAX_STEPS} blow-ups; "
-                "is the arc inside the top stratum?"
+                f"no multiplicity drop after {_MAX_STEPS} blow-ups of {f} = 0 "
+                f"along an arc known {known}; is the arc inside the top stratum?"
             )
         try:
             nxt = nash_step(state, m0)
@@ -161,7 +165,7 @@ def nash_sequence_equation(
                 "insufficient precision for the directed sequence; "
                 f"supply the arc to >= {state.step + 2} terms"
             ) from None
-        centers.append(_center_of(state))
+        centers.append(nxt.center)
         m = nxt.multiplicity()
         mults.append(m)
         if equations is not None:
@@ -176,15 +180,6 @@ def nash_sequence_equation(
         precision_consumed=len(mults) - 1,
         equations=None if equations is None else tuple(equations),
     )
-
-
-def _center_of(state: NashState) -> Tuple[Fraction, ...]:
-    """Center the next blow-up lands on: constant terms of the divided arc."""
-    out = []
-    for v in (w for w in state.g.vars if w != T):
-        s = state.arc[v].divide_t_power(1)
-        out.append(s.constant_term())
-    return tuple(out)
 
 
 def nash_sequence_hypersurface(

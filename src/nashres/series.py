@@ -5,12 +5,22 @@ trimmed) together with a precision: an integer N means "coefficients are
 only claimed below t^N", None means the series is an exact polynomial.
 Arithmetic propagates precision conservatively (min of the operands), so a
 stored coefficient is always correct.
+
+Products run on one integer kernel.  Each operand is brought once to integer
+numerators over the lcm of its coefficient denominators; the numerator lists
+are multiplied by schoolbook convolution cut below the result's precision,
+the denominators multiply, and a Fraction is built once per output
+coefficient.  `poly_compose_series` uses the same kernel and, within one
+call, caches the integer powers 1, s, s^2, ... of every substitute, so each
+term of the polynomial is its coefficient times cached powers and the terms
+are summed over their lcm denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple
+from math import lcm
+from typing import List, Sequence, Tuple
 
 from .errors import InsufficientPrecisionError
 from .extorder import INFINITE, ExtOrder
@@ -24,11 +34,45 @@ def _min_precision(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+def _integer_form(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators over the lcm of the coefficient denominators."""
+    den = 1
+    for c in coeffs:
+        if c.denominator != 1:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: List[int], b: List[int], n: int | None) -> List[int]:
+    """Schoolbook product of two integer coefficient lists, cut below t^n."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a  # loop over the shorter list; the comprehension does the rest
+    full = len(a) + len(b) - 1
+    n = full if n is None else min(n, full)
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            m = min(len(b), n - i)
+            out[i : i + m] = [o + x * y for o, y in zip(out[i : i + m], b)]
+    return out
+
+
+def _from_integers(nums: List[int], den: int, precision: int | None) -> "PowerSeries":
+    """The series with coefficients nums[k] / den."""
+    if den == 1:
+        return PowerSeries([Fraction(v) for v in nums], precision)
+    return PowerSeries([Fraction(v, den) for v in nums], precision)
+
+
 class PowerSeries:
     __slots__ = ("coeffs", "precision")
 
     def __init__(self, coeffs: Sequence, precision: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if precision is not None:
             if precision < 0:
                 raise ValueError("precision must be nonnegative")
@@ -117,20 +161,9 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         prec = _min_precision(self.precision, other.precision)
-        if not self.coeffs or not other.coeffs:
-            return PowerSeries((), prec)
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        if prec is not None:
-            n = min(n, prec)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i >= n:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                out[i + j] += a * b
-        return PowerSeries(out, prec)
+        a, da = _integer_form(self.coeffs)
+        b, db = _integer_form(other.coeffs)
+        return _from_integers(_convolve(a, b, prec), da * db, prec)
 
     def __pow__(self, n: int) -> "PowerSeries":
         if n < 0:
@@ -257,12 +290,27 @@ def poly_compose_series(f, substitutions: dict) -> PowerSeries:
             if v not in substitutions:
                 raise DimensionMismatchError(f"no substitute supplied for variable {v!r}")
             prec = _min_precision(prec, substitutions[v].precision)
-    total = PowerSeries.zero(prec)
-    for exp, coeff in sorted(f.terms.items()):
-        term = PowerSeries((coeff,), prec)
+    # powers[v][k] is the integer form of substitutions[v] ** k, cut below prec
+    powers: dict = {}
+    terms = []
+    for exp, coeff in f.terms.items():
+        nums, den = [coeff.numerator], coeff.denominator
         for v, e in zip(f.vars, exp):
-            if e:
-                term = term * substitutions[v] ** e
-        total = total + term
-    return total
-
+            if not e:
+                continue
+            cache = powers.get(v)
+            if cache is None:
+                cache = powers[v] = [([1], 1), _integer_form(substitutions[v].coeffs)]
+            while len(cache) <= e:
+                (pn, pd), (sn, sd) = cache[-1], cache[1]
+                cache.append((_convolve(pn, sn, prec), pd * sd))
+            pn, pd = cache[e]
+            nums, den = _convolve(nums, pn, prec), den * pd
+        terms.append((nums, den))
+    common = lcm(*(den for _, den in terms))
+    width = max((len(nums) for nums, _ in terms), default=0)
+    total = [0] * width
+    for nums, den in terms:
+        scale = common // den
+        total[: len(nums)] = [o + v * scale for o, v in zip(total, nums)]
+    return _from_integers(total, common, prec)

@@ -1,0 +1,105 @@
+"""Golden reports: `--json` output pinned byte for byte, `elapsed_ms` masked.
+
+The files under tests/golden/ were written by the code before the integer
+series kernel landed; any change to the arithmetic must reproduce them
+exactly.  To rewrite them after an intended change of output, run
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from nashres.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+PRESENTATIONS = {
+    "cusp": {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^3"}]},
+    "two_hyp": {
+        "d": 2,
+        "hypersurfaces": [
+            {"var": "x1", "b": 2, "f": "x1^2 - z1^3"},
+            {"var": "x2", "b": 2, "f": "x2^2 - z1 z2^2"},
+        ],
+    },
+    "A_8": {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^9"}]},
+    "mixed_weights": {
+        "d": 1,
+        "hypersurfaces": [
+            {"var": "x1", "b": 2, "f": "x1^2 - z^3"},
+            {"var": "x2", "b": 3, "f": "x2^3 - z^4"},
+        ],
+    },
+    "quartic_middle": {
+        "d": 1,
+        "hypersurfaces": [{"var": "x", "b": 4, "f": "x^4 - 2 z^3 x^2 + z^6 - z^7"}],
+    },
+}
+
+# Arcs for the `nash --trace` cases, whose reports carry the blow-up centres.
+ARCS = {
+    "cusp_shifted": {
+        "precision": "exact",
+        "coords": {"x": "t^3 + 3 t^4 + 3 t^5 + t^6", "z": "t^2 + 2 t^3 + t^4"},
+    },
+    "two_hyp_tilted": {
+        "precision": 12,
+        "coords": {"x1": "t^3", "z1": "t^2", "x2": "t^2 + t^3", "z2": "t + t^2"},
+    },
+}
+
+# golden file stem -> (presentation, arc or None, cli arguments after the inputs)
+CASES = {
+    "verify_cusp_seed7": ("cusp", None, ["verify", "--seed", "7"]),
+    "verify_two_hyp_seed7": ("two_hyp", None, ["verify", "--seed", "7"]),
+    "verify_A_8_seed7": ("A_8", None, ["verify", "--seed", "7"]),
+    "verify_mixed_weights_seed7": ("mixed_weights", None, ["verify", "--seed", "7"]),
+    "generic_arc_quartic_middle_p96": (
+        "quartic_middle", None, ["generic-arc", "--precision", "96"],
+    ),
+    "nash_cusp_shifted": ("cusp", "cusp_shifted", ["nash", "--trace"]),
+    "nash_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["nash", "--trace"]),
+}
+
+_ELAPSED = re.compile(r'"elapsed_ms": \d+')
+
+
+def render(case: str, workdir: Path) -> str:
+    """Run one case in-process and return its stdout with elapsed_ms masked."""
+    name, arc, args = CASES[case]
+    inputs = [workdir / f"{name}.json"]
+    inputs[0].write_text(json.dumps(PRESENTATIONS[name]), encoding="utf-8")
+    if arc is not None:
+        inputs.append(workdir / f"arc_{arc}.json")
+        inputs[1].write_text(json.dumps(ARCS[arc]), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([args[0], *map(str, inputs), *args[1:], "--json"])
+    assert code == 0, f"{case} exited with {code}"
+    return _ELAPSED.sub('"elapsed_ms": "masked"', out.getvalue())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case, tmp_path):
+    expected = (GOLDEN_DIR / f"{case}.json").read_text(encoding="utf-8")
+    assert render(case, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            (GOLDEN_DIR / f"{case}.json").write_text(render(case, Path(tmp)), encoding="utf-8")
+            print(f"wrote {case}", file=sys.stderr)

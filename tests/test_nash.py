@@ -11,7 +11,8 @@ from nashres import (
     parse_poly,
     validate_arc,
 )
-from nashres.errors import InsufficientPrecisionError, MaxMultArcError
+from nashres import nash
+from nashres.errors import InsufficientPrecisionError, MaxMultArcError, ValidationError
 
 from conftest import exact_arc
 
@@ -141,3 +142,25 @@ def test_truncated_arc_reports_needed_terms():
     coords = {"x": PowerSeries([0, 0, 0, 1], 3), "z": PowerSeries([0, 0, 1], 3)}
     with pytest.raises(InsufficientPrecisionError, match=">= 4 terms"):
         nash_sequence_equation(f, coords)
+
+
+def test_step_cap_error_names_equation_and_precision(monkeypatch):
+    # x = t^9, z = t^2 on A_8 has rho = 9; a cap of 4 steps trips first
+    monkeypatch.setattr(nash, "_MAX_STEPS", 4)
+    f = parse_poly("x^2 - z^9")
+    coords = {"x": PowerSeries.t_power(9, 40), "z": PowerSeries.t_power(2, 30)}
+    with pytest.raises(ValidationError) as info:
+        nash_sequence_equation(f, coords)
+    message = str(info.value)
+    assert "after 4 blow-ups" in message
+    assert f"of {f} = 0" in message
+    assert "known to precision 30" in message
+    exact = {"x": PowerSeries.t_power(9), "z": PowerSeries.t_power(2)}
+    with pytest.raises(ValidationError, match="known exactly"):
+        nash_sequence_equation(f, exact)
+
+
+def test_sequence_centers_come_from_the_steps(cusp):
+    va = validate_arc(exact_arc(x="(t + t^2)^3", z="(t + t^2)^2"), cusp)
+    seq = nash_sequence_hypersurface(cusp.hypersurfaces[0], va)
+    assert seq.centers == ((0, 0), (0, 1), (1, 2))

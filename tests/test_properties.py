@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from nashres import (
@@ -102,6 +102,91 @@ def test_composition_is_ring_homomorphism(f, g, s1, s2):
     split = poly_compose_series(f, subs) + poly_compose_series(g, subs)
     n = min(len(total.coeffs), len(split.coeffs))
     assert total.coeffs[:n] == split.coeffs[:n]
+
+
+# -- series products against a pure-Fraction schoolbook reference ---------------
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _reference_product(a, b):
+    """Full product of two Fraction coefficient lists, no truncation."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _reference_compose(f, subs):
+    """(coeffs, precision) of f(subs), truncated only at the very end."""
+    occurring = [v for i, v in enumerate(f.vars) if any(e[i] for e in f.terms)]
+    precisions = [subs[v].precision for v in occurring if subs[v].precision is not None]
+    prec = min(precisions) if precisions else None
+    total = []
+    for exp, c in f.terms.items():
+        term = [c]
+        for v, e in zip(f.vars, exp):
+            for _ in range(e):
+                term = _reference_product(term, list(subs[v].coeffs))
+        total += [Fraction(0)] * (len(term) - len(total))
+        for k, x in enumerate(term):
+            total[k] += x
+    return _trimmed(total if prec is None else total[:prec]), prec
+
+
+mixed_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def substitutes(max_len=5):
+    truncated = st.builds(
+        PowerSeries,
+        st.lists(mixed_fractions, max_size=max_len),
+        st.integers(min_value=0, max_value=6),
+    )
+    exact = st.builds(PowerSeries, st.lists(mixed_fractions, max_size=max_len))
+    return st.one_of(st.just(PowerSeries.zero()), exact, truncated)
+
+
+V3 = V2 + ("z3",)
+
+
+@seed(20151030)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=4) for _ in V2]),
+        mixed_fractions.filter(lambda c: c != 0),
+        max_size=5,
+    ),
+    substitutes(),
+    substitutes(),
+    substitutes(),
+)
+def test_series_products_match_fraction_reference(terms, s1, s2, s3):
+    # z3 has a substitute but never occurs in f; its precision must not leak
+    f = MultiPoly(V2, terms)
+    subs = {"z1": s1, "z2": s2, "z3": s3}
+    composed = poly_compose_series(f, subs)
+    assert (composed.coeffs, composed.precision) == _reference_compose(f, subs)
+    assert all(type(c) is Fraction for c in composed.coeffs)
+    for a, b in ((s1, s2), (s2, s3), (s1, s1)):
+        product = a * b
+        precisions = [p for p in (a.precision, b.precision) if p is not None]
+        prec = min(precisions) if precisions else None
+        full = _reference_product(list(a.coeffs), list(b.coeffs))
+        assert product.coeffs == _trimmed(full if prec is None else full[:prec])
+        assert product.precision == prec
+        assert all(type(c) is Fraction for c in product.coeffs)
+    f3 = f.extend_vars(V3)
+    assert poly_compose_series(f3, subs) == composed
 
 
 @given(polys(V2))
