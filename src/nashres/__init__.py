@@ -17,7 +17,6 @@ from .arcs import (
     contact_order_without_x,
     image_of_algebra,
     project_arc,
-    reparametrize_arc,
     validate_arc,
 )
 from .errors import (
@@ -61,9 +60,8 @@ from .parsing import (
     parse_poly,
     presentation_to_document,
 )
-from .poly import MultiPoly, poly_derive, poly_order_at, poly_translate
+from .poly import MultiPoly
 from .presentation import (
-    EliminationAlgebra,
     LocalPresentation,
     TschirnhausenHypersurface,
     ambient_algebra,
@@ -87,11 +85,6 @@ from .rees import (
     onedim_transform,
     sing_contains,
 )
-from .series import (
-    PowerSeries,
-    poly_compose_series,
-    series_order,
-    series_reparametrize,
-)
+from .series import PowerSeries, poly_compose_series
 
 __version__ = "0.1.0"

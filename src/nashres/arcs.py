@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -22,11 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .extorder import ExtOrder, ext_min
-from .presentation import (
-    LocalPresentation,
-    ambient_algebra,
-    elimination_algebra,
-)
+from .presentation import LocalPresentation
 from .rees import (
     OneDimAlgebra,
     OneDimGenerator,
@@ -121,6 +118,11 @@ class ValidatedArc:
                 return cert
         raise KeyError(var)
 
+    @cached_property
+    def contact(self) -> "ContactResult":
+        """contact_order(self), computed once per validated arc."""
+        return contact_order(self)
+
 
 def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
     """Check the arc lies on every hypersurface and classify its contact.
@@ -132,7 +134,7 @@ def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
     arc = a.restrict(p.ambient_vars)
     certs = []
     for h in p.hypersurfaces:
-        image = poly_compose_series(h.polynomial(), arc.coords)
+        image = poly_compose_series(h.polynomial, arc.coords)
         if not image.is_zero_to_precision():
             raise NotOnVarietyError(
                 f"arc not on variety: phi({h.var}-equation) = {image}"
@@ -146,7 +148,7 @@ def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
     all_exact_zero = True
     any_nonzero = False
     for h in p.hypersurfaces:
-        for g in elimination_algebra(h).generators:
+        for g in h.elimination_algebra.generators:
             img = poly_compose_series(g.f, base)
             if not img.is_zero_to_precision():
                 any_nonzero = True
@@ -209,7 +211,7 @@ def contact_order(va: ValidatedArc) -> ContactResult:
         raise MaxMultArcError(
             "arc inside Max mult: the Nash multiplicity sequence never drops"
         )
-    pairs = _image_pairs(va.arc, ambient_algebra(va.presentation))
+    pairs = _image_pairs(va.arc, va.presentation.ambient_algebra)
     r, idx = onedim_order_witness(OneDimAlgebra([img for img, _ in pairs]))
     order = arc_order(va.arc)
     rho = floor(r)
@@ -235,12 +237,7 @@ def contact_order_without_x(va: ValidatedArc) -> Fraction:
     base = va.arc.restrict(p.base_vars)
     gens = []
     for h in p.hypersurfaces:
-        onedim = image_of_algebra(base, elimination_algebra(h))
+        onedim = image_of_algebra(base, h.elimination_algebra)
         gens.extend(onedim.generators)
     r, _ = onedim_order_witness(OneDimAlgebra(gens))
     return r
-
-
-def reparametrize_arc(a: Arc, e: int) -> Arc:
-    """Substitute t -> t^e in every coordinate; r scales by e, r-bar is invariant."""
-    return a.reparametrize(e)

@@ -19,13 +19,7 @@ from fractions import Fraction
 from math import floor
 from typing import List, Optional, Tuple
 
-from .arcs import (
-    ValidatedArc,
-    contact_order,
-    contact_order_without_x,
-    image_of_algebra,
-    validate_arc,
-)
+from .arcs import ValidatedArc, contact_order_without_x, image_of_algebra, validate_arc
 from .errors import (
     ExtensionRequiredError,
     IdentityViolationError,
@@ -50,8 +44,6 @@ from .parsing import (
 )
 from .presentation import (
     LocalPresentation,
-    ambient_algebra,
-    elimination_algebra,
     elimination_order,
     hypersurface_multiplicity_at,
     max_mult_contains,
@@ -94,9 +86,7 @@ def _parse_point(text: str, width: int) -> Tuple[Fraction, ...]:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_mult(args, report: dict) -> List[dict]:
-    p = load_presentation(_load_json(args.presentation))
-    report["inputs"]["presentation"] = presentation_to_document(p)
+def _cmd_mult(args, p: LocalPresentation, report: dict) -> List[dict]:
     point = (
         _origin(len(p.ambient_vars))
         if args.point is None
@@ -119,16 +109,14 @@ def _cmd_mult(args, report: dict) -> List[dict]:
     return []
 
 
-def _cmd_tsch(args, report: dict) -> List[dict]:
-    p = load_presentation(_load_json(args.presentation))
-    report["inputs"]["presentation"] = presentation_to_document(p)
+def _cmd_tsch(args, p: LocalPresentation, report: dict) -> List[dict]:
     rows = []
     for h in p.hypersurfaces:
         rows.append(
             {
                 "var": h.var,
                 "b": h.b,
-                "f": str(h.polynomial()),
+                "f": str(h.polynomial),
                 "coefficients": {f"B_{i}": str(B) for i, B in enumerate(h.coeffs)},
             }
         )
@@ -136,29 +124,26 @@ def _cmd_tsch(args, report: dict) -> List[dict]:
     checks = [
         _check(
             "no_subprincipal_term",
-            all(h.polynomial().coefficients_in(h.var).get(h.b - 1) is None
+            all(h.polynomial.coefficients_in(h.var).get(h.b - 1) is None
                 for h in p.hypersurfaces),
         )
     ]
     return checks
 
 
-def _cmd_elim(args, report: dict) -> List[dict]:
-    p = load_presentation(_load_json(args.presentation))
-    report["inputs"]["presentation"] = presentation_to_document(p)
+def _cmd_elim(args, p: LocalPresentation, report: dict) -> List[dict]:
     rows = []
     for h in p.hypersurfaces:
-        algebra = elimination_algebra(h)
         rows.append(
             {
                 "var": h.var,
-                "generators": [str(g) for g in algebra.generators],
+                "generators": [str(g) for g in h.elimination_algebra.generators],
                 "order": str(elimination_order(h)),
             }
         )
     report["results"]["hypersurfaces"] = rows
     report["results"]["presentation_order"] = str(presentation_elimination_order(p))
-    amb = ambient_algebra(p)
+    amb = p.ambient_algebra
     amb_order = algebra_order_at(amb, _origin(len(p.ambient_vars)))
     report["results"]["ambient_order_at_origin"] = str(amb_order)
     return [
@@ -170,13 +155,11 @@ def _cmd_elim(args, report: dict) -> List[dict]:
     ]
 
 
-def _cmd_contact(args, report: dict) -> List[dict]:
-    p = load_presentation(_load_json(args.presentation))
+def _cmd_contact(args, p: LocalPresentation, report: dict) -> List[dict]:
     arc = parse_arc(_load_json(args.arc))
-    report["inputs"]["presentation"] = presentation_to_document(p)
     report["inputs"]["arc"] = arc_to_document(arc)
     va = validate_arc(arc, p)
-    result = contact_order(va)
+    result = va.contact
     report["results"]["certificates"] = {
         var: str(cert) for var, cert in va.certificates
     }
@@ -207,13 +190,11 @@ def _cmd_contact(args, report: dict) -> List[dict]:
     ]
 
 
-def _cmd_nash(args, report: dict) -> List[dict]:
-    p = load_presentation(_load_json(args.presentation))
+def _cmd_nash(args, p: LocalPresentation, report: dict) -> List[dict]:
     arc = parse_arc(_load_json(args.arc))
-    report["inputs"]["presentation"] = presentation_to_document(p)
     report["inputs"]["arc"] = arc_to_document(arc)
     va = validate_arc(arc, p)
-    result = contact_order(va)
+    result = va.contact
     summary = nash_sequence_presentation(p, va, trace=args.trace)
     rows = []
     for var, seq in summary.per_hypersurface:
@@ -237,9 +218,7 @@ def _cmd_nash(args, report: dict) -> List[dict]:
     return [_check("geometric_rho_is_floor_r", summary.rho == result.rho)]
 
 
-def _cmd_generic_arc(args, report: dict) -> List[dict]:
-    p = load_presentation(_load_json(args.presentation))
-    report["inputs"]["presentation"] = presentation_to_document(p)
+def _cmd_generic_arc(args, p: LocalPresentation, report: dict) -> List[dict]:
     result = construct_generic_arc(
         p, alpha=args.alpha, search_bound=args.search_bound, precision=args.precision
     )
@@ -295,7 +274,7 @@ def _sample_arcs(
 ) -> List[Tuple[str, ValidatedArc]]:
     """Deterministic corpus of valid arcs: transformations of the generic
     branch plus fresh lifts over other admissible diagonal bases."""
-    algebras = [elimination_algebra(h) for h in p.hypersurfaces]
+    algebras = [h.elimination_algebra for h in p.hypersurfaces]
     admissible: List[Tuple[int, ...]] = []
     for u in admissible_unit_tuples(algebras, p.d, search_bound):
         admissible.append(u)
@@ -362,7 +341,7 @@ def verify_main_theorem(
     generic = construct_generic_arc(
         p, alpha=alpha, search_bound=search_bound, precision=precision
     )
-    gen_contact = contact_order(generic.arc)
+    gen_contact = generic.arc.contact
     results["generic_arc"] = arc_to_document(generic.arc.arc)
     results["generic_r_bar"] = fraction_text(gen_contact.r_bar)
     checks.append(
@@ -375,7 +354,7 @@ def verify_main_theorem(
 
     rng = random.Random(seed)
     samples = _sample_arcs(p, generic.arc, trials, rng, precision, search_bound)
-    algebra = ambient_algebra(p)
+    algebra = p.ambient_algebra
 
     rows = []
     lower_bound_ok, lb_witness = True, ""
@@ -384,7 +363,7 @@ def verify_main_theorem(
     min_rbar = gen_contact.r_bar
     minimizing_rho_bars = [gen_contact.rho_bar]
     for name, va in samples:
-        c = contact_order(va)
+        c = va.contact
         min_rbar = min(min_rbar, c.r_bar)
         steps = onedim_resolution_steps(image_of_algebra(va.arc, algebra))
         try:
@@ -428,7 +407,7 @@ def verify_main_theorem(
 
     repar = ord_d.denominator
     attaining = validate_arc(generic.arc.arc.reparametrize(repar), p)
-    att_contact = contact_order(attaining)
+    att_contact = attaining.contact
     results["rho_bar_arc"] = arc_to_document(attaining.arc)
     results["rho_bar_attained"] = fraction_text(att_contact.rho_bar)
     checks.append(
@@ -451,9 +430,7 @@ def verify_main_theorem(
     return results, checks
 
 
-def _cmd_verify(args, report: dict) -> List[dict]:
-    p = load_presentation(_load_json(args.presentation))
-    report["inputs"]["presentation"] = presentation_to_document(p)
+def _cmd_verify(args, p: LocalPresentation, report: dict) -> List[dict]:
     report["inputs"]["trials"] = args.trials
     results, checks = verify_main_theorem(
         p,
@@ -555,7 +532,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "elapsed_ms": 0,
     }
     try:
-        checks = args.handler(args, report)
+        p = load_presentation(_load_json(args.presentation))
+        report["inputs"]["presentation"] = presentation_to_document(p)
+        checks = args.handler(args, p, report)
     except NashresError as err:
         report["results"]["error"] = str(err)
         report["checks"] = [_check("no_errors", False, witness=str(err))]

@@ -17,7 +17,7 @@ from math import gcd, lcm
 from math import isqrt as _math_isqrt
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .arcs import Arc, ValidatedArc, arc_order, contact_order, image_of_algebra, validate_arc
+from .arcs import Arc, ValidatedArc, arc_order, image_of_algebra, validate_arc
 from .errors import (
     ExtensionRequiredError,
     IdentityViolationError,
@@ -27,13 +27,11 @@ from .errors import (
 from .extorder import ExtOrder
 from .poly import MultiPoly
 from .presentation import (
-    EliminationAlgebra,
     LocalPresentation,
     TschirnhausenHypersurface,
-    elimination_algebra,
     presentation_elimination_order,
 )
-from .rees import algebra_order_at, onedim_order
+from .rees import ReesAlgebra, algebra_order_at, onedim_order
 from .series import PowerSeries
 
 T = "t"
@@ -51,7 +49,7 @@ def unit_tuples(d: int, bound: int) -> Iterator[Tuple[int, ...]]:
                 yield u
 
 
-def min_achieving_generators(algebra: EliminationAlgebra) -> List[MultiPoly]:
+def min_achieving_generators(algebra: ReesAlgebra) -> List[MultiPoly]:
     """Generators whose quotient attains the algebra order at the origin."""
     origin = (Fraction(0),) * len(algebra.ambient_vars)
     order = algebra_order_at(algebra, origin)
@@ -70,7 +68,7 @@ def _admits(u: Sequence[int], witnesses: Sequence[MultiPoly]) -> bool:
 
 
 def admissible_unit_tuples(
-    algebras: Sequence[EliminationAlgebra], d: int, bound: int
+    algebras: Sequence[ReesAlgebra], d: int, bound: int
 ) -> Iterator[Tuple[int, ...]]:
     """Unit tuples at which no minimizing generator's initial form vanishes.
 
@@ -90,7 +88,7 @@ def admissible_unit_tuples(
 
 
 def find_generic_units(
-    algebras: Sequence[EliminationAlgebra], d: int, bound: int
+    algebras: Sequence[ReesAlgebra], d: int, bound: int
 ) -> Tuple[int, ...]:
     """First admissible unit tuple in the enumeration order."""
     for u in admissible_unit_tuples(algebras, d, bound):
@@ -133,7 +131,7 @@ def build_diagonal_arc(units: Sequence, alpha: int, base_vars: Sequence[str]) ->
     return DiagonalArc(tuple(Fraction(u) for u in units), alpha, tuple(base_vars))
 
 
-def is_diagonal_generic(base: DiagonalArc, algebras: Sequence[EliminationAlgebra]) -> bool:
+def is_diagonal_generic(base: DiagonalArc, algebras: Sequence[ReesAlgebra]) -> bool:
     """Image order equals alpha times the algebra order, for every algebra."""
     arc = base.to_arc()
     origin = (Fraction(0),) * len(base.base_vars)
@@ -357,7 +355,7 @@ def _equation_on_base(
 ) -> MultiPoly:
     """f_i with the base variables replaced by monomials: an element of Q[x, t]."""
     ambient = h.ambient_vars + (T,)
-    f = h.polynomial().extend_vars(ambient)
+    f = h.polynomial.extend_vars(ambient)
     for v, u, a in zip(h.base_vars, units, exponents):
         sub = MultiPoly.variable(ambient, T) ** a
         f = f.substitute(v, sub.scale(u))
@@ -370,7 +368,7 @@ def _lift_equation(
     exponents: Sequence[int],
     precision: int,
 ) -> PuiseuxLift:
-    if elimination_algebra(h).is_empty():
+    if h.elimination_algebra.is_empty():
         raise MaxMultArcError(
             "arc necessarily inside Max mult: the equation is a pure power"
         )
@@ -452,7 +450,7 @@ def construct_generic_arc(
 ) -> GenericArcResult:
     """Find units, lift, and verify; retries the unit search past branches
     that would need an algebraic extension."""
-    algebras = [elimination_algebra(h) for h in p.hypersurfaces]
+    algebras = [h.elimination_algebra for h in p.hypersurfaces]
     tried = 0
     last_error: Optional[ExtensionRequiredError] = None
     for u in admissible_unit_tuples(algebras, p.d, search_bound):
@@ -518,7 +516,7 @@ class GenericityReport:
 
 def verify_genericity(va: ValidatedArc, p: LocalPresentation) -> GenericityReport:
     """Does the arc realize the presentation's elimination order exactly?"""
-    result = contact_order(va)
+    result = va.contact
     expected = presentation_elimination_order(p).expect_exact("elimination order")
     n = arc_base_exponent(va)
     realized_by_x = False

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .arcs import ValidatedArc, contact_order
+from .arcs import ValidatedArc
 from .errors import (
     IdentityViolationError,
     InsufficientPrecisionError,
@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .poly import MultiPoly
-from .presentation import LocalPresentation, TschirnhausenHypersurface, elimination_algebra
+from .presentation import LocalPresentation, TschirnhausenHypersurface
 from .series import PowerSeries, poly_compose_series
 
 T = "t"
@@ -190,7 +190,7 @@ def nash_sequence_hypersurface(
     base = {v: coords[v] for v in h.base_vars}
     images = [
         poly_compose_series(g.f, base).order()
-        for g in elimination_algebra(h).generators
+        for g in h.elimination_algebra.generators
     ]
     if all(o.is_infinite for o in images):
         raise MaxMultArcError(
@@ -200,7 +200,7 @@ def nash_sequence_hypersurface(
         raise InsufficientPrecisionError(
             f"cannot bound the {h.var}-sequence: all elimination images censored"
         )
-    return nash_sequence_equation(h.polynomial(), coords, trace=trace)
+    return nash_sequence_equation(h.polynomial, coords, trace=trace)
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ def nash_sequence_presentation(
     if not rhos:
         raise MaxMultArcError("arc inside Max mult: no hypersurface sequence drops")
     rho = min(rhos)
-    result = contact_order(va)
+    result = va.contact
     if rho != result.rho:
         raise IdentityViolationError(
             f"geometric persistance {rho} != floor(r) = {result.rho}"

@@ -178,40 +178,19 @@ def parse_poly(text: str, variables: Optional[Sequence[str]] = None) -> MultiPol
     return result
 
 
-def poly_text(f: MultiPoly) -> str:
-    """Canonical printable form, re-parsable by parse_poly."""
-    return str(f)
-
-
-def series_text(s: PowerSeries) -> str:
-    """Grammar-compatible polynomial-in-t text for the stored coefficients."""
-    if not s.coeffs:
-        return "0"
-    parts = []
-    for k, c in enumerate(s.coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            tpow = "t" if k == 1 else f"t^{k}"
-            body = tpow if abs(c) == 1 else f"{abs(c)}*{tpow}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign0, body0 = parts[0]
-    text = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+def _is_int(value) -> bool:
+    """JSON integers only: Python counts true and false as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_arc(document: dict) -> Arc:
     """Arc file: {"precision": N | "exact", "coords": {var: poly-in-t text}}."""
-    if not isinstance(document, dict) or "coords" not in document:
-        raise ValidationError('arc document needs "precision" and "coords"')
+    if not isinstance(document, dict) or not isinstance(document.get("coords"), dict):
+        raise ValidationError('arc document needs "precision" and a "coords" object')
     precision = document.get("precision", "exact")
     if precision == "exact":
         prec = None
-    elif isinstance(precision, int) and precision >= 1:
+    elif _is_int(precision) and precision >= 1:
         prec = precision
     else:
         raise ValidationError(f'precision must be a positive integer or "exact", got {precision!r}')
@@ -236,7 +215,7 @@ def arc_to_document(a: Arc) -> dict:
     precision = a.precision
     return {
         "precision": "exact" if precision is None else precision,
-        "coords": {v: series_text(s) for v, s in sorted(a.coords.items())},
+        "coords": {v: s.polynomial_text() for v, s in sorted(a.coords.items())},
     }
 
 
@@ -250,19 +229,23 @@ def load_presentation(document: dict) -> LocalPresentation:
     if not isinstance(document, dict) or "d" not in document or "hypersurfaces" not in document:
         raise ValidationError('presentation document needs "d" and "hypersurfaces"')
     d = document["d"]
-    if not isinstance(d, int) or d < 1:
+    if not _is_int(d) or d < 1:
         raise ValidationError(f"base dimension must be a positive integer, got {d!r}")
     entries = document["hypersurfaces"]
-    if not entries:
-        raise ValidationError("presentation needs at least one hypersurface")
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError('"hypersurfaces" must be a non-empty list')
     parsed = []
     declared = []
     for entry in entries:
-        var = entry.get("var")
-        if var not in IDENTIFIERS or var == "t":
+        if not isinstance(entry, dict) or not {"var", "b", "f"} <= entry.keys():
+            raise ValidationError(f'hypersurface needs "var", "b" and "f", got {entry!r}')
+        var, b = entry["var"], entry["b"]
+        if not isinstance(var, str) or var not in IDENTIFIERS or var == "t":
             raise ValidationError(f"bad distinguished variable {var!r}")
+        if not _is_int(b):
+            raise ValidationError(f"degree b of {var!r} must be an integer, got {b!r}")
         declared.append(var)
-        parsed.append((var, int(entry["b"]), parse_poly(str(entry["f"]))))
+        parsed.append((var, b, parse_poly(str(entry["f"]))))
     if len(set(declared)) != len(declared):
         raise ValidationError(f"distinguished variables repeat: {declared}")
     base = set()
@@ -298,7 +281,7 @@ def presentation_to_document(p: LocalPresentation) -> dict:
     return {
         "d": p.d,
         "hypersurfaces": [
-            {"var": h.var, "b": h.b, "f": poly_text(h.polynomial())}
+            {"var": h.var, "b": h.b, "f": str(h.polynomial)}
             for h in p.hypersurfaces
         ],
     }

@@ -369,18 +369,3 @@ def canonical_var_key(name: str):
     rank = {"x": 0, "z": 1, "t": 2}.get(family, 3)
     index = int(name[1:]) if len(name) > 1 and name[1:].isdigit() else 0
     return (rank, index, name)
-
-
-# Functional aliases for the operation surface.
-
-def poly_order_at(f: MultiPoly, point: Sequence) -> ExtOrder:
-    """Order of f at a rational point: min total degree after recentering."""
-    return f.order_at(point)
-
-
-def poly_translate(f: MultiPoly, point: Sequence) -> MultiPoly:
-    return f.translate(point)
-
-
-def poly_derive(f: MultiPoly, name: str) -> MultiPoly:
-    return f.derive(name)

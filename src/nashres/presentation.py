@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from functools import cached_property
+from typing import Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -22,13 +23,14 @@ from .extorder import ExtOrder, ext_min
 from .poly import MultiPoly
 from .rees import ReesAlgebra, ReesGenerator, diff_closure
 
-# An elimination algebra is a diff-closed Rees algebra over the base variables.
-EliminationAlgebra = ReesAlgebra
-
 
 @dataclass(frozen=True)
 class TschirnhausenHypersurface:
-    """x^b + B_{b-2} x^{b-2} + ... + B_0 with B_i over the base variables."""
+    """x^b + B_{b-2} x^{b-2} + ... + B_0 with B_i over the base variables.
+
+    Derived objects are cached on the instance: it is immutable, so each is
+    computed once and lives exactly as long as the hypersurface.
+    """
 
     var: str
     b: int
@@ -59,6 +61,7 @@ class TschirnhausenHypersurface:
     def ambient_vars(self) -> Tuple[str, ...]:
         return (self.var,) + self.base_vars
 
+    @cached_property
     def polynomial(self) -> MultiPoly:
         """The defining equation over (var, base variables)."""
         ambient = self.ambient_vars
@@ -68,6 +71,10 @@ class TschirnhausenHypersurface:
             if not B.is_zero():
                 f = f + B.extend_vars(ambient) * x**i
         return f
+
+    @cached_property
+    def elimination_algebra(self) -> ReesAlgebra:
+        return elimination_algebra(self)
 
     def is_cylinder(self) -> bool:
         """True when every coefficient vanishes (the equation is x^b)."""
@@ -108,8 +115,12 @@ def tschirnhausen_normalize(f: MultiPoly, var: str) -> TschirnhausenHypersurface
     return TschirnhausenHypersurface(var, b, base_vars, tuple(bs))
 
 
-def elimination_algebra(h: TschirnhausenHypersurface) -> EliminationAlgebra:
-    """Differential closure of the coefficient generators B_i W^(b-i)."""
+def elimination_algebra(h: TschirnhausenHypersurface) -> ReesAlgebra:
+    """Differential closure of the coefficient generators B_i W^(b-i).
+
+    A diff-closed Rees algebra over the base variables; read it through the
+    cached `h.elimination_algebra`.
+    """
     gens = [
         ReesGenerator(B.monic_normalized(), h.b - i)
         for i, B in enumerate(h.coeffs)
@@ -133,6 +144,8 @@ def elimination_order(h: TschirnhausenHypersurface) -> ExtOrder:
 
 @dataclass(frozen=True)
 class LocalPresentation:
+    """Hypersurfaces over a shared base; the ambient algebra is cached."""
+
     d: int
     hypersurfaces: Tuple[TschirnhausenHypersurface, ...]
 
@@ -167,8 +180,9 @@ class LocalPresentation:
                 return h
         raise ValidationError(f"no hypersurface with distinguished variable {var!r}")
 
-    def elimination_algebras(self) -> Dict[str, EliminationAlgebra]:
-        return {h.var: elimination_algebra(h) for h in self.hypersurfaces}
+    @cached_property
+    def ambient_algebra(self) -> ReesAlgebra:
+        return ambient_algebra(self)
 
 
 def presentation_elimination_order(p: LocalPresentation) -> ExtOrder:
@@ -181,6 +195,7 @@ def ambient_algebra(p: LocalPresentation) -> ReesAlgebra:
 
     Generated by x_i W for every distinguished variable together with all
     elimination generators, everything extended to the joint ambient ring.
+    Read it through the cached `p.ambient_algebra`.
     """
     ambient = p.ambient_vars
     gens = [
@@ -188,14 +203,14 @@ def ambient_algebra(p: LocalPresentation) -> ReesAlgebra:
         for h in p.hypersurfaces
     ]
     for h in p.hypersurfaces:
-        for g in elimination_algebra(h).generators:
+        for g in h.elimination_algebra.generators:
             gens.append(ReesGenerator(g.f.extend_vars(ambient), g.weight))
     return ReesAlgebra(ambient, gens, diff_closed=True)
 
 
 def hypersurface_multiplicity_at(h: TschirnhausenHypersurface, point: Sequence) -> int:
     """Multiplicity of the hypersurface at a rational point on it."""
-    f = h.polynomial()
+    f = h.polynomial
     if f.eval_at(point) != 0:
         raise ValidationError(f"point not on hypersurface: f{tuple(point)} != 0")
     return f.order_at(point).value
@@ -212,7 +227,7 @@ def max_mult_contains(p: LocalPresentation, point: Sequence) -> bool:
     coord = dict(zip(ambient, pt))
     for h in p.hypersurfaces:
         sub = [coord[v] for v in h.ambient_vars]
-        o = h.polynomial().order_at(sub)
+        o = h.polynomial.order_at(sub)
         if o.value < h.b:
             return False
     return True

@@ -240,40 +240,34 @@ class PowerSeries:
 
     # -- printing ------------------------------------------------------------------
 
-    def __str__(self) -> str:
+    def polynomial_text(self) -> str:
+        """Grammar-compatible polynomial-in-t text for the stored coefficients."""
         if not self.coeffs:
-            body = "0"
-        else:
-            chunks = []
-            for k, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                if k == 0:
-                    body = str(abs(c))
-                elif abs(c) == 1:
-                    body = "t" if k == 1 else f"t^{k}"
-                else:
-                    body = f"{abs(c)}*t" if k == 1 else f"{abs(c)}*t^{k}"
-                chunks.append(("-" if c < 0 else "+", body))
-            sign0, body0 = chunks[0]
-            body = ("-" if sign0 == "-" else "") + body0
-            for sign, b in chunks[1:]:
-                body += f" {sign} {b}"
+            return "0"
+        chunks = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if k == 0:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = "t" if k == 1 else f"t^{k}"
+            else:
+                body = f"{abs(c)}*t" if k == 1 else f"{abs(c)}*t^{k}"
+            chunks.append(("-" if c < 0 else "+", body))
+        sign0, body0 = chunks[0]
+        text = ("-" if sign0 == "-" else "") + body0
+        for sign, body in chunks[1:]:
+            text += f" {sign} {body}"
+        return text
+
+    def __str__(self) -> str:
         if self.precision is None:
-            return body
-        return f"{body} + O(t^{self.precision})"
+            return self.polynomial_text()
+        return f"{self.polynomial_text()} + O(t^{self.precision})"
 
     def __repr__(self) -> str:
         return f"PowerSeries({self})"
-
-
-def series_order(s: PowerSeries) -> ExtOrder:
-    """Index of the first nonzero coefficient, censored at finite precision."""
-    return s.order()
-
-
-def series_reparametrize(s: PowerSeries, e: int) -> PowerSeries:
-    return s.reparametrize(e)
 
 
 def poly_compose_series(f, substitutions: dict) -> PowerSeries:

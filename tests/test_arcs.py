@@ -126,7 +126,7 @@ def test_image_drops_exact_zeros(cusp):
     from nashres import ReesAlgebra
 
     arc = exact_arc(x="t^3", z="t^2")
-    f = cusp.hypersurfaces[0].polynomial()
+    f = cusp.hypersurfaces[0].polynomial
     algebra = ReesAlgebra.from_pairs(f.vars, [(f, 2)])
     assert image_of_algebra(arc, algebra).is_empty()
 

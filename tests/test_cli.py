@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nashres.cli import main
 
 CUSP = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^3"}]}
@@ -119,6 +121,41 @@ def test_validation_error_exit_code(tmp_path, capsys):
     code, report = run_json(capsys, "contact", pres, arc)
     assert code == 2
     assert "not on variety" in report["results"]["error"]
+
+
+def _cusp_with(**changes):
+    entry = dict(CUSP["hypersurfaces"][0], **changes)
+    return {"d": 1, "hypersurfaces": [entry]}
+
+
+def _cusp_without(key):
+    entry = {k: v for k, v in CUSP["hypersurfaces"][0].items() if k != key}
+    return {"d": 1, "hypersurfaces": [entry]}
+
+
+# (presentation document, arc document or None): each shape is malformed.
+MALFORMED = {
+    "arc_coords_list": (CUSP, {"precision": "exact", "coords": ["t^3", "t^2"]}),
+    "arc_precision_bool": (CUSP, {"precision": True, "coords": {"x": "t^3", "z": "t^2"}}),
+    "entry_is_string": ({"d": 1, "hypersurfaces": ["x^2 - z^3"]}, None),
+    "missing_b": (_cusp_without("b"), None),
+    "missing_f": (_cusp_without("f"), None),
+    "b_is_text": (_cusp_with(b="two"), None),
+    "hypersurfaces_not_list": ({"d": 1, "hypersurfaces": 5}, None),
+    "var_is_list": (_cusp_with(var=["x"]), None),
+    "d_is_bool": ({"d": True, "hypersurfaces": CUSP["hypersurfaces"]}, None),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_documents_exit_code(tmp_path, capsys, shape):
+    presentation, arc = MALFORMED[shape]
+    argv = ["elim", write(tmp_path, "p.json", presentation)]
+    if arc is not None:
+        argv = ["contact", argv[1], write(tmp_path, "a.json", arc)]
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["results"]["error"]
 
 
 def test_insufficient_precision_exit_code(tmp_path, capsys):

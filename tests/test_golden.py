@@ -1,8 +1,10 @@
 """Golden reports: `--json` output pinned byte for byte, `elapsed_ms` masked.
 
-The files under tests/golden/ were written by the code before the integer
-series kernel landed; any change to the arithmetic must reproduce them
-exactly.  To rewrite them after an intended change of output, run
+The files under tests/golden/ were written by the code before the change
+that first pinned them (the integer series kernel for verify, generic-arc
+and nash; derived-object caching for tsch, elim, contact and mult); any
+later change must reproduce them exactly.  To rewrite them after an
+intended change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -46,6 +48,10 @@ PRESENTATIONS = {
         "d": 1,
         "hypersurfaces": [{"var": "x", "b": 4, "f": "x^4 - 2 z^3 x^2 + z^6 - z^7"}],
     },
+    "needs_normalization": {
+        "d": 1,
+        "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 + 2z x + z^3"}],
+    },
 }
 
 # Arcs for the `nash --trace` cases, whose reports carry the blow-up centres.
@@ -71,6 +77,11 @@ CASES = {
     ),
     "nash_cusp_shifted": ("cusp", "cusp_shifted", ["nash", "--trace"]),
     "nash_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["nash", "--trace"]),
+    "tsch_needs_normalization": ("needs_normalization", None, ["tsch"]),
+    "elim_two_hyp": ("two_hyp", None, ["elim"]),
+    "contact_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["contact"]),
+    "mult_cusp_point_1_1": ("cusp", None, ["mult", "--point", "1,1"]),
+    "mult_two_hyp": ("two_hyp", None, ["mult"]),
 }
 
 _ELAPSED = re.compile(r'"elapsed_ms": \d+')

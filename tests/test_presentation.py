@@ -153,7 +153,7 @@ def test_closure_order_identity(cusp):
     from nashres import ReesAlgebra, diff_closure
 
     h = cusp.hypersurfaces[0]
-    f = h.polynomial()
+    f = h.polynomial
     closed = diff_closure(ReesAlgebra.from_pairs(f.vars, [(f, h.b)]))
     origin = (0, 0)
     assert algebra_order_at(closed, origin).value == 1
