@@ -9,7 +9,7 @@ diff-closed ambient algebra through the arc; rho is its integral part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor
@@ -203,6 +203,7 @@ class ContactResult:
     rho_bar: Fraction
     arc_order: int
     witness: str
+    image: OneDimAlgebra = field(compare=False, repr=False)  # ambient algebra through the arc
 
 
 def contact_order(va: ValidatedArc) -> ContactResult:
@@ -212,7 +213,8 @@ def contact_order(va: ValidatedArc) -> ContactResult:
             "arc inside Max mult: the Nash multiplicity sequence never drops"
         )
     pairs = _image_pairs(va.arc, va.presentation.ambient_algebra)
-    r, idx = onedim_order_witness(OneDimAlgebra([img for img, _ in pairs]))
+    image = OneDimAlgebra([img for img, _ in pairs])
+    r, idx = onedim_order_witness(image)
     order = arc_order(va.arc)
     rho = floor(r)
     return ContactResult(
@@ -222,6 +224,7 @@ def contact_order(va: ValidatedArc) -> ContactResult:
         rho_bar=Fraction(rho, order),
         arc_order=order,
         witness=str(pairs[idx][1]),
+        image=image,
     )
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import floor
 from typing import List, Optional, Tuple
 
-from .arcs import ValidatedArc, contact_order_without_x, image_of_algebra, validate_arc
+from .arcs import ValidatedArc, contact_order_without_x, validate_arc
 from .errors import (
     ExtensionRequiredError,
     IdentityViolationError,
@@ -354,8 +354,6 @@ def verify_main_theorem(
 
     rng = random.Random(seed)
     samples = _sample_arcs(p, generic.arc, trials, rng, precision, search_bound)
-    algebra = p.ambient_algebra
-
     rows = []
     lower_bound_ok, lb_witness = True, ""
     rho_ok, rho_witness = True, ""
@@ -365,7 +363,7 @@ def verify_main_theorem(
     for name, va in samples:
         c = va.contact
         min_rbar = min(min_rbar, c.r_bar)
-        steps = onedim_resolution_steps(image_of_algebra(va.arc, algebra))
+        steps = onedim_resolution_steps(c.image)
         try:
             geo = nash_sequence_presentation(p, va)
             geo_rho: Optional[int] = geo.rho

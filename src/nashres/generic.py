@@ -6,6 +6,9 @@ of every minimizing elimination generator survives at u, run the diagonal arc
 solving each separated equation f_i(x_i, u t^alpha) = 0 with a Newton-Puiseux
 iteration, reparametrizing to clear denominators.  Everything is exact; a
 branch that needs irrational coefficients raises instead of approximating.
+Each stage is the chart move of the blow-ups in `nash`: `MultiPoly.t_chart`
+with weight m on x, the Taylor shift `translate` by the edge root, and
+`t_chart` again to divide out t^nu; ramification is weight q on t.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .presentation import (
     presentation_elimination_order,
 )
 from .rees import ReesAlgebra, algebra_order_at, onedim_order
-from .series import PowerSeries
+from .series import PowerSeries, poly_compose_series
 
 T = "t"
 
@@ -230,15 +233,6 @@ def _pick_root(roots: List[Fraction]) -> Fraction:
     return min(roots, key=lambda r: (abs(r.numerator), abs(r.denominator), r < 0))
 
 
-def _reparametrize_poly(f: MultiPoly, t_index: int, e: int) -> MultiPoly:
-    out = {}
-    for exp, coeff in f.terms.items():
-        new = list(exp)
-        new[t_index] *= e
-        out[tuple(new)] = coeff
-    return MultiPoly._raw(f.vars, out)
-
-
 @dataclass(frozen=True)
 class PuiseuxLift:
     ramification: int
@@ -272,8 +266,6 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
     coefficient under the requested precision.
     """
     t_index = F.vars.index(T)
-    x = MultiPoly.variable(F.vars, xvar)
-    t = MultiPoly.variable(F.vars, T)
     e = 1
     target = precision
     found: List[Tuple[Fraction, int]] = []  # (coefficient, absolute exponent)
@@ -297,7 +289,7 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
         gamma = Fraction(v0 - v1, i1 - i0)
         q = gamma.denominator
         if q > 1:
-            cur = _reparametrize_poly(cur, t_index, q)
+            cur = cur.t_chart(T, {T: q})
             e *= q
             target *= q
             shift *= q
@@ -326,18 +318,11 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
             )
         c = _pick_root(roots)
         found.append((c, shift + m))
-        cur = cur.substitute(xvar, t**m * (MultiPoly.constant(F.vars, c) + x))
-        cur = _strip_t_power(cur, t_index, min(exp[t_index] for exp in cur.terms))
+        # x -> t^m (c + x), then divide out the t-power the edge leaves behind
+        cur = cur.t_chart(T, {T: 1, xvar: m})
+        cur = cur.translate([c if v == xvar else 0 for v in cur.vars])
+        cur = cur.t_chart(T, {T: 1}, drop=min(exp[t_index] for exp in cur.terms))
         shift += m
-
-
-def _strip_t_power(f: MultiPoly, t_index: int, nu: int) -> MultiPoly:
-    out = {}
-    for exp, coeff in f.terms.items():
-        new = list(exp)
-        new[t_index] -= nu
-        out[tuple(new)] = coeff
-    return MultiPoly._raw(f.vars, out)
 
 
 def _series_from_terms(terms: List[Tuple[Fraction, int]], precision: int | None) -> PowerSeries:
@@ -374,9 +359,7 @@ def _lift_equation(
         )
     F = _equation_on_base(h, units, exponents)
     root, e = _newton_puiseux_root(F, h.var, precision)
-    check = _reparametrize_poly(F, F.vars.index(T), e)
-    from .series import poly_compose_series
-
+    check = F.t_chart(T, {T: e})
     residual = poly_compose_series(
         check, {h.var: root, T: PowerSeries.t_power(1, root.precision)}
     )

@@ -5,7 +5,9 @@ the arc parameter t.  Each step blows up the origin, follows the lifted arc
 into the chart where t is the exceptional parameter (always valid: the graph
 has t-order exactly one), takes the strict transform, and recenters at the
 point the arc runs through.  The multiplicity sequence read along the way is
-non-increasing and its first drop defines the persistance rho.
+non-increasing and its first drop defines the persistance rho.  A step is the
+chart move of the Newton-Puiseux lifting in `generic`: `MultiPoly.t_chart`
+with every weight 1 dropping t^m, then the Taylor shift `translate`.
 """
 
 from __future__ import annotations
@@ -66,28 +68,6 @@ class NashSequence:
     equations: Optional[Tuple[str, ...]] = None  # transformed equation per step (trace)
 
 
-def _blow_up_t_chart(g: MultiPoly, m: int) -> MultiPoly:
-    """Substitute y -> t*y for every non-t variable and divide by t^m exactly."""
-    ti = g.vars.index(T)
-    out = {}
-    min_t = None
-    for exp, coeff in g.terms.items():
-        total = sum(exp) - exp[ti]
-        new = list(exp)
-        new[ti] += total
-        out[tuple(new)] = coeff
-        min_t = new[ti] if min_t is None else min(min_t, new[ti])
-    assert min_t is not None and min_t == m, (
-        f"exceptional multiplicity {min_t} != expected order {m}"
-    )
-    divided = {}
-    for exp, coeff in out.items():
-        new = list(exp)
-        new[ti] -= m
-        divided[tuple(new)] = coeff
-    return MultiPoly._raw(g.vars, divided)
-
-
 def nash_step(state: NashState, m0: int) -> NashState:
     """One blow-up directed by the arc.
 
@@ -108,18 +88,20 @@ def nash_step(state: NashState, m0: int) -> NashState:
             raise InsufficientPrecisionError(
                 f"coordinate {name!r} exhausted at step {state.step}"
             )
-    g1 = _blow_up_t_chart(state.g, m)
-    shifted = {name: s.divide_t_power(1) for name, s in state.arc.items()}
+    g1 = state.g.t_chart(T, dict.fromkeys(state.g.vars, 1), drop=m)
+    ti = g1.vars.index(T)
+    low = min(exp[ti] for exp in g1.terms)
+    assert low == 0, f"exceptional multiplicity {low + m} != expected order {m}"
     new_arc = {}
     point = []
     for name in state.g.vars:
         if name == T:
             point.append(Fraction(0))  # the center always lies on t = 0
             continue
-        s = shifted[name]
+        s = state.arc[name].divide_t_power(1)
         c = s.constant_term()
         point.append(c)
-        new_arc[name] = s - PowerSeries((c,), s.precision)
+        new_arc[name] = PowerSeries((0,) + s.coeffs[1:], s.precision)
     g1 = g1.translate(point)
     center = tuple(c for name, c in zip(state.g.vars, point) if name != T)
     out = NashState(g1, new_arc, state.step + 1, center)

@@ -29,6 +29,9 @@ IDENTIFIERS = (
     | {f"z{i}" for i in range(1, 10)}
 )
 
+# Arc coordinates are stored densely below the precision: at most this many coefficients.
+MAX_ARC_COEFFS = 100_000
+
 _OPS = {"+": "PLUS", "-": "MINUS", "−": "MINUS", "*": "STAR",
         "^": "CARET", "/": "SLASH", "(": "LPAREN", ")": "RPAREN"}
 
@@ -203,10 +206,16 @@ def parse_arc(document: dict) -> Arc:
         if bad:
             raise ValidationError(f"non-t variables in coordinate {name!r}: {bad}")
         g = f if "t" in f.vars else f.extend_vars(("t",))
-        degree = g.degree_in("t")
-        coeffs = [Fraction(0)] * (degree + 1)
+        size = g.degree_in("t") + 1
+        size = size if prec is None else min(size, prec)
+        if size > MAX_ARC_COEFFS:
+            raise ValidationError(
+                f"coordinate {name!r} needs {size} coefficients, above the limit {MAX_ARC_COEFFS}"
+            )
+        coeffs = [Fraction(0)] * size
         for exp, coeff in g.terms.items():
-            coeffs[exp[0]] = coeff
+            if exp[0] < size:
+                coeffs[exp[0]] = coeff
         coords[name] = PowerSeries(coeffs, prec)
     return Arc(coords)
 

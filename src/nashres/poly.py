@@ -295,6 +295,26 @@ class MultiPoly:
                     out[key] = s
         return MultiPoly._raw(self.vars, out)
 
+    def t_chart(self, t: str, weights: Mapping[str, int], drop: int = 0) -> "MultiPoly":
+        """Chart change in t: each t-exponent becomes sum(w_v e_v) - drop.
+
+        Weights missing from the map are 0 and the other exponents stay as
+        they are, so weight m on x is x -> t^m x, weight q on t is t -> t^q,
+        and drop divides by t^drop.  With the weight of t at least 1 no two
+        terms collide.  Raises ValueError when an exponent would go negative.
+        """
+        ti = self._index(t)
+        w = [weights.get(v, 0) for v in self.vars]
+        if w[ti] < 1:
+            raise ValueError(f"weight of {t} must be >= 1, got {w[ti]}")
+        out: Terms = {}
+        for exp, coeff in self.terms.items():
+            e = sum(a * b for a, b in zip(w, exp)) - drop
+            if e < 0:
+                raise ValueError(f"{t}^{drop} does not divide a chart term in {t}^{e + drop}")
+            out[exp[:ti] + (e,) + exp[ti + 1:]] = coeff
+        return MultiPoly._raw(self.vars, out)
+
     def derive(self, name: str) -> "MultiPoly":
         """Formal partial derivative."""
         i = self._index(name)

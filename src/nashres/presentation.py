@@ -76,10 +76,6 @@ class TschirnhausenHypersurface:
     def elimination_algebra(self) -> ReesAlgebra:
         return elimination_algebra(self)
 
-    def is_cylinder(self) -> bool:
-        """True when every coefficient vanishes (the equation is x^b)."""
-        return all(B.is_zero() for B in self.coeffs)
-
 
 def tschirnhausen_normalize(f: MultiPoly, var: str) -> TschirnhausenHypersurface:
     """Bring a monic equation into Tschirnhausen form by x -> x - D_{b-1}/b.

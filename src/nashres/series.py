@@ -235,9 +235,6 @@ class PowerSeries:
         prec = None if self.precision is None else self.precision - k
         return PowerSeries(self.coeffs[k:], prec)
 
-    def truncate(self, precision: int) -> "PowerSeries":
-        return PowerSeries(self.coeffs, _min_precision(self.precision, precision))
-
     # -- printing ------------------------------------------------------------------
 
     def polynomial_text(self) -> str:

@@ -199,3 +199,30 @@ def test_human_readable_output(tmp_path, capsys):
     assert code == 0
     assert "presentation_order: 3/2" in out
     assert "check ambient_order_is_one: pass" in out
+
+
+def test_arc_coefficients_are_stored_below_the_precision_only(tmp_path, capsys):
+    import tracemalloc
+
+    pres = write(tmp_path, "p.json", CUSP)
+    arc = write(tmp_path, "a.json", {"precision": 8, "coords": {"x": "t^3 + t^300000", "z": "t^2"}})
+    tracemalloc.start()
+    try:
+        code, report = run_json(capsys, "contact", pres, arc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert report["results"]["r"] == "3"
+    assert peak < 1_000_000  # a dense list up to t^300000 alone takes 2.4 MB
+
+
+def test_exact_arc_coordinate_above_the_coefficient_limit_exit_code(tmp_path, capsys):
+    from nashres.parsing import MAX_ARC_COEFFS
+
+    pres = write(tmp_path, "p.json", CUSP)
+    x = f"t^3 + t^{MAX_ARC_COEFFS}"
+    arc = write(tmp_path, "a.json", {"precision": "exact", "coords": {"x": x, "z": "t^2"}})
+    code, report = run_json(capsys, "contact", pres, arc)
+    assert code == 2
+    assert "limit" in report["results"]["error"]

@@ -52,6 +52,18 @@ PRESENTATIONS = {
         "d": 1,
         "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 + 2z x + z^3"}],
     },
+    "quartic_tail": {"d": 1, "hypersurfaces": [{"var": "x", "b": 4, "f": "x^4 - z^5 - z^7"}]},
+    "cubic_big_constant": {
+        "d": 1,
+        "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 - 8000000000000 z^4"}],
+    },
+    "two_hyp_three_base": {
+        "d": 3,
+        "hypersurfaces": [
+            {"var": "x1", "b": 3, "f": "x1^3 - z1^4 - z2^5"},
+            {"var": "x3", "b": 2, "f": "x3^2 - z1 z2 z3"},
+        ],
+    },
 }
 
 # Arcs for the `nash --trace` cases, whose reports carry the blow-up centres.
@@ -74,6 +86,17 @@ CASES = {
     "verify_mixed_weights_seed7": ("mixed_weights", None, ["verify", "--seed", "7"]),
     "generic_arc_quartic_middle_p96": (
         "quartic_middle", None, ["generic-arc", "--precision", "96"],
+    ),
+    # Lifting paths: ramification 4 with a long tail, a cubic edge with a
+    # large constant term, and an lcm of ramifications over three base variables.
+    "generic_arc_quartic_tail_p96": (
+        "quartic_tail", None, ["generic-arc", "--precision", "96"],
+    ),
+    "generic_arc_cubic_big_constant_p96": (
+        "cubic_big_constant", None, ["generic-arc", "--precision", "96"],
+    ),
+    "generic_arc_two_hyp_three_base_p96": (
+        "two_hyp_three_base", None, ["generic-arc", "--precision", "96"],
     ),
     "nash_cusp_shifted": ("cusp", "cusp_shifted", ["nash", "--trace"]),
     "nash_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["nash", "--trace"]),

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -241,3 +242,45 @@ def test_closure_never_raises_order_at_singular_points(fs):
     before = algebra_order_at(algebra, ORIGIN2)
     after = algebra_order_at(diff_closure(algebra), ORIGIN2)
     assert after.value <= before.value
+
+
+# -- the t-chart move shared by the blow-ups and the Newton-Puiseux stages --------
+
+XT = ("x", "t")
+V2T = V2 + ("t",)
+
+
+@seed(20151031)
+@settings(max_examples=80, deadline=None)
+@given(
+    polys(XT, max_degree=4, max_terms=5),
+    st.integers(min_value=1, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+)
+def test_weighted_chart_then_shift_is_substitution(f, m, c):
+    x = MultiPoly.variable(XT, "x")
+    t = MultiPoly.variable(XT, "t")
+    expected = f.substitute("x", t**m * (MultiPoly.constant(XT, c) + x))
+    assert f.t_chart("t", {"t": 1, "x": m}).translate((c, 0)) == expected
+
+
+@seed(20151101)
+@settings(max_examples=80, deadline=None)
+@given(polys(V2T, max_degree=3, max_terms=5, min_order=1))
+def test_unit_chart_is_blow_up_then_division(f):
+    if f.is_zero():
+        return
+    blown = f
+    for v in V2:
+        blown = blown.substitute(v, MultiPoly.variable(V2T, v) * MultiPoly.variable(V2T, "t"))
+    drop = f.order_at_origin().value
+    divided = MultiPoly(V2T, {e[:2] + (e[2] - drop,): c for e, c in blown.terms.items()})
+    assert f.t_chart("t", dict.fromkeys(V2T, 1), drop=drop) == divided
+    with pytest.raises(ValueError):
+        f.t_chart("t", dict.fromkeys(V2T, 1), drop=drop + 1)
+
+
+def test_chart_rejects_a_t_weight_below_one():
+    f = MultiPoly.variable(XT, "x")
+    with pytest.raises(ValueError):
+        f.t_chart("t", {"x": 1})
