@@ -5,6 +5,10 @@ variable.  Validation substitutes the arc into every defining equation and
 records an exact-zero or zero-to-precision certificate.  The order of contact
 r is the order of the one-dimensional algebra obtained by pushing the full
 diff-closed ambient algebra through the arc; rho is its integral part.
+
+Validation pushes the arc once through every elimination generator and keeps
+the images: the ambient algebra is x_i*W plus the elimination generators, so
+its image, read for r, is the x-coordinate orders plus those images.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .extorder import ExtOrder, ext_min
+from .poly import MultiPoly
 from .presentation import LocalPresentation
 from .rees import (
     OneDimAlgebra,
@@ -110,13 +115,15 @@ class ValidatedArc:
     arc: Arc
     presentation: LocalPresentation
     certificates: Tuple[Tuple[str, VanishingCertificate], ...]
-    in_max_mult: bool
+    # per hypersurface: its elimination generators of finite image order
+    elimination_images: Tuple[Tuple[str, Tuple[Tuple[OneDimGenerator, ReesGenerator], ...]], ...]
 
     def certificate_for(self, var: str) -> VanishingCertificate:
-        for name, cert in self.certificates:
-            if name == var:
-                return cert
-        raise KeyError(var)
+        return dict(self.certificates)[var]
+
+    @property
+    def in_max_mult(self) -> bool:  # every elimination image is exactly zero
+        return not any(pairs for _, pairs in self.elimination_images)
 
     @cached_property
     def contact(self) -> "ContactResult":
@@ -127,44 +134,32 @@ class ValidatedArc:
 def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
     """Check the arc lies on every hypersurface and classify its contact.
 
-    Rejects any nonzero coefficient in an image phi(f_i); flags the arc as
-    inside the top multiplicity stratum when every elimination generator is
-    killed exactly (censored-only images raise instead of guessing).
+    Rejects any nonzero coefficient in an image phi(f_i) and keeps the image
+    of every elimination generator; censored-only images raise instead of
+    guessing whether the arc lies in the top multiplicity stratum.
     """
     arc = a.restrict(p.ambient_vars)
-    certs = []
+    certs, images = [], []
     for h in p.hypersurfaces:
         image = poly_compose_series(h.polynomial, arc.coords)
         if not image.is_zero_to_precision():
             raise NotOnVarietyError(
                 f"arc not on variety: phi({h.var}-equation) = {image}"
             )
-        if image.is_exact:
-            certs.append((h.var, VanishingCertificate(exact=True)))
-        else:
-            certs.append((h.var, VanishingCertificate(exact=False, precision=image.precision)))
-
-    base = {v: arc.coords[v] for v in p.base_vars}
-    all_exact_zero = True
-    any_nonzero = False
-    for h in p.hypersurfaces:
+        certs.append((h.var, VanishingCertificate(image.is_exact, image.precision)))
+        pairs = []
         for g in h.elimination_algebra.generators:
-            img = poly_compose_series(g.f, base)
-            if not img.is_zero_to_precision():
-                any_nonzero = True
-                all_exact_zero = False
-            elif not img.is_exactly_zero():
-                all_exact_zero = False
-    if all_exact_zero:
-        flag = True
-    elif any_nonzero:
-        flag = False
-    else:
+            o = poly_compose_series(g.f, arc.coords).order()
+            if not o.is_infinite:
+                pairs.append((OneDimGenerator(o, g.weight), g))
+        images.append((h.var, tuple(pairs)))
+    exact = [img.a.is_exact for _, pairs in images for img, _ in pairs]
+    if exact and not any(exact):
         raise InsufficientPrecisionError(
             "cannot decide containment in the top multiplicity stratum: "
             "every elimination image is zero to precision but not exactly"
         )
-    return ValidatedArc(arc, p, tuple(certs), flag)
+    return ValidatedArc(arc, p, tuple(certs), tuple(images))
 
 
 def project_arc(va: ValidatedArc, target: str) -> Arc:
@@ -176,23 +171,18 @@ def project_arc(va: ValidatedArc, target: str) -> Arc:
     return va.arc.restrict(h.ambient_vars)
 
 
-def _image_pairs(a: Arc, algebra: ReesAlgebra) -> list[Tuple[OneDimGenerator, ReesGenerator]]:
-    pairs = []
-    for g in algebra.generators:
-        o = poly_compose_series(g.f, a.coords).order()
-        if o.is_infinite:
-            continue
-        pairs.append((OneDimGenerator(o, g.weight), g))
-    return pairs
-
-
 def image_of_algebra(a: Arc, algebra: ReesAlgebra) -> OneDimAlgebra:
     """Push each generator through the arc: orders of the image series.
 
     Exact-zero images contribute no finite generator and are dropped;
     censored orders are preserved as censored exponents.
     """
-    return OneDimAlgebra([img for img, _ in _image_pairs(a, algebra)])
+    gens = []
+    for g in algebra.generators:
+        o = poly_compose_series(g.f, a.coords).order()
+        if not o.is_infinite:
+            gens.append(OneDimGenerator(o, g.weight))
+    return OneDimAlgebra(gens)
 
 
 @dataclass(frozen=True)
@@ -207,12 +197,20 @@ class ContactResult:
 
 
 def contact_order(va: ValidatedArc) -> ContactResult:
-    """The contact invariants of the arc with the top multiplicity stratum."""
+    """The contact invariants of the arc with the top multiplicity stratum, read
+    in the ambient generators' order: x-coordinates, then elimination images."""
     if va.in_max_mult:
         raise MaxMultArcError(
             "arc inside Max mult: the Nash multiplicity sequence never drops"
         )
-    pairs = _image_pairs(va.arc, va.presentation.ambient_algebra)
+    pairs = []
+    for h in va.presentation.hypersurfaces:
+        o = va.arc.coords[h.var].order()
+        if not o.is_infinite:
+            x = ReesGenerator(MultiPoly.variable(va.presentation.ambient_vars, h.var), 1)
+            pairs.append((OneDimGenerator(o, 1), x))
+    for _, group in va.elimination_images:
+        pairs.extend(group)
     image = OneDimAlgebra([img for img, _ in pairs])
     r, idx = onedim_order_witness(image)
     order = arc_order(va.arc)
@@ -229,18 +227,13 @@ def contact_order(va: ValidatedArc) -> ContactResult:
 
 
 def contact_order_without_x(va: ValidatedArc) -> Fraction:
-    """r computed from the elimination generators alone.
+    """r computed from the elimination images alone.
 
     The x-coordinate images can never undercut the elimination part for an
     arc on the variety, so this must agree with contact_order(...).r.
     """
     if va.in_max_mult:
         raise MaxMultArcError("arc inside Max mult")
-    p = va.presentation
-    base = va.arc.restrict(p.base_vars)
-    gens = []
-    for h in p.hypersurfaces:
-        onedim = image_of_algebra(base, h.elimination_algebra)
-        gens.extend(onedim.generators)
+    gens = [img for _, group in va.elimination_images for img, _ in group]
     r, _ = onedim_order_witness(OneDimAlgebra(gens))
     return r

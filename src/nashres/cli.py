@@ -32,7 +32,6 @@ from .generic import (
     construct_generic_arc,
     lift_monomial_base,
     lift_to_presentation,
-    verify_genericity,
 )
 from .nash import nash_sequence_presentation
 from .parsing import (
@@ -222,7 +221,7 @@ def _cmd_generic_arc(args, p: LocalPresentation, report: dict) -> List[dict]:
     result = construct_generic_arc(
         p, alpha=args.alpha, search_bound=args.search_bound, precision=args.precision
     )
-    genericity = verify_genericity(result.arc, p)
+    genericity = result.genericity
     report["results"].update(
         {
             "arc": arc_to_document(result.arc.arc),
@@ -236,7 +235,7 @@ def _cmd_generic_arc(args, p: LocalPresentation, report: dict) -> List[dict]:
             "arc_order": genericity.arc_order,
         }
     )
-    checks = [
+    return [
         _check(
             "attains_elimination_order",
             genericity.generic,
@@ -248,7 +247,6 @@ def _cmd_generic_arc(args, p: LocalPresentation, report: dict) -> List[dict]:
             witness=f"order {genericity.arc_order}, base exponent {genericity.base_exponent}",
         ),
     ]
-    return checks
 
 
 # -- the verify harness ---------------------------------------------------------
@@ -348,7 +346,7 @@ def verify_main_theorem(
         _check(
             "generic_arc_attains_min",
             gen_contact.r_bar == ord_d,
-            witness=json.dumps(arc_to_document(generic.arc.arc), sort_keys=True),
+            witness=json.dumps(results["generic_arc"], sort_keys=True),
         )
     )
 
@@ -369,10 +367,11 @@ def verify_main_theorem(
             geo_rho: Optional[int] = geo.rho
         except IdentityViolationError:
             geo_rho = None
+        arc_doc = arc_to_document(va.arc)
         rows.append(
             {
                 "name": name,
-                "arc": arc_to_document(va.arc),
+                "arc": arc_doc,
                 "r": fraction_text(c.r),
                 "r_bar": fraction_text(c.r_bar),
                 "rho": c.rho,
@@ -382,7 +381,7 @@ def verify_main_theorem(
                 "rho_geometric": geo_rho,
             }
         )
-        doc = json.dumps(arc_to_document(va.arc), sort_keys=True)
+        doc = json.dumps(arc_doc, sort_keys=True)
         if c.r_bar == ord_d:
             minimizing_rho_bars.append(c.rho_bar)
         if c.r_bar < ord_d and lower_bound_ok:

@@ -423,6 +423,7 @@ class GenericArcResult:
     base: DiagonalArc
     ramification: int
     units_tried: int
+    genericity: GenericityReport
 
 
 def construct_generic_arc(
@@ -456,7 +457,7 @@ def construct_generic_arc(
                 f"got {report.expected_order}"
             )
         ram = _common_ramification(va, base)
-        return GenericArcResult(arc=va, base=base, ramification=ram, units_tried=tried)
+        return GenericArcResult(va, base, ram, tried, report)
     if last_error is not None:
         raise ExtensionRequiredError(
             f"every admissible unit tuple within bound {search_bound} needs an "

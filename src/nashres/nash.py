@@ -168,20 +168,16 @@ def nash_sequence_hypersurface(
     h: TschirnhausenHypersurface, va: ValidatedArc, trace: bool = False
 ) -> NashSequence:
     """Directed sequence for one hypersurface of a validated arc's presentation."""
-    coords = {v: va.arc.coords[v] for v in h.ambient_vars}
-    base = {v: coords[v] for v in h.base_vars}
-    images = [
-        poly_compose_series(g.f, base).order()
-        for g in h.elimination_algebra.generators
-    ]
-    if all(o.is_infinite for o in images):
+    images = dict(va.elimination_images)[h.var]
+    if not images:
         raise MaxMultArcError(
             f"arc inside Max mult of the {h.var}-hypersurface; sequence never drops"
         )
-    if not any(o.is_exact for o in images):
+    if not any(img.a.is_exact for img, _ in images):
         raise InsufficientPrecisionError(
             f"cannot bound the {h.var}-sequence: all elimination images censored"
         )
+    coords = {v: va.arc.coords[v] for v in h.ambient_vars}
     return nash_sequence_equation(h.polynomial, coords, trace=trace)
 
 

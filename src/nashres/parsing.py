@@ -15,6 +15,7 @@ Errors carry 1-based line/column positions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arcs import Arc
@@ -31,6 +32,8 @@ IDENTIFIERS = (
 
 # Arc coordinates are stored densely below the precision: at most this many coefficients.
 MAX_ARC_COEFFS = 100_000
+# A power of an n-term sum is expanded only when its C(n+k-1, n-1) monomials fit.
+MAX_POWER_TERMS = 200
 
 _OPS = {"+": "PLUS", "-": "MINUS", "−": "MINUS", "*": "STAR",
         "^": "CARET", "/": "SLASH", "(": "LPAREN", ")": "RPAREN"}
@@ -129,7 +132,13 @@ class _Parser:
         if self.peek().kind == "CARET":
             self.take("CARET")
             exp = self.take("NUM")
-            return base ** int(exp.text)
+            n, k = len(base.terms), int(exp.text)
+            if n >= 2 and comb(n + k - 1, n - 1) > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"power {k} of a {n}-term sum expands past {MAX_POWER_TERMS} terms",
+                    column=exp.column,
+                )
+            return base ** k
         return base
 
     def parse_base(self) -> MultiPoly:

@@ -4,12 +4,16 @@ import pytest
 
 from nashres import (
     Arc,
+    OneDimAlgebra,
+    OneDimGenerator,
     PowerSeries,
     ambient_algebra,
     arc_order,
+    construct_generic_arc,
     contact_order,
     contact_order_without_x,
     image_of_algebra,
+    poly_compose_series,
     project_arc,
     validate_arc,
 )
@@ -19,8 +23,9 @@ from nashres.errors import (
     NotOnVarietyError,
     ValidationError,
 )
+from nashres.rees import onedim_order_witness
 
-from conftest import exact_arc
+from conftest import a_n, exact_arc, make_presentation
 
 
 def test_arc_requires_origin():
@@ -188,3 +193,57 @@ def test_parameter_substitution_preserves_validity(cusp, cusp_arc):
     tau = PowerSeries([0, 1, 1])  # t + t^2
     deformed = validate_arc(cusp_arc.arc.substitute_parameter(tau), cusp)
     assert contact_order(deformed).r == 3
+
+
+def _reference_contact(va):
+    """The definition: push every generator of the ambient algebra through the arc."""
+    pairs = []
+    for g in va.presentation.ambient_algebra.generators:
+        o = poly_compose_series(g.f, va.arc.coords).order()
+        if not o.is_infinite:
+            pairs.append((OneDimGenerator(o, g.weight), g))
+    r, idx = onedim_order_witness(OneDimAlgebra([img for img, _ in pairs]))
+    return r, str(pairs[idx][1]), {str(img) for img, _ in pairs}
+
+
+def _assert_matches_reference(va):
+    r, witness, image = _reference_contact(va)
+    c = va.contact
+    assert (c.r, c.witness) == (r, witness)
+    assert {str(g) for g in c.image.generators} == image
+    assert contact_order_without_x(va) == r
+
+
+def test_contact_matches_the_ambient_algebra_reference():
+    acceptance = [
+        make_presentation(1, ("x", "x^2 - z^3")),
+        make_presentation(2, ("x", "x^2 - z1^2*z2")),
+        make_presentation(2, ("x1", "x1^2 - z1^3"), ("x2", "x2^2 - z1*z2^2")),
+    ] + [a_n(n) for n in range(1, 9)]
+    for p in acceptance:
+        generic = construct_generic_arc(p).arc.arc
+        for e in (1, 2, 3):
+            for c in (0, 2, Fraction(-1, 2)):
+                arc = generic.reparametrize(e).substitute_parameter(PowerSeries([0, 1, c]))
+                _assert_matches_reference(validate_arc(arc, p))
+
+
+def test_contact_reference_with_a_generator_shared_by_two_hypersurfaces():
+    p = make_presentation(1, ("x1", "x1^2 - z^3"), ("x2", "x2^2 - 4*z^3"))
+    assert len(p.ambient_algebra.generators) == 4  # x1, x2, z^3 and z^2 once each
+    for arc in (
+        exact_arc(x1="t^3", x2="2*t^3", z="t^2"),
+        exact_arc(x1="-t^6", x2="2*t^6", z="t^4"),
+        Arc({"x1": PowerSeries([0, 0, 0, 1], 9), "x2": PowerSeries([0, 0, 0, -2], 9),
+             "z": PowerSeries([0, 0, 1], 9)}),
+    ):
+        _assert_matches_reference(validate_arc(arc, p))
+
+
+@pytest.mark.parametrize("first, second", [("z1^5", "z2^3"), ("z1^3", "z2^5")])
+def test_contact_reference_reads_every_hypersurface(first, second):
+    p = make_presentation(2, ("x1", f"x1^2 - {first}"), ("x2", f"x2^2 - {second}"))
+    generic = construct_generic_arc(p).arc.arc
+    for arc in (generic, generic.reparametrize(2)):
+        _assert_matches_reference(validate_arc(arc, p))
+

@@ -226,3 +226,19 @@ def test_exact_arc_coordinate_above_the_coefficient_limit_exit_code(tmp_path, ca
     code, report = run_json(capsys, "contact", pres, arc)
     assert code == 2
     assert "limit" in report["results"]["error"]
+
+
+@pytest.mark.parametrize(
+    "arc_x, equation",
+    [("(t+1)^2000", "x^2 - z^3"), ("t^3", "(x+z1+z2+1)^50")],
+)
+def test_power_of_a_sum_above_the_expansion_limit_exit_code(tmp_path, capsys, arc_x, equation):
+    import time
+
+    pres = write(tmp_path, "p.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": equation}]})
+    arc = write(tmp_path, "a.json", {"precision": "exact", "coords": {"x": arc_x, "z": "t^2"}})
+    start = time.monotonic()
+    code, report = run_json(capsys, "contact", pres, arc)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "expands past" in report["results"]["error"]

@@ -1,6 +1,7 @@
 import pytest
 
 from nashres import (
+    Arc,
     NashState,
     PowerSeries,
     contact_order,
@@ -164,3 +165,18 @@ def test_sequence_centers_come_from_the_steps(cusp):
     va = validate_arc(exact_arc(x="(t + t^2)^3", z="(t + t^2)^2"), cusp)
     seq = nash_sequence_hypersurface(cusp.hypersurfaces[0], va)
     assert seq.centers == ((0, 0), (0, 1), (1, 2))
+
+
+def test_censored_elimination_images_of_one_hypersurface_stop_its_sequence(two_hyp):
+    arc = Arc(
+        {
+            "x1": PowerSeries.t_power(3),
+            "z1": PowerSeries.t_power(2),
+            "x2": PowerSeries.zero(6),
+            "z2": PowerSeries.zero(6),
+        }
+    )
+    va = validate_arc(arc, two_hyp)
+    assert va.contact.r == 3
+    with pytest.raises(InsufficientPrecisionError, match="cannot bound the x2-sequence"):
+        nash_sequence_presentation(two_hyp, va)

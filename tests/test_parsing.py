@@ -63,6 +63,17 @@ def test_division_only_in_rationals():
         parse_poly("1/0")
 
 
+def test_power_of_a_sum_is_expanded_up_to_the_term_limit():
+    from nashres.parsing import MAX_POWER_TERMS
+
+    k = MAX_POWER_TERMS - 1  # (t + 1)^k has k + 1 terms
+    assert len(parse_poly(f"(t + 1)^{k}").terms) == MAX_POWER_TERMS
+    with pytest.raises(ParseError, match="expands past"):
+        parse_poly(f"(t + 1)^{k + 1}")
+    assert parse_poly(f"t^{10 * MAX_POWER_TERMS}") == MultiPoly(("t",), {(10 * MAX_POWER_TERMS,): 1})
+    assert parse_poly("(2 z)^9") == parse_poly("512 z^9")
+
+
 def test_print_parse_round_trip():
     samples = [
         "x^2 - z^3",
