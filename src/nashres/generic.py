@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from math import isqrt as _math_isqrt
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arcs import Arc, ValidatedArc, arc_order, image_of_algebra, validate_arc
@@ -181,11 +180,17 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
-def _isqrt_exact(n: int) -> Optional[int]:
-    if n < 0:
-        return None
-    r = _math_isqrt(n)
-    return r if r * r == n else None
+def _iroot_exact(n: int, k: int) -> Optional[int]:
+    """The integer k-th root of n when n is a nonnegative perfect k-th power."""
+    if n < 2:
+        return n if n >= 0 else None
+    x = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x**k == n else None
 
 
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
@@ -193,7 +198,11 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
 
     Degrees one and two are solved in closed form (the iteration produces
     these with very large coefficients, where divisor enumeration would be
-    hopeless); higher degrees use the rational root theorem.
+    hopeless).  A binomial a_0 + a_b c^b of degree b >= 3 is solved by exact
+    integer b-th roots of the reduced numerator and denominator of
+    c^b = -a_0/a_b: no root when that ratio is not a b-th power or is negative
+    with b even, two opposite roots when b is even.  Other higher-degree
+    equations use the rational root theorem.
     """
     denom = 1
     for c in coeffs:
@@ -208,12 +217,23 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
         return [Fraction(-ints[0], ints[1])]
     if len(ints) == 3:
         a0, a1, a2 = ints
-        root_disc = _isqrt_exact(a1 * a1 - 4 * a0 * a2)
+        root_disc = _iroot_exact(a1 * a1 - 4 * a0 * a2, 2)
         if root_disc is None:
             return []
         out = [Fraction(-a1 + root_disc, 2 * a2), Fraction(-a1 - root_disc, 2 * a2)]
         return out if out[0] != out[1] else out[:1]
     a0, lead = ints[0], ints[-1]
+    if not any(ints[1:-1]):
+        b = len(ints) - 1
+        ratio = Fraction(-a0, lead)
+        if ratio < 0 and b % 2 == 0:
+            return []
+        num = _iroot_exact(abs(ratio.numerator), b)
+        den = _iroot_exact(ratio.denominator, b)
+        if num is None or den is None:
+            return []
+        root = Fraction(num if ratio > 0 else -num, den)
+        return [root, -root] if b % 2 == 0 else [root]
     roots = []
     for p in _divisors(a0):
         for q in _divisors(lead):

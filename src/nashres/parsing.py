@@ -32,7 +32,8 @@ IDENTIFIERS = (
 
 # Arc coordinates are stored densely below the precision: at most this many coefficients.
 MAX_ARC_COEFFS = 100_000
-# A power of an n-term sum is expanded only when its C(n+k-1, n-1) monomials fit.
+# A power of an n-term sum is expanded only when its C(n+k-1, n-1) monomials fit,
+# and a product of an n-term and a k-term sum only when its n*k term products fit.
 MAX_POWER_TERMS = 200
 
 _OPS = {"+": "PLUS", "-": "MINUS", "−": "MINUS", "*": "STAR",
@@ -83,6 +84,19 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
+def _number(tok: _Token) -> int:
+    """The token's integer.  int() refuses a digit string above the
+    interpreter's length limit (4,300 digits by default) and digit-like
+    characters such as superscripts; both are parse errors."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(
+            f"cannot read the {len(tok.text)}-character number {tok.text[:12]!r} as an integer",
+            column=tok.column,
+        ) from None
+
+
 class _Parser:
     def __init__(self, tokens: List[_Token], variables: Tuple[str, ...]):
         self.tokens = tokens
@@ -121,18 +135,25 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "STAR":
                 self.take("STAR")
-                result = result * self.parse_factor()
-            elif tok.kind in ("NUM", "IDENT", "LPAREN"):
-                result = result * self.parse_factor()
-            else:
+            elif tok.kind not in ("NUM", "IDENT", "LPAREN"):
                 return result
+            column = self.peek().column
+            factor = self.parse_factor()
+            n, k = len(result.terms), len(factor.terms)
+            if n >= 2 and k >= 2 and n * k > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"product of a {n}-term and a {k}-term sum expands past "
+                    f"{MAX_POWER_TERMS} terms",
+                    column=column,
+                )
+            result = result * factor
 
     def parse_factor(self) -> MultiPoly:
         base = self.parse_base()
         if self.peek().kind == "CARET":
             self.take("CARET")
             exp = self.take("NUM")
-            n, k = len(base.terms), int(exp.text)
+            n, k = len(base.terms), _number(exp)
             if n >= 2 and comb(n + k - 1, n - 1) > MAX_POWER_TERMS:
                 raise ParseError(
                     f"power {k} of a {n}-term sum expands past {MAX_POWER_TERMS} terms",
@@ -144,13 +165,13 @@ class _Parser:
     def parse_base(self) -> MultiPoly:
         tok = self.peek()
         if tok.kind == "NUM":
-            num = int(self.take("NUM").text)
+            num = _number(self.take("NUM"))
             if self.peek().kind == "SLASH":
                 self.take("SLASH")
                 den = self.take("NUM")
-                if int(den.text) == 0:
+                if _number(den) == 0:
                     raise ParseError("division by zero", column=den.column)
-                return MultiPoly.constant(self.vars, Fraction(num, int(den.text)))
+                return MultiPoly.constant(self.vars, Fraction(num, _number(den)))
             return MultiPoly.constant(self.vars, num)
         if tok.kind == "IDENT":
             self.take("IDENT")

@@ -10,7 +10,7 @@ deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatchError, UnknownVariableError
@@ -276,23 +276,37 @@ class MultiPoly:
         return out
 
     def _shift_one(self, index: int, c: Fraction) -> "MultiPoly":
-        out: Terms = {}
-        powers = [Fraction(1)]
-        max_e = max((e[index] for e in self.terms), default=0)
-        for _ in range(max_e):
-            powers.append(powers[-1] * c)
+        # Integer Taylor shift, one group of terms per exponent vector of the
+        # other variables.  With c = p/q and the group's coefficients a_k =
+        # N_k / D over their lcm D, q^n D f(y + c) = sum N_k q^(n-k) (qy + p)^k:
+        # shift the integers N_k q^(n-k) by p with Horner additions to get H_j,
+        # and the coefficient of y^j is H_j q^j / (q^n D).  No two groups share
+        # an output exponent, so each term is written once.
+        p, q = c.numerator, c.denominator
+        groups: Dict[Exponent, Dict[int, Fraction]] = {}
         for exp, coeff in self.terms.items():
-            e = exp[index]
-            base = list(exp)
-            for k in range(e + 1):
-                base[index] = k
-                add = coeff * comb(e, k) * powers[e - k]
-                key = tuple(base)
-                s = out.get(key, _ZERO) + add
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            groups.setdefault(exp[:index] + exp[index + 1:], {})[exp[index]] = coeff
+        q_powers = [1]
+        for _ in range(max((e[index] for e in self.terms), default=0)):
+            q_powers.append(q_powers[-1] * q)
+        out: Terms = {}
+        for rest, group in groups.items():
+            head, tail = rest[:index], rest[index:]
+            n = max(group)
+            if n == 0:
+                out[head + (0,) + tail] = group[0]
+                continue
+            den = lcm(*(a.denominator for a in group.values()))
+            h = [0] * (n + 1)
+            for k, a in group.items():
+                h[k] = a.numerator * (den // a.denominator) * q_powers[n - k]
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    h[j] += p * h[j + 1]
+            den *= q_powers[n]
+            for j, hj in enumerate(h):
+                if hj:
+                    out[head + (j,) + tail] = Fraction(hj * q_powers[j], den)
         return MultiPoly._raw(self.vars, out)
 
     def t_chart(self, t: str, weights: Mapping[str, int], drop: int = 0) -> "MultiPoly":
@@ -304,12 +318,13 @@ class MultiPoly:
         terms collide.  Raises ValueError when an exponent would go negative.
         """
         ti = self._index(t)
-        w = [weights.get(v, 0) for v in self.vars]
-        if w[ti] < 1:
-            raise ValueError(f"weight of {t} must be >= 1, got {w[ti]}")
+        t_weight = weights.get(t, 0)
+        if t_weight < 1:
+            raise ValueError(f"weight of {t} must be >= 1, got {t_weight}")
+        w = [(i, weights[v]) for i, v in enumerate(self.vars) if weights.get(v, 0)]
         out: Terms = {}
         for exp, coeff in self.terms.items():
-            e = sum(a * b for a, b in zip(w, exp)) - drop
+            e = sum(exp[i] * wi for i, wi in w) - drop
             if e < 0:
                 raise ValueError(f"{t}^{drop} does not divide a chart term in {t}^{e + drop}")
             out[exp[:ti] + (e,) + exp[ti + 1:]] = coeff

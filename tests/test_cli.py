@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -84,6 +85,21 @@ def test_generic_arc_command(tmp_path, capsys):
     assert report["results"]["arc"]["coords"]["x"] == "t^3"
 
 
+def test_generic_arc_with_a_2_71_constant_term(tmp_path, capsys):
+    # the cubic edge x^3 - 2^71 u^4 is solved by an exact cube root, with no
+    # divisor scan up to sqrt(2^71)
+    import time
+
+    doc = {"d": 1, "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 - 2361183241434822606848 z^4"}]}
+    pres = write(tmp_path, "p.json", doc)
+    start = time.monotonic()
+    code, report = run_json(capsys, "generic-arc", pres)
+    assert time.monotonic() - start < 5.0
+    assert code == 0
+    assert report["results"]["r_bar"] == "4/3"
+    assert report["checks"] and all(c["status"] == "pass" for c in report["checks"])
+
+
 def test_verify_command(tmp_path, capsys):
     pres = write(tmp_path, "p.json", CUSP)
     code, report = run_json(capsys, "verify", pres, "--trials", "5", "--seed", "7")
@@ -113,6 +129,19 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, report = run_json(capsys, "elim", pres)
     assert code == 2
     assert "error" in report["results"]
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts digit strings of any length",
+)
+def test_number_longer_than_int_accepts_exit_code(tmp_path, capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    doc = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^" + digits}]}
+    pres = write(tmp_path, "p.json", doc)
+    code, report = run_json(capsys, "elim", pres)
+    assert code == 2
+    assert f"{len(digits)}-character number" in report["results"]["error"]
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -239,6 +268,20 @@ def test_power_of_a_sum_above_the_expansion_limit_exit_code(tmp_path, capsys, ar
     arc = write(tmp_path, "a.json", {"precision": "exact", "coords": {"x": arc_x, "z": "t^2"}})
     start = time.monotonic()
     code, report = run_json(capsys, "contact", pres, arc)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "expands past" in report["results"]["error"]
+
+
+def test_product_of_sums_above_the_expansion_limit_exit_code(tmp_path, capsys):
+    import time
+
+    # 14 two-term factors in distinct variables would expand to 16,384 terms
+    factors = "".join(f"({v}+1)" for v in ("x", "z", "z1", "z2", "z3", "z4", "z5", "z6", "z7",
+                                             "z8", "z9", "x1", "x2", "x3"))
+    pres = write(tmp_path, "p.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": factors}]})
+    start = time.monotonic()
+    code, report = run_json(capsys, "elim", pres)
     assert time.monotonic() - start < 1.0
     assert code == 2
     assert "expands past" in report["results"]["error"]

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,34 @@ def test_power_of_a_sum_is_expanded_up_to_the_term_limit():
         parse_poly(f"(t + 1)^{k + 1}")
     assert parse_poly(f"t^{10 * MAX_POWER_TERMS}") == MultiPoly(("t",), {(10 * MAX_POWER_TERMS,): 1})
     assert parse_poly("(2 z)^9") == parse_poly("512 z^9")
+
+
+def test_product_of_sums_is_expanded_up_to_the_term_limit():
+    from nashres.parsing import MAX_POWER_TERMS
+
+    assert MAX_POWER_TERMS == 200  # the cases below sit at this limit
+    factors = "".join(f"({v} + 1)" for v in ("x", "z", "z1", "z2", "z3", "z4", "z5", "z6"))
+    assert len(parse_poly(factors[: factors.index("(z6")]).terms) == 128
+    with pytest.raises(ParseError, match="product of a 128-term and a 2-term sum expands past"):
+        parse_poly(factors)
+    assert len(parse_poly("(t + 1)^99 (z + 1)").terms) == 200
+    with pytest.raises(ParseError, match="expands past"):
+        parse_poly("(t + 1)^100 * (z + 1)")
+    # a product with a monomial adds no terms
+    assert len(parse_poly("3 z (t + 1)^199 x").terms) == 200
+
+
+def test_digit_string_that_int_refuses_is_a_parse_error():
+    with pytest.raises(ParseError, match="as an integer"):
+        parse_poly("z^\N{SUPERSCRIPT TWO}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # 0: this interpreter converts digit strings of any length
+        digits = "1" * (limit + 1)
+        with pytest.raises(ParseError, match=f"{limit + 1}-character number") as err:
+            parse_poly("x^2 - z^" + digits)
+        assert err.value.column == 9
+        with pytest.raises(ParseError, match="as an integer"):
+            parse_poly("x^2 - 1/" + digits)
 
 
 def test_print_parse_round_trip():

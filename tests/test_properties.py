@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, isqrt, lcm
 
 import pytest
 from hypothesis import given, seed, settings
@@ -17,6 +18,7 @@ from nashres import (
     poly_compose_series,
     sing_contains,
 )
+from nashres.generic import _pick_root, _rational_roots
 
 V2 = ("z1", "z2")
 ORIGIN2 = (Fraction(0), Fraction(0))
@@ -284,3 +286,128 @@ def test_chart_rejects_a_t_weight_below_one():
     f = MultiPoly.variable(XT, "x")
     with pytest.raises(ValueError):
         f.t_chart("t", {"x": 1})
+
+
+# -- the integer Taylor shift against the term-by-term Fraction shift -------------
+
+
+def _reference_shift_one(f, index, c):
+    """Term by term in Fraction: coeff * C(e, k) * c^(e-k) into each y^k term."""
+    out = {}
+    for exp, coeff in f.terms.items():
+        e = exp[index]
+        base = list(exp)
+        for k in range(e + 1):
+            base[index] = k
+            key = tuple(base)
+            out[key] = out.get(key, Fraction(0)) + coeff * comb(e, k) * c ** (e - k)
+    return MultiPoly(f.vars, out)
+
+
+def _reference_translate(f, point):
+    for i, c in enumerate(point):
+        if c != 0:
+            f = _reference_shift_one(f, i, Fraction(c))
+    return f
+
+
+SHIFT_VARS = {1: ("x",), 2: ("x", "t"), 3: ("x", "z", "t")}
+shift_coeffs = st.fractions(min_value=-40, max_value=40, max_denominator=12).filter(
+    lambda c: c != 0
+)
+shift_coords = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-5, max_value=5).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+def shift_cases():
+    def case(n):
+        variables = SHIFT_VARS[n]
+        exponents = st.tuples(*[st.integers(min_value=0, max_value=6) for _ in variables])
+        terms = st.dictionaries(exponents, shift_coeffs, max_size=8)
+        return st.tuples(
+            terms.map(lambda t: MultiPoly(variables, t)),
+            st.tuples(*[shift_coords for _ in variables]),
+        )
+
+    return st.integers(min_value=1, max_value=3).flatmap(case)
+
+
+@seed(20151102)
+@settings(max_examples=120, deadline=None)
+@given(shift_cases())
+def test_translate_matches_the_term_by_term_shift(case):
+    f, point = case
+    shifted = f.translate(point)
+    assert shifted == _reference_translate(f, point)
+    assert all(type(c) is Fraction and c != 0 for c in shifted.terms.values())
+    assert shifted.translate([-c for c in point]) == f
+
+
+def test_translate_of_the_zero_polynomial_is_zero():
+    for variables in SHIFT_VARS.values():
+        point = [Fraction(-3, 2)] * len(variables)
+        assert MultiPoly(variables).translate(point).is_zero()
+
+
+# -- binomial edge equations against the rational root theorem --------------------
+
+
+def _reference_divisors(n):
+    n = abs(n)
+    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small + [n // k for k in small]))
+
+
+def _reference_rational_roots(coeffs):
+    """Every root p/q in lowest terms has p | a_0 and q | a_n: try them all."""
+    denom = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    roots = set()
+    for p in _reference_divisors(ints[0]):
+        for q in _reference_divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if sum(a * cand**k for k, a in enumerate(ints)) == 0:
+                    roots.add(cand)
+    return roots
+
+
+@st.composite
+def binomials(draw):
+    """a_0 + a_b c^b, b >= 3: perfect powers -lead s^b of either sign, or any a_0."""
+    b = draw(st.integers(min_value=3, max_value=6))
+    lead = draw(st.integers(min_value=-12, max_value=12).filter(lambda v: v != 0))
+    if draw(st.booleans()):
+        s = Fraction(
+            draw(st.integers(min_value=1, max_value=6)), draw(st.integers(min_value=1, max_value=4))
+        )
+        a0 = lead * s**b * draw(st.sampled_from([-1, 1]))
+    else:
+        a0 = Fraction(draw(st.integers(min_value=-5000, max_value=5000).filter(lambda v: v != 0)))
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(lambda v: v != 0))
+    return [a0 * scale] + [Fraction(0)] * (b - 1) + [lead * scale]
+
+
+@seed(20151103)
+@settings(max_examples=200, deadline=None)
+@given(binomials())
+def test_binomial_edge_roots_match_the_divisor_scan(coeffs):
+    roots = _rational_roots(coeffs)
+    expected = _reference_rational_roots(coeffs)
+    assert len(roots) == len(set(roots))
+    assert set(roots) == expected
+    if expected:
+        assert _pick_root(roots) == _pick_root(list(expected))
+
+
+def test_binomial_edge_roots_with_a_big_constant():
+    two = Fraction(2)
+    assert _rational_roots([-(two**75), 0, 0, 1]) == [2**25]
+    assert _rational_roots([-(two**71), 0, 0, 1]) == []
+    assert set(_rational_roots([-(two**72) / 3**4, 0, 0, 0, 1])) == {
+        Fraction(2**18, 3),
+        Fraction(-(2**18), 3),
+    }
+    assert _rational_roots([two**72, 0, 0, 0, 1]) == []
