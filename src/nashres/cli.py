@@ -11,6 +11,7 @@ Exit codes: 0 pass, 2 parse/validation error, 3 insufficient precision,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -444,6 +445,7 @@ def _cmd_verify(args, p: LocalPresentation, report: dict) -> List[dict]:
 # -- driver ------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nashres",

@@ -35,6 +35,9 @@ MAX_ARC_COEFFS = 100_000
 # A power of an n-term sum is expanded only when its C(n+k-1, n-1) monomials fit,
 # and a product of an n-term and a k-term sum only when its n*k term products fit.
 MAX_POWER_TERMS = 200
+# The k-th power of a monomial is formed only while k times the bit length of its
+# coefficient's numerator or denominator fits; int() reads literals up to ~14,300 bits.
+MAX_CONSTANT_BITS = 1 << 16
 
 _OPS = {"+": "PLUS", "-": "MINUS", "−": "MINUS", "*": "STAR",
         "^": "CARET", "/": "SLASH", "(": "LPAREN", ")": "RPAREN"}
@@ -159,6 +162,14 @@ class _Parser:
                     f"power {k} of a {n}-term sum expands past {MAX_POWER_TERMS} terms",
                     column=exp.column,
                 )
+            if n == 1:
+                (c,) = base.terms.values()
+                bits = max(abs(c.numerator), c.denominator).bit_length()
+                if bits > 1 and k * bits > MAX_CONSTANT_BITS:
+                    raise ParseError(
+                        f"power {k} of a {bits}-bit coefficient passes {MAX_CONSTANT_BITS} bits",
+                        column=exp.column,
+                    )
             return base ** k
         return base
 

@@ -153,6 +153,9 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self.terms) == 1:
+            ((exp, coeff),) = self.terms.items()
+            return MultiPoly._raw(self.vars, {tuple(e * n for e in exp): coeff**n})
         result = MultiPoly.constant(self.vars, 1)
         base = self
         while n:

@@ -285,3 +285,56 @@ def test_product_of_sums_above_the_expansion_limit_exit_code(tmp_path, capsys):
     assert time.monotonic() - start < 1.0
     assert code == 2
     assert "expands past" in report["results"]["error"]
+
+
+def test_power_of_a_constant_above_the_bit_limit_exit_code(tmp_path, capsys):
+    import time
+
+    pres = write(tmp_path, "p.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - 3^10000000 z^3"}]})
+    start = time.monotonic()
+    code, report = run_json(capsys, "elim", pres)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "bits" in report["results"]["error"]
+
+
+_CALLS_SCRIPT = """
+import contextlib, io, json, re, sys
+from nashres.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    print(json.dumps([code, re.sub(r'"elapsed_ms": [0-9]+', "", out.getvalue())]))
+"""
+
+
+def test_parser_is_built_once_and_calls_stay_independent(tmp_path):
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import nashres
+    from nashres.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    env = dict(os.environ, PYTHONPATH=str(Path(nashres.__file__).parents[1]))
+
+    def fresh_process(*calls):
+        done = subprocess.run(
+            [sys.executable, "-c", _CALLS_SCRIPT, json.dumps(calls)],
+            capture_output=True, text=True, check=True, env=env, timeout=60,
+        )
+        return [json.loads(line) for line in done.stdout.splitlines()]
+
+    bad = write(tmp_path, "bad.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^"}]})
+    good = write(tmp_path, "good.json", CUSP)
+    parse_error = ["verify", bad, "--json", "--trials", "4", "--seed", "3"]
+    usage_error = ["verify", good, "--trials", "many"]
+    passing = ["verify", good, "--json", "--trials", "4", "--seed", "3"]
+    together = fresh_process(parse_error, usage_error, passing)
+    assert [code for code, _ in together] == [2, 2, 0]
+    assert together == fresh_process(parse_error) + fresh_process(usage_error) + fresh_process(passing)

@@ -90,6 +90,19 @@ def test_product_of_sums_is_expanded_up_to_the_term_limit():
     assert len(parse_poly("3 z (t + 1)^199 x").terms) == 200
 
 
+def test_power_of_a_constant_is_formed_up_to_the_bit_limit():
+    from nashres.parsing import MAX_CONSTANT_BITS
+
+    k = MAX_CONSTANT_BITS // 2  # 2 has a 2-bit numerator
+    assert parse_poly(f"2^{k}") == MultiPoly((), {(): 2**k})
+    for text in (f"2^{k + 1}", f"(1/2)^{k + 1}", f"(-3 z)^{k + 1}", f"3^{10**7} z^3"):
+        with pytest.raises(ParseError, match=f"passes {MAX_CONSTANT_BITS} bits"):
+            parse_poly(text)
+    # the limit is above the largest literal int() reads, and a power of +-1 stays +-1
+    assert parse_poly("9" * 4300 + "^4") == MultiPoly((), {(): int("9" * 4300) ** 4})
+    assert parse_poly(f"(-z)^{2 * MAX_CONSTANT_BITS}") == MultiPoly(("z",), {(2 * MAX_CONSTANT_BITS,): 1})
+
+
 def test_digit_string_that_int_refuses_is_a_parse_error():
     with pytest.raises(ParseError, match="as an integer"):
         parse_poly("z^\N{SUPERSCRIPT TWO}")

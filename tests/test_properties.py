@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from nashres import (
@@ -18,6 +18,7 @@ from nashres import (
     poly_compose_series,
     sing_contains,
 )
+from nashres import series as series_module
 from nashres.generic import _pick_root, _rational_roots
 
 V2 = ("z1", "z2")
@@ -118,8 +119,9 @@ def _reference_product(a, b):
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
@@ -185,6 +187,113 @@ def test_series_products_match_fraction_reference(terms, s1, s2, s3):
         assert all(type(c) is Fraction for c in product.coeffs)
     f3 = f.extend_vars(V3)
     assert poly_compose_series(f3, subs) == composed
+
+
+def _long_substitute(rng, longest):
+    """Zero, a monomial, or a dense or sparse t^a h(t^q) of up to `longest`
+    terms with numerators up to 2^200; exact or truncated."""
+    span = rng.randint(longest // 2, longest)
+    precision = rng.choice([None, rng.randint(span // 2 + 1, span + 8)])
+    shape = rng.choice(["zero", "monomial", "dense", "sparse", "sparse"])
+    if shape == "zero":
+        return PowerSeries.zero(precision)
+    bits = rng.randint(1, 200)
+    if shape == "monomial":
+        positions = [rng.randrange(span)]
+    else:
+        a, q = (0, 1) if shape == "dense" else (rng.randint(0, 4), rng.randint(2, 7))
+        positions = range(a, span, q)
+    coeffs = [Fraction(0)] * span
+    for k in positions:
+        coeffs[k] = Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 30))
+    return PowerSeries(coeffs, precision)
+
+
+def _compose_both_ways(monkeypatch, f, subs):
+    """poly_compose_series with the packed path forced, then the schoolbook path."""
+    results = []
+    for cut in (1 << 40, 0):
+        monkeypatch.setattr(series_module, "PACKED_MAX_BITS", cut)
+        results.append(poly_compose_series(f, subs))
+    monkeypatch.undo()
+    return results
+
+
+def _assert_matches_reference(f, subs, composed):
+    assert (composed.coeffs, composed.precision) == _reference_compose(f, subs)
+    assert all(type(c) is Fraction for c in composed.coeffs)
+
+
+def test_long_and_sparse_compositions_match_fraction_reference(monkeypatch):
+    # Each case runs on both paths, then on the one its size selects; the
+    # sizes fall on both sides of the cut.  z3 is absent from some polynomials.
+    rng = random.Random(20151106)
+    taken = {"_packed_sum": 0, "_schoolbook_sum": 0}
+
+    def spy(name):
+        real = getattr(series_module, name)
+
+        def counted(*args):
+            taken[name] += 1
+            return real(*args)
+
+        return counted
+
+    for _ in range(20):
+        nvars = rng.choice([2, 3])
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = [0, 0, 0]
+            for _ in range(rng.randint(0, 3)):
+                exp[rng.randrange(nvars)] += 1
+            terms[tuple(exp)] = Fraction(rng.randint(1, 2**60) * rng.choice([-1, 1]), rng.randint(1, 12))
+        f = MultiPoly(V3, terms)
+        longest = rng.choice([24, 160])
+        subs = {v: _long_substitute(rng, longest) for v in V3}
+        for composed in _compose_both_ways(monkeypatch, f, subs):
+            _assert_matches_reference(f, subs, composed)
+        for name in taken:
+            monkeypatch.setattr(series_module, name, spy(name))
+        _assert_matches_reference(f, subs, poly_compose_series(f, subs))
+        monkeypatch.undo()
+    assert taken["_packed_sum"] >= 5 and taken["_schoolbook_sum"] >= 5, taken
+
+
+def test_compositions_that_reach_the_width_bound(monkeypatch):
+    # All contributions share one sign and one slot, so an output coefficient
+    # equals the 1-norm bound; the bounds run through every byte boundary.
+    one, two = MultiPoly(V2, {(1, 0): 1}), MultiPoly(V2, {(0, 1): 1})
+    fs = [
+        one,
+        one + two,
+        one.scale(Fraction(1, 2)) + two.scale(Fraction(1, 3)),
+        one * one * two + two.scale(5),
+    ]
+    for bits in range(1, 42):
+        for c in (2**bits - 1, 2**bits, -(2**bits)):
+            for f in fs:
+                for subs in (
+                    {"z1": PowerSeries([c]), "z2": PowerSeries([c])},
+                    {"z1": PowerSeries([0, c], 4), "z2": PowerSeries([0, Fraction(c, 7)])},
+                ):
+                    for composed in _compose_both_ways(monkeypatch, f, subs):
+                        _assert_matches_reference(f, subs, composed)
+
+
+def test_compose_takes_the_packed_path_up_to_the_cut(monkeypatch):
+    # n all-one coefficients: the bound n has 9 to 15 bits, so a slot is 2
+    # bytes and the packed size is 16 n bits
+    n = series_module.PACKED_MAX_BITS // 16
+    assert 2**8 <= n < 2**15
+    packed = []
+    real = series_module._packed_sum
+    monkeypatch.setattr(series_module, "_packed_sum", lambda *args: packed.append(1) or real(*args))
+    f = MultiPoly(("z",), {(1,): 1})
+    for length, expected in ((n, [1]), (n + 1, [])):
+        packed.clear()
+        s = PowerSeries([1] * length)
+        assert poly_compose_series(f, {"z": s}) == s
+        assert packed == expected
 
 
 @given(polys(V2))
@@ -411,3 +520,37 @@ def test_binomial_edge_roots_with_a_big_constant():
         Fraction(-(2**18), 3),
     }
     assert _rational_roots([two**72, 0, 0, 0, 1]) == []
+
+
+@seed(20151104)
+@settings(max_examples=120, deadline=None)
+@given(
+    st.tuples(*[st.integers(min_value=0, max_value=4) for _ in V2]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(min_value=0, max_value=6),
+)
+@example((2, 1), Fraction(-3, 2), 0)
+def test_power_of_a_monomial_matches_repeated_multiplication(exp, c, n):
+    m = MultiPoly(V2, {exp: c})
+    expected = MultiPoly.constant(V2, 1)
+    for _ in range(n):
+        expected = expected * m
+    assert m**n == expected
+
+
+@seed(20151107)
+@settings(max_examples=100, deadline=None)
+@given(substitutes(max_len=6), substitutes())
+@example(PowerSeries([1, 2, 3, 4], 2), PowerSeries([1, 1], 5))
+@example(PowerSeries([1, 2, 3], 5), PowerSeries.zero())
+def test_series_compose_matches_fraction_reference(outer, inner):
+    # inner gets a zero constant term; an exactly zero inner stays exactly zero
+    inner = PowerSeries((0,) + inner.coeffs, None if inner.precision is None else inner.precision + 1)
+    composed = outer.compose(inner)
+    precisions = [p for p in (outer.precision, inner.precision) if p is not None]
+    prec = min(precisions) if precisions else None
+    f = MultiPoly(("t",), {(k,): c for k, c in enumerate(outer.coeffs)})
+    coeffs, _ = _reference_compose(f, {"t": inner})
+    assert composed.coeffs == _trimmed(coeffs if prec is None else coeffs[:prec])
+    assert composed.precision == prec
+    assert all(type(c) is Fraction for c in composed.coeffs)
