@@ -6,9 +6,13 @@ of every minimizing elimination generator survives at u, run the diagonal arc
 solving each separated equation f_i(x_i, u t^alpha) = 0 with a Newton-Puiseux
 iteration, reparametrizing to clear denominators.  Everything is exact; a
 branch that needs irrational coefficients raises instead of approximating.
-Each stage is the chart move of the blow-ups in `nash`: `MultiPoly.t_chart`
-with weight m on x, the Taylor shift `translate` by the edge root, and
-`t_chart` again to divide out t^nu; ramification is weight q on t.
+Each stage is the chart move x -> t^m (c + x) of the blow-ups in `nash`, made
+on a primitive integer polynomial {(x-degree, t-degree): int} rather than on
+a `MultiPoly`: exponent maps for the chart and for ramification t -> t^q, the
+integer Taylor shift `poly.taylor_shift_integers` on each t-column, then
+division by the lowest power of t and by the content.  Each root is certified
+against the original equation with `MultiPoly.t_chart` and
+`poly_compose_series`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .extorder import ExtOrder
-from .poly import MultiPoly
+from .poly import MultiPoly, taylor_shift_integers
 from .presentation import (
     LocalPresentation,
     TschirnhausenHypersurface,
@@ -150,10 +154,6 @@ def is_diagonal_generic(base: DiagonalArc, algebras: Sequence[ReesAlgebra]) -> b
 # -- Newton-Puiseux lifting -------------------------------------------------------
 
 
-def _t_order(c: MultiPoly, t_index: int) -> int:
-    return min(exp[t_index] for exp in c.terms)
-
-
 def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     hull: List[Tuple[int, int]] = []
     for pt in sorted(points):
@@ -165,19 +165,6 @@ def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
                 break
         hull.append(pt)
     return hull
-
-
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
-        k += 1
-    return sorted(out)
 
 
 def _iroot_exact(n: int, k: int) -> Optional[int]:
@@ -193,16 +180,62 @@ def _iroot_exact(n: int, k: int) -> Optional[int]:
     return x if x**k == n else None
 
 
-def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
+def _root_floors(coeffs: List[int]) -> List[int]:
+    """Sorted integers that include the floor of every real root of
+    sum coeffs[k] y^k, a nonconstant integer polynomial.
+
+    The floors of the derivative's real roots, found recursively, cut
+    [-B, B] (B the Cauchy bound) into integer intervals on which the
+    polynomial is monotone.  Each interval whose ends differ in sign holds one
+    root, whose floor integer bisection finds.  A root between a cut point c
+    and c + 1 has floor c, so the cut points are kept too.
+    """
+    if len(coeffs) == 2:
+        return [-coeffs[0] // coeffs[1]]
+    n = len(coeffs) - 1
+    cuts = _root_floors([k * coeffs[k] for k in range(1, n + 1)])
+    bound = 1 - (-max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1]))
+
+    def sign(y: int) -> int:
+        value = 0
+        for c in reversed(coeffs):
+            value = value * y + c
+        return (value > 0) - (value < 0)
+
+    floors = set(cuts)
+    for lo, hi in zip([-bound - 1] + cuts, cuts + [bound]):
+        lo, hi = max(lo + 1, -bound), min(hi, bound)
+        if lo > hi:
+            continue
+        s_lo = sign(lo)
+        if s_lo == 0:
+            floors.add(lo)
+            continue
+        if sign(hi) == s_lo:
+            continue
+        while hi - lo > 1:  # sign(lo) == s_lo != sign(hi)
+            mid = (lo + hi) // 2
+            if sign(mid) == s_lo:
+                lo = mid
+            else:
+                hi = mid
+        floors.add(hi if sign(hi) == 0 else lo)
+    return sorted(floors)
+
+
+def _rational_roots(coeffs: Sequence[Fraction | int]) -> List[Fraction]:
     """Distinct rational roots of sum coeffs[k] c^k, constant term nonzero.
 
     Degrees one and two are solved in closed form (the iteration produces
-    these with very large coefficients, where divisor enumeration would be
-    hopeless).  A binomial a_0 + a_b c^b of degree b >= 3 is solved by exact
-    integer b-th roots of the reduced numerator and denominator of
-    c^b = -a_0/a_b: no root when that ratio is not a b-th power or is negative
-    with b even, two opposite roots when b is even.  Other higher-degree
-    equations use the rational root theorem.
+    these with very large coefficients).  A binomial a_0 + a_b c^b of degree
+    b >= 3 is solved by exact integer b-th roots of the reduced numerator and
+    denominator of c^b = -a_0/a_b: no root when that ratio is not a b-th power
+    or is negative with b even, two opposite roots when b is even.  Any other
+    equation of degree n >= 3 is made monic over the integers,
+    g(y) = a_n^(n-1) f(y/a_n), whose rational roots are the integers y with
+    g(y) = 0; every such y is among `_root_floors(g)`, and the roots of f are
+    y/a_n.  No divisor is enumerated, so a large constant term costs only
+    bisection steps in its bit length.
     """
     denom = 1
     for c in coeffs:
@@ -223,28 +256,25 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
         out = [Fraction(-a1 + root_disc, 2 * a2), Fraction(-a1 - root_disc, 2 * a2)]
         return out if out[0] != out[1] else out[:1]
     a0, lead = ints[0], ints[-1]
+    n = len(ints) - 1
     if not any(ints[1:-1]):
-        b = len(ints) - 1
         ratio = Fraction(-a0, lead)
-        if ratio < 0 and b % 2 == 0:
+        if ratio < 0 and n % 2 == 0:
             return []
-        num = _iroot_exact(abs(ratio.numerator), b)
-        den = _iroot_exact(ratio.denominator, b)
+        num = _iroot_exact(abs(ratio.numerator), n)
+        den = _iroot_exact(ratio.denominator, n)
         if num is None or den is None:
             return []
         root = Fraction(num if ratio > 0 else -num, den)
-        return [root, -root] if b % 2 == 0 else [root]
+        return [root, -root] if n % 2 == 0 else [root]
+    monic = [a * lead ** (n - 1 - k) for k, a in enumerate(ints[:-1])] + [1]
     roots = []
-    for p in _divisors(a0):
-        for q in _divisors(lead):
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                value = Fraction(0)
-                for c in reversed(ints):
-                    value = value * cand + c
-                if value == 0 and cand not in roots:
-                    roots.append(cand)
+    for y in _root_floors(monic):
+        value = 0
+        for c in reversed(monic):
+            value = value * y + c
+        if value == 0:
+            roots.append(Fraction(y, lead))
     return roots
 
 
@@ -264,14 +294,6 @@ class PuiseuxLift:
         return self.root.is_exact
 
 
-def _truncate_above_t(f: MultiPoly, t_index: int, bound: int) -> Tuple[MultiPoly, bool]:
-    """Drop terms of t-degree >= bound, reporting whether anything was lost."""
-    keep = {exp: c for exp, c in f.terms.items() if exp[t_index] < bound}
-    if len(keep) == len(f.terms):
-        return f, False
-    return MultiPoly._raw(f.vars, keep), True
-
-
 def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[PowerSeries, int]:
     """One branch x(t) of F(x, t) = 0 with positive order, plus the ramification.
 
@@ -280,57 +302,57 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
     exact series when the iteration terminates (the residual constant
     coefficient vanishes identically), a truncated one otherwise.
 
-    The residual is truncated above the still-reachable exponent range: an
-    edge below the bound only ever involves t-orders below the constant
+    The residual is a primitive integer polynomial {(x-degree, t-degree):
+    coefficient}: F with its denominators cleared, and after each stage the
+    chart x -> t^m (c + x) scaled back to content 1.  A nonzero constant factor
+    changes neither the Newton polygon nor the roots of an edge equation.  The
+    residual is truncated above the still-reachable exponent range: an edge
+    below the bound only ever involves t-orders below the constant
     coefficient's order, so discarded terms cannot influence any branch
     coefficient under the requested precision.
     """
-    t_index = F.vars.index(T)
+    x_index, t_index = F.vars.index(xvar), F.vars.index(T)
+    denom = lcm(*(c.denominator for c in F.terms.values()))
+    cur = {
+        (exp[x_index], exp[t_index]): c.numerator * (denom // c.denominator)
+        for exp, c in F.terms.items()
+    }
     e = 1
     target = precision
     found: List[Tuple[Fraction, int]] = []  # (coefficient, absolute exponent)
     shift = 0  # exponent offset of the current residual's roots
-    cur = F
     lossy = False
     while True:
-        cur, dropped = _truncate_above_t(cur, t_index, max(target - shift, 1))
-        lossy = lossy or dropped
-        coeffs = cur.coefficients_in(xvar)
-        c0 = coeffs.get(0)
-        if c0 is None or c0.is_zero():
+        bound = max(target - shift, 1)
+        kept = {ij: a for ij, a in cur.items() if ij[1] < bound}
+        if len(kept) < len(cur):
+            cur, lossy = kept, True
+        orders: Dict[int, int] = {}
+        for i, j in cur:
+            if j < orders.get(i, bound):
+                orders[i] = j
+        if 0 not in orders:
             return _series_from_terms(found, precision=target if lossy else None), e
-        points = [(i, _t_order(c, t_index)) for i, c in coeffs.items() if not c.is_zero()]
-        hull = _lower_hull(points)
+        hull = _lower_hull(list(orders.items()))
         if len(hull) < 2 or hull[1][1] >= hull[0][1]:
             raise ExtensionRequiredError(
                 "no branch through the origin on this Newton polygon"
             )
-        (i0, v0), (i1, v1) = hull[0], hull[1]
-        gamma = Fraction(v0 - v1, i1 - i0)
-        q = gamma.denominator
+        # the edge runs from (0, v0) to (i1, v1) with slope -m/q in lowest terms
+        (_, v0), (i1, v1) = hull[0], hull[1]
+        g = gcd(v0 - v1, i1)
+        m, q = (v0 - v1) // g, i1 // g
         if q > 1:
-            cur = cur.t_chart(T, {T: q})
+            cur = {(i, j * q): a for (i, j), a in cur.items()}
             e *= q
             target *= q
             shift *= q
             found = [(c, k * q) for c, k in found]
-            v0, v1 = v0 * q, v1 * q
-            gamma = gamma * q
-        m = int(gamma)
+            v0 *= q
         if shift + m >= target:
             return _series_from_terms(found, precision=target), e
-        coeffs = cur.coefficients_in(xvar)
-        edge_coeffs = [Fraction(0)] * (i1 - i0 + 1)
-        for i, c in coeffs.items():
-            if not c.is_zero() and i0 <= i <= i1:
-                v_line = v0 - m * (i - i0)
-                if _t_order(c, t_index) == v_line:
-                    exp = [0] * len(F.vars)
-                    exp[t_index] = v_line
-                    edge_coeffs[i - i0] = c.terms.get(tuple(exp), Fraction(0))
-        while edge_coeffs and edge_coeffs[-1] == 0:
-            edge_coeffs.pop()
-        roots = [r for r in _rational_roots(edge_coeffs) if r != 0]
+        edge = [cur.get((i, v0 - m * i), 0) for i in range(i1 + 1)]
+        roots = [r for r in _rational_roots(edge) if r != 0]
         if not roots:
             raise ExtensionRequiredError(
                 "edge equation has no nonzero rational root; "
@@ -338,11 +360,38 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
             )
         c = _pick_root(roots)
         found.append((c, shift + m))
-        # x -> t^m (c + x), then divide out the t-power the edge leaves behind
-        cur = cur.t_chart(T, {T: 1, xvar: m})
-        cur = cur.translate([c if v == xvar else 0 for v in cur.vars])
-        cur = cur.t_chart(T, {T: 1}, drop=min(exp[t_index] for exp in cur.terms))
+        cur = _chart_stage(cur, m, c)
         shift += m
+
+
+def _chart_stage(cur: Dict[Tuple[int, int], int], m: int, c: Fraction) -> Dict[Tuple[int, int], int]:
+    """x -> t^m (c + x) on an integer residual, divided by its t-order and content.
+
+    The chart (i, j) -> (i, j + m i) comes first; the Taylor shift by c = p/r
+    then acts on each t-column separately, every column scaled by r^n for the
+    x-degree n of the whole residual so that the scale is one constant.
+    """
+    p, r = c.numerator, c.denominator
+    columns: Dict[int, Dict[int, int]] = {}
+    n = 0
+    for (i, j), a in cur.items():
+        columns.setdefault(j + m * i, {})[i] = a
+        if i > n:
+            n = i
+    r_powers = [1]
+    for _ in range(n):
+        r_powers.append(r_powers[-1] * r)
+    out: Dict[Tuple[int, int], int] = {}
+    low = min(columns)
+    for j, column in columns.items():
+        a = [0] * (max(column) + 1)
+        for i, ai in column.items():
+            a[i] = ai
+        for i, hi in enumerate(taylor_shift_integers(a, p, r_powers, n)):
+            if hi:
+                out[i, j - low] = hi
+    content = gcd(*out.values())
+    return {ij: a // content for ij, a in out.items()}
 
 
 def _series_from_terms(terms: List[Tuple[Fraction, int]], precision: int | None) -> PowerSeries:
@@ -358,13 +407,24 @@ def _series_from_terms(terms: List[Tuple[Fraction, int]], precision: int | None)
 def _equation_on_base(
     h: TschirnhausenHypersurface, units: Sequence[Fraction], exponents: Sequence[int]
 ) -> MultiPoly:
-    """f_i with the base variables replaced by monomials: an element of Q[x, t]."""
-    ambient = h.ambient_vars + (T,)
-    f = h.polynomial.extend_vars(ambient)
-    for v, u, a in zip(h.base_vars, units, exponents):
-        sub = MultiPoly.variable(ambient, T) ** a
-        f = f.substitute(v, sub.scale(u))
-    return f.restrict_vars((h.var, T))
+    """f_i with each base variable z_v replaced by u_v t^(a_v): an element of Q[x, t].
+
+    A monomial map: x^i z^beta goes to x^i t^(sum a_v beta_v) with its
+    coefficient times prod u_v^(beta_v); terms that land together are summed.
+    """
+    f = h.polynomial
+    x_index = f.vars.index(h.var)
+    base = [(f.vars.index(v), u, a) for v, u, a in zip(h.base_vars, units, exponents)]
+    out: Dict[Tuple[int, int], Fraction] = {}
+    for exp, c in f.terms.items():
+        j = 0
+        for k, u, a in base:
+            if exp[k]:
+                j += a * exp[k]
+                c *= u ** exp[k]
+        key = (exp[x_index], j)
+        out[key] = out.get(key, 0) + c
+    return MultiPoly((h.var, T), out)
 
 
 def _lift_equation(

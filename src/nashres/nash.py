@@ -5,9 +5,10 @@ the arc parameter t.  Each step blows up the origin, follows the lifted arc
 into the chart where t is the exceptional parameter (always valid: the graph
 has t-order exactly one), takes the strict transform, and recenters at the
 point the arc runs through.  The multiplicity sequence read along the way is
-non-increasing and its first drop defines the persistance rho.  A step is the
-chart move of the Newton-Puiseux lifting in `generic`: `MultiPoly.t_chart`
-with every weight 1 dropping t^m, then the Taylor shift `translate`.
+non-increasing and its first drop defines the persistance rho.  A step is
+`MultiPoly.t_chart` with every weight 1 dropping t^m, then the Taylor shift
+`translate`: the chart move that a Newton-Puiseux stage in `generic` makes on
+an integer polynomial in (x, t) through the same integer shift kernel.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatchError, UnknownVariableError
 from .extorder import INFINITE, ExtOrder
@@ -279,12 +279,11 @@ class MultiPoly:
         return out
 
     def _shift_one(self, index: int, c: Fraction) -> "MultiPoly":
-        # Integer Taylor shift, one group of terms per exponent vector of the
-        # other variables.  With c = p/q and the group's coefficients a_k =
-        # N_k / D over their lcm D, q^n D f(y + c) = sum N_k q^(n-k) (qy + p)^k:
-        # shift the integers N_k q^(n-k) by p with Horner additions to get H_j,
-        # and the coefficient of y^j is H_j q^j / (q^n D).  No two groups share
-        # an output exponent, so each term is written once.
+        # One group of terms per exponent vector of the other variables: its
+        # numerators over their lcm denominator D go through
+        # `taylor_shift_integers`, whose j-th output over q^n D is the
+        # coefficient of y^j.  No two groups share an output exponent, so each
+        # term is written once.
         p, q = c.numerator, c.denominator
         groups: Dict[Exponent, Dict[int, Fraction]] = {}
         for exp, coeff in self.terms.items():
@@ -302,14 +301,11 @@ class MultiPoly:
             den = lcm(*(a.denominator for a in group.values()))
             h = [0] * (n + 1)
             for k, a in group.items():
-                h[k] = a.numerator * (den // a.denominator) * q_powers[n - k]
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    h[j] += p * h[j + 1]
+                h[k] = a.numerator * (den // a.denominator)
             den *= q_powers[n]
-            for j, hj in enumerate(h):
+            for j, hj in enumerate(taylor_shift_integers(h, p, q_powers, n)):
                 if hj:
-                    out[head + (j,) + tail] = Fraction(hj * q_powers[j], den)
+                    out[head + (j,) + tail] = Fraction(hj, den)
         return MultiPoly._raw(self.vars, out)
 
     def t_chart(self, t: str, weights: Mapping[str, int], drop: int = 0) -> "MultiPoly":
@@ -399,6 +395,23 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars!r}, {self})"
+
+
+def taylor_shift_integers(a: Sequence[int], p: int, q_powers: Sequence[int], n: int) -> List[int]:
+    """Integer coefficients of q^n f(y + p/q) for f(y) = sum a[k] y^k.
+
+    n is at least the degree of f and q_powers[k] = q^k for k <= n, so that
+    q^n f(y + p/q) = sum a_k q^(n-k) (qy + p)^k: the integers a_k q^(n-k) are
+    shifted by p with Horner additions to H_j (von zur Gathen-Gerhard, ISSAC
+    1997), and the coefficient of y^j is H_j q^j.  The Taylor shift of
+    `MultiPoly` and the Newton-Puiseux stage of `generic` both run here.
+    """
+    d = len(a) - 1
+    h = [ak * q_powers[n - k] if ak else 0 for k, ak in enumerate(a)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            h[j] += p * h[j + 1]
+    return [hj * q_powers[j] for j, hj in enumerate(h)]
 
 
 def canonical_var_key(name: str):

@@ -100,6 +100,20 @@ def test_generic_arc_with_a_2_71_constant_term(tmp_path, capsys):
     assert report["checks"] and all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_cubic_edge_with_a_middle_term_and_a_2_71_constant_exit_code(tmp_path, capsys):
+    # the edge u^2 c + 2^71 u^3 + c^3 has no rational root; finding that out
+    # takes bisection steps in the constant's bit length, not a divisor scan
+    import time
+
+    doc = {"d": 1, "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 + z^2 x + 2361183241434822606848 z^3"}]}
+    pres = write(tmp_path, "p.json", doc)
+    start = time.monotonic()
+    code, report = run_json(capsys, "generic-arc", pres)
+    assert time.monotonic() - start < 5.0
+    assert code == 4
+    assert "extension" in report["results"]["error"]
+
+
 def test_verify_command(tmp_path, capsys):
     pres = write(tmp_path, "p.json", CUSP)
     code, report = run_json(capsys, "verify", pres, "--trials", "5", "--seed", "7")

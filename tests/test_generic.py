@@ -20,7 +20,8 @@ from nashres import (
     verify_genericity,
 )
 from nashres.errors import ExtensionRequiredError, MaxMultArcError
-from nashres.generic import unit_tuples
+from nashres.generic import _equation_on_base, unit_tuples
+from nashres.poly import MultiPoly
 
 from conftest import a_n, make_presentation
 
@@ -192,3 +193,47 @@ def test_rho_bar_attained_after_denominator_reparametrization(cusp):
     ord_d = presentation_elimination_order(cusp).value
     repar = validate_arc(result.arc.arc.reparametrize(ord_d.denominator), cusp)
     assert contact_order(repar).rho_bar == ord_d
+
+
+# name -> (d, equations): the presentations of the benchmark's lift table, of
+# the acceptance corpus, and one whose terms collide under the monomial map
+MONOMIAL_MAP_CASES = {
+    "quadratic_tail": (1, [("x", "x^2 - z^2 - z^3")]),
+    "cubic_tail": (1, [("x", "x^3 - z^4 - z^5")]),
+    "quartic_tail": (1, [("x", "x^4 - z^5 - z^7")]),
+    "quartic_middle": (1, [("x", "x^4 - 2 z^3 x^2 + z^6 - z^7")]),
+    "cubic_two_base": (2, [("x", "x^3 - z1^2 z2^2 - z1^5")]),
+    "cubic_big_constant": (1, [("x", "x^3 - 8000000000000 z^4")]),
+    "cubic_middle": (1, [("x", "x^3 - 2 z^2 x - z^4 - z^5")]),
+    "two_hyp_three_base": (3, [("x1", "x1^3 - z1^4 - z2^5"), ("x3", "x3^2 - z1 z2 z3")]),
+    "cusp": (1, [("x", "x^2 - z^3")]),
+    "umbrella": (2, [("x", "x^2 - z1^2*z2")]),
+    "two_hyp": (2, [("x1", "x1^2 - z1^3"), ("x2", "x2^2 - z1*z2^2")]),
+    **{f"A_{n}": (1, [("x", f"x^2 - z^{n + 1}")]) for n in range(1, 9)},
+    # terms that land on one power of t, and cancel there at units (1, 1)
+    "colliding_terms": (2, [("x", "x^3 - z1^2 z2 + z1 z2^2 - 2 z1^4")]),
+}
+
+
+def _substituted_equation_on_base(h, units, exponents):
+    """One `MultiPoly.substitute` of u_v t^(a_v) per base variable."""
+    ambient = h.ambient_vars + ("t",)
+    f = h.polynomial.extend_vars(ambient)
+    for v, u, a in zip(h.base_vars, units, exponents):
+        f = f.substitute(v, (MultiPoly.variable(ambient, "t") ** a).scale(u))
+    return f.restrict_vars((h.var, "t"))
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_MAP_CASES))
+def test_equation_on_base_is_the_substituted_equation(name):
+    d, equations = MONOMIAL_MAP_CASES[name]
+    p = make_presentation(d, *equations)
+    diagonal = [(1,) * d, (2,) * d]
+    skew = [tuple(1 + i % 3 for i in range(d)), tuple(3 - i % 3 for i in range(d))]
+    for h in p.hypersurfaces:
+        for units in ((1,) * d, tuple(Fraction(-2, 3) if i % 2 else 3 for i in range(d))):
+            units = tuple(Fraction(u) for u in units)
+            for exponents in diagonal + skew:
+                assert _equation_on_base(h, units, exponents) == _substituted_equation_on_base(
+                    h, units, exponents
+                )

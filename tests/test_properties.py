@@ -2,10 +2,10 @@
 
 import random
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from nashres import (
@@ -19,7 +19,15 @@ from nashres import (
     sing_contains,
 )
 from nashres import series as series_module
-from nashres.generic import _pick_root, _rational_roots
+from nashres.errors import ExtensionRequiredError
+from nashres.generic import (
+    _lower_hull,
+    _newton_puiseux_root,
+    _pick_root,
+    _rational_roots,
+    _root_floors,
+    _series_from_terms,
+)
 
 V2 = ("z1", "z2")
 ORIGIN2 = (Fraction(0), Fraction(0))
@@ -465,21 +473,35 @@ def test_translate_of_the_zero_polynomial_is_zero():
 
 
 def _reference_divisors(n):
+    """Divisors of n from its factorization by trial division (fast on smooth n)."""
     n = abs(n)
-    small = [k for k in range(1, isqrt(n) + 1) if n % k == 0]
-    return sorted(set(small + [n // k for k in small]))
+    divisors = [1]
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        divisors = [d * p**e for d in divisors for e in range(k + 1)]
+        p += 1
+    return sorted(divisors)
 
 
 def _reference_rational_roots(coeffs):
     """Every root p/q in lowest terms has p | a_0 and q | a_n: try them all."""
     denom = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
+    n = len(ints) - 1
     roots = set()
     for p in _reference_divisors(ints[0]):
         for q in _reference_divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(a * cand**k for k, a in enumerate(ints)) == 0:
-                    roots.add(cand)
+            if gcd(p, q) != 1:
+                continue
+            for cand in (p, -p):  # q^n f(cand/q) == 0
+                if sum(a * cand**k * q ** (n - k) for k, a in enumerate(ints)) == 0:
+                    roots.add(Fraction(cand, q))
     return roots
 
 
@@ -520,6 +542,223 @@ def test_binomial_edge_roots_with_a_big_constant():
         Fraction(-(2**18), 3),
     }
     assert _rational_roots([two**72, 0, 0, 0, 1]) == []
+
+
+def _poly_product(a, b):
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(len(a) + len(b) - 1)]
+
+
+# numerators 2^a 3^b up to 2^25 3, so three of them reach constants of 2^75
+smooth_numerators = st.builds(
+    lambda a, b, sign: sign * 2**a * 3**b,
+    st.integers(min_value=0, max_value=25),
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from([-1, 1]),
+)
+
+
+@st.composite
+def middle_term_edges(draw):
+    """lead * prod (q c - p) * cofactor of degree >= 3 with a middle term.
+
+    Roots may repeat; the cofactor has no rational root (c^2 + k, c^2 - 7),
+    or is any small polynomial with a smooth constant term.
+    """
+    pool = draw(
+        st.lists(
+            st.tuples(smooth_numerators, st.sampled_from([1, 2, 3, 4, 9])), min_size=1, max_size=3
+        )
+    )
+    roots = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    cofactor = draw(
+        st.sampled_from(
+            [[1], [1, 0, 1], [3, 0, 1], [-7, 0, 1], [1, 1, 1], [2, -3, 0, 5], [-6, 1, 1]]
+        )
+    )
+    lead = draw(st.integers(min_value=-12, max_value=12).filter(lambda v: v != 0))
+    f = [lead]
+    for p, q in roots:
+        f = _poly_product(f, [-p, q])
+    f = _poly_product(f, cofactor)
+    assume(len(f) >= 4 and any(f[1:-1]))
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(lambda v: v != 0))
+    return [Fraction(a) * scale for a in f]
+
+
+@seed(20151108)
+@settings(max_examples=250, deadline=None)
+@given(middle_term_edges())
+def test_middle_term_edge_roots_match_the_divisor_scan(coeffs):
+    roots = _rational_roots(coeffs)
+    expected = _reference_rational_roots(coeffs)
+    assert len(roots) == len(set(roots))
+    assert set(roots) == expected
+    if expected:
+        assert _pick_root(roots) == _pick_root(list(expected))
+
+
+@seed(20151110)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=5),
+    st.integers(min_value=-4, max_value=4).filter(lambda v: v != 0),
+)
+def test_root_floors_hold_every_integer_before_a_sign_change(lower, lead):
+    # y is the floor of a real root when g(y) = 0 or g changes sign on (y, y + 1)
+    g = lower + [lead]
+    value = lambda y: sum(c * y**k for k, c in enumerate(g))
+    floors = _root_floors(g)
+    assert floors == sorted(set(floors))
+    bound = 1 + max(map(abs, lower)) // abs(lead) + 1
+    for y in range(-bound - 1, bound + 1):
+        if value(y) == 0 or value(y) * value(y + 1) < 0:
+            assert y in floors
+
+
+def test_middle_term_edge_roots_with_repeats_and_big_constants():
+    one = Fraction(1)
+    # (c^2 - 1)^2, the quartic_middle edge: two double roots
+    assert set(_rational_roots([one, 0, -2, 0, 1])) == {1, -1}
+    # (c - 2^25)^3 with a negative lead: constant 2^75, one triple root
+    cube = [-(one * 2**75), 3 * 2**50, -3 * 2**25, one]
+    assert _rational_roots([-a for a in cube]) == [2**25]
+    # c^3 + c + 2^71 (the edge of x^3 + z^2 x + 2^71 z^3) has no rational root
+    assert _rational_roots([one * 2**71, 1, 0, 1]) == []
+    # (3c - 2^24)(c + 5)(c^2 + 1): the roots 2^24/3 and -5 past a cofactor
+    f = _poly_product(_poly_product([-(2**24), 3], [5, 1]), [1, 0, 1])
+    assert set(_rational_roots([Fraction(a) for a in f])) == {Fraction(2**24, 3), -5}
+
+
+# -- the integer Newton-Puiseux loop against the MultiPoly loop it replaced -------
+
+
+def _reference_newton_puiseux_root(F, xvar, precision):
+    """The Fraction-valued MultiPoly stage loop: t_chart, the term-by-term
+    Taylor shift above (independent of the integer kernel), t_chart."""
+    t_index = F.vars.index("t")
+    t_order = lambda c: min(exp[t_index] for exp in c.terms)
+    e, target, found, shift, cur, lossy = 1, precision, [], 0, F, False
+    while True:
+        bound = max(target - shift, 1)
+        keep = {exp: c for exp, c in cur.terms.items() if exp[t_index] < bound}
+        if len(keep) != len(cur.terms):
+            cur, lossy = MultiPoly(cur.vars, keep), True
+        coeffs = cur.coefficients_in(xvar)
+        c0 = coeffs.get(0)
+        if c0 is None or c0.is_zero():
+            return _series_from_terms(found, precision=target if lossy else None), e
+        points = [(i, t_order(c)) for i, c in coeffs.items() if not c.is_zero()]
+        hull = _lower_hull(points)
+        if len(hull) < 2 or hull[1][1] >= hull[0][1]:
+            raise ExtensionRequiredError("no branch through the origin")
+        (i0, v0), (i1, v1) = hull[0], hull[1]
+        gamma = Fraction(v0 - v1, i1 - i0)
+        q = gamma.denominator
+        if q > 1:
+            cur = cur.t_chart("t", {"t": q})
+            e, target, shift = e * q, target * q, shift * q
+            found = [(c, k * q) for c, k in found]
+            v0, gamma = v0 * q, gamma * q
+        m = int(gamma)
+        if shift + m >= target:
+            return _series_from_terms(found, precision=target), e
+        coeffs = cur.coefficients_in(xvar)
+        edge_coeffs = [Fraction(0)] * (i1 - i0 + 1)
+        for i, c in coeffs.items():
+            if not c.is_zero() and i0 <= i <= i1 and t_order(c) == v0 - m * (i - i0):
+                exp = [0] * len(F.vars)
+                exp[t_index] = v0 - m * (i - i0)
+                edge_coeffs[i - i0] = c.terms.get(tuple(exp), Fraction(0))
+        while edge_coeffs and edge_coeffs[-1] == 0:
+            edge_coeffs.pop()
+        roots = [r for r in _rational_roots(edge_coeffs) if r != 0]
+        if not roots:
+            raise ExtensionRequiredError("no nonzero rational root")
+        c = _pick_root(roots)
+        found.append((c, shift + m))
+        cur = cur.t_chart("t", {"t": 1, xvar: m})
+        cur = _reference_shift_one(cur, cur.vars.index(xvar), c)
+        cur = cur.t_chart("t", {"t": 1}, drop=min(exp[t_index] for exp in cur.terms))
+        shift += m
+
+
+small_units = st.sampled_from(sorted({Fraction(a, b) for a in range(-3, 4) if a for b in (1, 2, 3)}))
+
+
+@st.composite
+def bivariate_equations(draw):
+    """x-degree 2..4 in Q[x, t]: a product of factors (x - a t^k)^e - c t^p,
+    plus a few further terms that may sit below, on or above the Newton
+    polygon.  A factor with a != 0 and p > ke gives a stage with root a
+    (non-integer when a is), then an edge of slope (p - ke)/e: ramified
+    when e does not divide p - ke, with rational roots when c is an e-th
+    power and irrational ones otherwise."""
+    x, t = MultiPoly.variable(XT, "x"), MultiPoly.variable(XT, "t")
+    degree = draw(st.integers(min_value=2, max_value=4))
+    F = MultiPoly.constant(XT, 1)
+    left = degree
+    while left:
+        e = draw(st.integers(min_value=1, max_value=left))
+        a = draw(st.sampled_from([0]) | small_units)
+        k = draw(st.integers(min_value=1, max_value=2))
+        p = draw(st.integers(min_value=1, max_value=5)) + (k * e if a else 0)
+        c = draw(small_units)
+        if draw(st.booleans()):
+            c = c**e
+        F = F * ((x - (t**k).scale(a)) ** e - (t**p).scale(c))
+        left -= e
+    terms = dict(F.terms)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        key = (draw(st.integers(min_value=0, max_value=degree - 1)), draw(st.integers(min_value=1, max_value=14)))
+        terms[key] = terms.get(key, 0) + draw(small_units)
+    scale = draw(small_units) * draw(st.sampled_from([1, -5, Fraction(5, 4)]))
+    return MultiPoly(XT, {key: c * scale for key, c in terms.items()})
+
+
+def _root_or_error(solve, F, precision):
+    try:
+        return solve(F, "x", precision)
+    except ExtensionRequiredError:
+        return ExtensionRequiredError
+
+
+@seed(20151109)
+@settings(max_examples=300, deadline=None)
+@given(bivariate_equations(), st.integers(min_value=1, max_value=24))
+def test_integer_puiseux_loop_matches_the_multipoly_loop(F, precision):
+    assert _root_or_error(_newton_puiseux_root, F, precision) == _root_or_error(
+        _reference_newton_puiseux_root, F, precision
+    )
+
+
+def test_puiseux_loop_cases_cover_every_kind_of_branch():
+    # The equations of the differential test reach every outcome of the loop.
+    outcomes = set()
+
+    @seed(20151109)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(bivariate_equations(), st.integers(min_value=1, max_value=24))
+    def classify(F, precision):
+        orders = {}
+        for i, j in F.terms:
+            orders[i] = min(j, orders.get(i, j))
+        if len(_lower_hull(list(orders.items()))) >= 3:
+            outcomes.add("several edges")
+        result = _root_or_error(_newton_puiseux_root, F, precision)
+        if result is ExtensionRequiredError:
+            outcomes.add("extension")
+            return
+        root, e = result
+        outcomes.add("exact" if root.is_exact else "truncated")
+        if e > 1:
+            outcomes.add("ramified")
+        if sum(1 for c in root.coeffs if c) >= 3:
+            outcomes.add("three or more stages")
+
+    classify()
+    assert outcomes == {
+        "several edges", "extension", "exact", "truncated", "ramified", "three or more stages"
+    }
 
 
 @seed(20151104)
