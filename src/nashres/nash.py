@@ -5,16 +5,28 @@ the arc parameter t.  Each step blows up the origin, follows the lifted arc
 into the chart where t is the exceptional parameter (always valid: the graph
 has t-order exactly one), takes the strict transform, and recenters at the
 point the arc runs through.  The multiplicity sequence read along the way is
-non-increasing and its first drop defines the persistance rho.  A step is
-`MultiPoly.t_chart` with every weight 1 dropping t^m, then the Taylor shift
-`translate`: the chart move that a Newton-Puiseux stage in `generic` makes on
-an integer polynomial in (x, t) through the same integer shift kernel.
+non-increasing and its first drop defines the persistance rho.
+
+A step runs on integers.  The transform is g = G/D, an integer polynomial G
+over one denominator D with gcd(content(G), D) = 1, and each arc coordinate
+is integer numerators over one denominator, with its precision.  The chart
+is an exponent map (the t-exponent becomes the total degree minus m), the
+arc is recentered by dropping its first numerator and zeroing the new
+constant one, and the Taylor shift by each center p/q is the integer grouped
+shift `poly.shift_integer_terms`, which scales G by q^N; G and D are then
+divided by their gcd.  This is the chart move that a Newton-Puiseux stage in
+`generic` makes, on the same integer shift kernel.  Every step checks that
+the arc still lies on the transform by a full evaluation through the integer
+back end `series.compose_integers`.  `NashState.g` and `NashState.arc` are
+`MultiPoly` and `PowerSeries` views built on demand (for `--trace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Dict, Optional, Tuple
 
 from .arcs import ValidatedArc
@@ -24,9 +36,9 @@ from .errors import (
     MaxMultArcError,
     ValidationError,
 )
-from .poly import MultiPoly
+from .poly import Exponent, MultiPoly, shift_integer_terms
 from .presentation import LocalPresentation, TschirnhausenHypersurface
-from .series import PowerSeries, poly_compose_series
+from .series import PowerSeries, compose_integers, from_integers, integer_form
 
 T = "t"
 
@@ -34,27 +46,69 @@ T = "t"
 # limit means a non-dropping sequence slipped past the Max-mult guard.
 _MAX_STEPS = 10_000
 
+# (numerators, denominator, precision) of one arc coordinate, trailing zeros
+# trimmed; the t-coordinate is t itself.
+Form = Tuple[Tuple[int, ...], int, Optional[int]]
+_T_FORM: Form = ((0, 1), 1, None)
+
 
 @dataclass(frozen=True)
 class NashState:
-    """Strict transform (centered at the chart origin) plus the lifted arc."""
+    """Strict transform g = G/D (centered at the chart origin) plus the lifted arc."""
 
-    g: MultiPoly  # over ambient variables + t
-    arc: Dict[str, PowerSeries]  # ambient coordinates; the t-coordinate is t itself
+    vars: Tuple[str, ...]  # ambient variables + t
+    G: Dict[Exponent, int]
+    D: int
+    forms: Tuple[Form, ...]  # one per variable
     step: int
-    center: Tuple[Fraction, ...] = ()  # ambient point blown up to reach this state
+    center_pq: Tuple[Tuple[int, int], ...] = ()  # (p, q) of each ambient coordinate
+
+    @classmethod
+    def from_poly(cls, g: MultiPoly, arc: Dict[str, PowerSeries], step: int = 0) -> "NashState":
+        """The state of a transform over the ambient variables and t, and an arc."""
+        D = lcm(*(c.denominator for c in g.terms.values()))
+        G = {exp: c.numerator * (D // c.denominator) for exp, c in g.terms.items()}
+        forms = []
+        for v in g.vars:
+            if v == T:
+                forms.append(_T_FORM)
+                continue
+            nums, den = integer_form(arc[v].coeffs)
+            forms.append((tuple(nums), den, arc[v].precision))
+        return cls(g.vars, G, D, tuple(forms), step)
+
+    @property
+    def g(self) -> MultiPoly:
+        return MultiPoly._raw(self.vars, {e: Fraction(c, self.D) for e, c in self.G.items()})
+
+    @property
+    def arc(self) -> Dict[str, PowerSeries]:
+        return {
+            v: from_integers(nums, den, precision)
+            for v, (nums, den, precision) in zip(self.vars, self.forms)
+            if v != T
+        }
+
+    @property
+    def center(self) -> Tuple[Fraction, ...]:
+        """Ambient point blown up to reach this state."""
+        return tuple(Fraction(p, q) for p, q in self.center_pq)
+
+    @cached_property
+    def _multiplicity(self) -> Optional[int]:
+        return min(map(sum, self.G)) if self.G else None
 
     def multiplicity(self) -> int:
-        o = self.g.order_at_origin()
-        if o.is_infinite:
+        m = self._multiplicity
+        if m is None:
             raise ValidationError("transform collapsed to zero; not a hypersurface")
-        return o.value
+        return m
 
     def check_arc_on_transform(self) -> None:
-        subs = dict(self.arc)
-        subs[T] = PowerSeries.t_power(1)
-        image = poly_compose_series(self.g, subs)
-        if not image.is_zero_to_precision():
+        terms = [(c, 1, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in self.G.items()]
+        nums, common, precision = compose_integers(terms, self.forms)
+        if any(nums):
+            image = from_integers(nums, common * self.D, precision)
             raise AssertionError(
                 f"lifted arc left the strict transform at step {self.step}: {image}"
             )
@@ -79,42 +133,60 @@ def nash_step(state: NashState, m0: int) -> NashState:
     m = state.multiplicity()
     if m != m0:
         raise ValidationError(f"multiplicity already dropped: {m} != {m0}")
-    for name, s in state.arc.items():
-        o = s.order()
-        if o.is_exact and o.value == 0:
-            raise AssertionError(
-                f"lifted center escaped the t-chart via coordinate {name!r}"
-            )
-        if o.is_censored and o.value == 0:
-            raise InsufficientPrecisionError(
-                f"coordinate {name!r} exhausted at step {state.step}"
-            )
-    g1 = state.g.t_chart(T, dict.fromkeys(state.g.vars, 1), drop=m)
-    ti = g1.vars.index(T)
-    low = min(exp[ti] for exp in g1.terms)
-    assert low == 0, f"exceptional multiplicity {low + m} != expected order {m}"
-    new_arc = {}
-    point = []
-    for name in state.g.vars:
-        if name == T:
-            point.append(Fraction(0))  # the center always lies on t = 0
+    ti = state.vars.index(T)
+    for i, (nums, _, precision) in enumerate(state.forms):
+        if i == ti:
             continue
-        s = state.arc[name].divide_t_power(1)
-        c = s.constant_term()
-        point.append(c)
-        new_arc[name] = PowerSeries((0,) + s.coeffs[1:], s.precision)
-    g1 = g1.translate(point)
-    center = tuple(c for name, c in zip(state.g.vars, point) if name != T)
-    out = NashState(g1, new_arc, state.step + 1, center)
+        if nums and nums[0]:
+            raise AssertionError(
+                f"lifted center escaped the t-chart via coordinate {state.vars[i]!r}"
+            )
+        if not nums and precision == 0:
+            raise InsufficientPrecisionError(
+                f"coordinate {state.vars[i]!r} exhausted at step {state.step}"
+            )
+    # the chart: x -> t x for every ambient x, then t^m divides out
+    G = {exp[:ti] + (sum(exp) - m,) + exp[ti + 1:]: c for exp, c in state.G.items()}
+    low = min(exp[ti] for exp in G)
+    assert low == 0, f"exceptional multiplicity {low + m} != expected order {m}"
+    forms = list(state.forms)
+    center, shifts = [], []
+    for i, (nums, den, precision) in enumerate(state.forms):
+        if i == ti:
+            continue
+        if precision == 1:
+            raise InsufficientPrecisionError(
+                "coefficient of t^0 requested, series known below t^0"
+            )
+        # divided by t, the coordinate's first numerator is the new center
+        c = nums[1] if len(nums) > 1 else 0
+        forms[i] = (
+            (0,) + nums[2:] if len(nums) > 2 else (),
+            den,
+            None if precision is None else precision - 1,
+        )
+        common = gcd(c, den)
+        p, q = c // common, den // common
+        center.append((p, q))
+        if p:
+            shifts.append((i, p, q))
+    # the Taylor shift by each nonzero center p/q, once every coordinate is known
+    D = state.D
+    for i, p, q in shifts:
+        G, scale = shift_integer_terms(G, i, p, q)
+        D *= scale
+    common = gcd(D, *G.values())
+    if common > 1:
+        G = {exp: c // common for exp, c in G.items()}
+        D //= common
+    out = NashState(state.vars, G, D, tuple(forms), state.step + 1, tuple(center))
     out.check_arc_on_transform()
     return out
 
 
 def _initial_state(f: MultiPoly, coords: Dict[str, PowerSeries]) -> NashState:
-    ambient = f.vars + (T,)
-    g = f.extend_vars(ambient)
-    arc = {v: coords[v] for v in f.vars}
-    state = NashState(g, arc, 0)
+    g = f.extend_vars(f.vars + (T,))
+    state = NashState.from_poly(g, {v: coords[v] for v in f.vars})
     state.check_arc_on_transform()
     return state
 

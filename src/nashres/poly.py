@@ -279,34 +279,13 @@ class MultiPoly:
         return out
 
     def _shift_one(self, index: int, c: Fraction) -> "MultiPoly":
-        # One group of terms per exponent vector of the other variables: its
-        # numerators over their lcm denominator D go through
-        # `taylor_shift_integers`, whose j-th output over q^n D is the
-        # coefficient of y^j.  No two groups share an output exponent, so each
-        # term is written once.
-        p, q = c.numerator, c.denominator
-        groups: Dict[Exponent, Dict[int, Fraction]] = {}
-        for exp, coeff in self.terms.items():
-            groups.setdefault(exp[:index] + exp[index + 1:], {})[exp[index]] = coeff
-        q_powers = [1]
-        for _ in range(max((e[index] for e in self.terms), default=0)):
-            q_powers.append(q_powers[-1] * q)
-        out: Terms = {}
-        for rest, group in groups.items():
-            head, tail = rest[:index], rest[index:]
-            n = max(group)
-            if n == 0:
-                out[head + (0,) + tail] = group[0]
-                continue
-            den = lcm(*(a.denominator for a in group.values()))
-            h = [0] * (n + 1)
-            for k, a in group.items():
-                h[k] = a.numerator * (den // a.denominator)
-            den *= q_powers[n]
-            for j, hj in enumerate(taylor_shift_integers(h, p, q_powers, n)):
-                if hj:
-                    out[head + (j,) + tail] = Fraction(hj, den)
-        return MultiPoly._raw(self.vars, out)
+        # The numerators over the lcm denominator D go through the integer
+        # grouped shift, whose output over q^N D is the shifted polynomial.
+        den = lcm(*(a.denominator for a in self.terms.values()))
+        ints = {exp: a.numerator * (den // a.denominator) for exp, a in self.terms.items()}
+        shifted, scale = shift_integer_terms(ints, index, c.numerator, c.denominator)
+        den *= scale
+        return MultiPoly._raw(self.vars, {exp: Fraction(v, den) for exp, v in shifted.items()})
 
     def t_chart(self, t: str, weights: Mapping[str, int], drop: int = 0) -> "MultiPoly":
         """Chart change in t: each t-exponent becomes sum(w_v e_v) - drop.
@@ -403,8 +382,9 @@ def taylor_shift_integers(a: Sequence[int], p: int, q_powers: Sequence[int], n: 
     n is at least the degree of f and q_powers[k] = q^k for k <= n, so that
     q^n f(y + p/q) = sum a_k q^(n-k) (qy + p)^k: the integers a_k q^(n-k) are
     shifted by p with Horner additions to H_j (von zur Gathen-Gerhard, ISSAC
-    1997), and the coefficient of y^j is H_j q^j.  The Taylor shift of
-    `MultiPoly` and the Newton-Puiseux stage of `generic` both run here.
+    1997), and the coefficient of y^j is H_j q^j.  The grouped shift
+    `shift_integer_terms` and the Newton-Puiseux stage of `generic` both run
+    here.
     """
     d = len(a) - 1
     h = [ak * q_powers[n - k] if ak else 0 for k, ak in enumerate(a)]
@@ -412,6 +392,42 @@ def taylor_shift_integers(a: Sequence[int], p: int, q_powers: Sequence[int], n: 
         for j in range(d - 1, i - 1, -1):
             h[j] += p * h[j + 1]
     return [hj * q_powers[j] for j, hj in enumerate(h)]
+
+
+def shift_integer_terms(
+    terms: Mapping[Exponent, int], index: int, p: int, q: int
+) -> Tuple[Dict[Exponent, int], int]:
+    """Integer Taylor shift of one variable by p/q: returns (H, q^N) with
+    H = q^N f(.., y + p/q, ..) for f = terms and N its degree in the variable
+    at `index`.
+
+    One group of terms per exponent vector of the other variables goes through
+    `taylor_shift_integers`, every group scaled by the same q^N, so H is one
+    integer polynomial.  No two groups share an output exponent, so each term
+    is written once.  `MultiPoly.translate` and the Nash blow-up step both
+    shift here.
+    """
+    groups: Dict[Exponent, Dict[int, int]] = {}
+    for exp, a in terms.items():
+        groups.setdefault(exp[:index] + exp[index + 1:], {})[exp[index]] = a
+    q_powers = [1]
+    for _ in range(max((e[index] for e in terms), default=0)):
+        q_powers.append(q_powers[-1] * q)
+    top = len(q_powers) - 1
+    out: Dict[Exponent, int] = {}
+    for rest, group in groups.items():
+        head, tail = rest[:index], rest[index:]
+        n = max(group)
+        if n == 0:
+            out[head + (0,) + tail] = group[0] * q_powers[top]
+            continue
+        h = [0] * (n + 1)
+        for k, a in group.items():
+            h[k] = a
+        for j, hj in enumerate(taylor_shift_integers(h, p, q_powers, top)):
+            if hj:
+                out[head + (j,) + tail] = hj
+    return out, q_powers[top]
 
 
 def canonical_var_key(name: str):

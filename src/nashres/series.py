@@ -11,11 +11,15 @@ over the lcm of its coefficient denominators, the numerator lists are
 multiplied, the denominators multiply, and a Fraction is built once per
 nonzero output coefficient.
 
-`poly_compose_series` evaluates a polynomial on series, and
-`PowerSeries.compose` goes through it.  Only the first n coefficients are
-computed, n = min(precision, degree bound), and each term is its numerator
-over the terms' lcm denominator times powers of the substitutes.  It has two
-paths, chosen from the input size alone:
+Evaluating a polynomial on series is one integer back end,
+`compose_integers`.  It takes each term as an integer numerator over its
+denominator and each substitute as integer numerators over one denominator
+with its precision.  `poly_compose_series` is its `Fraction` front end, and
+`PowerSeries.compose` goes through that; the Nash blow-up step calls the back
+end directly on its integer transform and arc.  Only the first n
+coefficients are computed, n = min(precision, degree bound), and each term
+is its numerator over the terms' lcm denominator times powers of the
+substitutes.  The back end has two paths, chosen from the input size alone:
 
 * Packed (Kronecker substitution).  Each substitute becomes one integer
   sum c_k 2^(wk); powers and term products are big-integer products kept
@@ -60,7 +64,7 @@ def _min_precision(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _integer_form(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
+def integer_form(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
     """Integer numerators over the lcm of the coefficient denominators."""
     den = 1
     for c in coeffs:
@@ -87,7 +91,7 @@ def _convolve(a: List[int], b: List[int], n: int | None) -> List[int]:
     return out
 
 
-def _from_integers(nums: List[int], den: int, precision: int | None) -> "PowerSeries":
+def from_integers(nums: Sequence[int], den: int, precision: int | None) -> "PowerSeries":
     """The series with coefficients nums[k] / den."""
     return PowerSeries([Fraction(v, den) if v else _ZERO for v in nums], precision)
 
@@ -185,9 +189,9 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         prec = _min_precision(self.precision, other.precision)
-        a, da = _integer_form(self.coeffs)
-        b, db = _integer_form(other.coeffs)
-        return _from_integers(_convolve(a, b, prec), da * db, prec)
+        a, da = integer_form(self.coeffs)
+        b, db = integer_form(other.coeffs)
+        return from_integers(_convolve(a, b, prec), da * db, prec)
 
     def __pow__(self, n: int) -> "PowerSeries":
         if n < 0:
@@ -294,54 +298,76 @@ def poly_compose_series(f, substitutions: dict) -> PowerSeries:
     """Evaluate a MultiPoly on power series, one substitute per variable.
 
     The result's precision is the min over the substitutes of variables that
-    actually occur in f (exact when they are all exact).
+    actually occur in f (exact when they are all exact).  This is the
+    `Fraction` front end of `compose_integers`.
     """
-    prec: int | None = None
     forms = {}  # variable index -> integer form of its substitute
     for i, v in enumerate(f.vars):
         if any(exp[i] for exp in f.terms):
             if v not in substitutions:
                 raise DimensionMismatchError(f"no substitute supplied for variable {v!r}")
-            prec = _min_precision(prec, substitutions[v].precision)
-            forms[i] = _integer_form(substitutions[v].coeffs)
-    # (numerator, denominator, [(variable index, exponent)]) of each term
-    # that no zero substitute kills, and the degree bound of their sum
-    terms = []
+            s = substitutions[v]
+            forms[i] = (*integer_form(s.coeffs), s.precision)
+    terms = [
+        (coeff.numerator, coeff.denominator, [(i, e) for i, e in enumerate(exp) if e])
+        for exp, coeff in f.terms.items()
+    ]
+    nums, common, prec = compose_integers(terms, forms)
+    return from_integers(nums, common, prec)
+
+
+def compose_integers(terms, forms) -> Tuple[List[int], int, int | None]:
+    """The integer back end: sum over terms of num/den * prod s_i^e_i.
+
+    A term is (num, den, [(i, e), ...]) with every e positive, and forms[i]
+    is (numerators, denominator, precision) of the substitute s_i.  Returns
+    (nums, common, prec): the sum is nums[k]/common t^k below t^n, where prec
+    is the min precision over the substitutes the terms use and n is the
+    smaller of prec and the degree bound.  The path is chosen here.
+    """
+    prec: int | None = None
+    subs = {}  # index -> numerators of each substitute the terms use
+    for _, _, factors in terms:
+        for i, _ in factors:
+            if i not in subs:
+                nums, _, p = forms[i]
+                subs[i] = nums
+                prec = _min_precision(prec, p)
+    # terms that no zero substitute kills, over their denominators, and the
+    # degree bound of their sum
+    kept = []
     degree = -1
-    for exp, coeff in f.terms.items():
-        factors = [(i, e) for i, e in enumerate(exp) if e]
-        den, d = coeff.denominator, 0
+    for num, den, factors in terms:
+        d = 0
         for i, e in factors:
-            nums, sd = forms[i]
+            nums = subs[i]
             if not nums:
                 break
-            den *= sd**e
+            den *= forms[i][1] ** e
             d += e * (len(nums) - 1)
         else:
-            terms.append((coeff.numerator, den, factors))
+            kept.append((num, den, factors))
             degree = max(degree, d)
     n = degree + 1 if prec is None else min(prec, degree + 1)
     if n <= 0:
-        return PowerSeries((), prec)
-    common = lcm(*(den for _, den, _ in terms))
-    scaled = [(num * (common // den), factors) for num, den, factors in terms]
-    norms = {i: sum(map(abs, nums[:n])) for i, (nums, _) in forms.items()}
+        return [], 1, prec
+    common = lcm(*(den for _, den, _ in kept))
+    scaled = [(num * (common // den), factors) for num, den, factors in kept]
+    norms = {i: sum(map(abs, nums[:n])) for i, nums in subs.items()}
     bound = 0
     for num, factors in scaled:
         for i, e in factors:
             num *= norms[i] ** e
         bound += abs(num)
     if not bound:
-        return PowerSeries((), prec)
+        return [], common, prec
     slot = bound.bit_length() // 8 + 1  # bytes: the bound's bits plus a sign bit
     if 8 * slot * n <= PACKED_MAX_BITS:
-        total = _packed_sum(scaled, forms, n, slot)
-    else:
-        total = _schoolbook_sum(scaled, forms, n)
-    return _from_integers(total, common, prec)
+        return _packed_sum(scaled, subs, n, slot), common, prec
+    return _schoolbook_sum(scaled, subs, n), common, prec
 
 
-def _packed_sum(scaled, forms, n: int, slot: int) -> List[int]:
+def _packed_sum(scaled, subs, n: int, slot: int) -> List[int]:
     """Kronecker evaluation: sum of num * prod s_v^e_v as n signed digits.
 
     t -> 2^w maps Z[t]/(t^n) to the integers mod 2^(wn), so every product
@@ -350,7 +376,7 @@ def _packed_sum(scaled, forms, n: int, slot: int) -> List[int]:
     w = 8 * slot
     mask = (1 << (w * n)) - 1
     powers = {}
-    for i, (nums, _) in forms.items():
+    for i, nums in subs.items():
         packed = 0
         for c in reversed(nums[:n]):
             packed = (packed << w) + c
@@ -376,9 +402,9 @@ def _packed_sum(scaled, forms, n: int, slot: int) -> List[int]:
     return digits
 
 
-def _schoolbook_sum(scaled, forms, n: int) -> List[int]:
+def _schoolbook_sum(scaled, subs, n: int) -> List[int]:
     """The same sum by convolution cut below t^n; powers[i][e] = s_i^e."""
-    powers = {i: [[1], nums] for i, (nums, _) in forms.items()}
+    powers = {i: [[1], nums] for i, nums in subs.items()}
     total = [0] * n
     for num, factors in scaled:
         nums = [num]

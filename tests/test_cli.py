@@ -352,3 +352,47 @@ def test_parser_is_built_once_and_calls_stay_independent(tmp_path):
     together = fresh_process(parse_error, usage_error, passing)
     assert [code for code, _ in together] == [2, 2, 0]
     assert together == fresh_process(parse_error) + fresh_process(usage_error) + fresh_process(passing)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["generic-arc", "--precision", "-5"], "--precision"),
+        (["verify", "--precision", "-5"], "--precision"),
+        (["generic-arc", "--precision", "0"], "--precision"),
+        (["nash", "ARC", "--precision", "0"], "--precision"),
+        (["verify", "--precision", "1025"], "--precision"),
+        (["verify", "--trials", "-3"], "--trials"),
+    ],
+)
+def test_out_of_range_numeric_options_exit_code(tmp_path, capsys, argv, option):
+    import time
+
+    from nashres.cli import MAX_PRECISION
+
+    assert MAX_PRECISION == 1024
+    pres = write(tmp_path, "p.json", CUSP)
+    arc = write(tmp_path, "a.json", CUSP_ARC)
+    argv = [argv[0], pres] + [arc if a == "ARC" else a for a in argv[1:]]
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--json"])
+    assert time.monotonic() - start < 1.0
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}" in captured.err
+
+
+def test_numeric_options_at_their_bounds_are_accepted(tmp_path, capsys):
+    import time
+
+    pres = write(tmp_path, "p.json", CUSP)
+    start = time.monotonic()
+    code, report = run_json(capsys, "verify", pres, "--trials", "0", "--precision", "1024")
+    assert code == 0
+    assert report["inputs"]["trials"] == 0
+    assert report["inputs"]["defaults"]["precision"] == 1024
+    code, report = run_json(capsys, "generic-arc", pres, "--precision", "1")
+    assert code == 3
+    assert time.monotonic() - start < 1.0

@@ -21,7 +21,7 @@ from conftest import exact_arc
 def cusp_state():
     g = parse_poly("x^2 - z^3").extend_vars(("x", "z", "t"))
     arc = {"x": PowerSeries.t_power(3), "z": PowerSeries.t_power(2)}
-    return NashState(g, arc, 0)
+    return NashState.from_poly(g, arc)
 
 
 def test_nash_step_first_transform():

@@ -9,17 +9,27 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from nashres import (
+    LocalPresentation,
     MultiPoly,
     PowerSeries,
     ReesAlgebra,
     algebra_order_at,
     diff_closure,
+    lift_monomial_base,
+    nash_sequence_equation,
     odot,
     poly_compose_series,
     sing_contains,
+    tschirnhausen_normalize,
 )
+from nashres import nash as nash_module
 from nashres import series as series_module
-from nashres.errors import ExtensionRequiredError
+from nashres.errors import (
+    ExtensionRequiredError,
+    InsufficientPrecisionError,
+    NashresError,
+    ValidationError,
+)
 from nashres.generic import (
     _lower_hull,
     _newton_puiseux_root,
@@ -758,6 +768,233 @@ def test_puiseux_loop_cases_cover_every_kind_of_branch():
     classify()
     assert outcomes == {
         "several edges", "extension", "exact", "truncated", "ramified", "three or more stages"
+    }
+
+
+# -- the integer Nash step against the MultiPoly step loop --------------------
+
+
+def _reference_image(f, subs):
+    """(coeffs, precision) of f(subs) in Fraction, every product cut at the precision."""
+    occurring = [v for i, v in enumerate(f.vars) if any(e[i] for e in f.terms)]
+    precisions = [subs[v].precision for v in occurring if subs[v].precision is not None]
+    prec = min(precisions) if precisions else None
+    total = []
+    for exp, c in f.terms.items():
+        term = [c]
+        for v, e in zip(f.vars, exp):
+            for _ in range(e):
+                term = _reference_product(term, list(subs[v].coeffs))[:prec]
+        total += [Fraction(0)] * (len(term) - len(total))
+        for k, x in enumerate(term):
+            total[k] += x
+    return _trimmed(total), prec
+
+
+def _reference_nash_sequence(f, coords, max_steps):
+    """The Fraction-valued MultiPoly step loop: `t_chart` with every weight 1
+    dropping t^m, the term-by-term Taylor shift above, and the arc checked on
+    every transform by the Fraction evaluation above.  Returns (multiplicities,
+    centers, rho, equations) or raises what `nash_sequence_equation` raises."""
+    T = "t"
+
+    def check(g, arc, step):
+        coeffs, prec = _reference_image(g, dict(arc, t=PowerSeries.t_power(1)))
+        if coeffs:
+            image = PowerSeries(coeffs, prec)
+            raise AssertionError(f"lifted arc left the strict transform at step {step}: {image}")
+
+    def step_once(g, arc, m, step):
+        for name, s in arc.items():
+            o = s.order()
+            if o.is_exact and o.value == 0:
+                raise AssertionError(f"lifted center escaped the t-chart via coordinate {name!r}")
+            if o.is_censored and o.value == 0:
+                raise InsufficientPrecisionError(f"coordinate {name!r} exhausted at step {step}")
+        g1 = g.t_chart(T, dict.fromkeys(g.vars, 1), drop=m)
+        new_arc, point = {}, []
+        for name in g.vars:
+            if name == T:
+                point.append(Fraction(0))
+                continue
+            s = arc[name].divide_t_power(1)
+            c = s.constant_term()
+            point.append(c)
+            new_arc[name] = PowerSeries((0,) + s.coeffs[1:], s.precision)
+        g1 = _reference_translate(g1, point)
+        center = tuple(c for name, c in zip(g.vars, point) if name != T)
+        check(g1, new_arc, step + 1)
+        return g1, new_arc, center
+
+    g = f.extend_vars(f.vars + (T,))
+    arc = {v: coords[v] for v in f.vars}
+    check(g, arc, 0)
+    m0 = min(sum(e) for e in g.terms)
+    mults, centers, equations = [m0], [], []
+    for step in range(max_steps + 1):
+        if step == max_steps:
+            precisions = [s.precision for s in coords.values() if s.precision is not None]
+            known = f"to precision {min(precisions)}" if precisions else "exactly"
+            raise ValidationError(
+                f"no multiplicity drop after {max_steps} blow-ups of {f} = 0 "
+                f"along an arc known {known}; is the arc inside the top stratum?"
+            )
+        try:
+            g, arc, center = step_once(g, arc, m0, step)
+        except InsufficientPrecisionError:
+            raise InsufficientPrecisionError(
+                "insufficient precision for the directed sequence; "
+                f"supply the arc to >= {step + 2} terms"
+            ) from None
+        centers.append(center)
+        mults.append(min(sum(e) for e in g.terms))
+        equations.append(str(g))
+        if mults[-1] < m0:
+            return tuple(mults), tuple(centers), len(mults) - 1, tuple(equations)
+
+
+def _sequence_or_error(f, coords):
+    try:
+        seq = nash_sequence_equation(f, coords, trace=True)
+    except (AssertionError, NashresError) as err:
+        return type(err), str(err)
+    assert seq.precision_consumed == seq.rho
+    return seq.multiplicities, seq.centers, seq.rho, seq.equations
+
+
+def _reference_or_error(f, coords, max_steps):
+    try:
+        return _reference_nash_sequence(f, coords, max_steps)
+    except (AssertionError, NashresError) as err:
+        return type(err), str(err)
+
+
+NASH_BASES = {1: ("z",), 2: ("z1", "z2")}
+nash_units = st.sampled_from(
+    sorted({Fraction(a, q) for a in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3)})
+)
+NASH_MAX_STEPS = 40
+
+
+@st.composite
+def lifted_arcs(draw):
+    """(f, coords): a centerd equation whose branches over Q((t)) are all
+    rational, and an arc on it lifted by `lift_monomial_base` at precision
+    4..24 from a base z_i -> u_i t^(a_i) with rational units, sometimes with
+    one coefficient moved so that the arc leaves the transform.
+
+    Its kinds: b = 2, 3 polynomial branches (exact arcs); x^b - M^b (1 + N)
+    for monomials M, N, a binomial series (truncated arcs, exact when N = 0);
+    and a polynomial branch times x^2 - M^2 (1 + N).  Some truncated lifts
+    are wrong below their precision (`_newton_puiseux_root` drops residual
+    terms at the target t-degree that still fix lower coefficients); the
+    check on a later transform finds them, as it finds a moved coefficient."""
+    d = draw(st.integers(min_value=1, max_value=2))
+    base = NASH_BASES[d]
+    V = ("x",) + base
+    x, one = MultiPoly.variable(V, "x"), MultiPoly.constant(V, 1)
+
+    def monomial():
+        exps = st.tuples(*[st.integers(min_value=0, max_value=2) for _ in base])
+        exp = draw(exps.filter(lambda e: sum(e) >= 1))
+        return MultiPoly(V, {(0,) + exp: draw(nash_units)})
+
+    def branch():
+        phi = monomial()
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            phi = phi + monomial()
+        return x - phi
+
+    def series_factor(b):
+        tail = monomial() if draw(st.booleans()) else MultiPoly.zero(V)
+        return x**b - monomial() ** b * (one + tail)
+
+    kind = draw(st.sampled_from(["branches", "series", "mixed"]))
+    if kind == "branches":
+        f = one
+        for _ in range(draw(st.integers(min_value=2, max_value=3))):
+            f = f * branch()
+    elif kind == "series":
+        f = series_factor(draw(st.integers(min_value=2, max_value=3)))
+    else:
+        f = branch() * series_factor(2)
+    h = tschirnhausen_normalize(f, "x")
+    units = draw(st.tuples(*[nash_units for _ in base]))
+    exponents = draw(st.tuples(*[st.integers(min_value=1, max_value=3) for _ in base]))
+    precision = draw(st.integers(min_value=4, max_value=24))
+    try:
+        va = lift_monomial_base(LocalPresentation(d, (h,)), units, exponents, precision)
+    except NashresError:
+        assume(False)
+    coords = dict(va.arc.coords)
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        v = draw(st.sampled_from(sorted(coords)))
+        s = coords[v]
+        top = s.precision if s.precision is not None else len(s.coeffs) + 2
+        k = draw(st.integers(min_value=1, max_value=top - 1))
+        cs = list(s.coeffs) + [Fraction(0)] * (k + 1 - len(s.coeffs))
+        cs[k] += draw(nash_units)
+        coords[v] = PowerSeries(cs, s.precision)
+    return h.polynomial, coords
+
+
+_CUSP = MultiPoly(("x", "z"), {(2, 0): 1, (0, 3): -1})
+_ESCAPING = {"x": PowerSeries([1, 3, 3, 1]), "z": PowerSeries([1, 2, 1])}  # through (1, 1)
+_INSIDE_TOP_STRATUM = {"x": PowerSeries.zero(), "z": PowerSeries.zero()}
+
+
+@seed(20151111)
+@settings(max_examples=150, deadline=None)
+@given(lifted_arcs())
+@example((_CUSP, _ESCAPING))
+@example((_CUSP, _INSIDE_TOP_STRATUM))
+def test_integer_nash_sequence_matches_the_multipoly_loop(case):
+    # same multiplicities, centers, rho and traced equations, or the same
+    # typed error with the same message (which names the step)
+    f, coords = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nash_module, "_MAX_STEPS", NASH_MAX_STEPS)
+        got = _sequence_or_error(f, coords)
+    assert got == _reference_or_error(f, coords, NASH_MAX_STEPS)
+
+
+def test_fixed_nash_cases_reach_the_escape_and_the_step_cap():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nash_module, "_MAX_STEPS", NASH_MAX_STEPS)
+        escaped = _sequence_or_error(_CUSP, _ESCAPING)
+        capped = _sequence_or_error(_CUSP, _INSIDE_TOP_STRATUM)
+    assert escaped == (AssertionError, "lifted center escaped the t-chart via coordinate 'x'")
+    assert capped[0] is ValidationError and f"after {NASH_MAX_STEPS} blow-ups" in capped[1]
+
+
+def test_nash_cases_cover_every_kind_of_outcome():
+    # The arcs of the differential test reach every outcome of the loop.
+    outcomes = set()
+
+    @seed(20151111)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(lifted_arcs())
+    def classify(case):
+        f, coords = case
+        result = _reference_or_error(f, coords, NASH_MAX_STEPS)
+        if result[0] is AssertionError:
+            outcomes.add("off at step 0" if "at step 0:" in result[1] else "off at a later step")
+            return
+        if result[0] is InsufficientPrecisionError:
+            outcomes.add("insufficient precision")
+            return
+        _, centers, rho, _ = result
+        exact = all(s.precision is None for s in coords.values())
+        outcomes.add("exact arc" if exact else "truncated arc")
+        if any(c.denominator > 1 for center in centers for c in center):
+            outcomes.add("rational center")
+        if rho >= 3:
+            outcomes.add("three or more steps")
+
+    classify()
+    assert outcomes == {
+        "off at step 0", "off at a later step", "insufficient precision", "exact arc",
+        "truncated arc", "rational center", "three or more steps",
     }
 
 
