@@ -42,7 +42,6 @@ from .generic import (
     is_diagonal_generic,
     lift_monomial_base,
     lift_to_presentation,
-    puiseux_lift,
     verify_genericity,
 )
 from .nash import (

@@ -10,7 +10,12 @@ Each stage is the chart move x -> t^m (c + x) of the blow-ups in `nash`, made
 on a primitive integer polynomial {(x-degree, t-degree): int} rather than on
 a `MultiPoly`: exponent maps for the chart and for ramification t -> t^q, the
 integer Taylor shift `poly.taylor_shift_integers` on each t-column, then
-division by the lowest power of t and by the content.  Each root is certified
+division by the lowest power of t and by the content.  Once a residual has a
+simple root (its x-coefficient has a nonzero constant term), the rest of the
+root is found by Newton iteration with precision doubling instead, in s = t^g
+for the gcd g of the residual's t-exponents, on integer numerators through
+`series.compose_integers`; an exact probe of that tail at t = 2 decides
+whether the stages must run on to find an exact root.  Each root is certified
 against the original equation with `MultiPoly.t_chart` and
 `poly_compose_series`.
 """
@@ -38,7 +43,7 @@ from .presentation import (
     presentation_elimination_order,
 )
 from .rees import ReesAlgebra, algebra_order_at, onedim_order
-from .series import PowerSeries, poly_compose_series
+from .series import PowerSeries, _convolve, compose_integers, poly_compose_series
 
 T = "t"
 
@@ -310,6 +315,17 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
     below the bound only ever involves t-orders below the constant
     coefficient's order, so discarded terms cannot influence any branch
     coefficient under the requested precision.
+
+    The regular tail starts at the first stage whose residual has the point
+    (1, 0): from there every edge runs from (0, v0) to (1, 0), the root is
+    simple, and its coefficients below t^bound depend only on the kept terms.
+    `_hensel_tail` computes them all at once by Newton iteration, in
+    s = t^g for the gcd g of the residual's t-exponents.  The stages would
+    return an exact root only if the tail, read as a polynomial, were an
+    exact root of the residual; so the residual is probed at (tail(2), 2).
+    A nonzero value proves it is not, and the tail comes back truncated at
+    the target.  A zero value hands the root back to the stages, which then
+    run to the end.
     """
     x_index, t_index = F.vars.index(xvar), F.vars.index(T)
     denom = lcm(*(c.denominator for c in F.terms.values()))
@@ -322,6 +338,7 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
     found: List[Tuple[Fraction, int]] = []  # (coefficient, absolute exponent)
     shift = 0  # exponent offset of the current residual's roots
     lossy = False
+    try_tail = True
     while True:
         bound = max(target - shift, 1)
         kept = {ij: a for ij, a in cur.items() if ij[1] < bound}
@@ -338,6 +355,15 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
             raise ExtensionRequiredError(
                 "no branch through the origin on this Newton polygon"
             )
+        if try_tail and (1, 0) in cur:
+            # the regular tail: every further edge ends at (1, 0), so the root
+            # is simple and its coefficients below t^bound are those of cur
+            nums, den, g = _hensel_tail(cur, bound)
+            if _is_root_at_two(cur, nums, den, g):
+                try_tail = False  # perhaps an exact root: the stages decide
+            else:
+                found += [(Fraction(c, den), shift + k * g) for k, c in enumerate(nums) if c]
+                return _series_from_terms(found, precision=target), e
         # the edge runs from (0, v0) to (i1, v1) with slope -m/q in lowest terms
         (_, v0), (i1, v1) = hull[0], hull[1]
         g = gcd(v0 - v1, i1)
@@ -394,6 +420,69 @@ def _chart_stage(cur: Dict[Tuple[int, int], int], m: int, c: Fraction) -> Dict[T
     return {ij: a // content for ij, a in out.items()}
 
 
+def _hensel_tail(cur: Dict[Tuple[int, int], int], n: int) -> Tuple[List[int], int, int]:
+    """The root y of cur(y, t) = 0 with y(0) = 0 below t^n, where cur[(1, 0)] != 0.
+
+    Returns (nums, den, g) with y = sum nums[k]/den t^(k g) + O(t^n).  The
+    t-exponents of cur have gcd g, so y lies in s = t^g and is computed to
+    ceil(n/g) coefficients in s.  Newton iteration with precision doubling,
+    y <- y - P(y) w for P(x) = cur(x, s) and w = 1/P'(y), updated by its own
+    Newton step w <- w (2 - P'(y) w).  While y is right below s^p, P(y) and
+    1 - P'(y) w vanish below s^p, so each correction is a product of their
+    upper parts.  Series are integer numerators over one denominator, reduced
+    by their gcd.
+    """
+    g = 0
+    for _, j in cur:
+        g = gcd(g, j)
+    size = -(-n // g)
+    value = [_term(a, i, j // g) for (i, j), a in cur.items()]
+    slope = [_term(i * a, i - 1, j // g) for (i, j), a in cur.items() if i]
+    s_form = ([0, 1], 1, None)
+    schedule = [size]
+    while schedule[-1] > 1:
+        schedule.append((schedule[-1] + 1) // 2)
+    y, y_den, w, w_den, p = [], 1, [1], cur[1, 0], 1
+    for p2 in reversed(schedule[:-1]):
+        nums, den, _ = compose_integers(value, {0: (y, y_den, p2), 1: s_form})
+        step = _convolve(nums[p:], w, p2 - p)
+        y, y_den = _raise_precision(y, y_den, [-c for c in step], den * w_den, p)
+        if p2 < size:
+            nums, den, _ = compose_integers(slope, {0: (y, y_den, p2), 1: s_form})
+            error = _convolve(nums, w, p2)[p:]  # P'(y) w = 1 - error s^p/(den w_den)
+            step = _convolve(w, [-c for c in error], p2 - p)
+            w, w_den = _raise_precision(w, w_den, step, den * w_den * w_den, p)
+        p = p2
+    return y, y_den, g
+
+
+def _term(a: int, i: int, j: int):
+    """a x^i t^j as a `compose_integers` term, x the substitute 0 and t the substitute 1."""
+    return (a, 1, [(k, e) for k, e in ((0, i), (1, j)) if e])
+
+
+def _raise_precision(
+    low: List[int], low_den: int, high: List[int], high_den: int, p: int
+) -> Tuple[List[int], int]:
+    """low/low_den + s^p high/high_den as numerators over one reduced denominator."""
+    den = lcm(low_den, high_den)
+    a, b = den // low_den, den // high_den
+    nums = [c * a for c in low] + [0] * (p - len(low)) + [c * b for c in high]
+    common = gcd(den, *nums)
+    return [c // common for c in nums], den // common
+
+
+def _is_root_at_two(cur: Dict[Tuple[int, int], int], nums: List[int], den: int, g: int) -> bool:
+    """Does cur vanish at (y(2), 2), y = sum nums[k]/den t^(k g) as a polynomial?
+
+    A polynomial root of cur passes; a nonzero value proves that y is not one.
+    """
+    y_num = sum(c << (k * g) for k, c in enumerate(nums))
+    terms = [_term(a, i, j) for (i, j), a in cur.items()]
+    value, _, _ = compose_integers(terms, {0: ([y_num], den, None), 1: ([2], 1, None)})
+    return not any(value)
+
+
 def _series_from_terms(terms: List[Tuple[Fraction, int]], precision: int | None) -> PowerSeries:
     if not terms:
         return PowerSeries.zero(precision)
@@ -444,16 +533,11 @@ def _lift_equation(
         check, {h.var: root, T: PowerSeries.t_power(1, root.precision)}
     )
     if not residual.is_zero_to_precision():
-        raise AssertionError(f"puiseux root fails the residual check: {residual}")
+        raise IdentityViolationError(
+            f"Newton-Puiseux residual check: the root {root} (ramification {e}) "
+            f"of {F} = 0 leaves {residual}"
+        )
     return PuiseuxLift(ramification=e, root=root, residual_order=residual.order())
-
-
-def puiseux_lift(
-    h: TschirnhausenHypersurface, base: DiagonalArc, precision: int = 64
-) -> PuiseuxLift:
-    """Solve f(x, u t^alpha) = 0 for x(t), reparametrizing to stay rational."""
-    exponents = [base.alpha] * len(base.base_vars)
-    return _lift_equation(h, base.units, exponents, precision)
 
 
 def lift_monomial_base(
@@ -551,7 +635,11 @@ def construct_generic_arc(
 def _common_ramification(va: ValidatedArc, base: DiagonalArc) -> int:
     """Exponent scaling applied to the base: N = alpha * e gives e."""
     n = arc_base_exponent(va)
-    assert n is not None and n % base.alpha == 0
+    if n is None or n % base.alpha:
+        raise IdentityViolationError(
+            f"common ramification: the lifted base coordinates have order {n}, "
+            f"not a multiple of alpha = {base.alpha}"
+        )
     return n // base.alpha
 
 

@@ -109,7 +109,7 @@ class NashState:
         nums, common, precision = compose_integers(terms, self.forms)
         if any(nums):
             image = from_integers(nums, common * self.D, precision)
-            raise AssertionError(
+            raise IdentityViolationError(
                 f"lifted arc left the strict transform at step {self.step}: {image}"
             )
 
@@ -138,8 +138,9 @@ def nash_step(state: NashState, m0: int) -> NashState:
         if i == ti:
             continue
         if nums and nums[0]:
-            raise AssertionError(
-                f"lifted center escaped the t-chart via coordinate {state.vars[i]!r}"
+            raise IdentityViolationError(
+                f"lifted center escaped the t-chart via coordinate {state.vars[i]!r} "
+                f"at step {state.step}"
             )
         if not nums and precision == 0:
             raise InsufficientPrecisionError(
@@ -148,7 +149,11 @@ def nash_step(state: NashState, m0: int) -> NashState:
     # the chart: x -> t x for every ambient x, then t^m divides out
     G = {exp[:ti] + (sum(exp) - m,) + exp[ti + 1:]: c for exp, c in state.G.items()}
     low = min(exp[ti] for exp in G)
-    assert low == 0, f"exceptional multiplicity {low + m} != expected order {m}"
+    if low:
+        raise IdentityViolationError(
+            f"blow-up at step {state.step}: exceptional multiplicity {low + m} "
+            f"!= multiplicity {m}"
+        )
     forms = list(state.forms)
     center, shifts = [], []
     for i, (nums, den, precision) in enumerate(state.forms):

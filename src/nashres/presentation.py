@@ -16,6 +16,7 @@ from typing import Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
+    IdentityViolationError,
     NotCenteredError,
     ValidationError,
 )
@@ -101,7 +102,11 @@ def tschirnhausen_normalize(f: MultiPoly, var: str) -> TschirnhausenHypersurface
         f = f.substitute(var, x - d_top.scale(Fraction(1, b)))
         coeffs = f.coefficients_in(var)
         top = coeffs.get(b - 1)
-        assert top is None or top.is_zero()
+        if top is not None and not top.is_zero():
+            raise IdentityViolationError(
+                f"Tschirnhausen normalization in {var!r}: the shift left {top} "
+                f"on {var}^{b - 1} in {f}"
+            )
     base_vars = tuple(v for v in f.vars if v != var)
     zero = MultiPoly.zero(base_vars)
     bs = []

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
+    IdentityViolationError,
     InsufficientPrecisionError,
     NotPermissibleError,
     ValidationError,
@@ -255,7 +256,9 @@ def onedim_order_witness(algebra: OneDimAlgebra) -> Tuple[Fraction, int]:
     for i, g in enumerate(algebra.generators):
         if g.a.is_exact and g.quotient().value == order:
             return Fraction(order), i
-    raise AssertionError("exact minimum without exact witness")
+    raise IdentityViolationError(
+        f"one-dimensional order {order}: no generator attains it exactly"
+    )
 
 
 def onedim_transform(algebra: OneDimAlgebra) -> OneDimAlgebra:

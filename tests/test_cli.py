@@ -236,6 +236,32 @@ def test_identity_violation_exit_code(tmp_path, capsys, monkeypatch):
     assert report["checks"][0]["status"] == "fail"
 
 
+# Lifted over z = (-3 t^3, -3/2 t^3) at precision 21 and 30, this equation's
+# branch comes back wrong below its precision (the exact root is 27/2 t^12).
+TRUNCATED_LIFT_DEFECT = {
+    "d": 2,
+    "hypersurfaces": [{
+        "var": "x",
+        "b": 3,
+        "f": "x^3 - 1/4 x z1^2 z2^2 - 1/3 x z1^4 z2^4 + 1/6 z1^4 z2^4 - 2/27 z1^6 z2^6",
+    }],
+}
+
+
+@pytest.mark.parametrize("precision, x, step", [
+    (21, "0", 2),
+    (30, "27/2*t^12 + 243/2*t^24", 4),
+])
+def test_nash_on_a_wrong_truncated_lift_exit_code(tmp_path, capsys, precision, x, step):
+    # the arc leaves a strict transform: a typed identity violation, not a crash
+    pres = write(tmp_path, "p.json", TRUNCATED_LIFT_DEFECT)
+    coords = {"x": x, "z1": "-3*t^3", "z2": "-3/2*t^3"}
+    arc = write(tmp_path, "a.json", {"precision": precision, "coords": coords})
+    code, report = run_json(capsys, "nash", pres, arc)
+    assert code == 5
+    assert f"left the strict transform at step {step}" in report["results"]["error"]
+
+
 def test_human_readable_output(tmp_path, capsys):
     pres = write(tmp_path, "p.json", CUSP)
     code, out = run(capsys, "elim", pres)

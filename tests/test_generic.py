@@ -14,13 +14,12 @@ from nashres import (
     lift_to_presentation,
     parse_poly,
     presentation_elimination_order,
-    puiseux_lift,
     tschirnhausen_normalize,
     validate_arc,
     verify_genericity,
 )
 from nashres.errors import ExtensionRequiredError, MaxMultArcError
-from nashres.generic import _equation_on_base, unit_tuples
+from nashres.generic import _equation_on_base, _lift_equation, unit_tuples
 from nashres.poly import MultiPoly
 
 from conftest import a_n, make_presentation
@@ -66,7 +65,7 @@ def test_diagonal_genericity_negative():
 
 def test_puiseux_cusp(cusp):
     h = cusp.hypersurfaces[0]
-    lift = puiseux_lift(h, build_diagonal_arc([1], 1, ("z",)))
+    lift = _lift_equation(h, [1], [1], 64)
     assert lift.ramification == 2
     assert lift.root.is_exact
     assert lift.root.coeffs == (0, 0, 0, 1)  # t^3 after t -> t^2
@@ -74,7 +73,7 @@ def test_puiseux_cusp(cusp):
 
 def test_puiseux_umbrella_alpha_two(umbrella):
     h = umbrella.hypersurfaces[0]
-    lift = puiseux_lift(h, build_diagonal_arc([1, 1], 2, ("z1", "z2")))
+    lift = _lift_equation(h, [1, 1], [2, 2], 64)
     assert lift.ramification == 1
     assert lift.root.coeffs == (0, 0, 0, 1)
 
@@ -82,14 +81,14 @@ def test_puiseux_umbrella_alpha_two(umbrella):
 def test_puiseux_requires_rational_branch():
     h = tschirnhausen_normalize(parse_poly("x^2 + z^2"), "x")
     with pytest.raises(ExtensionRequiredError):
-        puiseux_lift(h, build_diagonal_arc([1], 1, ("z",)))
+        _lift_equation(h, [1], [1], 64)
 
 
 def test_puiseux_nonterminating_branch_truncates():
     # x^2 = z^2 (1 + z): the branch is z sqrt(1+z), an infinite series with
     # rational coefficients, so the root comes back truncated at the request
     h = tschirnhausen_normalize(parse_poly("x^2 - z^2 - z^3"), "x")
-    lift = puiseux_lift(h, build_diagonal_arc([1], 1, ("z",)), precision=8)
+    lift = _lift_equation(h, [1], [1], 8)
     assert lift.ramification == 1
     assert not lift.exact
     assert lift.root.precision == 8
@@ -108,7 +107,7 @@ def test_truncated_lift_still_attains_the_order():
 def test_puiseux_rejects_pure_power():
     h = tschirnhausen_normalize(parse_poly("x^2 + 0 z", ("x", "z")), "x")
     with pytest.raises(MaxMultArcError):
-        puiseux_lift(h, build_diagonal_arc([1], 1, ("z",)))
+        _lift_equation(h, [1], [1], 64)
 
 
 def test_lift_two_hypersurfaces(two_hyp):

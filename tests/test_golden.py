@@ -53,6 +53,7 @@ PRESENTATIONS = {
         "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 + 2z x + z^3"}],
     },
     "quartic_tail": {"d": 1, "hypersurfaces": [{"var": "x", "b": 4, "f": "x^4 - z^5 - z^7"}]},
+    "cubic_tail": {"d": 1, "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 - z^4 - z^5"}]},
     "cubic_big_constant": {
         "d": 1,
         "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 - 8000000000000 z^4"}],
@@ -97,6 +98,10 @@ CASES = {
     ),
     "generic_arc_two_hyp_three_base_p96": (
         "two_hyp_three_base", None, ["generic-arc", "--precision", "96"],
+    ),
+    # Ramification 3, then a regular tail on every third power of t (alpha = 2).
+    "generic_arc_cubic_tail_alpha2_p256": (
+        "cubic_tail", None, ["generic-arc", "--precision", "256", "--alpha", "2"],
     ),
     "nash_cusp_shifted": ("cusp", "cusp_shifted", ["nash", "--trace"]),
     "nash_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["nash", "--trace"]),

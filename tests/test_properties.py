@@ -22,10 +22,12 @@ from nashres import (
     sing_contains,
     tschirnhausen_normalize,
 )
+from nashres import generic as generic_module
 from nashres import nash as nash_module
 from nashres import series as series_module
 from nashres.errors import (
     ExtensionRequiredError,
+    IdentityViolationError,
     InsufficientPrecisionError,
     NashresError,
     ValidationError,
@@ -771,6 +773,101 @@ def test_puiseux_loop_cases_cover_every_kind_of_branch():
     }
 
 
+# -- the Newton tail against the stage loop, at long precisions ------------------
+
+
+@st.composite
+def tail_equations(draw):
+    """(F, precision): a branch of order p/q in Q[x, t] times a cofactor whose
+    branches have lower order, so that the steepest edge is the branch's,
+    at precision 24..200.
+
+    The branch is x^q - a t^p (1 + d t^r) for q = 2, 3, a binomial series
+    (ramified when q does not divide p; its tail lies in a power of t), or
+    x - phi(t) for a polynomial phi, an exact root that the stages find unless
+    a term at t-degree >= 201, which the truncation drops, is added to the
+    cofactor.  A further term, on or above the Newton polygon or below it,
+    sometimes turns the root into a dense series or moves the branch."""
+    x, t = MultiPoly.variable(XT, "x"), MultiPoly.variable(XT, "t")
+    one = MultiPoly.constant(XT, 1)
+    q = draw(st.integers(min_value=1, max_value=3))
+    p = draw(st.integers(min_value=2, max_value=5))
+    if q == 1:
+        branch = x
+        for k in range(p, p + draw(st.integers(min_value=1, max_value=4))):
+            branch = branch - (t**k).scale(draw(small_units))
+    else:
+        a = draw(small_units)
+        if draw(st.booleans()):
+            a = a**q
+        r = draw(st.integers(min_value=1, max_value=3))
+        branch = x**q - (t**p).scale(a) * (one + (t**r).scale(draw(small_units)))
+    cofactor = one
+    e = draw(st.integers(min_value=0, max_value=2))
+    if e:  # a branch of order k/e < p/q
+        k = draw(st.integers(min_value=1, max_value=max(1, -(-p * e // q) - 1)))
+        cofactor = x**e - (t**k).scale(draw(small_units))
+    if draw(st.booleans()):
+        cofactor = cofactor + (t ** draw(st.integers(min_value=201, max_value=204))).scale(draw(small_units))
+    F = branch * cofactor
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        i = draw(st.integers(min_value=0, max_value=2))
+        F = F + (x**i * t ** draw(st.integers(min_value=1, max_value=12))).scale(draw(small_units))
+    return F, draw(st.integers(min_value=24, max_value=200))
+
+
+@seed(20151112)
+@settings(max_examples=40, deadline=None)
+@given(tail_equations())
+def test_newton_tail_matches_the_multipoly_loop(case):
+    F, precision = case
+    assert _root_or_error(_newton_puiseux_root, F, precision) == _root_or_error(
+        _reference_newton_puiseux_root, F, precision
+    )
+
+
+def test_newton_tail_cases_cover_every_kind_of_tail(monkeypatch):
+    # The equations of the tail test reach a compressed tail after ramification,
+    # a dense tail, a polynomial root found by the stages after the probe, and a
+    # polynomial root that comes back truncated.
+    outcomes, compressions = set(), []
+    tail = generic_module._hensel_tail
+
+    def spy(cur, n):
+        nums, den, g = tail(cur, n)
+        compressions.append(g)
+        return nums, den, g
+
+    monkeypatch.setattr(generic_module, "_hensel_tail", spy)
+
+    @seed(20151112)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(tail_equations())
+    def classify(case):
+        F, precision = case
+        compressions.clear()
+        result = _root_or_error(_newton_puiseux_root, F, precision)
+        if result is ExtensionRequiredError or not compressions:
+            return
+        root, e = result
+        if e > 1 and compressions[0] > 1 and not root.is_exact:
+            outcomes.add("ramified, compressed tail")
+        if compressions[0] == 1 and not root.is_exact:
+            outcomes.add("dense tail")
+        if root.is_exact:
+            outcomes.add("exact after the probe")
+            return
+        substitutes = {"x": PowerSeries(root.coeffs), "t": PowerSeries.t_power(1)}
+        if poly_compose_series(F.t_chart("t", {"t": e}), substitutes).is_exactly_zero():
+            outcomes.add("polynomial root, truncated")
+
+    classify()
+    assert outcomes == {
+        "ramified, compressed tail", "dense tail", "exact after the probe",
+        "polynomial root, truncated",
+    }
+
+
 # -- the integer Nash step against the MultiPoly step loop --------------------
 
 
@@ -802,13 +899,17 @@ def _reference_nash_sequence(f, coords, max_steps):
         coeffs, prec = _reference_image(g, dict(arc, t=PowerSeries.t_power(1)))
         if coeffs:
             image = PowerSeries(coeffs, prec)
-            raise AssertionError(f"lifted arc left the strict transform at step {step}: {image}")
+            raise IdentityViolationError(
+                f"lifted arc left the strict transform at step {step}: {image}"
+            )
 
     def step_once(g, arc, m, step):
         for name, s in arc.items():
             o = s.order()
             if o.is_exact and o.value == 0:
-                raise AssertionError(f"lifted center escaped the t-chart via coordinate {name!r}")
+                raise IdentityViolationError(
+                    f"lifted center escaped the t-chart via coordinate {name!r} at step {step}"
+                )
             if o.is_censored and o.value == 0:
                 raise InsufficientPrecisionError(f"coordinate {name!r} exhausted at step {step}")
         g1 = g.t_chart(T, dict.fromkeys(g.vars, 1), drop=m)
@@ -856,7 +957,7 @@ def _reference_nash_sequence(f, coords, max_steps):
 def _sequence_or_error(f, coords):
     try:
         seq = nash_sequence_equation(f, coords, trace=True)
-    except (AssertionError, NashresError) as err:
+    except NashresError as err:
         return type(err), str(err)
     assert seq.precision_consumed == seq.rho
     return seq.multiplicities, seq.centers, seq.rho, seq.equations
@@ -865,7 +966,7 @@ def _sequence_or_error(f, coords):
 def _reference_or_error(f, coords, max_steps):
     try:
         return _reference_nash_sequence(f, coords, max_steps)
-    except (AssertionError, NashresError) as err:
+    except NashresError as err:
         return type(err), str(err)
 
 
@@ -963,7 +1064,9 @@ def test_fixed_nash_cases_reach_the_escape_and_the_step_cap():
         mp.setattr(nash_module, "_MAX_STEPS", NASH_MAX_STEPS)
         escaped = _sequence_or_error(_CUSP, _ESCAPING)
         capped = _sequence_or_error(_CUSP, _INSIDE_TOP_STRATUM)
-    assert escaped == (AssertionError, "lifted center escaped the t-chart via coordinate 'x'")
+    assert escaped == (
+        IdentityViolationError, "lifted center escaped the t-chart via coordinate 'x' at step 0"
+    )
     assert capped[0] is ValidationError and f"after {NASH_MAX_STEPS} blow-ups" in capped[1]
 
 
@@ -977,7 +1080,7 @@ def test_nash_cases_cover_every_kind_of_outcome():
     def classify(case):
         f, coords = case
         result = _reference_or_error(f, coords, NASH_MAX_STEPS)
-        if result[0] is AssertionError:
+        if result[0] is IdentityViolationError:
             outcomes.add("off at step 0" if "at step 0:" in result[1] else "off at a later step")
             return
         if result[0] is InsufficientPrecisionError:
