@@ -16,7 +16,6 @@ from .arcs import (
     contact_order,
     contact_order_without_x,
     image_of_algebra,
-    project_arc,
     validate_arc,
 )
 from .errors import (

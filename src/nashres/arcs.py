@@ -118,9 +118,6 @@ class ValidatedArc:
     # per hypersurface: its elimination generators of finite image order
     elimination_images: Tuple[Tuple[str, Tuple[Tuple[OneDimGenerator, ReesGenerator], ...]], ...]
 
-    def certificate_for(self, var: str) -> VanishingCertificate:
-        return dict(self.certificates)[var]
-
     @property
     def in_max_mult(self) -> bool:  # every elimination image is exactly zero
         return not any(pairs for _, pairs in self.elimination_images)
@@ -160,15 +157,6 @@ def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
             "every elimination image is zero to precision but not exactly"
         )
     return ValidatedArc(arc, p, tuple(certs), tuple(images))
-
-
-def project_arc(va: ValidatedArc, target: str) -> Arc:
-    """Coordinate restriction: 'base' or a distinguished variable name."""
-    p = va.presentation
-    if target == "base":
-        return va.arc.restrict(p.base_vars)
-    h = p.hypersurface_for(target)
-    return va.arc.restrict(h.ambient_vars)
 
 
 def image_of_algebra(a: Arc, algebra: ReesAlgebra) -> OneDimAlgebra:

@@ -265,12 +265,6 @@ class PresentationNashSummary:
     per_hypersurface: Tuple[Tuple[str, Optional[NashSequence]], ...]
     contact_r: Fraction
 
-    def sequence_for(self, var: str) -> Optional[NashSequence]:
-        for name, seq in self.per_hypersurface:
-            if name == var:
-                return seq
-        raise KeyError(var)
-
 
 def nash_sequence_presentation(
     p: LocalPresentation, va: ValidatedArc, trace: bool = False

@@ -175,12 +175,6 @@ class LocalPresentation:
     def ambient_vars(self) -> Tuple[str, ...]:
         return tuple(h.var for h in self.hypersurfaces) + self.base_vars
 
-    def hypersurface_for(self, var: str) -> TschirnhausenHypersurface:
-        for h in self.hypersurfaces:
-            if h.var == var:
-                return h
-        raise ValidationError(f"no hypersurface with distinguished variable {var!r}")
-
     @cached_property
     def ambient_algebra(self) -> ReesAlgebra:
         return ambient_algebra(self)

@@ -19,31 +19,50 @@ with its precision.  `poly_compose_series` is its `Fraction` front end, and
 end directly on its integer transform and arc.  Only the first n
 coefficients are computed, n = min(precision, degree bound), and each term
 is its numerator over the terms' lcm denominator times powers of the
-substitutes.  The back end has two paths, chosen from the input size alone:
+substitutes.
 
-* Packed (Kronecker substitution).  Each substitute becomes one integer
-  sum c_k 2^(wk); powers and term products are big-integer products kept
-  to the low n slots (exact modulo 2^(wn)), the terms are summed, and the
-  sum is unpacked once into balanced digits with borrows.  Every
-  coefficient of the sum is at most its 1-norm bound, the sum over terms of
-  |numerator| prod ||s_v||_1^(e_v), which also bounds every power and
-  product; w is the bits of that bound plus a sign bit, rounded up to
-  whole bytes, so no slot overflows.
-* Schoolbook.  The same terms by integer convolution cut below t^n, with a
-  per-call cache of the powers of each substitute.
+The work follows the support of the substitutes.  Below t^n each one is a
+monomial c t^a or t^a sigma(t^g), where g is the gcd of the gaps between the
+nonzero exponents of all substitutes, as on a ramified root or a root lifted
+at alpha = 2 (Duval, Rational Puiseux expansions, 1989).  Monomials fold
+into the term's numerator and offset o = sum a_i e_i.  When every
+substitute is a monomial (g = 0) each term is one coefficient at t^o: the
+monomial map, with nothing packed or convolved.  Otherwise the terms are
+grouped by the residue r of o mod g, each is shifted by o // g, and each
+class is a sum of products of the sigma_i in s = t^g to ceil(n/g)
+coefficients; its coefficient k lands at t^(r + g k).  Only the powers the
+terms use are built.  An even power is the square of its half (`_square`
+forms each cross product once), so a quartic in Tschirnhausen form, which
+has no x^3 term, never builds x^3; an odd one is the base times the power
+below.  A short base whose powers are all used, as in `PowerSeries.compose`,
+is multiplied on where that is cheaper than squaring (`_powers`).  Each
+class is evaluated on one of two paths, chosen from the input size alone:
 
-The packed path runs while w*n is at most PACKED_MAX_BITS.  Both paths were
-timed on every compose call of the three perfbench workloads (CPython 3.11,
-2-core x86): packed was 1.2-3x faster up to 2^14.25 bits, verify's calls
-lost from 2^14.5 bits up (0.3-0.8x), and lift's long sparse residual checks
-lost 2-20x above 2^15.5 bits: CPython multiplies big integers by Karatsuba
-at best, while a convolution skips zero coefficients.
+* Packed (Kronecker substitution).  Each sigma becomes one integer
+  sum c_k 2^(wk); powers and term products are big-integer products cut to
+  the low ceil(n/g) slots (exact modulo 2^(w ceil(n/g))) as balanced
+  residues, so a short series stays a short integer even with negative
+  coefficients.  A class's terms are summed, and the sum is unpacked once
+  into balanced digits with borrows.  Every coefficient of a sum is at most
+  the 1-norm bound, the sum over terms of |numerator| prod
+  ||sigma_v||_1^(e_v), which also bounds every power and product; w is the
+  bits of that bound plus a sign bit, rounded up to whole bytes, so no slot
+  overflows.
+* Schoolbook.  The same sums by integer convolution cut below s^ceil(n/g).
+
+The packed path runs while w*ceil(n/g) is at most PACKED_MAX_BITS.  Both
+paths were timed on every compose call of the three perfbench workloads
+(CPython 3.11, 2-core x86), before the lattice, when the cut applied to n:
+packed was 1.2-3x faster up to 2^14.25 bits, verify's calls lost from
+2^14.5 bits up (0.3-0.8x), and lift's long sparse residual checks lost
+2-20x above 2^15.5 bits: CPython multiplies big integers by Karatsuba at
+best, while a convolution skips zero coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InsufficientPrecisionError
@@ -88,6 +107,24 @@ def _convolve(a: List[int], b: List[int], n: int | None) -> List[int]:
         if x:
             m = min(len(b), n - i)
             out[i : i + m] = [o + x * y for o, y in zip(out[i : i + m], b)]
+    return out
+
+
+def _square(a: List[int], n: int | None) -> List[int]:
+    """a * a cut below t^n, each cross product a_i a_j (i < j) formed once."""
+    if not a:
+        return []
+    full = 2 * len(a) - 1
+    n = full if n is None else min(n, full)
+    out = [0] * n
+    for i, x in enumerate(a[: (n + 1) // 2]):
+        if x:
+            out[2 * i] += x * x
+            m = min(len(a) - i - 1, n - 2 * i - 1)
+            if m > 0:
+                x2 = 2 * x
+                lo = 2 * i + 1
+                out[lo : lo + m] = [o + x2 * y for o, y in zip(out[lo : lo + m], a[i + 1 :])]
     return out
 
 
@@ -148,9 +185,6 @@ class PowerSeries:
         if k < len(self.coeffs):
             return self.coeffs[k]
         return Fraction(0)
-
-    def constant_term(self) -> Fraction:
-        return self[0]
 
     def order(self) -> ExtOrder:
         for k, c in enumerate(self.coeffs):
@@ -248,20 +282,6 @@ class PowerSeries:
         image = poly_compose_series(f, {"t": PowerSeries(inner.coeffs, prec)})
         return PowerSeries(image.coeffs, prec)
 
-    def divide_t_power(self, k: int) -> "PowerSeries":
-        """Exact division by t^k; precision drops by k."""
-        if k == 0:
-            return self
-        for j, c in enumerate(self.coeffs[:k]):
-            if c != 0:
-                raise ValueError(f"series has nonzero coefficient at t^{j}, not divisible by t^{k}")
-        if self.precision is not None and self.precision < k:
-            raise InsufficientPrecisionError(
-                f"cannot certify divisibility by t^{k}: series known below t^{self.precision}"
-            )
-        prec = None if self.precision is None else self.precision - k
-        return PowerSeries(self.coeffs[k:], prec)
-
     # -- printing ------------------------------------------------------------------
 
     def polynomial_text(self) -> str:
@@ -352,66 +372,178 @@ def compose_integers(terms, forms) -> Tuple[List[int], int, int | None]:
     if n <= 0:
         return [], 1, prec
     common = lcm(*(den for _, den, _ in kept))
-    scaled = [(num * (common // den), factors) for num, den, factors in kept]
-    norms = {i: sum(map(abs, nums[:n])) for i, nums in subs.items()}
+    g, series, lattice = _on_lattice(kept, common, subs, n)
+    out = [0] * n
+    if not g:  # the monomial map: each term is one coefficient
+        for num, o, _ in lattice:
+            out[o] += num
+        return _trim(out), common, prec
+    norms = {i: sum(map(abs, sigma)) for i, sigma in series.items()}
     bound = 0
-    for num, factors in scaled:
-        for i, e in factors:
-            num *= norms[i] ** e
-        bound += abs(num)
-    if not bound:
-        return [], common, prec
+    classes = {}  # residue r of the offset -> [(num, o // g, factors)]
+    for num, o, rest in lattice:
+        term_bound = abs(num)
+        for i, e in rest:
+            term_bound *= norms[i] ** e
+        bound += term_bound
+        classes.setdefault(o % g, []).append((num, o // g, rest))
     slot = bound.bit_length() // 8 + 1  # bytes: the bound's bits plus a sign bit
-    if 8 * slot * n <= PACKED_MAX_BITS:
-        return _packed_sum(scaled, subs, n, slot), common, prec
-    return _schoolbook_sum(scaled, subs, n), common, prec
+    size = -(-n // g)
+    if 8 * slot * size <= PACKED_MAX_BITS:
+        sums = _packed_sum(classes, series, size, slot)
+    else:
+        sums = _schoolbook_sum(classes, series, size)
+    for r, digits in sums.items():
+        out[r::g] = digits[: len(range(r, n, g))]
+    return _trim(out), common, prec
 
 
-def _packed_sum(scaled, subs, n: int, slot: int) -> List[int]:
-    """Kronecker evaluation: sum of num * prod s_v^e_v as n signed digits.
+def _trim(nums: List[int]) -> List[int]:
+    """nums without its trailing zeros."""
+    if not any(nums):
+        return []
+    while not nums[-1]:
+        nums.pop()
+    return nums
 
-    t -> 2^w maps Z[t]/(t^n) to the integers mod 2^(wn), so every product
-    is reduced by a mask; only the sum must fit its slots, `slot` bytes each.
+
+def _on_lattice(kept, common, subs, n: int):
+    """(g, series, lattice): the terms on the exponent lattice of the substitutes.
+
+    Below t^n each substitute with a nonzero coefficient is a monomial
+    c t^a or t^a sigma(t^g), g the gcd of the gaps between the nonzero
+    exponents of all substitutes (0 when all are monomials); series[i] is
+    sigma_i in s = t^g.  A lattice term is (num, o, factors) for
+    num t^o prod sigma_i^e_i, monomials folded into num and o; terms with
+    o >= n are dropped, and so are those of a substitute zero below t^n.
+    """
+    g, lows, monomials = 0, {}, set()
+    for i, nums in subs.items():
+        support = [k for k, c in enumerate(nums[:n]) if c]
+        if not support:
+            continue
+        a = lows[i] = support[0]
+        if len(support) == 1:
+            monomials.add(i)
+        for k in support[1:]:
+            g = gcd(g, k - a)
+            if g == 1:
+                break
+    lattice = []
+    for num, den, factors in kept:
+        num *= common // den
+        o, rest = 0, []
+        for i, e in factors:
+            a = lows.get(i)
+            if a is None:
+                break
+            o += a * e
+            if o >= n:
+                break
+            if i in monomials:
+                num *= subs[i][a] ** e
+            else:
+                rest.append((i, e))
+        else:
+            lattice.append((num, o, rest))
+    series = {i: subs[i][a:n:g] for i, a in lows.items() if i not in monomials}
+    return g, series, lattice
+
+
+def _powers(classes, series, bases, size: int, square, multiply):
+    """{i: {e: bases[i]^e cut below s^size}} for every factor (i, e) the
+    terms use, built in increasing e; bases[i] is series[i] as the path
+    stores it.
+
+    An odd power is the base times the power below.  An even power is the
+    square of its half, unless the power below is built already and its
+    product with the base costs less: a product is priced as the product of
+    its operands' lengths and a square at half that, base^k having
+    min(size, k (length - 1) + 1) coefficients.  So a long base is squared,
+    and a short one whose powers are all used is multiplied on.
+    """
+    powers = {i: {1: base} for i, base in bases.items()}
+
+    def power(i, e):
+        built = powers[i]
+        if e not in built:
+            step = len(series[i]) - 1
+            half = min(size, e // 2 * step + 1)
+            below = min(size, (e - 1) * step + 1)
+            if e % 2 == 0 and (e - 1 not in built or half * half < 2 * below * (step + 1)):
+                built[e] = square(power(i, e // 2))
+            else:
+                built[e] = multiply(power(i, e - 1), built[1])
+        return built[e]
+
+    used = {f for group in classes.values() for _, _, factors in group for f in factors}
+    for i, e in sorted(used):
+        power(i, e)
+    return powers
+
+
+def _packed_sum(classes, series, size: int, slot: int):
+    """Kronecker evaluation in s: for each residue class whose sum of
+    num s^j prod sigma_i^e_i is not zero, that sum as `size` signed digits.
+
+    s -> 2^w maps Z[s]/(s^size) to the integers mod 2^(w size).  A product
+    is cut to its balanced residue, the signed value of its low `size`
+    slots, so a short series stays a short integer; only a sum must fit its
+    slots, `slot` bytes each.
     """
     w = 8 * slot
-    mask = (1 << (w * n)) - 1
-    powers = {}
-    for i, nums in subs.items():
-        packed = 0
-        for c in reversed(nums[:n]):
-            packed = (packed << w) + c
-        powers[i] = [1, packed & mask]
-    total = 0
-    for num, factors in scaled:
-        for i, e in factors:
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * cache[1] & mask)
-            num = num * cache[e] & mask
-        total += num
-    total &= mask
-    if not total:
-        return []
-    # A digit is its slot read as signed, plus 1 when the slot below is negative.
-    data = total.to_bytes(slot * n, "little")
-    digits, borrow = [], 0
-    for k in range(0, slot * n, slot):
-        s = int.from_bytes(data[k : k + slot], "little", signed=True)
-        digits.append(s + borrow)
-        borrow = s < 0
-    return digits
+    bits = w * size
+    mask = (1 << bits) - 1
+
+    def cut(x):
+        # Any residue mod 2^bits would be exact, as only the low slots of a
+        # sum are read; the masked residue of a negative value is `bits` long.
+        if x.bit_length() < bits:
+            return x
+        x &= mask
+        return x - (1 << bits) if x >> (bits - 1) else x
+
+    packed = {}
+    for i, nums in series.items():
+        p = 0
+        for c in reversed(nums):
+            p = (p << w) + c
+        packed[i] = p
+    powers = _powers(classes, series, packed, size, lambda p: cut(p * p), lambda p, q: cut(p * q))
+    sums = {}
+    for r, group in classes.items():
+        total = 0
+        for num, j, factors in group:
+            for i, e in factors:
+                num = cut(num * powers[i][e])
+            total += num << (w * j)
+        total &= mask
+        if not total:
+            continue
+        # A digit is its slot read as signed, plus 1 when the slot below is negative.
+        data = total.to_bytes(slot * size, "little")
+        digits, borrow = [], 0
+        for k in range(0, slot * size, slot):
+            s = int.from_bytes(data[k : k + slot], "little", signed=True)
+            digits.append(s + borrow)
+            borrow = s < 0
+        sums[r] = digits
+    return sums
 
 
-def _schoolbook_sum(scaled, subs, n: int) -> List[int]:
-    """The same sum by convolution cut below t^n; powers[i][e] = s_i^e."""
-    powers = {i: [[1], nums] for i, nums in subs.items()}
-    total = [0] * n
-    for num, factors in scaled:
-        nums = [num]
-        for i, e in factors:
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(_convolve(cache[-1], cache[1], n))
-            nums = _convolve(nums, cache[e], n)
-        total[: len(nums)] = [o + v for o, v in zip(total, nums)]
-    return total
+def _schoolbook_sum(classes, series, size: int):
+    """The same sums by convolution cut below s^size."""
+    powers = _powers(
+        classes, series, series, size,
+        lambda a: _square(a, size), lambda a, b: _convolve(a, b, size),
+    )
+    sums = {}
+    for r, group in classes.items():
+        total = [0] * size
+        for num, j, factors in group:
+            nums = [num]
+            for i, e in factors:
+                nums = _convolve(nums, powers[i][e], size - j)
+            total[j : j + len(nums)] = [o + v for o, v in zip(total[j:], nums)]
+        sums[r] = total
+    return sums

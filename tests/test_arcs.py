@@ -14,7 +14,6 @@ from nashres import (
     contact_order_without_x,
     image_of_algebra,
     poly_compose_series,
-    project_arc,
     validate_arc,
 )
 from nashres.errors import (
@@ -52,13 +51,13 @@ def test_arc_order_censored():
 
 def test_validate_cusp(cusp):
     va = validate_arc(exact_arc(x="t^3", z="t^2"), cusp)
-    assert va.certificate_for("x").exact
+    assert dict(va.certificates)["x"].exact
     assert not va.in_max_mult
 
 
 def test_validate_umbrella(umbrella):
     va = validate_arc(exact_arc(x="t^3", z1="t^2", z2="t^2"), umbrella)
-    assert va.certificate_for("x").exact
+    assert dict(va.certificates)["x"].exact
 
 
 def test_validate_rejects_off_variety(cusp):
@@ -69,7 +68,7 @@ def test_validate_rejects_off_variety(cusp):
 def test_validate_zero_to_precision_certificate(cusp):
     arc = Arc({"x": PowerSeries([0, 0, 0, 1], 20), "z": PowerSeries([0, 0, 1], 20)})
     va = validate_arc(arc, cusp)
-    cert = va.certificate_for("x")
+    cert = dict(va.certificates)["x"]
     assert not cert.exact and cert.precision == 20
 
 
@@ -95,18 +94,18 @@ def test_in_max_mult_censored_raises(umbrella):
 
 def test_project_arc(umbrella, two_hyp):
     va = validate_arc(exact_arc(x="t^3", z1="t^2", z2="t^2"), umbrella)
-    base = project_arc(va, "base")
+    base = va.arc.restrict(umbrella.base_vars)
     assert set(base.coords) == {"z1", "z2"}
-    full = project_arc(va, "x")
+    full = va.arc.restrict(umbrella.hypersurfaces[0].ambient_vars)
     assert set(full.coords) == {"x", "z1", "z2"}
     vt = validate_arc(exact_arc(x1="t^3", x2="t^3", z1="t^2", z2="-t^2"), two_hyp)
-    phi2 = project_arc(vt, "x2")
+    phi2 = vt.arc.restrict(two_hyp.hypersurfaces[1].ambient_vars)
     assert set(phi2.coords) == {"x2", "z1", "z2"}
 
 
 def test_order_splits_over_hypersurfaces(two_hyp):
     va = validate_arc(exact_arc(x1="t^3", x2="t^4", z1="t^2", z2="t^3"), two_hyp)
-    orders = [arc_order(project_arc(va, h.var)) for h in two_hyp.hypersurfaces]
+    orders = [arc_order(va.arc.restrict(h.ambient_vars)) for h in two_hyp.hypersurfaces]
     assert arc_order(va.arc) == min(orders)
 
 

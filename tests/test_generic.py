@@ -101,7 +101,7 @@ def test_truncated_lift_still_attains_the_order():
     assert presentation_elimination_order(p).value == 1
     result = construct_generic_arc(p, precision=16)
     assert contact_order(result.arc).r_bar == 1
-    assert not result.arc.certificate_for("x").exact
+    assert not dict(result.arc.certificates)["x"].exact
 
 
 def test_puiseux_rejects_pure_power():

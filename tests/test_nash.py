@@ -76,8 +76,8 @@ def test_nash_matches_contact_floor(umbrella, umbrella_fast_arc):
 def test_presentation_sequence_minimum(two_hyp):
     va = validate_arc(exact_arc(x1="t^3", x2="t^4", z1="t^2", z2="t^3"), two_hyp)
     summary = nash_sequence_presentation(two_hyp, va)
-    assert summary.sequence_for("x1").rho == 3
-    assert summary.sequence_for("x2").rho == 4
+    assert dict(summary.per_hypersurface)["x1"].rho == 3
+    assert dict(summary.per_hypersurface)["x2"].rho == 4
     assert summary.rho == 3
     assert summary.contact_r == 3
 
@@ -92,8 +92,8 @@ def test_presentation_handles_per_hypersurface_max_mult(two_hyp):
     # x1-hypersurface sequence drops, and rho takes its value
     va = validate_arc(exact_arc(x1="t^3", x2="0", z1="t^2", z2="0"), two_hyp)
     summary = nash_sequence_presentation(two_hyp, va)
-    assert summary.sequence_for("x2") is None
-    assert summary.rho == summary.sequence_for("x1").rho == 3
+    assert dict(summary.per_hypersurface)["x2"] is None
+    assert summary.rho == dict(summary.per_hypersurface)["x1"].rho == 3
 
 
 def test_sequence_requires_arc_off_max_mult(umbrella):

@@ -316,6 +316,105 @@ def test_compose_takes_the_packed_path_up_to_the_cut(monkeypatch):
         assert packed == expected
 
 
+def _lattice_substitute(rng, g, longest):
+    """Zero, a monomial, or t^a sigma(t^g) for an offset a of its own; exact
+    or truncated, mostly at a cut inside a residue class mod g."""
+    shape = rng.choice(["zero", "monomial", "monomial"] + ["lattice"] * 5)
+    a = rng.randint(0, 2 * g + 1)
+    span = a + g * rng.randint(longest // 2, longest)
+    precision = rng.choice([None, rng.randint(span // 2 + 1, span + g)])
+    if shape == "zero":
+        return PowerSeries.zero(precision)
+    positions = [a]
+    if shape == "lattice":
+        positions += [k for k in range(a + g, span, g) if rng.random() < 0.7]
+    coeffs = [Fraction(0)] * span
+    for k in positions:
+        num = rng.randint(1, 2 ** rng.randint(1, 90)) * rng.choice([-1, 1])
+        coeffs[k] = Fraction(num, rng.randint(1, 9))
+    return PowerSeries(coeffs, precision)
+
+
+def _lattice_cases(count):
+    """Seeded (f, subs): substitutes on one lattice step g with mixed
+    offsets, zeros and monomials, or monomials only; powers up to 5."""
+    rng = random.Random(20151118)
+    cases = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = [0, 0, 0]
+            for _ in range(rng.randint(0, 5)):
+                exp[rng.randrange(3)] += 1
+            num = rng.randint(1, 2**40) * rng.choice([-1, 1])
+            terms[tuple(exp)] = Fraction(num, rng.randint(1, 12))
+        if rng.random() < 0.2:
+            subs = {
+                v: PowerSeries.monomial(
+                    rng.choice([-3, -1, 1, 2, 7]),
+                    rng.randint(0, 6),
+                    rng.choice([None, rng.randint(1, 30)]),
+                )
+                for v in V3
+            }
+        else:
+            g, longest = rng.choice([1, 2, 3, 4, 6]), rng.choice([8, 24])
+            subs = {v: _lattice_substitute(rng, g, longest) for v in V3}
+        cases.append((MultiPoly(V3, terms), subs))
+    return cases
+
+
+def test_lattice_compositions_match_fraction_reference(monkeypatch):
+    for f, subs in _lattice_cases(150):
+        for composed in _compose_both_ways(monkeypatch, f, subs):
+            _assert_matches_reference(f, subs, composed)
+
+
+def test_lattice_cases_take_every_route(monkeypatch):
+    # The cases of the lattice test on both paths: the monomial map (nothing
+    # packed or convolved), packed with g > 1 over two or more residue
+    # classes, schoolbook with g > 1, and the dense lattice g = 1.
+    routes, seen = set(), {}
+    on_lattice = series_module._on_lattice
+
+    def lattice_spy(*args):
+        found = on_lattice(*args)
+        seen["g"] = found[0]
+        return found
+
+    def sum_spy(name):
+        real = getattr(series_module, name)
+
+        def counted(classes, *rest):
+            seen["sum"] = name, len(classes)
+            return real(classes, *rest)
+
+        return counted
+
+    for f, subs in _lattice_cases(150):
+        for cut in (1 << 40, 0):
+            seen.clear()
+            monkeypatch.setattr(series_module, "PACKED_MAX_BITS", cut)
+            monkeypatch.setattr(series_module, "_on_lattice", lattice_spy)
+            for name in ("_packed_sum", "_schoolbook_sum"):
+                monkeypatch.setattr(series_module, name, sum_spy(name))
+            poly_compose_series(f, subs)
+            monkeypatch.undo()
+            g, taken = seen.get("g"), seen.get("sum")
+            if g == 0:
+                assert taken is None
+                routes.add("monomial map")
+            elif g == 1 and taken:
+                routes.add("g = 1")
+            elif g and taken and taken[0] == "_schoolbook_sum":
+                routes.add("schoolbook, g > 1")
+            elif g and taken and taken[1] >= 2:
+                routes.add("packed, g > 1, two or more residues")
+    assert routes == {
+        "monomial map", "g = 1", "schoolbook, g > 1", "packed, g > 1, two or more residues",
+    }
+
+
 @given(polys(V2))
 def test_derivative_drops_order_by_at_most_one(f):
     base = f.order_at_origin()
@@ -918,10 +1017,11 @@ def _reference_nash_sequence(f, coords, max_steps):
             if name == T:
                 point.append(Fraction(0))
                 continue
-            s = arc[name].divide_t_power(1)
-            c = s.constant_term()
+            s = arc[name]
+            c = s[1]
             point.append(c)
-            new_arc[name] = PowerSeries((0,) + s.coeffs[1:], s.precision)
+            precision = None if s.precision is None else s.precision - 1
+            new_arc[name] = PowerSeries((0,) + s.coeffs[2:], precision)
         g1 = _reference_translate(g1, point)
         center = tuple(c for name, c in zip(g.vars, point) if name != T)
         check(g1, new_arc, step + 1)

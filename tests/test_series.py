@@ -4,6 +4,7 @@ import pytest
 
 from nashres import MultiPoly, PowerSeries, poly_compose_series
 from nashres.errors import DimensionMismatchError, InsufficientPrecisionError
+from nashres.series import _convolve, _square
 
 V = ("x", "z")
 
@@ -74,14 +75,11 @@ def test_multiplication_truncates_at_precision():
     assert product.coeffs == (1, 2, 3)
 
 
-def test_divide_t_power():
-    s = PowerSeries([0, 0, 5, 7], 9)
-    q = s.divide_t_power(2)
-    assert q.coeffs == (5, 7) and q.precision == 7
-    with pytest.raises(ValueError):
-        PowerSeries([0, 1]).divide_t_power(2)
-    with pytest.raises(InsufficientPrecisionError):
-        PowerSeries.zero(1).divide_t_power(2)
+def test_square_matches_the_convolution_with_itself():
+    # odd and even cuts, no cut, cuts past the full length, leading zeros, empty
+    for a in ([], [7], [0, 0, 3, -2], [5, -1, 0, 4, 9], [0, 2**70, -3, 0, 0, 1]):
+        for n in (None, 0, 1, 2, 3, 4, 5, 2 * len(a) - 1, 2 * len(a), 2 * len(a) + 3):
+            assert _square(a, n) == _convolve(a, a, n)
 
 
 def test_coefficient_access_respects_precision():
