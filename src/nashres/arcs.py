@@ -144,12 +144,7 @@ def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
                 f"arc not on variety: phi({h.var}-equation) = {image}"
             )
         certs.append((h.var, VanishingCertificate(image.is_exact, image.precision)))
-        pairs = []
-        for g in h.elimination_algebra.generators:
-            o = poly_compose_series(g.f, arc.coords).order()
-            if not o.is_infinite:
-                pairs.append((OneDimGenerator(o, g.weight), g))
-        images.append((h.var, tuple(pairs)))
+        images.append((h.var, _generator_images(arc, h.elimination_algebra)))
     exact = [img.a.is_exact for _, pairs in images for img, _ in pairs]
     if exact and not any(exact):
         raise InsufficientPrecisionError(
@@ -159,18 +154,26 @@ def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
     return ValidatedArc(arc, p, tuple(certs), tuple(images))
 
 
-def image_of_algebra(a: Arc, algebra: ReesAlgebra) -> OneDimAlgebra:
-    """Push each generator through the arc: orders of the image series.
+def _generator_images(
+    a: Arc, algebra: ReesAlgebra
+) -> Tuple[Tuple[OneDimGenerator, ReesGenerator], ...]:
+    """(image, generator) for each generator pushed through the arc.
 
+    The image is the order of the image series with the generator's weight.
     Exact-zero images contribute no finite generator and are dropped;
     censored orders are preserved as censored exponents.
     """
-    gens = []
+    pairs = []
     for g in algebra.generators:
         o = poly_compose_series(g.f, a.coords).order()
         if not o.is_infinite:
-            gens.append(OneDimGenerator(o, g.weight))
-    return OneDimAlgebra(gens)
+            pairs.append((OneDimGenerator(o, g.weight), g))
+    return tuple(pairs)
+
+
+def image_of_algebra(a: Arc, algebra: ReesAlgebra) -> OneDimAlgebra:
+    """Push each generator through the arc: orders of the image series."""
+    return OneDimAlgebra([img for img, _ in _generator_images(a, algebra)])
 
 
 @dataclass(frozen=True)

@@ -451,8 +451,10 @@ def _cmd_verify(args, p: LocalPresentation, report: dict) -> List[dict]:
 
 # -- driver ------------------------------------------------------------------------
 
-# The largest --precision accepted.  Lifting costs grow quickly with it:
-# generic-arc on x^2 - z^2 - z^3 took 18 s at precision 1000 and 198 s at 2000.
+# The largest --precision and --alpha accepted.  Lifting costs grow quickly
+# with the precision: generic-arc on x^2 - z^2 - z^3 took 18 s at precision
+# 1000 and 198 s at 2000.  An --alpha above it would only build a longer
+# diagonal arc that the lift cannot reach.
 MAX_PRECISION = 1024
 
 
@@ -512,13 +514,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("generic-arc", help="construct an arc attaining the order")
     common(sp)
-    sp.add_argument("--alpha", type=int, default=1)
+    sp.add_argument("--alpha", type=_int_in(1, MAX_PRECISION), default=1)
     sp.add_argument("--search-bound", type=int, default=8)
     sp.set_defaults(handler=_cmd_generic_arc)
 
     sp = sub.add_parser("verify", help="machine-check the arc/order identities")
     common(sp)
-    sp.add_argument("--alpha", type=int, default=1)
+    sp.add_argument("--alpha", type=_int_in(1, MAX_PRECISION), default=1)
     sp.add_argument("--search-bound", type=int, default=8)
     sp.add_argument("--trials", type=_int_in(0), default=20)
     sp.set_defaults(handler=_cmd_verify)

@@ -438,20 +438,20 @@ def _hensel_tail(cur: Dict[Tuple[int, int], int], n: int) -> Tuple[List[int], in
     size = -(-n // g)
     value = [_term(a, i, j // g) for (i, j), a in cur.items()]
     slope = [_term(i * a, i - 1, j // g) for (i, j), a in cur.items() if i]
-    s_form = ([0, 1], 1, None)
+    s = PowerSeries.t_power(1)
     schedule = [size]
     while schedule[-1] > 1:
         schedule.append((schedule[-1] + 1) // 2)
     y, y_den, w, w_den, p = [], 1, [1], cur[1, 0], 1
     for p2 in reversed(schedule[:-1]):
-        nums, den, _ = compose_integers(value, {0: (y, y_den, p2), 1: s_form})
-        step = _convolve(nums[p:], w, p2 - p)
-        y, y_den = _raise_precision(y, y_den, [-c for c in step], den * w_den, p)
+        image = compose_integers(value, {0: PowerSeries.from_integers(y, y_den, p2), 1: s})
+        step = _convolve(image.nums[p:], w, p2 - p)
+        y, y_den = _raise_precision(y, y_den, [-c for c in step], image.den * w_den, p)
         if p2 < size:
-            nums, den, _ = compose_integers(slope, {0: (y, y_den, p2), 1: s_form})
-            error = _convolve(nums, w, p2)[p:]  # P'(y) w = 1 - error s^p/(den w_den)
+            image = compose_integers(slope, {0: PowerSeries.from_integers(y, y_den, p2), 1: s})
+            error = _convolve(image.nums, w, p2)[p:]  # P'(y) w = 1 - error s^p/(image.den w_den)
             step = _convolve(w, [-c for c in error], p2 - p)
-            w, w_den = _raise_precision(w, w_den, step, den * w_den * w_den, p)
+            w, w_den = _raise_precision(w, w_den, step, image.den * w_den * w_den, p)
         p = p2
     return y, y_den, g
 
@@ -479,18 +479,16 @@ def _is_root_at_two(cur: Dict[Tuple[int, int], int], nums: List[int], den: int, 
     """
     y_num = sum(c << (k * g) for k, c in enumerate(nums))
     terms = [_term(a, i, j) for (i, j), a in cur.items()]
-    value, _, _ = compose_integers(terms, {0: ([y_num], den, None), 1: ([2], 1, None)})
-    return not any(value)
+    at_two = {0: PowerSeries.from_integers([y_num], den, None), 1: PowerSeries([2])}
+    return compose_integers(terms, at_two).is_exactly_zero()
 
 
 def _series_from_terms(terms: List[Tuple[Fraction, int]], precision: int | None) -> PowerSeries:
-    if not terms:
-        return PowerSeries.zero(precision)
-    top = max(m for _, m in terms)
-    coeffs = [Fraction(0)] * (top + 1)
+    den = lcm(*(c.denominator for c, _ in terms))
+    nums = [0] * (max((m for _, m in terms), default=-1) + 1)
     for c, m in terms:
-        coeffs[m] += c
-    return PowerSeries(coeffs, precision)
+        nums[m] += c.numerator * (den // c.denominator)
+    return PowerSeries.from_integers(nums, den, precision)
 
 
 def _equation_on_base(

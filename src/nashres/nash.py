@@ -8,17 +8,17 @@ point the arc runs through.  The multiplicity sequence read along the way is
 non-increasing and its first drop defines the persistance rho.
 
 A step runs on integers.  The transform is g = G/D, an integer polynomial G
-over one denominator D with gcd(content(G), D) = 1, and each arc coordinate
-is integer numerators over one denominator, with its precision.  The chart
-is an exponent map (the t-exponent becomes the total degree minus m), the
-arc is recentered by dropping its first numerator and zeroing the new
-constant one, and the Taylor shift by each center p/q is the integer grouped
-shift `poly.shift_integer_terms`, which scales G by q^N; G and D are then
-divided by their gcd.  This is the chart move that a Newton-Puiseux stage in
-`generic` makes, on the same integer shift kernel.  Every step checks that
-the arc still lies on the transform by a full evaluation through the integer
-back end `series.compose_integers`.  `NashState.g` and `NashState.arc` are
-`MultiPoly` and `PowerSeries` views built on demand (for `--trace`).
+over one denominator D with gcd(content(G), D) = 1, and the arc is kept as
+its `PowerSeries`, each integer numerators over one denominator.
+The chart is an exponent map (the t-exponent becomes the total degree minus
+m), the arc is recentered by dropping its first numerator and zeroing the
+new constant one, and the Taylor shift by each center p/q is the integer
+grouped shift `poly.shift_integer_terms`, which scales G by q^N; G and D are
+then divided by their gcd.  This is the chart move that a Newton-Puiseux
+stage in `generic` makes, on the same integer shift kernel.  Every step
+checks that the arc still lies on the transform by a full evaluation through
+the integer back end `series.compose_integers`.  `NashState.g` is a
+`MultiPoly` view built on demand (for `--trace`).
 """
 
 from __future__ import annotations
@@ -38,18 +38,13 @@ from .errors import (
 )
 from .poly import Exponent, MultiPoly, shift_integer_terms
 from .presentation import LocalPresentation, TschirnhausenHypersurface
-from .series import PowerSeries, compose_integers, from_integers, integer_form
+from .series import PowerSeries, compose_integers
 
 T = "t"
 
 # Hard cap on blow-up count; corpus persistances are tiny, anything near this
 # limit means a non-dropping sequence slipped past the Max-mult guard.
 _MAX_STEPS = 10_000
-
-# (numerators, denominator, precision) of one arc coordinate, trailing zeros
-# trimmed; the t-coordinate is t itself.
-Form = Tuple[Tuple[int, ...], int, Optional[int]]
-_T_FORM: Form = ((0, 1), 1, None)
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class NashState:
     vars: Tuple[str, ...]  # ambient variables + t
     G: Dict[Exponent, int]
     D: int
-    forms: Tuple[Form, ...]  # one per variable
+    forms: Tuple[PowerSeries, ...]  # one per variable; the t-coordinate is t itself
     step: int
     center_pq: Tuple[Tuple[int, int], ...] = ()  # (p, q) of each ambient coordinate
 
@@ -68,14 +63,8 @@ class NashState:
         """The state of a transform over the ambient variables and t, and an arc."""
         D = lcm(*(c.denominator for c in g.terms.values()))
         G = {exp: c.numerator * (D // c.denominator) for exp, c in g.terms.items()}
-        forms = []
-        for v in g.vars:
-            if v == T:
-                forms.append(_T_FORM)
-                continue
-            nums, den = integer_form(arc[v].coeffs)
-            forms.append((tuple(nums), den, arc[v].precision))
-        return cls(g.vars, G, D, tuple(forms), step)
+        forms = tuple(PowerSeries.t_power(1) if v == T else arc[v] for v in g.vars)
+        return cls(g.vars, G, D, forms, step)
 
     @property
     def g(self) -> MultiPoly:
@@ -83,11 +72,7 @@ class NashState:
 
     @property
     def arc(self) -> Dict[str, PowerSeries]:
-        return {
-            v: from_integers(nums, den, precision)
-            for v, (nums, den, precision) in zip(self.vars, self.forms)
-            if v != T
-        }
+        return {v: s for v, s in zip(self.vars, self.forms) if v != T}
 
     @property
     def center(self) -> Tuple[Fraction, ...]:
@@ -105,10 +90,9 @@ class NashState:
         return m
 
     def check_arc_on_transform(self) -> None:
-        terms = [(c, 1, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in self.G.items()]
-        nums, common, precision = compose_integers(terms, self.forms)
-        if any(nums):
-            image = from_integers(nums, common * self.D, precision)
+        terms = [(c, self.D, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in self.G.items()]
+        image = compose_integers(terms, self.forms)
+        if image.nums:
             raise IdentityViolationError(
                 f"lifted arc left the strict transform at step {self.step}: {image}"
             )
@@ -134,15 +118,15 @@ def nash_step(state: NashState, m0: int) -> NashState:
     if m != m0:
         raise ValidationError(f"multiplicity already dropped: {m} != {m0}")
     ti = state.vars.index(T)
-    for i, (nums, _, precision) in enumerate(state.forms):
+    for i, s in enumerate(state.forms):
         if i == ti:
             continue
-        if nums and nums[0]:
+        if s.nums and s.nums[0]:
             raise IdentityViolationError(
                 f"lifted center escaped the t-chart via coordinate {state.vars[i]!r} "
                 f"at step {state.step}"
             )
-        if not nums and precision == 0:
+        if not s.nums and s.precision == 0:
             raise InsufficientPrecisionError(
                 f"coordinate {state.vars[i]!r} exhausted at step {state.step}"
             )
@@ -156,19 +140,18 @@ def nash_step(state: NashState, m0: int) -> NashState:
         )
     forms = list(state.forms)
     center, shifts = [], []
-    for i, (nums, den, precision) in enumerate(state.forms):
+    for i, s in enumerate(state.forms):
         if i == ti:
             continue
-        if precision == 1:
+        if s.precision == 1:
             raise InsufficientPrecisionError(
                 "coefficient of t^0 requested, series known below t^0"
             )
         # divided by t, the coordinate's first numerator is the new center
+        nums, den = s.nums, s.den
         c = nums[1] if len(nums) > 1 else 0
-        forms[i] = (
-            (0,) + nums[2:] if len(nums) > 2 else (),
-            den,
-            None if precision is None else precision - 1,
+        forms[i] = PowerSeries.from_integers(
+            (0,) + nums[2:], den, None if s.precision is None else s.precision - 1
         )
         common = gcd(c, den)
         p, q = c // common, den // common

@@ -1,22 +1,21 @@
 """Truncated univariate formal power series in t with explicit precision.
 
-A series stores rational coefficients for t^0 .. t^(k-1) (trailing zeros
-trimmed) together with a precision: an integer N means "coefficients are
-only claimed below t^N", None means the series is an exact polynomial.
-Arithmetic propagates precision conservatively (min of the operands), so a
-stored coefficient is always correct.
-
-Products run on integers.  Each operand is brought once to integer numerators
-over the lcm of its coefficient denominators, the numerator lists are
-multiplied, the denominators multiply, and a Fraction is built once per
-nonzero output coefficient.
+A series is sum nums[k]/den t^k + O(t^precision): integer numerators over one
+denominator, and a precision that is an integer N ("coefficients are only
+claimed below t^N") or None (an exact polynomial).  The form is canonical:
+nums has no trailing zero and nothing at or above t^precision, den > 0, and
+gcd(den, *nums) = 1, so equal series have equal fields.  `coeffs` is a
+read-only `Fraction` view of the numerators.  Arithmetic propagates precision
+conservatively (min of the operands), so a stored coefficient is always
+correct.  A product convolves the numerators and multiplies the
+denominators.
 
 Evaluating a polynomial on series is one integer back end,
 `compose_integers`.  It takes each term as an integer numerator over its
-denominator and each substitute as integer numerators over one denominator
-with its precision.  `poly_compose_series` is its `Fraction` front end, and
-`PowerSeries.compose` goes through that; the Nash blow-up step calls the back
-end directly on its integer transform and arc.  Only the first n
+denominator and reads each substitute's numerators, denominator and
+precision as they are stored.  `poly_compose_series` is its `MultiPoly`
+front end; `PowerSeries.compose` and the Nash blow-up step, on its integer
+transform and arc, call the back end directly.  Only the first n
 coefficients are computed, n = min(precision, degree bound), and each term
 is its numerator over the terms' lcm denominator times powers of the
 substitutes.
@@ -67,7 +66,6 @@ from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InsufficientPrecisionError
 from .extorder import INFINITE, ExtOrder
-from .poly import MultiPoly
 
 # The largest packed size w*n, in bits, evaluated by Kronecker substitution.
 PACKED_MAX_BITS = 1 << 14
@@ -83,18 +81,7 @@ def _min_precision(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def integer_form(coeffs: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Integer numerators over the lcm of the coefficient denominators."""
-    den = 1
-    for c in coeffs:
-        if c.denominator != 1:
-            den = lcm(den, c.denominator)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _convolve(a: List[int], b: List[int], n: int | None) -> List[int]:
+def _convolve(a: Sequence[int], b: Sequence[int], n: int | None) -> List[int]:
     """Schoolbook product of two integer coefficient lists, cut below t^n."""
     if not a or not b:
         return []
@@ -110,7 +97,7 @@ def _convolve(a: List[int], b: List[int], n: int | None) -> List[int]:
     return out
 
 
-def _square(a: List[int], n: int | None) -> List[int]:
+def _square(a: Sequence[int], n: int | None) -> List[int]:
     """a * a cut below t^n, each cross product a_i a_j (i < j) formed once."""
     if not a:
         return []
@@ -128,67 +115,82 @@ def _square(a: List[int], n: int | None) -> List[int]:
     return out
 
 
-def from_integers(nums: Sequence[int], den: int, precision: int | None) -> "PowerSeries":
-    """The series with coefficients nums[k] / den."""
-    return PowerSeries([Fraction(v, den) if v else _ZERO for v in nums], precision)
-
-
 class PowerSeries:
-    __slots__ = ("coeffs", "precision")
+    """sum nums[k]/den t^k + O(t^precision) in canonical form (see the module)."""
 
-    def __init__(self, coeffs: Sequence, precision: int | None = None):
+    __slots__ = ("nums", "den", "precision")
+
+    def __new__(cls, coeffs: Sequence, precision: int | None = None) -> "PowerSeries":
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if precision is not None:
-            if precision < 0:
-                raise ValueError("precision must be nonnegative")
-            cs = cs[:precision]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
-        self.precision: int | None = precision
+        den = lcm(*(c.denominator for c in cs))
+        return cls.from_integers([c.numerator * (den // c.denominator) for c in cs], den, precision)
 
     # -- constructors -------------------------------------------------------
 
-    @staticmethod
-    def zero(precision: int | None = None) -> "PowerSeries":
-        return PowerSeries((), precision)
+    @classmethod
+    def from_integers(cls, nums: Sequence[int], den: int, precision: int | None) -> "PowerSeries":
+        """The series sum nums[k]/den t^k + O(t^precision), den nonzero."""
+        if precision is not None:
+            if precision < 0:
+                raise ValueError("precision must be nonnegative")
+            nums = nums[:precision]
+        top = len(nums) if any(nums) else 0
+        while top and not nums[top - 1]:
+            top -= 1
+        nums = tuple(nums[:top])
+        common = gcd(den, *nums) if den != 1 else 1
+        if den < 0:
+            common = -common
+        if common != 1:
+            nums = tuple(c // common for c in nums)
+            den //= common
+        s = object.__new__(cls)
+        s.nums, s.den, s.precision = nums, den, precision
+        return s
 
     @staticmethod
-    def one(precision: int | None = None) -> "PowerSeries":
-        return PowerSeries((1,), precision)
+    def zero(precision: int | None = None) -> "PowerSeries":
+        return PowerSeries.from_integers((), 1, precision)
 
     @staticmethod
     def t_power(k: int, precision: int | None = None) -> "PowerSeries":
-        return PowerSeries((0,) * k + (1,), precision)
+        return PowerSeries.from_integers((0,) * k + (1,), 1, precision)
 
     @staticmethod
     def monomial(coeff, k: int, precision: int | None = None) -> "PowerSeries":
-        return PowerSeries((0,) * k + (Fraction(coeff),), precision)
+        c = Fraction(coeff)
+        return PowerSeries.from_integers((0,) * k + (c.numerator,), c.denominator, precision)
 
     # -- queries -------------------------------------------------------------
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The stored coefficients as Fractions, t^0 first."""
+        den = self.den
+        return tuple(Fraction(c, den) if c else _ZERO for c in self.nums)
 
     @property
     def is_exact(self) -> bool:
         return self.precision is None
 
     def is_exactly_zero(self) -> bool:
-        return self.is_exact and not self.coeffs
+        return self.is_exact and not self.nums
 
     def is_zero_to_precision(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def __getitem__(self, k: int) -> Fraction:
         if self.precision is not None and k >= self.precision:
             raise InsufficientPrecisionError(
                 f"coefficient of t^{k} requested, series known below t^{self.precision}"
             )
-        if k < len(self.coeffs):
-            return self.coeffs[k]
+        if k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def order(self) -> ExtOrder:
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
+        for k, c in enumerate(self.nums):
+            if c:
                 return ExtOrder.exact(k)
         if self.is_exact:
             return INFINITE
@@ -197,54 +199,21 @@ class PowerSeries:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PowerSeries)
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
             and self.precision == other.precision
         )
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.precision))
+        return hash((self.nums, self.den, self.precision))
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        prec = _min_precision(self.precision, other.precision)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [self._at(k) + other._at(k) for k in range(n)]
-        return PowerSeries(out, prec)
-
-    def _at(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs], self.precision)
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-other)
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         prec = _min_precision(self.precision, other.precision)
-        a, da = integer_form(self.coeffs)
-        b, db = integer_form(other.coeffs)
-        return from_integers(_convolve(a, b, prec), da * db, prec)
-
-    def __pow__(self, n: int) -> "PowerSeries":
-        if n < 0:
-            raise ValueError("negative power of a series")
-        result = PowerSeries.one(self.precision)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def scale(self, value) -> "PowerSeries":
-        c = Fraction(value)
-        if c == 0:
-            return PowerSeries((), self.precision)
-        return PowerSeries([c * a for a in self.coeffs], self.precision)
+        return PowerSeries.from_integers(
+            _convolve(self.nums, other.nums, prec), self.den * other.den, prec
+        )
 
     # -- reparametrizations -----------------------------------------------------
 
@@ -254,23 +223,24 @@ class PowerSeries:
             raise ValueError("reparametrization exponent must be >= 1")
         if e == 1:
             return self
-        out = [Fraction(0)] * (len(self.coeffs) * e)
-        for k, c in enumerate(self.coeffs):
-            out[k * e] = c
+        out = [0] * (len(self.nums) * e)
+        out[::e] = self.nums
         prec = None if self.precision is None else self.precision * e
-        return PowerSeries(out, prec)
+        return PowerSeries.from_integers(out, self.den, prec)
 
     def scale_parameter(self, c) -> "PowerSeries":
         """Substitute t -> c*t for a nonzero rational c (a parameter unit)."""
         c = Fraction(c)
         if c == 0:
             raise ValueError("parameter scaling must be by a nonzero rational")
-        out = []
-        power = Fraction(1)
-        for a in self.coeffs:
-            out.append(a * power)
-            power *= c
-        return PowerSeries(out, self.precision)
+        # nums[k] p^k / (den q^k) over the denominator den q^top
+        p, q = c.numerator, c.denominator
+        top = max(len(self.nums) - 1, 0)
+        out, p_power = [], 1
+        for k, a in enumerate(self.nums):
+            out.append(a * p_power * q ** (top - k))
+            p_power *= p
+        return PowerSeries.from_integers(out, self.den * q**top, self.precision)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Substitute another series for t; inner must have order >= 1."""
@@ -278,26 +248,29 @@ class PowerSeries:
         if not o.is_infinite and o.lower_bound() < 1:
             raise ValueError("parameter substitution needs a series of order >= 1")
         prec = _min_precision(self.precision, inner.precision)
-        f = MultiPoly._raw(("t",), {(k,): c for k, c in enumerate(self.coeffs) if c})
-        image = poly_compose_series(f, {"t": PowerSeries(inner.coeffs, prec)})
-        return PowerSeries(image.coeffs, prec)
+        terms = [(c, self.den, [(0, k)] if k else []) for k, c in enumerate(self.nums) if c]
+        image = compose_integers(terms, [PowerSeries.from_integers(inner.nums, inner.den, prec)])
+        return PowerSeries.from_integers(image.nums, image.den, prec)
 
     # -- printing ------------------------------------------------------------------
 
     def polynomial_text(self) -> str:
         """Grammar-compatible polynomial-in-t text for the stored coefficients."""
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         chunks = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, c in enumerate(self.nums):
+            if not c:
                 continue
+            common = gcd(c, self.den)
+            num, den = abs(c) // common, self.den // common
+            value = str(num) if den == 1 else f"{num}/{den}"  # str(abs(Fraction(c, den)))
             if k == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
+                body = value
+            elif value == "1":
                 body = "t" if k == 1 else f"t^{k}"
             else:
-                body = f"{abs(c)}*t" if k == 1 else f"{abs(c)}*t^{k}"
+                body = f"{value}*t" if k == 1 else f"{value}*t^{k}"
             chunks.append(("-" if c < 0 else "+", body))
         sign0, body0 = chunks[0]
         text = ("-" if sign0 == "-" else "") + body0
@@ -319,40 +292,37 @@ def poly_compose_series(f, substitutions: dict) -> PowerSeries:
 
     The result's precision is the min over the substitutes of variables that
     actually occur in f (exact when they are all exact).  This is the
-    `Fraction` front end of `compose_integers`.
+    `MultiPoly` front end of `compose_integers`.
     """
-    forms = {}  # variable index -> integer form of its substitute
+    forms = {}  # variable index -> its substitute
     for i, v in enumerate(f.vars):
         if any(exp[i] for exp in f.terms):
             if v not in substitutions:
                 raise DimensionMismatchError(f"no substitute supplied for variable {v!r}")
-            s = substitutions[v]
-            forms[i] = (*integer_form(s.coeffs), s.precision)
+            forms[i] = substitutions[v]
     terms = [
         (coeff.numerator, coeff.denominator, [(i, e) for i, e in enumerate(exp) if e])
         for exp, coeff in f.terms.items()
     ]
-    nums, common, prec = compose_integers(terms, forms)
-    return from_integers(nums, common, prec)
+    return compose_integers(terms, forms)
 
 
-def compose_integers(terms, forms) -> Tuple[List[int], int, int | None]:
+def compose_integers(terms, forms) -> PowerSeries:
     """The integer back end: sum over terms of num/den * prod s_i^e_i.
 
     A term is (num, den, [(i, e), ...]) with every e positive, and forms[i]
-    is (numerators, denominator, precision) of the substitute s_i.  Returns
-    (nums, common, prec): the sum is nums[k]/common t^k below t^n, where prec
-    is the min precision over the substitutes the terms use and n is the
-    smaller of prec and the degree bound.  The path is chosen here.
+    is the substitute s_i.  The sum is computed below t^n, n the smaller of
+    its degree bound and prec, the min precision over the substitutes the
+    terms use, and returned at precision prec.  The path is chosen here.
     """
     prec: int | None = None
     subs = {}  # index -> numerators of each substitute the terms use
     for _, _, factors in terms:
         for i, _ in factors:
             if i not in subs:
-                nums, _, p = forms[i]
-                subs[i] = nums
-                prec = _min_precision(prec, p)
+                s = forms[i]
+                subs[i] = s.nums
+                prec = _min_precision(prec, s.precision)
     # terms that no zero substitute kills, over their denominators, and the
     # degree bound of their sum
     kept = []
@@ -363,21 +333,21 @@ def compose_integers(terms, forms) -> Tuple[List[int], int, int | None]:
             nums = subs[i]
             if not nums:
                 break
-            den *= forms[i][1] ** e
+            den *= forms[i].den ** e
             d += e * (len(nums) - 1)
         else:
             kept.append((num, den, factors))
             degree = max(degree, d)
     n = degree + 1 if prec is None else min(prec, degree + 1)
     if n <= 0:
-        return [], 1, prec
+        return PowerSeries.zero(prec)
     common = lcm(*(den for _, den, _ in kept))
     g, series, lattice = _on_lattice(kept, common, subs, n)
     out = [0] * n
     if not g:  # the monomial map: each term is one coefficient
         for num, o, _ in lattice:
             out[o] += num
-        return _trim(out), common, prec
+        return PowerSeries.from_integers(out, common, prec)
     norms = {i: sum(map(abs, sigma)) for i, sigma in series.items()}
     bound = 0
     classes = {}  # residue r of the offset -> [(num, o // g, factors)]
@@ -395,16 +365,7 @@ def compose_integers(terms, forms) -> Tuple[List[int], int, int | None]:
         sums = _schoolbook_sum(classes, series, size)
     for r, digits in sums.items():
         out[r::g] = digits[: len(range(r, n, g))]
-    return _trim(out), common, prec
-
-
-def _trim(nums: List[int]) -> List[int]:
-    """nums without its trailing zeros."""
-    if not any(nums):
-        return []
-    while not nums[-1]:
-        nums.pop()
-    return nums
+    return PowerSeries.from_integers(out, common, prec)
 
 
 def _on_lattice(kept, common, subs, n: int):

@@ -389,6 +389,10 @@ def test_parser_is_built_once_and_calls_stay_independent(tmp_path):
         (["nash", "ARC", "--precision", "0"], "--precision"),
         (["verify", "--precision", "1025"], "--precision"),
         (["verify", "--trials", "-3"], "--trials"),
+        (["generic-arc", "--alpha", "0"], "--alpha"),
+        (["generic-arc", "--alpha", "1025"], "--alpha"),
+        (["verify", "--alpha", "0"], "--alpha"),
+        (["verify", "--alpha", "10000000"], "--alpha"),
     ],
 )
 def test_out_of_range_numeric_options_exit_code(tmp_path, capsys, argv, option):

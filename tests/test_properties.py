@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, gcd, lcm
 
 import pytest
@@ -118,9 +119,10 @@ def test_composition_is_ring_homomorphism(f, g, s1, s2):
     n = min(len(fg.coeffs), len(separately.coeffs))
     assert fg.coeffs[:n] == separately.coeffs[:n]
     total = poly_compose_series(f + g, subs)
-    split = poly_compose_series(f, subs) + poly_compose_series(g, subs)
-    n = min(len(total.coeffs), len(split.coeffs))
-    assert total.coeffs[:n] == split.coeffs[:n]
+    a, b = poly_compose_series(f, subs).coeffs, poly_compose_series(g, subs).coeffs
+    split = tuple(x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
+    n = min(len(total.coeffs), len(split))
+    assert total.coeffs[:n] == split[:n]
 
 
 # -- series products against a pure-Fraction schoolbook reference ---------------
@@ -131,6 +133,30 @@ def _trimmed(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+@seed(20151118)
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=8),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10)),
+    st.integers(min_value=-12, max_value=12).filter(bool),
+)
+def test_series_have_one_canonical_form(cs, precision, k):
+    # PowerSeries(cs) and the same numerators times k over k times the
+    # denominator are one series: equal fields, equal hashes
+    s = PowerSeries(cs, precision)
+    den = lcm(*(c.denominator for c in cs))
+    nums = [k * c.numerator * (den // c.denominator) for c in cs]
+    scaled = PowerSeries.from_integers(nums, k * den, precision)
+    assert scaled == s and hash(scaled) == hash(s)
+    expected = _trimmed(cs if precision is None else cs[:precision])
+    for form in (s, scaled):
+        assert form.den > 0 and gcd(form.den, *form.nums) == 1
+        assert not form.nums or form.nums[-1] != 0
+        assert form.precision == precision
+        assert form.coeffs == tuple(Fraction(c) for c in expected)
+        assert all(type(c) is Fraction for c in form.coeffs)
 
 
 def _reference_product(a, b):
