@@ -18,9 +18,9 @@ import sys
 import time
 from fractions import Fraction
 from math import floor
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .arcs import ValidatedArc, contact_order_without_x, validate_arc
+from .arcs import Arc, ValidatedArc, contact_order_without_x, validate_arc
 from .errors import (
     ExtensionRequiredError,
     IdentityViolationError,
@@ -261,6 +261,20 @@ _SCALES = (
 )
 
 
+def _arc_key(arc: Arc) -> tuple:
+    """The arc's content: equal keys mean equal coordinates and precisions."""
+    return tuple(sorted(arc.coords.items()))
+
+
+def _validated(arc: Arc, p: LocalPresentation, arcs: Dict[tuple, ValidatedArc]) -> ValidatedArc:
+    """validate_arc(arc, p), run once per distinct arc in `arcs`."""
+    key = _arc_key(arc)
+    va = arcs.get(key)
+    if va is None:
+        va = arcs[key] = validate_arc(arc, p)
+    return va
+
+
 def _sample_arcs(
     p: LocalPresentation,
     generic: ValidatedArc,
@@ -268,9 +282,18 @@ def _sample_arcs(
     rng: random.Random,
     precision: int,
     search_bound: int,
+    arcs: Dict[tuple, ValidatedArc],
 ) -> List[Tuple[str, ValidatedArc]]:
     """Deterministic corpus of valid arcs: transformations of the generic
-    branch plus fresh lifts over other admissible diagonal bases."""
+    branch plus fresh lifts over other admissible diagonal bases.
+
+    The same arc is often drawn more than once.  A repeat reuses the first
+    draw's ValidatedArc object: `arcs` maps each arc's content to it, and a
+    dict local to the call maps each (units, exponents) to its lift, or to
+    None when the lift needed an algebraic extension.  Nothing outlives the
+    caller's verify run, and the random draws are the same, in the same
+    order, whether or not a draw repeats.
+    """
     algebras = [h.elimination_algebra for h in p.hypersurfaces]
     admissible: List[Tuple[int, ...]] = []
     for u in admissible_unit_tuples(algebras, p.d, search_bound):
@@ -278,42 +301,41 @@ def _sample_arcs(
         if len(admissible) >= 6:
             break
     samples: List[Tuple[str, ValidatedArc]] = []
-    # (units, exponents) whose lift needed an algebraic extension; drawing one
-    # again falls back at once, with the same random draws as a fresh failure
-    failed: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]] = set()
+    lifts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Optional[ValidatedArc]] = {}
     for k in range(trials):
         kind = rng.choice(("reparam", "scale", "deform", "fresh", "skew", "reparam_scale"))
-        try:
-            if kind in ("fresh", "skew"):
-                if kind == "fresh":
-                    alpha = rng.randint(1, 3)
-                    u = admissible[rng.randrange(len(admissible))]
-                    exponents = (alpha,) * len(p.base_vars)
-                else:
-                    # independent base exponents: valid but usually non-generic arcs
-                    u = admissible[rng.randrange(len(admissible))]
-                    exponents = tuple(rng.randint(1, 3) for _ in p.base_vars)
-                if (u, exponents) in failed:
-                    raise ExtensionRequiredError("lift already failed")
-                try:
-                    va = lift_monomial_base(p, u, exponents, precision)
-                except ExtensionRequiredError:
-                    failed.add((u, exponents))
-                    raise
+        va: Optional[ValidatedArc]
+        if kind in ("fresh", "skew"):
+            if kind == "fresh":
+                alpha = rng.randint(1, 3)
+                u = admissible[rng.randrange(len(admissible))]
+                exponents = (alpha,) * len(p.base_vars)
             else:
-                arc = generic.arc
-                if kind in ("reparam", "reparam_scale"):
-                    arc = arc.reparametrize(rng.randint(2, 3))
-                if kind in ("scale", "reparam_scale"):
-                    arc = arc.scale_parameter(rng.choice(_SCALES))
-                if kind == "deform":
-                    c = rng.choice(_SCALES)
-                    tau = PowerSeries((0, 1, c))  # t + c*t^2
-                    arc = arc.substitute_parameter(tau)
-                va = validate_arc(arc, p)
-        except ExtensionRequiredError:
-            arc = generic.arc.reparametrize(rng.randint(2, 3))
-            va = validate_arc(arc, p)
+                # independent base exponents: valid but usually non-generic arcs
+                u = admissible[rng.randrange(len(admissible))]
+                exponents = tuple(rng.randint(1, 3) for _ in p.base_vars)
+            key = (u, exponents)
+            if key not in lifts:
+                try:
+                    lifted = lift_monomial_base(p, u, exponents, precision)
+                except ExtensionRequiredError:
+                    lifts[key] = None
+                else:
+                    lifts[key] = arcs.setdefault(_arc_key(lifted.arc), lifted)
+            va = lifts[key]
+            if va is None:  # fall back to a reparametrized generic branch
+                va = _validated(generic.arc.reparametrize(rng.randint(2, 3)), p, arcs)
+        else:
+            arc = generic.arc
+            if kind in ("reparam", "reparam_scale"):
+                arc = arc.reparametrize(rng.randint(2, 3))
+            if kind in ("scale", "reparam_scale"):
+                arc = arc.scale_parameter(rng.choice(_SCALES))
+            if kind == "deform":
+                c = rng.choice(_SCALES)
+                tau = PowerSeries((0, 1, c))  # t + c*t^2
+                arc = arc.substitute_parameter(tau)
+            va = _validated(arc, p, arcs)
         samples.append((f"trial-{k}", va))
     return samples
 
@@ -333,6 +355,11 @@ def verify_main_theorem(
     floor(r) by closed form, one-dimensional iteration, and the geometric
     simulation; the reparametrized arc attains rho-bar; and the chain
     r_bar >= rho_bar >= floor(order) holds throughout.
+
+    Within one call every distinct arc is validated once, and its
+    one-dimensional steps, Nash sequence and arc document are computed once;
+    repeated samples reuse them (see _sample_arcs).  The cache lives and dies
+    with the call.
     """
     results: dict = {}
     checks: List[dict] = []
@@ -359,27 +386,27 @@ def verify_main_theorem(
     )
 
     rng = random.Random(seed)
-    samples = _sample_arcs(p, generic.arc, trials, rng, precision, search_bound)
+    arcs = {_arc_key(generic.arc.arc): generic.arc}
+    samples = _sample_arcs(p, generic.arc, trials, rng, precision, search_bound, arcs)
     rows = []
     lower_bound_ok, lb_witness = True, ""
     rho_ok, rho_witness = True, ""
     chain_ok, chain_witness = True, ""
     min_rbar = gen_contact.r_bar
     minimizing_rho_bars = [gen_contact.rho_bar]
+    # id of each distinct sampled ValidatedArc -> its row without the name,
+    # and whether its rho agrees three ways
+    seen: Dict[int, Tuple[dict, bool]] = {}
     for name, va in samples:
         c = va.contact
-        min_rbar = min(min_rbar, c.r_bar)
-        steps = onedim_resolution_steps(c.image)
-        try:
-            geo = nash_sequence_presentation(p, va)
-            geo_rho: Optional[int] = geo.rho
-        except IdentityViolationError:
-            geo_rho = None
-        arc_doc = arc_to_document(va.arc)
-        rows.append(
-            {
-                "name": name,
-                "arc": arc_doc,
+        if id(va) not in seen:
+            steps = onedim_resolution_steps(c.image)
+            try:
+                geo_rho: Optional[int] = nash_sequence_presentation(p, va).rho
+            except IdentityViolationError:
+                geo_rho = None
+            row = {
+                "arc": arc_to_document(va.arc),
                 "r": fraction_text(c.r),
                 "r_bar": fraction_text(c.r_bar),
                 "rho": c.rho,
@@ -388,16 +415,18 @@ def verify_main_theorem(
                 "rho_onedim": steps,
                 "rho_geometric": geo_rho,
             }
-        )
-        doc = json.dumps(arc_doc, sort_keys=True)
+            seen[id(va)] = row, c.rho == floor(c.r) == steps == geo_rho
+        row, rho_agrees = seen[id(va)]
+        rows.append({"name": name, **row})
+        min_rbar = min(min_rbar, c.r_bar)
         if c.r_bar == ord_d:
             minimizing_rho_bars.append(c.rho_bar)
         if c.r_bar < ord_d and lower_bound_ok:
-            lower_bound_ok, lb_witness = False, doc
-        if not (c.rho == floor(c.r) == steps == geo_rho) and rho_ok:
-            rho_ok, rho_witness = False, doc
+            lower_bound_ok, lb_witness = False, json.dumps(row["arc"], sort_keys=True)
+        if not rho_agrees and rho_ok:
+            rho_ok, rho_witness = False, json.dumps(row["arc"], sort_keys=True)
         if not (c.r_bar >= c.rho_bar >= floor(ord_d)) and chain_ok:
-            chain_ok, chain_witness = False, doc
+            chain_ok, chain_witness = False, json.dumps(row["arc"], sort_keys=True)
     results["samples"] = rows
     checks.append(_check("samples_r_bar_lower_bound", lower_bound_ok, witness=lb_witness))
     checks.append(_check("samples_rho_three_ways", rho_ok, witness=rho_witness))
@@ -411,7 +440,7 @@ def verify_main_theorem(
     )
 
     repar = ord_d.denominator
-    attaining = validate_arc(generic.arc.arc.reparametrize(repar), p)
+    attaining = _validated(generic.arc.arc.reparametrize(repar), p, arcs)
     att_contact = attaining.contact
     results["rho_bar_arc"] = arc_to_document(attaining.arc)
     results["rho_bar_attained"] = fraction_text(att_contact.rho_bar)
@@ -419,7 +448,7 @@ def verify_main_theorem(
         _check(
             "rho_bar_attained_after_reparametrization",
             att_contact.rho_bar == ord_d,
-            witness=json.dumps(arc_to_document(attaining.arc), sort_keys=True),
+            witness=json.dumps(results["rho_bar_arc"], sort_keys=True),
         )
     )
     if att_contact.r_bar == ord_d:
@@ -515,13 +544,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("generic-arc", help="construct an arc attaining the order")
     common(sp)
     sp.add_argument("--alpha", type=_int_in(1, MAX_PRECISION), default=1)
-    sp.add_argument("--search-bound", type=int, default=8)
+    sp.add_argument("--search-bound", type=_int_in(1), default=8)
     sp.set_defaults(handler=_cmd_generic_arc)
 
     sp = sub.add_parser("verify", help="machine-check the arc/order identities")
     common(sp)
     sp.add_argument("--alpha", type=_int_in(1, MAX_PRECISION), default=1)
-    sp.add_argument("--search-bound", type=int, default=8)
+    sp.add_argument("--search-bound", type=_int_in(1), default=8)
     sp.add_argument("--trials", type=_int_in(0), default=20)
     sp.set_defaults(handler=_cmd_verify)
     return parser

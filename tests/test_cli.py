@@ -1,11 +1,20 @@
 import json
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from nashres.cli import main
 
 CUSP = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^3"}]}
+TWO_HYP = {
+    "d": 2,
+    "hypersurfaces": [
+        {"var": "x1", "b": 2, "f": "x1^2 - z1^3"},
+        {"var": "x2", "b": 2, "f": "x2^2 - z1 z2^2"},
+    ],
+}
 UMBRELLA = {"d": 2, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z1^2*z2"}]}
 PURE_SQUARE = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 + z - z"}]}
 COMPLEX_BRANCH = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 + z^2"}]}
@@ -393,6 +402,10 @@ def test_parser_is_built_once_and_calls_stay_independent(tmp_path):
         (["generic-arc", "--alpha", "1025"], "--alpha"),
         (["verify", "--alpha", "0"], "--alpha"),
         (["verify", "--alpha", "10000000"], "--alpha"),
+        (["generic-arc", "--search-bound", "0"], "--search-bound"),
+        (["generic-arc", "--search-bound", "-3"], "--search-bound"),
+        (["verify", "--search-bound", "0"], "--search-bound"),
+        (["verify", "--search-bound", "-3"], "--search-bound"),
     ],
 )
 def test_out_of_range_numeric_options_exit_code(tmp_path, capsys, argv, option):
@@ -425,4 +438,114 @@ def test_numeric_options_at_their_bounds_are_accepted(tmp_path, capsys):
     assert report["inputs"]["defaults"]["precision"] == 1024
     code, report = run_json(capsys, "generic-arc", pres, "--precision", "1")
     assert code == 3
+    code, report = run_json(capsys, "generic-arc", pres, "--search-bound", "1")
+    assert code == 0
+    assert report["inputs"]["defaults"]["search_bound"] == 1
     assert time.monotonic() - start < 1.0
+
+
+def _content(arc):
+    return tuple(sorted(arc.coords.items()))
+
+
+def _reference_samples(p, trials, seed, precision=64, search_bound=8):
+    """The rows of verify's samples, recomputed with no reuse at all.
+
+    Replays the sampler's draws on a fresh RNG: every sample's arc is lifted
+    or derived anew, then validated, and its contact, one-dimensional steps
+    and Nash sequence are computed from it alone.
+    """
+    from itertools import islice
+
+    from nashres.arcs import validate_arc
+    from nashres.errors import ExtensionRequiredError, IdentityViolationError
+    from nashres.generic import admissible_unit_tuples, construct_generic_arc, lift_monomial_base
+    from nashres.nash import nash_sequence_presentation
+    from nashres.parsing import arc_to_document, fraction_text
+    from nashres.rees import onedim_resolution_steps
+    from nashres.series import PowerSeries
+
+    generic = construct_generic_arc(p, search_bound=search_bound, precision=precision).arc.arc
+    algebras = [h.elimination_algebra for h in p.hypersurfaces]
+    admissible = list(islice(admissible_unit_tuples(algebras, p.d, search_bound), 6))
+    scales = [Fraction(c) for c in ("1", "-1", "2", "-2", "3", "1/2", "-1/2")]
+    rng = random.Random(seed)
+    rows = []
+    for k in range(trials):
+        kind = rng.choice(("reparam", "scale", "deform", "fresh", "skew", "reparam_scale"))
+        arc = generic
+        try:
+            if kind == "fresh":
+                alpha = rng.randint(1, 3)
+                u = admissible[rng.randrange(len(admissible))]
+                arc = lift_monomial_base(p, u, (alpha,) * p.d, precision).arc
+            elif kind == "skew":
+                u = admissible[rng.randrange(len(admissible))]
+                exponents = tuple(rng.randint(1, 3) for _ in range(p.d))
+                arc = lift_monomial_base(p, u, exponents, precision).arc
+            if kind in ("reparam", "reparam_scale"):
+                arc = arc.reparametrize(rng.randint(2, 3))
+            if kind in ("scale", "reparam_scale"):
+                arc = arc.scale_parameter(rng.choice(scales))
+            if kind == "deform":
+                arc = arc.substitute_parameter(PowerSeries((0, 1, rng.choice(scales))))
+        except ExtensionRequiredError:
+            arc = generic.reparametrize(rng.randint(2, 3))
+        va = validate_arc(arc, p)
+        c = va.contact
+        try:
+            geo_rho = nash_sequence_presentation(p, va).rho
+        except IdentityViolationError:
+            geo_rho = None
+        rows.append({
+            "name": f"trial-{k}",
+            "arc": arc_to_document(va.arc),
+            "r": fraction_text(c.r),
+            "r_bar": fraction_text(c.r_bar),
+            "rho": c.rho,
+            "rho_bar": fraction_text(c.rho_bar),
+            "arc_order": c.arc_order,
+            "rho_onedim": onedim_resolution_steps(c.image),
+            "rho_geometric": geo_rho,
+        })
+    return rows
+
+
+@pytest.mark.parametrize("name", ["cusp", "two_hyp"])
+@pytest.mark.parametrize("seed", [7, 3])
+def test_verify_computes_each_distinct_sampled_arc_once(monkeypatch, name, seed):
+    from collections import Counter
+
+    from nashres import cli as climod
+    from nashres.parsing import load_presentation
+
+    p = load_presentation(CUSP if name == "cusp" else TWO_HYP)
+    validated, lifted, nash_runs = Counter(), Counter(), Counter()
+
+    def spy(counter, key, fn):
+        def wrapped(*args):
+            counter[key(*args)] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(
+        climod, "validate_arc", spy(validated, lambda a, p: _content(a), climod.validate_arc)
+    )
+    monkeypatch.setattr(
+        climod, "lift_monomial_base",
+        spy(lifted, lambda p, u, e, prec: (tuple(u), tuple(e)), climod.lift_monomial_base),
+    )
+    monkeypatch.setattr(
+        climod, "nash_sequence_presentation",
+        spy(nash_runs, lambda p, va: _content(va.arc), climod.nash_sequence_presentation),
+    )
+    results, checks = climod.verify_main_theorem(p, trials=20, seed=seed)
+    monkeypatch.undo()
+
+    assert all(c["status"] == "pass" for c in checks)
+    assert set(validated.values()) <= {1}
+    assert set(lifted.values()) <= {1}
+    assert set(nash_runs.values()) <= {1}
+    # repeats occur at these seeds, so the reuse is exercised
+    assert sum(nash_runs.values()) < 20
+    assert results["samples"] == _reference_samples(p, trials=20, seed=seed)

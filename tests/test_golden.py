@@ -58,6 +58,14 @@ PRESENTATIONS = {
         "d": 1,
         "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 - 8000000000000 z^4"}],
     },
+    "three_hypersurfaces": {
+        "d": 2,
+        "hypersurfaces": [
+            {"var": "x1", "b": 2, "f": "x1^2 - z1^3"},
+            {"var": "x2", "b": 2, "f": "x2^2 - z1 z2^2"},
+            {"var": "x3", "b": 2, "f": "x3^2 - z2^4"},
+        ],
+    },
     "two_hyp_three_base": {
         "d": 3,
         "hypersurfaces": [
@@ -85,6 +93,11 @@ CASES = {
     "verify_two_hyp_seed7": ("two_hyp", None, ["verify", "--seed", "7"]),
     "verify_A_8_seed7": ("A_8", None, ["verify", "--seed", "7"]),
     "verify_mixed_weights_seed7": ("mixed_weights", None, ["verify", "--seed", "7"]),
+    # Six failed lifts and repeated fallback draws: many samples repeat an
+    # earlier arc of the same run.
+    "verify_three_hypersurfaces_seed7": (
+        "three_hypersurfaces", None, ["verify", "--seed", "7"],
+    ),
     "generic_arc_quartic_middle_p96": (
         "quartic_middle", None, ["generic-arc", "--precision", "96"],
     ),

@@ -17,6 +17,7 @@ from nashres import (
 from nashres.errors import NotCenteredError, ValidationError
 
 from conftest import a_n, make_presentation
+from test_harness_extended import CASES as EXTENDED_CASES
 
 
 def normalize(text, var="x"):
@@ -85,6 +86,24 @@ def test_elimination_order_umbrella():
 def test_elimination_order_two_coefficients():
     # B_1 = z^2 at weight 2 gives 1; B_0 = z^4 at weight 3 gives 4/3
     assert elimination_order(normalize("x^3 + z^2 x + z^4")).value == 1
+
+
+# The acceptance corpus (cusp, umbrella, two_hyp, A_1..A_8) and the extended one.
+CORPUS = {
+    "cusp": (1, [("x", "x^2 - z^3")]),
+    "umbrella": (2, [("x", "x^2 - z1^2*z2")]),
+    "two_hyp": (2, [("x1", "x1^2 - z1^3"), ("x2", "x2^2 - z1*z2^2")]),
+    **{f"A_{n}": (1, [("x", f"x^2 - z^{n + 1}")]) for n in range(1, 9)},
+    **{name: (d, equations) for name, d, equations, _ in EXTENDED_CASES},
+}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_closed_form_order_is_the_algebra_order(name):
+    d, equations = CORPUS[name]
+    for h in make_presentation(d, *equations).hypersurfaces:
+        origin = (Fraction(0),) * len(h.base_vars)
+        assert elimination_order(h) == algebra_order_at(h.elimination_algebra, origin)
 
 
 def test_presentation_order_single(cusp):

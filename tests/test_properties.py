@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from nashres import (
     LocalPresentation,
+    TschirnhausenHypersurface,
     MultiPoly,
     PowerSeries,
     ReesAlgebra,
     algebra_order_at,
     diff_closure,
+    elimination_order,
     lift_monomial_base,
     nash_sequence_equation,
     odot,
@@ -498,6 +500,27 @@ def test_closure_never_raises_order_at_singular_points(fs):
     before = algebra_order_at(algebra, ORIGIN2)
     after = algebra_order_at(diff_closure(algebra), ORIGIN2)
     assert after.value <= before.value
+
+
+@st.composite
+def centred_tschirnhausen(draw):
+    """x^b + B_{b-2} x^{b-2} + ... + B_0 over d base variables, ord(B_i) >= b - i."""
+    b = draw(st.integers(min_value=2, max_value=4))
+    d = draw(st.integers(min_value=1, max_value=3))
+    base = tuple(f"z{k}" for k in range(1, d + 1))
+    coeffs = tuple(
+        draw(polys(base, max_degree=b - i + 1, max_terms=3, min_order=b - i))
+        for i in range(b - 1)
+    )
+    return TschirnhausenHypersurface("x", b, base, coeffs)
+
+
+@seed(20151102)
+@settings(max_examples=60, deadline=None)
+@given(centred_tschirnhausen())
+def test_closed_form_order_is_the_algebra_order(h):
+    origin = (Fraction(0),) * len(h.base_vars)
+    assert elimination_order(h) == algebra_order_at(h.elimination_algebra, origin)
 
 
 # -- the t-chart move shared by the blow-ups and the Newton-Puiseux stages --------
