@@ -328,11 +328,7 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
     run to the end.
     """
     x_index, t_index = F.vars.index(xvar), F.vars.index(T)
-    denom = lcm(*(c.denominator for c in F.terms.values()))
-    cur = {
-        (exp[x_index], exp[t_index]): c.numerator * (denom // c.denominator)
-        for exp, c in F.terms.items()
-    }
+    cur = {(exp[x_index], exp[t_index]): c for exp, c in F.nums.items()}
     e = 1
     target = precision
     found: List[Tuple[Fraction, int]] = []  # (coefficient, absolute exponent)
@@ -498,20 +494,28 @@ def _equation_on_base(
 
     A monomial map: x^i z^beta goes to x^i t^(sum a_v beta_v) with its
     coefficient times prod u_v^(beta_v); terms that land together are summed.
+    With u_v = p_v/q_v and N_v the degree of f in z_v, every numerator is
+    multiplied by prod p_v^(beta_v) q_v^(N_v - beta_v) over the one
+    denominator den * prod q_v^N_v.
     """
     f = h.polynomial
     x_index = f.vars.index(h.var)
-    base = [(f.vars.index(v), u, a) for v, u, a in zip(h.base_vars, units, exponents)]
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for exp, c in f.terms.items():
+    base = []
+    den = f.den
+    for v, u, a in zip(h.base_vars, units, exponents):
+        u, top = Fraction(u), f.degree_in(v)
+        base.append((f.vars.index(v), u.numerator, u.denominator, a, top))
+        den *= u.denominator**top
+    out: Dict[Tuple[int, int], int] = {}
+    for exp, c in f.nums.items():
         j = 0
-        for k, u, a in base:
-            if exp[k]:
-                j += a * exp[k]
-                c *= u ** exp[k]
+        for k, p, q, a, top in base:
+            e = exp[k]
+            j += a * e
+            c *= p**e * q ** (top - e)
         key = (exp[x_index], j)
         out[key] = out.get(key, 0) + c
-    return MultiPoly((h.var, T), out)
+    return MultiPoly.from_integers((h.var, T), out, den)
 
 
 def _lift_equation(

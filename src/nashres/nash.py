@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Optional, Tuple
 
 from .arcs import ValidatedArc
@@ -61,14 +61,12 @@ class NashState:
     @classmethod
     def from_poly(cls, g: MultiPoly, arc: Dict[str, PowerSeries], step: int = 0) -> "NashState":
         """The state of a transform over the ambient variables and t, and an arc."""
-        D = lcm(*(c.denominator for c in g.terms.values()))
-        G = {exp: c.numerator * (D // c.denominator) for exp, c in g.terms.items()}
         forms = tuple(PowerSeries.t_power(1) if v == T else arc[v] for v in g.vars)
-        return cls(g.vars, G, D, forms, step)
+        return cls(g.vars, g.nums, g.den, forms, step)
 
     @property
     def g(self) -> MultiPoly:
-        return MultiPoly._raw(self.vars, {e: Fraction(c, self.D) for e, c in self.G.items()})
+        return MultiPoly._raw(self.vars, self.G, self.D)
 
     @property
     def arc(self) -> Dict[str, PowerSeries]:

@@ -9,18 +9,36 @@ Grammar (whitespace insensitive, juxtaposition multiplies):
     rational := uint ('/' uint)?
     ident  := x | z | t | x1..x9 | z1..z9
 
-Errors carry 1-based line/column positions.
+An identifier is a letter and every digit after it, so `z10` is an unknown
+identifier, not z1 times 0.  Errors carry 1-based line/column positions.
+
+One compiled regular expression splits the text; outside ASCII it reads a
+copy in which each character stands for its class (space, digit, letter,
+the minus sign U+2212, other), so columns stay those of the text.  A term is
+built as a monomial num/den z^e: a number multiplies num and den, a variable
+adds to e, and a parenthesized sum of one term folds in alike; only sums of
+two terms or more are multiplied out, as `MultiPoly` products.  An
+expression sums its terms over the lcm of their denominators into one
+`MultiPoly`, and `parse_arc` reads its numerators into a `PowerSeries`.
+
+Limits: powers of sums and products of sums expand to at most
+MAX_POWER_TERMS monomials.  A k-th power is formed only while k times the
+bit length of its base's largest numerator or denominator fits in
+MAX_CONSTANT_BITS, a product only while the sum of its factors' bit lengths
+does (one-bit factors, as a variable, count nothing).  A power is refused
+at its exponent, a product at the factor that passes the limit.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arcs import Arc
 from .errors import ParseError, ValidationError
-from .poly import MultiPoly, canonical_var_key
+from .poly import MultiPoly, Nums, canonical_var_key
 from .presentation import LocalPresentation, tschirnhausen_normalize
 from .series import PowerSeries
 
@@ -35,167 +53,210 @@ MAX_ARC_COEFFS = 100_000
 # A power of an n-term sum is expanded only when its C(n+k-1, n-1) monomials fit,
 # and a product of an n-term and a k-term sum only when its n*k term products fit.
 MAX_POWER_TERMS = 200
-# The k-th power of a monomial is formed only while k times the bit length of its
-# coefficient's numerator or denominator fits; int() reads literals up to ~14,300 bits.
+# The bits a power or product of coefficients may reach (see the module); int()
+# reads literals up to ~14,300 bits.
 MAX_CONSTANT_BITS = 1 << 16
 
-_OPS = {"+": "PLUS", "-": "MINUS", "−": "MINUS", "*": "STAR",
+# number | identifier | operator | any other character, on ASCII text
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z][0-9]*)|([-+*^/()])|(\S)")
+_OPS = {"+": "PLUS", "-": "MINUS", "*": "STAR",
         "^": "CARET", "/": "SLASH", "(": "LPAREN", ")": "RPAREN"}
 
-
-class _Token:
-    __slots__ = ("kind", "text", "column")
-
-    def __init__(self, kind: str, text: str, column: int):
-        self.kind = kind
-        self.text = text
-        self.column = column
+Token = Tuple[str, str, int]  # (kind, text, column)
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(_OPS[ch], ch, col))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NUM", text[i:j], col))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            if j < len(text) and text[j].isdigit():
-                j += 1
-            name = text[i:j]
+def _ascii_class(ch: str) -> str:
+    """The ASCII character that tokenizes as `ch` does."""
+    if ch == "\u2212":  # the minus sign
+        return "-"
+    return " " if ch.isspace() else "0" if ch.isdigit() else "a" if ch.isalpha() else "?"
+
+
+def _tokenize(text: str) -> List[Token]:
+    scan = text
+    if not text.isascii():
+        scan = text.translate({ord(ch): _ascii_class(ch) for ch in set(text) if not ch.isascii()})
+    tokens: List[Token] = []
+    for m in _TOKEN.finditer(scan):
+        start, end = m.span()
+        group = m.lastindex
+        if group == 1:
+            tokens.append(("NUM", text[start:end], start + 1))
+        elif group == 2:
+            name = text[start:end]
             if name not in IDENTIFIERS:
-                raise ParseError(f"unknown identifier {name!r}", column=col)
-            tokens.append(_Token("IDENT", name, col))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", column=col)
-    tokens.append(_Token("EOF", "", len(text) + 1))
+                raise ParseError(f"unknown identifier {name!r}", column=start + 1)
+            tokens.append(("IDENT", name, start + 1))
+        elif group == 3:
+            tokens.append((_OPS[scan[start]], text[start], start + 1))
+        else:
+            raise ParseError(f"unexpected character {text[start]!r}", column=start + 1)
+    tokens.append(("EOF", "", len(text) + 1))
     return tokens
 
 
-def _number(tok: _Token) -> int:
+def _number(tok: Token) -> int:
     """The token's integer.  int() refuses a digit string above the
     interpreter's length limit (4,300 digits by default) and digit-like
     characters such as superscripts; both are parse errors."""
     try:
-        return int(tok.text)
+        return int(tok[1])
     except ValueError:
         raise ParseError(
-            f"cannot read the {len(tok.text)}-character number {tok.text[:12]!r} as an integer",
-            column=tok.column,
+            f"cannot read the {len(tok[1])}-character number {tok[1][:12]!r} as an integer",
+            column=tok[2],
         ) from None
 
 
+# A monomial factor: the coefficient p/q and the variable powers [(index, k)].
+Monomial = Tuple[int, int, Sequence[Tuple[int, int]]]
+
+
+def _size(factor: "Monomial | MultiPoly") -> Tuple[int, int]:
+    """The factor's number of terms and the bit length of its largest
+    numerator or denominator."""
+    if type(factor) is tuple:
+        p, q, _ = factor
+        return (1 if p else 0), max(p.bit_length(), q.bit_length())
+    top = max(max(map(abs, factor.nums.values()), default=0), factor.den)
+    return len(factor.nums), top.bit_length()
+
+
 class _Parser:
-    def __init__(self, tokens: List[_Token], variables: Tuple[str, ...]):
+    def __init__(self, tokens: List[Token], variables: Tuple[str, ...]):
         self.tokens = tokens
         self.pos = 0
         self.vars = variables
+        self.index = {v: i for i, v in enumerate(variables)}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> _Token:
+    def take(self, kind: str) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != kind:
+        if tok[0] != kind:
             raise ParseError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}",
-                column=tok.column,
+                f"expected {kind}, found {tok[1] or 'end of input'!r}", column=tok[2]
             )
         self.pos += 1
         return tok
 
     def parse_expr(self) -> MultiPoly:
-        sign = 1
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1 if self.take(self.peek().kind).kind == "MINUS" else 1
-        result = self.parse_term()
-        if sign < 0:
-            result = -result
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.take(self.peek().kind)
-            term = self.parse_term()
-            result = result + term if op.kind == "PLUS" else result - term
-        return result
-
-    def parse_term(self) -> MultiPoly:
-        result = self.parse_factor()
+        terms = []  # (sign, numerators, denominator)
+        kind = self.tokens[self.pos][0]
         while True:
-            tok = self.peek()
-            if tok.kind == "STAR":
-                self.take("STAR")
-            elif tok.kind not in ("NUM", "IDENT", "LPAREN"):
-                return result
-            column = self.peek().column
-            factor = self.parse_factor()
-            n, k = len(result.terms), len(factor.terms)
-            if n >= 2 and k >= 2 and n * k > MAX_POWER_TERMS:
-                raise ParseError(
-                    f"product of a {n}-term and a {k}-term sum expands past "
-                    f"{MAX_POWER_TERMS} terms",
-                    column=column,
-                )
-            result = result * factor
+            sign = 1
+            if kind in ("PLUS", "MINUS"):  # optional before the first term only
+                self.pos += 1
+                sign = -1 if kind == "MINUS" else 1
+            terms.append((sign, *self.parse_term()))
+            kind = self.tokens[self.pos][0]
+            if kind not in ("PLUS", "MINUS"):
+                break
+        den = lcm(*(d for _, _, d in terms))
+        out: Nums = {}
+        for sign, nums, d in terms:
+            factor = sign * (den // d)
+            for exp, c in nums.items():
+                out[exp] = out.get(exp, 0) + c * factor
+        return MultiPoly.from_integers(self.vars, out, den)
 
-    def parse_factor(self) -> MultiPoly:
-        base = self.parse_base()
-        if self.peek().kind == "CARET":
-            self.take("CARET")
+    def parse_term(self) -> Tuple[Nums, int]:
+        """The product num/den z^exp times the sums met, as numerators over a denominator."""
+        tokens = self.tokens
+        num, den, exp = 1, 1, [0] * len(self.vars)
+        product: Optional[MultiPoly] = None  # the sums with two terms or more
+        bits = 0  # sum of the factors' bit lengths above 1
+        column = 0  # of the current factor; 0 for the first
+        while True:
+            factor = self.parse_factor()
+            k, factor_bits = _size(factor)
+            if column:
+                n = 0 if not num else 1 if product is None else len(product.nums)
+                if n >= 2 and k >= 2 and n * k > MAX_POWER_TERMS:
+                    raise ParseError(
+                        f"product of a {n}-term and a {k}-term sum expands past "
+                        f"{MAX_POWER_TERMS} terms",
+                        column=column,
+                    )
+                if factor_bits > 1 and bits + factor_bits > MAX_CONSTANT_BITS:
+                    raise ParseError(
+                        f"product of {bits}-bit and {factor_bits}-bit coefficients passes "
+                        f"{MAX_CONSTANT_BITS} bits",
+                        column=column,
+                    )
+            if factor_bits > 1:
+                bits += factor_bits
+            if type(factor) is tuple:
+                p, q, powers = factor
+                num, den = num * p, den * q
+                for i, e in powers:
+                    exp[i] += e
+                if not num:
+                    product = None
+            elif num:
+                product = factor if product is None else product * factor
+            kind = tokens[self.pos][0]
+            if kind == "STAR":
+                self.pos += 1
+            elif kind not in ("NUM", "IDENT", "LPAREN"):
+                break
+            column = tokens[self.pos][2]
+        if product is None:
+            return {tuple(exp): num}, den
+        return (
+            {tuple(a + b for a, b in zip(e, exp)): c * num for e, c in product.nums.items()},
+            den * product.den,
+        )
+
+    def parse_factor(self) -> "Monomial | MultiPoly":
+        """The base to its power: a `Monomial`, or a `MultiPoly` of two terms or more."""
+        tokens = self.tokens
+        kind, text, column = tok = tokens[self.pos]
+        self.pos += 1
+        if kind == "NUM":
+            p, q = _number(tok), 1
+            if tokens[self.pos][0] == "SLASH":
+                self.pos += 1
+                den = self.take("NUM")
+                q = _number(den)
+                if q == 0:
+                    raise ParseError("division by zero", column=den[2])
+                common = gcd(p, q)
+                p, q = p // common, q // common
+            base = (p, q, ())
+        elif kind == "IDENT":
+            base = (1, 1, ((self.index[text], 1),))
+        elif kind == "LPAREN":
+            base = self.parse_expr()
+            self.take("RPAREN")
+        else:
+            raise ParseError(
+                f"expected a number, variable or '(', found {text or 'end of input'!r}",
+                column=column,
+            )
+        if tokens[self.pos][0] == "CARET":
+            self.pos += 1
             exp = self.take("NUM")
-            n, k = len(base.terms), _number(exp)
+            k = _number(exp)
+            n, bits = _size(base)
             if n >= 2 and comb(n + k - 1, n - 1) > MAX_POWER_TERMS:
                 raise ParseError(
                     f"power {k} of a {n}-term sum expands past {MAX_POWER_TERMS} terms",
-                    column=exp.column,
+                    column=exp[2],
                 )
-            if n == 1:
-                (c,) = base.terms.values()
-                bits = max(abs(c.numerator), c.denominator).bit_length()
-                if bits > 1 and k * bits > MAX_CONSTANT_BITS:
-                    raise ParseError(
-                        f"power {k} of a {bits}-bit coefficient passes {MAX_CONSTANT_BITS} bits",
-                        column=exp.column,
-                    )
-            return base ** k
-        return base
-
-    def parse_base(self) -> MultiPoly:
-        tok = self.peek()
-        if tok.kind == "NUM":
-            num = _number(self.take("NUM"))
-            if self.peek().kind == "SLASH":
-                self.take("SLASH")
-                den = self.take("NUM")
-                if _number(den) == 0:
-                    raise ParseError("division by zero", column=den.column)
-                return MultiPoly.constant(self.vars, Fraction(num, _number(den)))
-            return MultiPoly.constant(self.vars, num)
-        if tok.kind == "IDENT":
-            self.take("IDENT")
-            return MultiPoly.variable(self.vars, tok.text)
-        if tok.kind == "LPAREN":
-            self.take("LPAREN")
-            inner = self.parse_expr()
-            self.take("RPAREN")
-            return inner
-        raise ParseError(
-            f"expected a number, variable or '(', found {tok.text or 'end of input'!r}",
-            column=tok.column,
-        )
+            if bits > 1 and k * bits > MAX_CONSTANT_BITS:
+                raise ParseError(
+                    f"power {k} of a {bits}-bit coefficient passes {MAX_CONSTANT_BITS} bits",
+                    column=exp[2],
+                )
+            if type(base) is tuple:
+                p, q, powers = base
+                base = (p**k, q**k, tuple((i, e * k) for i, e in powers))
+            else:
+                base = base**k
+        if type(base) is tuple or len(base.nums) > 1:
+            return base
+        # a sum of one term (or none) folds into the monomial
+        ((e, c),) = base.nums.items() or (((), 0),)
+        return c, base.den, tuple((i, a) for i, a in enumerate(e) if a)
 
 
 def parse_poly(text: str, variables: Optional[Sequence[str]] = None) -> MultiPoly:
@@ -205,9 +266,7 @@ def parse_poly(text: str, variables: Optional[Sequence[str]] = None) -> MultiPol
     identifiers that occur, in canonical order (x's, z's, then t).
     """
     tokens = _tokenize(text)
-    occurring = sorted(
-        {tok.text for tok in tokens if tok.kind == "IDENT"}, key=canonical_var_key
-    )
+    occurring = sorted({tok[1] for tok in tokens if tok[0] == "IDENT"}, key=canonical_var_key)
     if variables is None:
         variables = occurring
     else:
@@ -216,9 +275,9 @@ def parse_poly(text: str, variables: Optional[Sequence[str]] = None) -> MultiPol
             raise ParseError(f"unexpected variables {extra} (allowed: {list(variables)})")
     parser = _Parser(tokens, tuple(variables))
     result = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"trailing input {tok.text!r}", column=tok.column)
+    tok = tokens[parser.pos]
+    if tok[0] != "EOF":
+        raise ParseError(f"trailing input {tok[1]!r}", column=tok[2])
     return result
 
 
@@ -246,18 +305,19 @@ def parse_arc(document: dict) -> Arc:
         bad = [v for v in f.vars if v != "t"]
         if bad:
             raise ValidationError(f"non-t variables in coordinate {name!r}: {bad}")
-        g = f if "t" in f.vars else f.extend_vars(("t",))
-        size = g.degree_in("t") + 1
+        # every exponent is (k,) over t, or () for a constant
+        size = max((sum(e) for e in f.nums), default=-1) + 1
         size = size if prec is None else min(size, prec)
         if size > MAX_ARC_COEFFS:
             raise ValidationError(
                 f"coordinate {name!r} needs {size} coefficients, above the limit {MAX_ARC_COEFFS}"
             )
-        coeffs = [Fraction(0)] * size
-        for exp, coeff in g.terms.items():
-            if exp[0] < size:
-                coeffs[exp[0]] = coeff
-        coords[name] = PowerSeries(coeffs, prec)
+        nums = [0] * size
+        for exp, c in f.nums.items():
+            k = sum(exp)
+            if k < size:
+                nums[k] = c
+        coords[name] = PowerSeries.from_integers(nums, f.den, prec)
     return Arc(coords)
 
 

@@ -1,25 +1,29 @@
 """Sparse exact multivariate polynomials over the rationals.
 
-A polynomial is a map from exponent vectors to nonzero Fractions, tagged with
-an ordered variable list.  Everything is immutable by convention and exact;
-there is no floating point anywhere.  Terms are kept in no particular order
-internally; printing and hashing use graded lexicographic order so output is
+A polynomial is sum nums[e]/den z^e over an ordered variable list: integer
+numerators keyed by exponent vector over one denominator.  The form is
+canonical: no numerator is zero, den > 0 and gcd(den, *nums) = 1, so equal
+polynomials have equal fields and `__eq__` and `__hash__` read them.  Ring
+operations, the Taylor shift, derivatives and printing all work on the
+integers; `terms` is a read-only `Fraction` view built on demand, for tests
+and callers off the hot paths.  Everything is immutable by convention and
+exact; there is no floating point anywhere.  Terms are kept in no particular
+order internally; printing uses graded lexicographic order so output is
 deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatchError, UnknownVariableError
 from .extorder import INFINITE, ExtOrder
 
 Exponent = Tuple[int, ...]
 Terms = Dict[Exponent, Fraction]
-
-_ZERO = Fraction(0)
+Nums = Dict[Exponent, int]
 
 
 def _gradlex_key(exp: Exponent):
@@ -28,30 +32,49 @@ def _gradlex_key(exp: Exponent):
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    """sum nums[e]/den z^e in canonical form (see the module)."""
+
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Fraction] | None = None):
-        self.vars: Tuple[str, ...] = tuple(variables)
-        clean: Terms = {}
+        variables = tuple(variables)
+        coeffs: Terms = {}
         if terms:
-            width = len(self.vars)
+            width = len(variables)
             for exp, coeff in terms.items():
                 if len(exp) != width:
                     raise DimensionMismatchError(
                         f"exponent vector {exp} has length {len(exp)}, expected {width}"
                     )
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if c != 0:
-                    clean[tuple(exp)] = c
-        self.terms: Terms = clean
+                coeffs[tuple(exp)] = coeff if type(coeff) is Fraction else Fraction(coeff)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self._set(variables, {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}, den)
+
+    def _set(self, variables: Tuple[str, ...], nums: Mapping[Exponent, int], den: int) -> None:
+        nums = {e: c for e, c in nums.items() if c}
+        if den != 1:
+            common = gcd(den, *nums.values())
+            if den < 0:
+                common = -common
+            if common != 1:
+                nums = {e: c // common for e, c in nums.items()}
+                den //= common
+        self.vars, self.nums, self.den = variables, nums, den
 
     @classmethod
-    def _raw(cls, variables: Tuple[str, ...], terms: Terms) -> "MultiPoly":
-        """Skip validation for internally built term maps (no zero values,
-        correct exponent widths, Fraction coefficients)."""
+    def from_integers(
+        cls, variables: Sequence[str], nums: Mapping[Exponent, int], den: int
+    ) -> "MultiPoly":
+        """The polynomial sum nums[e]/den z^e, den nonzero; exponent widths unchecked."""
         self = object.__new__(cls)
-        self.vars = variables
-        self.terms = terms
+        self._set(tuple(variables), nums, den)
+        return self
+
+    @classmethod
+    def _raw(cls, variables: Tuple[str, ...], nums: Nums, den: int) -> "MultiPoly":
+        """Skip normalization for numerators already in canonical form."""
+        self = object.__new__(cls)
+        self.vars, self.nums, self.den = variables, nums, den
         return self
 
     # -- constructors ------------------------------------------------------
@@ -63,9 +86,9 @@ class MultiPoly:
     @staticmethod
     def constant(variables: Sequence[str], value) -> "MultiPoly":
         c = Fraction(value)
-        if c == 0:
-            return MultiPoly(variables)
-        return MultiPoly(variables, {(0,) * len(variables): c})
+        variables = tuple(variables)
+        nums = {(0,) * len(variables): c.numerator} if c else {}
+        return MultiPoly._raw(variables, nums, c.denominator)
 
     @staticmethod
     def variable(variables: Sequence[str], name: str) -> "MultiPoly":
@@ -74,27 +97,33 @@ class MultiPoly:
             raise UnknownVariableError(f"variable {name!r} not among {variables}")
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
-        return MultiPoly(variables, {tuple(exp): Fraction(1)})
+        return MultiPoly._raw(variables, {tuple(exp): 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> Terms:
+        """The coefficients as Fractions, built on demand; writing to it changes nothing."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def total_degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def degree_in(self, name: str) -> int:
         i = self._index(name)
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.nums)
 
     def _index(self, name: str) -> int:
         try:
@@ -106,11 +135,12 @@ class MultiPoly:
         return (
             isinstance(other, MultiPoly)
             and self.vars == other.vars
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.vars, self.den, frozenset(self.nums.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -122,40 +152,34 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_same_vars(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            s = out.get(exp, _ZERO) + coeff
-            if s == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return MultiPoly._raw(self.vars, out)
+        den = lcm(self.den, other.den)
+        out = {e: c * (den // self.den) for e, c in self.nums.items()}
+        scale = den // other.den
+        for e, c in other.nums.items():
+            out[e] = out.get(e, 0) + c * scale
+        return MultiPoly.from_integers(self.vars, out, den)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._raw(self.vars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_same_vars(other)
-        out: Terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        out: Nums = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, _ZERO) + c1 * c2
-                if s == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return MultiPoly._raw(self.vars, out)
+                out[exp] = out.get(exp, 0) + c1 * c2
+        return MultiPoly.from_integers(self.vars, out, self.den * other.den)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if len(self.terms) == 1:
-            ((exp, coeff),) = self.terms.items()
-            return MultiPoly._raw(self.vars, {tuple(e * n for e in exp): coeff**n})
+        if len(self.nums) == 1:
+            ((exp, c),) = self.nums.items()
+            return MultiPoly._raw(self.vars, {tuple(e * n for e in exp): c**n}, self.den**n)
         result = MultiPoly.constant(self.vars, 1)
         base = self
         while n:
@@ -167,9 +191,10 @@ class MultiPoly:
 
     def scale(self, value) -> "MultiPoly":
         c = Fraction(value)
-        if c == 0:
-            return MultiPoly(self.vars)
-        return MultiPoly._raw(self.vars, {e: c * coeff for e, coeff in self.terms.items()})
+        p = c.numerator
+        return MultiPoly.from_integers(
+            self.vars, {e: v * p for e, v in self.nums.items()}, self.den * c.denominator
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -179,17 +204,14 @@ class MultiPoly:
         Coefficients keep the full variable list (with exponent 0 in `name`).
         """
         i = self._index(name)
-        buckets: Dict[int, Terms] = {}
-        for exp, coeff in self.terms.items():
-            rest = list(exp)
-            d = rest[i]
-            rest[i] = 0
-            buckets.setdefault(d, {})[tuple(rest)] = coeff
-        return {d: MultiPoly._raw(self.vars, t) for d, t in buckets.items()}
+        buckets: Dict[int, Nums] = {}
+        for exp, c in self.nums.items():
+            buckets.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = c
+        return {d: MultiPoly.from_integers(self.vars, t, self.den) for d, t in buckets.items()}
 
     def involves(self, name: str) -> bool:
         i = self._index(name)
-        return any(e[i] > 0 for e in self.terms)
+        return any(e[i] > 0 for e in self.nums)
 
     def extend_vars(self, variables: Sequence[str]) -> "MultiPoly":
         """Reinterpret over a larger (or reordered) variable list."""
@@ -203,50 +225,53 @@ class MultiPoly:
                     f"variable {v!r} missing from target list {variables}"
                 )
             positions.append(variables.index(v))
-        out: Terms = {}
-        for exp, coeff in self.terms.items():
+        out: Nums = {}
+        for exp, c in self.nums.items():
             new = [0] * len(variables)
             for p, e in zip(positions, exp):
                 new[p] = e
-            out[tuple(new)] = coeff
-        return MultiPoly._raw(variables, out)
+            out[tuple(new)] = c
+        return MultiPoly._raw(variables, out, self.den)
 
     def restrict_vars(self, variables: Sequence[str]) -> "MultiPoly":
         """Drop unused variables; every dropped variable must have exponent 0."""
         variables = tuple(variables)
         keep = [self._index(v) for v in variables]
         dropped = [i for i in range(len(self.vars)) if i not in keep]
-        out: Terms = {}
-        for exp, coeff in self.terms.items():
+        out: Nums = {}
+        for exp, c in self.nums.items():
             if any(exp[i] for i in dropped):
                 raise DimensionMismatchError(
                     f"polynomial involves {self.vars[next(i for i in dropped if exp[i])]!r}, "
                     f"cannot restrict to {variables}"
                 )
-            out[tuple(exp[i] for i in keep)] = coeff
-        return MultiPoly._raw(tuple(variables), out)
+            out[tuple(exp[i] for i in keep)] = c
+        return MultiPoly._raw(variables, out, self.den)
 
     def initial_form(self) -> "MultiPoly":
         """Homogeneous part of lowest total degree (initial form at the origin)."""
-        if not self.terms:
+        if not self.nums:
             return self
-        low = min(sum(e) for e in self.terms)
-        return MultiPoly._raw(
-            self.vars, {e: c for e, c in self.terms.items() if sum(e) == low}
+        low = min(sum(e) for e in self.nums)
+        return MultiPoly.from_integers(
+            self.vars, {e: c for e, c in self.nums.items() if sum(e) == low}, self.den
         )
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading term; 0 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
-        return self.terms[max(self.terms, key=_gradlex_key)]
+        return Fraction(self.nums[max(self.nums, key=_gradlex_key)], self.den)
 
     def monic_normalized(self) -> "MultiPoly":
-        """Divide by the graded-lex leading coefficient (canonical scalar form)."""
-        lc = self.leading_coefficient()
-        if lc in (0, 1):
+        """Divide by the graded-lex leading coefficient (canonical scalar form):
+        f / (lead/den) is the numerators over the leading one."""
+        if not self.nums:
             return self
-        return self.scale(Fraction(1) / lc)
+        lead = self.nums[max(self.nums, key=_gradlex_key)]
+        if lead == self.den:
+            return self
+        return MultiPoly.from_integers(self.vars, self.nums, lead)
 
     # -- evaluation and shifts ----------------------------------------------
 
@@ -261,13 +286,13 @@ class MultiPoly:
     def eval_at(self, point: Sequence) -> Fraction:
         pt = self._point(point)
         total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            v = coeff
-            for c, e in zip(pt, exp):
+        for exp, c in self.nums.items():
+            v = Fraction(c)
+            for p, e in zip(pt, exp):
                 if e:
-                    v *= c**e
+                    v *= p**e
             total += v
-        return total
+        return total / self.den
 
     def translate(self, point: Sequence) -> "MultiPoly":
         """Taylor shift: returns g with g(y) = f(y + p), exactly."""
@@ -279,13 +304,9 @@ class MultiPoly:
         return out
 
     def _shift_one(self, index: int, c: Fraction) -> "MultiPoly":
-        # The numerators over the lcm denominator D go through the integer
-        # grouped shift, whose output over q^N D is the shifted polynomial.
-        den = lcm(*(a.denominator for a in self.terms.values()))
-        ints = {exp: a.numerator * (den // a.denominator) for exp, a in self.terms.items()}
-        shifted, scale = shift_integer_terms(ints, index, c.numerator, c.denominator)
-        den *= scale
-        return MultiPoly._raw(self.vars, {exp: Fraction(v, den) for exp, v in shifted.items()})
+        # the integer grouped shift's output over q^N den is the shifted polynomial
+        shifted, scale = shift_integer_terms(self.nums, index, c.numerator, c.denominator)
+        return MultiPoly.from_integers(self.vars, shifted, self.den * scale)
 
     def t_chart(self, t: str, weights: Mapping[str, int], drop: int = 0) -> "MultiPoly":
         """Chart change in t: each t-exponent becomes sum(w_v e_v) - drop.
@@ -300,30 +321,26 @@ class MultiPoly:
         if t_weight < 1:
             raise ValueError(f"weight of {t} must be >= 1, got {t_weight}")
         w = [(i, weights[v]) for i, v in enumerate(self.vars) if weights.get(v, 0)]
-        out: Terms = {}
-        for exp, coeff in self.terms.items():
+        out: Nums = {}
+        for exp, c in self.nums.items():
             e = sum(exp[i] * wi for i, wi in w) - drop
             if e < 0:
                 raise ValueError(f"{t}^{drop} does not divide a chart term in {t}^{e + drop}")
-            out[exp[:ti] + (e,) + exp[ti + 1:]] = coeff
-        return MultiPoly._raw(self.vars, out)
+            out[exp[:ti] + (e,) + exp[ti + 1:]] = c
+        return MultiPoly._raw(self.vars, out, self.den)
 
     def derive(self, name: str) -> "MultiPoly":
         """Formal partial derivative."""
         i = self._index(name)
-        out: Terms = {}
-        for exp, coeff in self.terms.items():
-            if exp[i] == 0:
-                continue
-            new = list(exp)
-            new[i] -= 1
-            out[tuple(new)] = coeff * exp[i]
-        return MultiPoly._raw(self.vars, out)
+        out: Nums = {}
+        for exp, c in self.nums.items():
+            if exp[i]:
+                out[exp[:i] + (exp[i] - 1,) + exp[i + 1:]] = c * exp[i]
+        return MultiPoly.from_integers(self.vars, out, self.den)
 
     def substitute(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial (over the same variable list) for one variable."""
         self._check_same_vars(replacement)
-        i = self._index(name)
         by_degree = self.coefficients_in(name)
         result = MultiPoly(self.vars)
         power = MultiPoly.constant(self.vars, 1)
@@ -336,36 +353,32 @@ class MultiPoly:
     # -- orders --------------------------------------------------------------
 
     def order_at_origin(self) -> ExtOrder:
-        if not self.terms:
+        if not self.nums:
             return INFINITE
-        return ExtOrder.exact(min(sum(e) for e in self.terms))
+        return ExtOrder.exact(min(sum(e) for e in self.nums))
 
     def order_at(self, point: Sequence) -> ExtOrder:
         return self.translate(point).order_at_origin()
 
     # -- printing --------------------------------------------------------------
 
-    def sorted_terms(self) -> Iterable[Tuple[Exponent, Fraction]]:
-        """Terms in descending graded-lex order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda kv: _gradlex_key(kv[0]), reverse=True)
-
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
+        den = self.den
         chunks = []
-        for exp, coeff in self.sorted_terms():
+        for exp in sorted(self.nums, key=_gradlex_key, reverse=True):
+            c = self.nums[exp]
+            common = gcd(c, den)
+            num, d = abs(c) // common, den // common
+            mag = str(num) if d == 1 else f"{num}/{d}"  # str(abs(Fraction(c, den)))
             factors = [
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.vars, exp)
                 if e
             ]
-            if not factors:
-                body = str(abs(coeff))
-            else:
-                mag = abs(coeff)
-                body = "*".join(([str(mag)] if mag != 1 else []) + factors)
-            sign = "-" if coeff < 0 else "+"
-            chunks.append((sign, body))
+            body = "*".join(([mag] if mag != "1" else []) + factors) if factors else mag
+            chunks.append(("-" if c < 0 else "+", body))
         first_sign, first_body = chunks[0]
         text = ("-" if first_sign == "-" else "") + first_body
         for sign, body in chunks[1:]:

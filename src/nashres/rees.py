@@ -37,8 +37,7 @@ class ReesGenerator:
             raise ValidationError("zero polynomial cannot be a generator")
 
     def dedup_key(self):
-        g = self.f.monic_normalized()
-        return (tuple(sorted(g.terms.items())), self.weight)
+        return (self.f.monic_normalized(), self.weight)
 
     def __str__(self) -> str:
         body = str(self.f)
@@ -150,7 +149,7 @@ def diff_closure(algebra: ReesAlgebra) -> ReesAlgebra:
         f, n, original = queue.popleft()
         if f.is_zero():
             continue
-        key = (tuple(sorted(f.monic_normalized().terms.items())), n)
+        key = (f.monic_normalized(), n)
         if key in visited:
             continue
         visited.add(key)

@@ -296,14 +296,12 @@ def poly_compose_series(f, substitutions: dict) -> PowerSeries:
     """
     forms = {}  # variable index -> its substitute
     for i, v in enumerate(f.vars):
-        if any(exp[i] for exp in f.terms):
+        if any(exp[i] for exp in f.nums):
             if v not in substitutions:
                 raise DimensionMismatchError(f"no substitute supplied for variable {v!r}")
             forms[i] = substitutions[v]
-    terms = [
-        (coeff.numerator, coeff.denominator, [(i, e) for i, e in enumerate(exp) if e])
-        for exp, coeff in f.terms.items()
-    ]
+    den = f.den
+    terms = [(c, den, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in f.nums.items()]
     return compose_integers(terms, forms)
 
 

@@ -154,6 +154,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error" in report["results"]
 
 
+def test_contact_with_a_coefficient_past_the_bit_limit_exit_code(tmp_path, capsys):
+    pres = write(tmp_path, "p.json", CUSP)
+    arc = write(tmp_path, "a.json", {"precision": 12, "coords": {"x": "(2^30000 + t)^199", "z": "t^2"}})
+    code, report = run_json(capsys, "contact", pres, arc)
+    assert code == 2
+    assert "passes 65536 bits" in report["results"]["error"]
+
+
+def test_identifier_with_two_digits_exit_code(tmp_path, capsys):
+    doc = {"d": 2, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z1^2 z2 - z10^5"}]}
+    code, report = run_json(capsys, "elim", write(tmp_path, "p.json", doc))
+    assert code == 2
+    assert "unknown identifier 'z10'" in report["results"]["error"]
+
+
 @pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
     reason="this interpreter converts digit strings of any length",

@@ -85,6 +85,12 @@ ARCS = {
         "precision": 12,
         "coords": {"x1": "t^3", "z1": "t^2", "x2": "t^2 + t^3", "z2": "t + t^2"},
     },
+    # Parentheses, a power of a sum, a rational, juxtaposition and the
+    # Unicode minus, all in one arc on the cusp.
+    "cusp_full_grammar": {
+        "precision": "exact",
+        "coords": {"x": "(t \u2212 1/2 t^2)^3", "z": "t^2 (1 \u2212 1/2 t)^2"},
+    },
 }
 
 # golden file stem -> (presentation, arc or None, cli arguments after the inputs)
@@ -121,6 +127,7 @@ CASES = {
     "tsch_needs_normalization": ("needs_normalization", None, ["tsch"]),
     "elim_two_hyp": ("two_hyp", None, ["elim"]),
     "contact_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["contact"]),
+    "contact_cusp_full_grammar": ("cusp", "cusp_full_grammar", ["contact"]),
     "mult_cusp_point_1_1": ("cusp", None, ["mult", "--point", "1,1"]),
     "mult_two_hyp": ("two_hyp", None, ["mult"]),
 }

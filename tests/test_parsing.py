@@ -103,6 +103,53 @@ def test_power_of_a_constant_is_formed_up_to_the_bit_limit():
     assert parse_poly(f"(-z)^{2 * MAX_CONSTANT_BITS}") == MultiPoly(("z",), {(2 * MAX_CONSTANT_BITS,): 1})
 
 
+def test_power_of_a_sum_is_bounded_in_bits():
+    from nashres.parsing import MAX_CONSTANT_BITS
+
+    # (2^30000 + t)^199 has 200 terms, within the term limit, but 199 times
+    # its 30001-bit coefficient passes the bit limit: refused at the exponent
+    with pytest.raises(ParseError, match=f"power 199 of a 30001-bit coefficient passes {MAX_CONSTANT_BITS} bits") as err:
+        parse_poly("(2^30000 + t)^199")
+    assert err.value.column == 15
+    # the bound reads the largest numerator or denominator of the sum
+    with pytest.raises(ParseError, match="passes"):
+        parse_poly("(1/2^30000 + t)^3")
+    assert parse_poly("(2^30000 + t)^2") == MultiPoly(("t",), {(0,): 2**60000, (1,): 2**30001, (2,): 1})
+    # a sum of unit coefficients grows only through the term limit
+    assert len(parse_poly("(t - 1)^199").terms) == 200
+
+
+def test_product_is_bounded_in_bits():
+    from nashres.parsing import MAX_CONSTANT_BITS
+
+    factor = "2^30000"
+    text = " ".join([factor] * 300)
+    with pytest.raises(ParseError, match=f"product of 60002-bit and 30001-bit coefficients passes {MAX_CONSTANT_BITS} bits") as err:
+        parse_poly(text)
+    assert err.value.column == 2 * (len(factor) + 1) + 1  # the third factor
+    assert parse_poly(f"{factor} {factor}") == MultiPoly((), {(): 2**60000})
+    with pytest.raises(ParseError, match="passes"):
+        parse_poly(f"{factor} (t + 1) * {factor} {factor}")
+    with pytest.raises(ParseError, match="passes"):
+        parse_poly(f"(2^30000 + t) (2^30000 - t) 2^30000")
+    # factors of one bit count nothing, so a long monomial stays legal
+    assert parse_poly(f"{factor} " + "t " * 3000) == MultiPoly(("t",), {(3000,): 2**30000})
+
+
+def test_identifier_followed_by_a_digit_is_unknown():
+    for text, name, column in (
+        ("x^2 - z1^2 z2 - z10^5", "z10", 17),
+        ("x10", "x10", 1),
+        ("3 z12", "z12", 3),
+        ("x1 + x01", "x01", 6),
+    ):
+        with pytest.raises(ParseError, match=f"unknown identifier '{name}'") as err:
+            parse_poly(text)
+        assert err.value.column == column
+    assert parse_poly("z1 0") == MultiPoly(("z1",), {})
+    assert parse_poly("2 z1") == parse_poly("z1 2")
+
+
 def test_digit_string_that_int_refuses_is_a_parse_error():
     with pytest.raises(ParseError, match="as an integer"):
         parse_poly("z^\N{SUPERSCRIPT TWO}")
