@@ -7,17 +7,17 @@ solving each separated equation f_i(x_i, u t^alpha) = 0 with a Newton-Puiseux
 iteration, reparametrizing to clear denominators.  Everything is exact; a
 branch that needs irrational coefficients raises instead of approximating.
 Each stage is the chart move x -> t^m (c + x) of the blow-ups in `nash`, made
-on a primitive integer polynomial {(x-degree, t-degree): int} rather than on
-a `MultiPoly`: exponent maps for the chart and for ramification t -> t^q, the
-integer Taylor shift `poly.taylor_shift_integers` on each t-column, then
-division by the lowest power of t and by the content.  Once a residual has a
-simple root (its x-coefficient has a nonzero constant term), the rest of the
-root is found by Newton iteration with precision doubling instead, in s = t^g
-for the gcd g of the residual's t-exponents, on integer numerators through
+on a primitive integer polynomial {(x-degree, t-degree): int}: exponent maps
+for the chart and for ramification t -> t^q, the integer grouped shift
+`poly.shift_integer_terms` that the blow-ups use, then division by the lowest
+power of t and by the content.  Once a residual has a simple root (its
+x-coefficient has a nonzero constant term), the rest of the root is found by
+Newton iteration with precision doubling instead, in s = t^g for the gcd g of
+the residual's t-exponents, on integer numerators through
 `series.compose_integers`; an exact probe of that tail at t = 2 decides
-whether the stages must run on to find an exact root.  Each root is certified
-against the original equation with `MultiPoly.t_chart` and
-`poly_compose_series`.
+whether the stages must run on to find an exact root.  A root x(s) of
+ramification e is certified by evaluating the original equation at
+(x(s), s^e) with `poly_compose_series`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .extorder import ExtOrder
-from .poly import MultiPoly, taylor_shift_integers
+from .poly import MultiPoly, shift_integer_terms
 from .presentation import (
     LocalPresentation,
     TschirnhausenHypersurface,
@@ -389,31 +389,14 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
 def _chart_stage(cur: Dict[Tuple[int, int], int], m: int, c: Fraction) -> Dict[Tuple[int, int], int]:
     """x -> t^m (c + x) on an integer residual, divided by its t-order and content.
 
-    The chart (i, j) -> (i, j + m i) comes first; the Taylor shift by c = p/r
-    then acts on each t-column separately, every column scaled by r^n for the
-    x-degree n of the whole residual so that the scale is one constant.
+    The chart (i, j) -> (i, j + m i), then the grouped integer shift of x by
+    c, which scales every t-column by the same power of c's denominator.
     """
-    p, r = c.numerator, c.denominator
-    columns: Dict[int, Dict[int, int]] = {}
-    n = 0
-    for (i, j), a in cur.items():
-        columns.setdefault(j + m * i, {})[i] = a
-        if i > n:
-            n = i
-    r_powers = [1]
-    for _ in range(n):
-        r_powers.append(r_powers[-1] * r)
-    out: Dict[Tuple[int, int], int] = {}
-    low = min(columns)
-    for j, column in columns.items():
-        a = [0] * (max(column) + 1)
-        for i, ai in column.items():
-            a[i] = ai
-        for i, hi in enumerate(taylor_shift_integers(a, p, r_powers, n)):
-            if hi:
-                out[i, j - low] = hi
-    content = gcd(*out.values())
-    return {ij: a // content for ij, a in out.items()}
+    charted = {(i, j + m * i): a for (i, j), a in cur.items()}
+    shifted, _ = shift_integer_terms(charted, 0, c.numerator, c.denominator)
+    low = min(j for _, j in shifted)
+    content = gcd(*shifted.values())
+    return {(i, j - low): a // content for (i, j), a in shifted.items()}
 
 
 def _hensel_tail(cur: Dict[Tuple[int, int], int], n: int) -> Tuple[List[int], int, int]:
@@ -530,10 +513,8 @@ def _lift_equation(
         )
     F = _equation_on_base(h, units, exponents)
     root, e = _newton_puiseux_root(F, h.var, precision)
-    check = F.t_chart(T, {T: e})
-    residual = poly_compose_series(
-        check, {h.var: root, T: PowerSeries.t_power(1, root.precision)}
-    )
+    # the root is a series in s = t^(1/e): F(root(s), s^e) must vanish
+    residual = poly_compose_series(F, {h.var: root, T: PowerSeries.t_power(e, root.precision)})
     if not residual.is_zero_to_precision():
         raise IdentityViolationError(
             f"Newton-Puiseux residual check: the root {root} (ramification {e}) "

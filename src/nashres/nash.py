@@ -7,18 +7,17 @@ has t-order exactly one), takes the strict transform, and recenters at the
 point the arc runs through.  The multiplicity sequence read along the way is
 non-increasing and its first drop defines the persistance rho.
 
-A step runs on integers.  The transform is g = G/D, an integer polynomial G
-over one denominator D with gcd(content(G), D) = 1, and the arc is kept as
-its `PowerSeries`, each integer numerators over one denominator.
-The chart is an exponent map (the t-exponent becomes the total degree minus
-m), the arc is recentered by dropping its first numerator and zeroing the
-new constant one, and the Taylor shift by each center p/q is the integer
-grouped shift `poly.shift_integer_terms`, which scales G by q^N; G and D are
-then divided by their gcd.  This is the chart move that a Newton-Puiseux
-stage in `generic` makes, on the same integer shift kernel.  Every step
-checks that the arc still lies on the transform by a full evaluation through
-the integer back end `series.compose_integers`.  `NashState.g` is a
-`MultiPoly` view built on demand (for `--trace`).
+A step runs on integers.  The transform g is a `MultiPoly`, integer
+numerators over one denominator, and the arc is kept as its `PowerSeries`,
+each integer numerators over one denominator.  The chart is an exponent map
+on the numerators (the t-exponent becomes the total degree minus m), the arc
+is recentered by dropping its first numerator and zeroing the new constant
+one, and the Taylor shift by each center p/q is the integer grouped shift
+`poly.shift_integer_terms`, which scales the numerators by q^N;
+`MultiPoly.from_integers` then puts the result in canonical form.  This is
+the chart move that a Newton-Puiseux stage in `generic` makes, on the same
+integer shift.  Every step checks that the arc still lies on the transform
+by a full evaluation through the integer back end `series.compose_integers`.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .errors import (
     MaxMultArcError,
     ValidationError,
 )
-from .poly import Exponent, MultiPoly, shift_integer_terms
+from .poly import MultiPoly, shift_integer_terms
 from .presentation import LocalPresentation, TschirnhausenHypersurface
 from .series import PowerSeries, compose_integers
 
@@ -49,12 +48,10 @@ _MAX_STEPS = 10_000
 
 @dataclass(frozen=True)
 class NashState:
-    """Strict transform g = G/D (centered at the chart origin) plus the lifted arc."""
+    """Strict transform g (centered at the chart origin) plus the lifted arc."""
 
-    vars: Tuple[str, ...]  # ambient variables + t
-    G: Dict[Exponent, int]
-    D: int
-    forms: Tuple[PowerSeries, ...]  # one per variable; the t-coordinate is t itself
+    g: MultiPoly  # over the ambient variables + t
+    forms: Tuple[PowerSeries, ...]  # one per variable of g; the t-coordinate is t itself
     step: int
     center_pq: Tuple[Tuple[int, int], ...] = ()  # (p, q) of each ambient coordinate
 
@@ -62,15 +59,11 @@ class NashState:
     def from_poly(cls, g: MultiPoly, arc: Dict[str, PowerSeries], step: int = 0) -> "NashState":
         """The state of a transform over the ambient variables and t, and an arc."""
         forms = tuple(PowerSeries.t_power(1) if v == T else arc[v] for v in g.vars)
-        return cls(g.vars, g.nums, g.den, forms, step)
-
-    @property
-    def g(self) -> MultiPoly:
-        return MultiPoly._raw(self.vars, self.G, self.D)
+        return cls(g, forms, step)
 
     @property
     def arc(self) -> Dict[str, PowerSeries]:
-        return {v: s for v, s in zip(self.vars, self.forms) if v != T}
+        return {v: s for v, s in zip(self.g.vars, self.forms) if v != T}
 
     @property
     def center(self) -> Tuple[Fraction, ...]:
@@ -79,7 +72,7 @@ class NashState:
 
     @cached_property
     def _multiplicity(self) -> Optional[int]:
-        return min(map(sum, self.G)) if self.G else None
+        return min(map(sum, self.g.nums)) if self.g.nums else None
 
     def multiplicity(self) -> int:
         m = self._multiplicity
@@ -88,7 +81,8 @@ class NashState:
         return m
 
     def check_arc_on_transform(self) -> None:
-        terms = [(c, self.D, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in self.G.items()]
+        den = self.g.den
+        terms = [(c, den, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in self.g.nums.items()]
         image = compose_integers(terms, self.forms)
         if image.nums:
             raise IdentityViolationError(
@@ -115,21 +109,22 @@ def nash_step(state: NashState, m0: int) -> NashState:
     m = state.multiplicity()
     if m != m0:
         raise ValidationError(f"multiplicity already dropped: {m} != {m0}")
-    ti = state.vars.index(T)
+    g = state.g
+    ti = g.vars.index(T)
     for i, s in enumerate(state.forms):
         if i == ti:
             continue
         if s.nums and s.nums[0]:
             raise IdentityViolationError(
-                f"lifted center escaped the t-chart via coordinate {state.vars[i]!r} "
+                f"lifted center escaped the t-chart via coordinate {g.vars[i]!r} "
                 f"at step {state.step}"
             )
         if not s.nums and s.precision == 0:
             raise InsufficientPrecisionError(
-                f"coordinate {state.vars[i]!r} exhausted at step {state.step}"
+                f"coordinate {g.vars[i]!r} exhausted at step {state.step}"
             )
     # the chart: x -> t x for every ambient x, then t^m divides out
-    G = {exp[:ti] + (sum(exp) - m,) + exp[ti + 1:]: c for exp, c in state.G.items()}
+    G = {exp[:ti] + (sum(exp) - m,) + exp[ti + 1:]: c for exp, c in g.nums.items()}
     low = min(exp[ti] for exp in G)
     if low:
         raise IdentityViolationError(
@@ -157,15 +152,12 @@ def nash_step(state: NashState, m0: int) -> NashState:
         if p:
             shifts.append((i, p, q))
     # the Taylor shift by each nonzero center p/q, once every coordinate is known
-    D = state.D
+    D = g.den
     for i, p, q in shifts:
         G, scale = shift_integer_terms(G, i, p, q)
         D *= scale
-    common = gcd(D, *G.values())
-    if common > 1:
-        G = {exp: c // common for exp, c in G.items()}
-        D //= common
-    out = NashState(state.vars, G, D, tuple(forms), state.step + 1, tuple(center))
+    transform = MultiPoly.from_integers(g.vars, G, D)
+    out = NashState(transform, tuple(forms), state.step + 1, tuple(center))
     out.check_arc_on_transform()
     return out
 

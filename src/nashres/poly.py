@@ -6,17 +6,20 @@ canonical: no numerator is zero, den > 0 and gcd(den, *nums) = 1, so equal
 polynomials have equal fields and `__eq__` and `__hash__` read them.  Ring
 operations, the Taylor shift, derivatives and printing all work on the
 integers; `terms` is a read-only `Fraction` view built on demand, for tests
-and callers off the hot paths.  Everything is immutable by convention and
-exact; there is no floating point anywhere.  Terms are kept in no particular
-order internally; printing uses graded lexicographic order so output is
-deterministic.
+and callers off the hot paths.  `shift_integer_terms` is the one Taylor
+shift, on bare integer numerators: `MultiPoly.translate`, the Nash blow-up
+step and the Newton-Puiseux stages all shift there, and the last two make
+their charts as exponent maps on the numerators.  Everything is immutable by
+convention and exact; there is no floating point anywhere.  Terms are kept
+in no particular order internally; printing uses graded lexicographic order
+so output is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatchError, UnknownVariableError
 from .extorder import INFINITE, ExtOrder
@@ -296,38 +299,13 @@ class MultiPoly:
 
     def translate(self, point: Sequence) -> "MultiPoly":
         """Taylor shift: returns g with g(y) = f(y + p), exactly."""
-        pt = self._point(point)
         out = self
-        for i, c in enumerate(pt):
+        for i, c in enumerate(self._point(point)):
             if c != 0:
-                out = out._shift_one(i, c)
+                # the integer grouped shift's output over q^N den is the shifted polynomial
+                shifted, scale = shift_integer_terms(out.nums, i, c.numerator, c.denominator)
+                out = MultiPoly.from_integers(out.vars, shifted, out.den * scale)
         return out
-
-    def _shift_one(self, index: int, c: Fraction) -> "MultiPoly":
-        # the integer grouped shift's output over q^N den is the shifted polynomial
-        shifted, scale = shift_integer_terms(self.nums, index, c.numerator, c.denominator)
-        return MultiPoly.from_integers(self.vars, shifted, self.den * scale)
-
-    def t_chart(self, t: str, weights: Mapping[str, int], drop: int = 0) -> "MultiPoly":
-        """Chart change in t: each t-exponent becomes sum(w_v e_v) - drop.
-
-        Weights missing from the map are 0 and the other exponents stay as
-        they are, so weight m on x is x -> t^m x, weight q on t is t -> t^q,
-        and drop divides by t^drop.  With the weight of t at least 1 no two
-        terms collide.  Raises ValueError when an exponent would go negative.
-        """
-        ti = self._index(t)
-        t_weight = weights.get(t, 0)
-        if t_weight < 1:
-            raise ValueError(f"weight of {t} must be >= 1, got {t_weight}")
-        w = [(i, weights[v]) for i, v in enumerate(self.vars) if weights.get(v, 0)]
-        out: Nums = {}
-        for exp, c in self.nums.items():
-            e = sum(exp[i] * wi for i, wi in w) - drop
-            if e < 0:
-                raise ValueError(f"{t}^{drop} does not divide a chart term in {t}^{e + drop}")
-            out[exp[:ti] + (e,) + exp[ti + 1:]] = c
-        return MultiPoly._raw(self.vars, out, self.den)
 
     def derive(self, name: str) -> "MultiPoly":
         """Formal partial derivative."""
@@ -389,24 +367,6 @@ class MultiPoly:
         return f"MultiPoly({self.vars!r}, {self})"
 
 
-def taylor_shift_integers(a: Sequence[int], p: int, q_powers: Sequence[int], n: int) -> List[int]:
-    """Integer coefficients of q^n f(y + p/q) for f(y) = sum a[k] y^k.
-
-    n is at least the degree of f and q_powers[k] = q^k for k <= n, so that
-    q^n f(y + p/q) = sum a_k q^(n-k) (qy + p)^k: the integers a_k q^(n-k) are
-    shifted by p with Horner additions to H_j (von zur Gathen-Gerhard, ISSAC
-    1997), and the coefficient of y^j is H_j q^j.  The grouped shift
-    `shift_integer_terms` and the Newton-Puiseux stage of `generic` both run
-    here.
-    """
-    d = len(a) - 1
-    h = [ak * q_powers[n - k] if ak else 0 for k, ak in enumerate(a)]
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            h[j] += p * h[j + 1]
-    return [hj * q_powers[j] for j, hj in enumerate(h)]
-
-
 def shift_integer_terms(
     terms: Mapping[Exponent, int], index: int, p: int, q: int
 ) -> Tuple[Dict[Exponent, int], int]:
@@ -414,11 +374,14 @@ def shift_integer_terms(
     H = q^N f(.., y + p/q, ..) for f = terms and N its degree in the variable
     at `index`.
 
-    One group of terms per exponent vector of the other variables goes through
-    `taylor_shift_integers`, every group scaled by the same q^N, so H is one
-    integer polynomial.  No two groups share an output exponent, so each term
-    is written once.  `MultiPoly.translate` and the Nash blow-up step both
-    shift here.
+    The terms are grouped by the exponent vector of the other variables.  For
+    a group sum a_k y^k, q^N f(y + p/q) = sum a_k q^(N-k) (qy + p)^k: the
+    integers a_k q^(N-k) are shifted by p with Horner additions to H_j (von
+    zur Gathen-Gerhard, ISSAC 1997), and the coefficient of y^j is H_j q^j.
+    Every group is scaled by the same q^N, so H is one integer polynomial,
+    and no two groups share an output exponent, so each term is written once.
+    `MultiPoly.translate`, the Nash blow-up step and the Newton-Puiseux stage
+    of `generic` all shift here.
     """
     groups: Dict[Exponent, Dict[int, int]] = {}
     for exp, a in terms.items():
@@ -436,10 +399,13 @@ def shift_integer_terms(
             continue
         h = [0] * (n + 1)
         for k, a in group.items():
-            h[k] = a
-        for j, hj in enumerate(taylor_shift_integers(h, p, q_powers, top)):
+            h[k] = a * q_powers[top - k]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                h[j] += p * h[j + 1]
+        for j, hj in enumerate(h):
             if hj:
-                out[head + (j,) + tail] = hj
+                out[head + (j,) + tail] = hj * q_powers[j]
     return out, q_powers[top]
 
 

@@ -200,7 +200,7 @@ def ambient_algebra(p: LocalPresentation) -> ReesAlgebra:
     for h in p.hypersurfaces:
         for g in h.elimination_algebra.generators:
             gens.append(ReesGenerator(g.f.extend_vars(ambient), g.weight))
-    return ReesAlgebra(ambient, gens, diff_closed=True)
+    return ReesAlgebra(ambient, gens)
 
 
 def hypersurface_multiplicity_at(h: TschirnhausenHypersurface, point: Sequence) -> int:

@@ -47,14 +47,9 @@ class ReesGenerator:
 
 
 class ReesAlgebra:
-    __slots__ = ("ambient_vars", "generators", "diff_closed")
+    __slots__ = ("ambient_vars", "generators")
 
-    def __init__(
-        self,
-        ambient_vars: Sequence[str],
-        generators: Sequence[ReesGenerator] = (),
-        diff_closed: bool = False,
-    ):
+    def __init__(self, ambient_vars: Sequence[str], generators: Sequence[ReesGenerator] = ()):
         self.ambient_vars: Tuple[str, ...] = tuple(ambient_vars)
         gens: list[ReesGenerator] = []
         seen = set()
@@ -69,7 +64,6 @@ class ReesAlgebra:
             seen.add(key)
             gens.append(g)
         self.generators: Tuple[ReesGenerator, ...] = tuple(gens)
-        self.diff_closed = diff_closed
 
     @staticmethod
     def from_pairs(ambient_vars: Sequence[str], pairs) -> "ReesAlgebra":
@@ -105,8 +99,7 @@ def odot(g1: ReesAlgebra, g2: ReesAlgebra) -> ReesAlgebra:
         ReesGenerator(g.f.extend_vars(target), g.weight)
         for g in g1.generators + g2.generators
     ]
-    closed = g1.diff_closed and g2.diff_closed
-    return ReesAlgebra(target, gens, diff_closed=closed)
+    return ReesAlgebra(target, gens)
 
 
 def _tschirnhausen_split(f: MultiPoly, weight: int) -> Optional[Tuple[str, dict]]:
@@ -142,7 +135,6 @@ def diff_closure(algebra: ReesAlgebra) -> ReesAlgebra:
     which generate the same closure with a smaller set.  Idempotent.
     """
     out: list[ReesGenerator] = []
-    seen = set()
     visited = set()
     queue = deque((g.f, g.weight, True) for g in algebra.generators)
     while queue:
@@ -160,15 +152,13 @@ def diff_closure(algebra: ReesAlgebra) -> ReesAlgebra:
             for i in sorted(coeffs, reverse=True):
                 queue.append((coeffs[i], n - i, False))
             continue
-        if key not in seen:
-            seen.add(key)
-            out.append(ReesGenerator(f if original else f.monic_normalized(), n))
+        out.append(ReesGenerator(f if original else f.monic_normalized(), n))
         if n >= 2:
             for var in f.vars:
                 d = f.derive(var)
                 if not d.is_zero():
                     queue.append((d, n - 1, False))
-    return ReesAlgebra(algebra.ambient_vars, out, diff_closed=True)
+    return ReesAlgebra(algebra.ambient_vars, out)
 
 
 def algebra_order_at(algebra: ReesAlgebra, point: Sequence) -> ExtOrder:

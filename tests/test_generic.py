@@ -18,9 +18,11 @@ from nashres import (
     validate_arc,
     verify_genericity,
 )
-from nashres.errors import ExtensionRequiredError, MaxMultArcError
+from nashres import generic
+from nashres.errors import ExtensionRequiredError, IdentityViolationError, MaxMultArcError
 from nashres.generic import _equation_on_base, _lift_equation, unit_tuples
 from nashres.poly import MultiPoly
+from nashres.series import PowerSeries
 
 from conftest import a_n, make_presentation
 
@@ -102,6 +104,23 @@ def test_truncated_lift_still_attains_the_order():
     result = construct_generic_arc(p, precision=16)
     assert contact_order(result.arc).r_bar == 1
     assert not dict(result.arc.certificates)["x"].exact
+
+
+@pytest.mark.parametrize("text", ["x^3 - z^4", "x^3 - z^4 - z^5"])
+def test_residual_check_certifies_a_ramified_root(monkeypatch, text):
+    # The root is a series in s with t = s^3: the check must substitute s^3
+    # for t, accept the true root and refuse it with one coefficient changed.
+    h = tschirnhausen_normalize(parse_poly(text), "x")
+    lift = _lift_equation(h, [1], [1], 24)
+    assert lift.ramification == 3
+    assert lift.root.order().value == 4
+    root, e = generic._newton_puiseux_root(_equation_on_base(h, [1], [1]), "x", 24)
+    nums = list(root.nums)
+    nums[4] += root.den  # the leading coefficient plus one
+    wrong = PowerSeries.from_integers(nums, root.den, root.precision)
+    monkeypatch.setattr(generic, "_newton_puiseux_root", lambda F, xvar, precision: (wrong, e))
+    with pytest.raises(IdentityViolationError, match="Newton-Puiseux residual check"):
+        _lift_equation(h, [1], [1], 24)
 
 
 def test_puiseux_rejects_pure_power():

@@ -54,6 +54,10 @@ PRESENTATIONS = {
     },
     "quartic_tail": {"d": 1, "hypersurfaces": [{"var": "x", "b": 4, "f": "x^4 - z^5 - z^7"}]},
     "cubic_tail": {"d": 1, "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 - z^4 - z^5"}]},
+    "cubic_middle": {
+        "d": 1,
+        "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 - 2 z^2 x - z^4 - z^5"}],
+    },
     "cubic_big_constant": {
         "d": 1,
         "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 - 8000000000000 z^4"}],
@@ -121,6 +125,10 @@ CASES = {
     # Ramification 3, then a regular tail on every third power of t (alpha = 2).
     "generic_arc_cubic_tail_alpha2_p256": (
         "cubic_tail", None, ["generic-arc", "--precision", "256", "--alpha", "2"],
+    ),
+    # A stage centred at the negative rational c = -1/2 (alpha = 2).
+    "generic_arc_cubic_middle_alpha2_p96": (
+        "cubic_middle", None, ["generic-arc", "--precision", "96", "--alpha", "2"],
     ),
     "nash_cusp_shifted": ("cusp", "cusp_shifted", ["nash", "--trace"]),
     "nash_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["nash", "--trace"]),

@@ -529,6 +529,20 @@ XT = ("x", "t")
 V2T = V2 + ("t",)
 
 
+def _reference_chart(f, weights, drop=0):
+    """The chart in t read off `terms`: each t-exponent becomes
+    sum(w_v e_v) - drop, with weight 0 for a variable missing from the map;
+    the other exponents stay as they are."""
+    ti = f.vars.index("t")
+    w = [weights.get(v, 0) for v in f.vars]
+    out = {}
+    for exp, c in f.terms.items():
+        e = sum(a * b for a, b in zip(exp, w)) - drop
+        assert e >= 0, f"t^{drop} does not divide a chart term in t^{e + drop}"
+        out[exp[:ti] + (e,) + exp[ti + 1:]] = c
+    return MultiPoly(f.vars, out)
+
+
 @seed(20151031)
 @settings(max_examples=80, deadline=None)
 @given(
@@ -537,32 +551,55 @@ V2T = V2 + ("t",)
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
 )
 def test_weighted_chart_then_shift_is_substitution(f, m, c):
+    # A Newton-Puiseux stage on the integer numerators of f is the
+    # substitution x -> t^m (c + x), divided by its lowest power of t, up to
+    # a positive constant, and primitive.
+    if f.is_zero():
+        return
     x = MultiPoly.variable(XT, "x")
     t = MultiPoly.variable(XT, "t")
-    expected = f.substitute("x", t**m * (MultiPoly.constant(XT, c) + x))
-    assert f.t_chart("t", {"t": 1, "x": m}).translate((c, 0)) == expected
+    expected = f.substitute("x", t**m * (MultiPoly.constant(XT, c) + x)).terms
+    low = min(j for _, j in expected)
+    divided = {(i, j - low): a for (i, j), a in expected.items()}
+    stage = generic_module._chart_stage(dict(f.nums), m, c)
+    assert stage.keys() == divided.keys()
+    ratios = {stage[key] / divided[key] for key in divided}
+    assert len(ratios) == 1 and ratios.pop() > 0
+    assert gcd(*stage.values()) == 1
+
+
+arc_tails = st.lists(
+    st.fractions(min_value=-2, max_value=2, max_denominator=2), min_size=1, max_size=3
+)
 
 
 @seed(20151101)
 @settings(max_examples=80, deadline=None)
-@given(polys(V2T, max_degree=3, max_terms=5, min_order=1))
-def test_unit_chart_is_blow_up_then_division(f):
-    if f.is_zero():
+@given(polys(V2T, max_degree=3, max_terms=5, min_order=1), arc_tails, arc_tails)
+def test_unit_chart_is_blow_up_then_division(f, tail1, tail2):
+    # Along an arc of order at least 2 the center of a Nash step is the
+    # origin, so the step is the blow-up z -> t z of every ambient variable
+    # divided by t^m, m the multiplicity.  f minus its value on the arc, a
+    # polynomial in t, vanishes on the arc.
+    coords = {"z1": (0, 0, *tail1), "z2": (0, 0, *tail2)}
+    on_arc = f
+    for v, coeffs in coords.items():
+        image = MultiPoly(V2T, {(0, 0, k): a for k, a in enumerate(coeffs)})
+        on_arc = on_arc.substitute(v, image)
+    g = f - on_arc
+    if g.is_zero():
         return
-    blown = f
+    t = MultiPoly.variable(V2T, "t")
+    blown = g
     for v in V2:
-        blown = blown.substitute(v, MultiPoly.variable(V2T, v) * MultiPoly.variable(V2T, "t"))
-    drop = f.order_at_origin().value
-    divided = MultiPoly(V2T, {e[:2] + (e[2] - drop,): c for e, c in blown.terms.items()})
-    assert f.t_chart("t", dict.fromkeys(V2T, 1), drop=drop) == divided
-    with pytest.raises(ValueError):
-        f.t_chart("t", dict.fromkeys(V2T, 1), drop=drop + 1)
-
-
-def test_chart_rejects_a_t_weight_below_one():
-    f = MultiPoly.variable(XT, "x")
-    with pytest.raises(ValueError):
-        f.t_chart("t", {"x": 1})
+        blown = blown.substitute(v, MultiPoly.variable(V2T, v) * t)
+    m = g.order_at_origin().value
+    divided = MultiPoly(V2T, {e[:2] + (e[2] - m,): c for e, c in blown.terms.items()})
+    assert min(e[2] for e in divided.terms) == 0
+    state = nash_module.NashState.from_poly(g, {v: PowerSeries(c) for v, c in coords.items()})
+    step = nash_module.nash_step(state, m)
+    assert step.g == divided
+    assert step.center == (0, 0)
 
 
 # -- the integer Taylor shift against the term-by-term Fraction shift -------------
@@ -793,8 +830,9 @@ def test_middle_term_edge_roots_with_repeats_and_big_constants():
 
 
 def _reference_newton_puiseux_root(F, xvar, precision):
-    """The Fraction-valued MultiPoly stage loop: t_chart, the term-by-term
-    Taylor shift above (independent of the integer kernel), t_chart."""
+    """The Fraction-valued MultiPoly stage loop: the reference chart, the
+    term-by-term Taylor shift above (independent of the integer kernel), the
+    reference chart."""
     t_index = F.vars.index("t")
     t_order = lambda c: min(exp[t_index] for exp in c.terms)
     e, target, found, shift, cur, lossy = 1, precision, [], 0, F, False
@@ -815,7 +853,7 @@ def _reference_newton_puiseux_root(F, xvar, precision):
         gamma = Fraction(v0 - v1, i1 - i0)
         q = gamma.denominator
         if q > 1:
-            cur = cur.t_chart("t", {"t": q})
+            cur = _reference_chart(cur, {"t": q})
             e, target, shift = e * q, target * q, shift * q
             found = [(c, k * q) for c, k in found]
             v0, gamma = v0 * q, gamma * q
@@ -836,9 +874,9 @@ def _reference_newton_puiseux_root(F, xvar, precision):
             raise ExtensionRequiredError("no nonzero rational root")
         c = _pick_root(roots)
         found.append((c, shift + m))
-        cur = cur.t_chart("t", {"t": 1, xvar: m})
+        cur = _reference_chart(cur, {"t": 1, xvar: m})
         cur = _reference_shift_one(cur, cur.vars.index(xvar), c)
-        cur = cur.t_chart("t", {"t": 1}, drop=min(exp[t_index] for exp in cur.terms))
+        cur = _reference_chart(cur, {"t": 1}, drop=min(exp[t_index] for exp in cur.terms))
         shift += m
 
 
@@ -1006,7 +1044,7 @@ def test_newton_tail_cases_cover_every_kind_of_tail(monkeypatch):
             outcomes.add("exact after the probe")
             return
         substitutes = {"x": PowerSeries(root.coeffs), "t": PowerSeries.t_power(1)}
-        if poly_compose_series(F.t_chart("t", {"t": e}), substitutes).is_exactly_zero():
+        if poly_compose_series(_reference_chart(F, {"t": e}), substitutes).is_exactly_zero():
             outcomes.add("polynomial root, truncated")
 
     classify()
@@ -1037,7 +1075,7 @@ def _reference_image(f, subs):
 
 
 def _reference_nash_sequence(f, coords, max_steps):
-    """The Fraction-valued MultiPoly step loop: `t_chart` with every weight 1
+    """The Fraction-valued MultiPoly step loop: the reference chart with every weight 1
     dropping t^m, the term-by-term Taylor shift above, and the arc checked on
     every transform by the Fraction evaluation above.  Returns (multiplicities,
     centers, rho, equations) or raises what `nash_sequence_equation` raises."""
@@ -1060,7 +1098,7 @@ def _reference_nash_sequence(f, coords, max_steps):
                 )
             if o.is_censored and o.value == 0:
                 raise InsufficientPrecisionError(f"coordinate {name!r} exhausted at step {step}")
-        g1 = g.t_chart(T, dict.fromkeys(g.vars, 1), drop=m)
+        g1 = _reference_chart(g, dict.fromkeys(g.vars, 1), drop=m)
         new_arc, point = {}, []
         for name in g.vars:
             if name == T:
