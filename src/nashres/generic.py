@@ -15,9 +15,8 @@ x-coefficient has a nonzero constant term), the rest of the root is found by
 Newton iteration with precision doubling instead, in s = t^g for the gcd g of
 the residual's t-exponents, on integer numerators through
 `series.compose_integers`; an exact probe of that tail at t = 2 decides
-whether the stages must run on to find an exact root.  A root x(s) of
-ramification e is certified by evaluating the original equation at
-(x(s), s^e) with `poly_compose_series`.
+whether the stages must run on to find an exact root.  `validate_arc` on the
+assembled arc certifies every root, with its ramification and base monomials.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from .errors import (
     ExtensionRequiredError,
     IdentityViolationError,
     MaxMultArcError,
+    NotOnVarietyError,
     ValidationError,
 )
-from .extorder import ExtOrder
 from .poly import MultiPoly, shift_integer_terms
 from .presentation import (
     LocalPresentation,
@@ -43,7 +42,7 @@ from .presentation import (
     presentation_elimination_order,
 )
 from .rees import ReesAlgebra, algebra_order_at, onedim_order
-from .series import PowerSeries, _convolve, compose_integers, poly_compose_series
+from .series import PowerSeries, _convolve, compose_integers
 
 T = "t"
 
@@ -292,7 +291,6 @@ def _pick_root(roots: List[Fraction]) -> Fraction:
 class PuiseuxLift:
     ramification: int
     root: PowerSeries  # in the reparametrized parameter
-    residual_order: ExtOrder
 
     @property
     def exact(self) -> bool:
@@ -511,16 +509,8 @@ def _lift_equation(
         raise MaxMultArcError(
             "arc necessarily inside Max mult: the equation is a pure power"
         )
-    F = _equation_on_base(h, units, exponents)
-    root, e = _newton_puiseux_root(F, h.var, precision)
-    # the root is a series in s = t^(1/e): F(root(s), s^e) must vanish
-    residual = poly_compose_series(F, {h.var: root, T: PowerSeries.t_power(e, root.precision)})
-    if not residual.is_zero_to_precision():
-        raise IdentityViolationError(
-            f"Newton-Puiseux residual check: the root {root} (ramification {e}) "
-            f"of {F} = 0 leaves {residual}"
-        )
-    return PuiseuxLift(ramification=e, root=root, residual_order=residual.order())
+    root, e = _newton_puiseux_root(_equation_on_base(h, units, exponents), h.var, precision)
+    return PuiseuxLift(ramification=e, root=root)
 
 
 def lift_monomial_base(
@@ -534,6 +524,7 @@ def lift_monomial_base(
     Each separated equation is lifted independently; a common parameter is
     obtained by reparametrizing everything by the lcm of the ramifications.
     Skew exponent vectors give valid arcs that are generally not generic.
+    `validate_arc` certifies the roots; an arc off the variety is an internal error.
     """
     units = tuple(Fraction(u) for u in units)
     exponents = tuple(exponents)
@@ -549,7 +540,10 @@ def lift_monomial_base(
         coords[var] = lift.root.reparametrize(e // lift.ramification)
     for v, u, a in zip(p.base_vars, units, exponents):
         coords[v] = PowerSeries.monomial(u, a * e)
-    return validate_arc(Arc(coords), p)
+    try:
+        return validate_arc(Arc(coords), p)
+    except NotOnVarietyError as err:
+        raise IdentityViolationError(f"Newton-Puiseux residual check: {err}") from err
 
 
 def lift_to_presentation(
@@ -571,6 +565,7 @@ class GenericArcResult:
     ramification: int
     units_tried: int
     genericity: GenericityReport
+    failed_units: Tuple[Tuple[int, ...], ...]  # tried first, each needing an extension
 
 
 def construct_generic_arc(
@@ -582,14 +577,14 @@ def construct_generic_arc(
     """Find units, lift, and verify; retries the unit search past branches
     that would need an algebraic extension."""
     algebras = [h.elimination_algebra for h in p.hypersurfaces]
-    tried = 0
+    failed: List[Tuple[int, ...]] = []
     last_error: Optional[ExtensionRequiredError] = None
     for u in admissible_unit_tuples(algebras, p.d, search_bound):
-        tried += 1
         base = build_diagonal_arc(u, alpha, p.base_vars)
         try:
             va = lift_to_presentation(p, base, precision)
         except ExtensionRequiredError as err:
+            failed.append(u)
             last_error = err
             continue
         report = verify_genericity(va, p)
@@ -604,7 +599,7 @@ def construct_generic_arc(
                 f"got {report.expected_order}"
             )
         ram = _common_ramification(va, base)
-        return GenericArcResult(va, base, ram, tried, report)
+        return GenericArcResult(va, base, ram, len(failed) + 1, report, tuple(failed))
     if last_error is not None:
         raise ExtensionRequiredError(
             f"every admissible unit tuple within bound {search_bound} needs an "

@@ -564,3 +564,45 @@ def test_verify_computes_each_distinct_sampled_arc_once(monkeypatch, name, seed)
     # repeats occur at these seeds, so the reuse is exercised
     assert sum(nash_runs.values()) < 20
     assert results["samples"] == _reference_samples(p, trials=20, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [7, 3])
+def test_verify_lifts_each_units_and_exponents_once(monkeypatch, seed):
+    # The generic-arc search and the sampler share their lifts, failed ones
+    # included: over the acceptance and extended corpora, no (units,
+    # exponents) is lifted twice in one verify run.
+    from collections import Counter
+
+    from nashres import cli as climod
+    from nashres import generic
+    from nashres.errors import ExtensionRequiredError
+
+    from conftest import a_n, make_presentation
+    from test_harness_extended import CASES
+
+    corpus = [
+        make_presentation(1, ("x", "x^2 - z^3")),
+        make_presentation(2, ("x", "x^2 - z1^2 z2")),
+        make_presentation(2, ("x1", "x1^2 - z1^3"), ("x2", "x2^2 - z1 z2^2")),
+        *(a_n(n) for n in range(1, 9)),
+        *(make_presentation(d, *equations) for _, d, equations, _ in CASES),
+    ]
+    lifted, failed = Counter(), Counter()
+    original = generic.lift_monomial_base
+
+    def spy(p, units, exponents, precision=64):
+        key = (tuple(Fraction(u) for u in units), tuple(exponents), precision)
+        lifted[key] += 1
+        try:
+            return original(p, units, exponents, precision)
+        except ExtensionRequiredError:
+            failed[key] += 1
+            raise
+
+    monkeypatch.setattr(generic, "lift_monomial_base", spy)
+    monkeypatch.setattr(climod, "lift_monomial_base", spy)
+    for p in corpus:
+        lifted.clear()
+        climod.verify_main_theorem(p, trials=20, seed=seed)
+        assert set(lifted.values()) == {1}, [k for k, n in lifted.items() if n > 1]
+    assert failed  # failed lifts are exercised, not only successful ones

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from nashres import (
     elimination_algebra,
     find_generic_units,
     is_diagonal_generic,
+    lift_monomial_base,
     lift_to_presentation,
     parse_poly,
     presentation_elimination_order,
@@ -18,7 +21,8 @@ from nashres import (
     validate_arc,
     verify_genericity,
 )
-from nashres import generic
+from nashres import generic, series
+from nashres.arcs import VanishingCertificate
 from nashres.errors import ExtensionRequiredError, IdentityViolationError, MaxMultArcError
 from nashres.generic import _equation_on_base, _lift_equation, unit_tuples
 from nashres.poly import MultiPoly
@@ -95,7 +99,9 @@ def test_puiseux_nonterminating_branch_truncates():
     assert not lift.exact
     assert lift.root.precision == 8
     assert lift.root.coeffs[1] == 1 and lift.root.coeffs[2] == Fraction(1, 2)
-    assert lift.residual_order.is_censored and lift.residual_order.value == 8
+    # the equation vanishes on the assembled arc below t^8, and no further
+    va = lift_monomial_base(make_presentation(1, ("x", "x^2 - z^2 - z^3")), [1], [1], 8)
+    assert dict(va.certificates)["x"] == VanishingCertificate(False, 8)
 
 
 def test_truncated_lift_still_attains_the_order():
@@ -106,21 +112,95 @@ def test_truncated_lift_still_attains_the_order():
     assert not dict(result.arc.certificates)["x"].exact
 
 
+def _leading_coefficient_plus_one(monkeypatch, target):
+    """Make _newton_puiseux_root return target's root with its leading
+    coefficient raised by one, and every other root unchanged."""
+    true_root = generic._newton_puiseux_root
+
+    def wrong_root(F, xvar, precision):
+        root, e = true_root(F, xvar, precision)
+        if xvar != target:
+            return root, e
+        nums = list(root.nums)
+        nums[root.order().value] += root.den
+        return PowerSeries.from_integers(nums, root.den, root.precision), e
+
+    monkeypatch.setattr(generic, "_newton_puiseux_root", wrong_root)
+
+
 @pytest.mark.parametrize("text", ["x^3 - z^4", "x^3 - z^4 - z^5"])
 def test_residual_check_certifies_a_ramified_root(monkeypatch, text):
-    # The root is a series in s with t = s^3: the check must substitute s^3
-    # for t, accept the true root and refuse it with one coefficient changed.
+    # The root is a series in s with t = s^3: the arc carries it as x(t) with
+    # z = t^3, the check must accept the true root and refuse it with one
+    # coefficient changed.
     h = tschirnhausen_normalize(parse_poly(text), "x")
     lift = _lift_equation(h, [1], [1], 24)
     assert lift.ramification == 3
     assert lift.root.order().value == 4
-    root, e = generic._newton_puiseux_root(_equation_on_base(h, [1], [1]), "x", 24)
-    nums = list(root.nums)
-    nums[4] += root.den  # the leading coefficient plus one
-    wrong = PowerSeries.from_integers(nums, root.den, root.precision)
-    monkeypatch.setattr(generic, "_newton_puiseux_root", lambda F, xvar, precision: (wrong, e))
+    p = make_presentation(1, ("x", text))
+    va = lift_monomial_base(p, [1], [1], 24)
+    assert va.arc.coords["z"].order().value == 3
+    _leading_coefficient_plus_one(monkeypatch, "x")
     with pytest.raises(IdentityViolationError, match="Newton-Puiseux residual check"):
-        _lift_equation(h, [1], [1], 24)
+        lift_monomial_base(p, [1], [1], 24)
+
+
+@pytest.mark.parametrize("target", ["x1", "x2"])
+def test_residual_check_certifies_two_ramifications(monkeypatch, target):
+    # Ramifications 2 and 3 meet in the common parameter of lcm 6: each root
+    # is reparametrized before the check, which must still refuse either
+    # root with its leading coefficient changed.
+    p = make_presentation(1, ("x1", "x1^2 - z^3"), ("x2", "x2^3 - z^4"))
+    va = lift_monomial_base(p, [1], [1], 24)
+    assert va.arc.coords["z"].order().value == 6
+    _leading_coefficient_plus_one(monkeypatch, target)
+    with pytest.raises(IdentityViolationError, match="Newton-Puiseux residual check"):
+        lift_monomial_base(p, [1], [1], 24)
+
+
+LIFT_CASES = {
+    "cusp": (1, [("x", "x^2 - z^3")]),
+    "two_hyp": (2, [("x1", "x1^2 - z1^3"), ("x2", "x2^2 - z1 z2^2")]),
+    "ramifications_2_and_3": (1, [("x1", "x1^2 - z^3"), ("x2", "x2^3 - z^4")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CASES))
+def test_each_equation_is_evaluated_once_per_lift(monkeypatch, name):
+    # Every series evaluation of a polynomial in a distinguished variable is
+    # an evaluation of that hypersurface's equation (as f on the arc, or as
+    # f on the base arc in (x, t)); the elimination generators have no x.
+    d, equations = LIFT_CASES[name]
+    p = make_presentation(d, *equations)
+    original = series.poly_compose_series
+    evaluated = Counter()
+
+    def spy(f, substitutes):
+        for h in p.hypersurfaces:
+            if h.var in f.vars and f.degree_in(h.var) > 0:
+                evaluated[h.var] += 1
+        return original(f, substitutes)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("nashres") and getattr(module, "poly_compose_series", None) is original:
+            monkeypatch.setattr(module, "poly_compose_series", spy)
+    lift_monomial_base(p, [1] * d, [1] * d, 24)
+    assert evaluated == {var: 1 for var, _ in equations}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CASES))
+def test_residual_check_sees_the_assembled_arc(monkeypatch, name):
+    # A fault in assembling the arc (each base coordinate one power of t too
+    # high) leaves every root right; only the check on the arc can see it,
+    # and it must report an internal failure, not an arc off the variety.
+    d, equations = LIFT_CASES[name]
+    p = make_presentation(d, *equations)
+    monomial = PowerSeries.monomial
+    monkeypatch.setattr(
+        PowerSeries, "monomial", staticmethod(lambda c, k, precision=None: monomial(c, k + 1, precision))
+    )
+    with pytest.raises(IdentityViolationError, match="Newton-Puiseux residual check"):
+        lift_monomial_base(p, [1] * d, [1] * d, 24)
 
 
 def test_puiseux_rejects_pure_power():
@@ -148,8 +228,6 @@ def test_lift_mixed_ramification():
 
 
 def test_lift_monomial_base_skew_is_nongeneric(umbrella):
-    from nashres import lift_monomial_base
-
     va = lift_monomial_base(umbrella, [1, 1], [1, 2])
     assert va.arc.coords["x"].order().value == 2
     result = contact_order(va)

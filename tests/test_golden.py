@@ -70,6 +70,13 @@ PRESENTATIONS = {
             {"var": "x3", "b": 2, "f": "x3^2 - z2^4"},
         ],
     },
+    "mixed_truncated": {
+        "d": 1,
+        "hypersurfaces": [
+            {"var": "x1", "b": 2, "f": "x1^2 - z^2 - z^3"},
+            {"var": "x2", "b": 3, "f": "x2^3 - z^4 - z^5"},
+        ],
+    },
     "two_hyp_three_base": {
         "d": 3,
         "hypersurfaces": [
@@ -121,6 +128,11 @@ CASES = {
     ),
     "generic_arc_two_hyp_three_base_p96": (
         "two_hyp_three_base", None, ["generic-arc", "--precision", "96"],
+    ),
+    # Two truncated lifts, of ramifications 1 and 3: the arc is reparametrized
+    # by their lcm 3 and carries precision 288.
+    "generic_arc_mixed_truncated_p96": (
+        "mixed_truncated", None, ["generic-arc", "--precision", "96"],
     ),
     # Ramification 3, then a regular tail on every third power of t (alpha = 2).
     "generic_arc_cubic_tail_alpha2_p256": (
