@@ -308,15 +308,15 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
     The residual is a primitive integer polynomial {(x-degree, t-degree):
     coefficient}: F with its denominators cleared, and after each stage the
     chart x -> t^m (c + x) scaled back to content 1.  A nonzero constant factor
-    changes neither the Newton polygon nor the roots of an edge equation.  The
-    residual is truncated above the still-reachable exponent range: an edge
-    below the bound only ever involves t-orders below the constant
-    coefficient's order, so discarded terms cannot influence any branch
-    coefficient under the requested precision.
+    changes neither the Newton polygon nor the roots of an edge equation.  Each
+    stage reads its polygon and edge equation from the whole residual, a finite
+    polynomial, so every coefficient found is exact: a term far above the
+    target t-degree can still fix a low coefficient of a multiple root.
 
     The regular tail starts at the first stage whose residual has the point
     (1, 0): from there every edge runs from (0, v0) to (1, 0), the root is
-    simple, and its coefficients below t^bound depend only on the kept terms.
+    simple, and its coefficients below the target depend only on the
+    residual's terms below it.
     `_hensel_tail` computes them all at once by Newton iteration, in
     s = t^g for the gcd g of the residual's t-exponents.  The stages would
     return an exact root only if the tail, read as a polynomial, were an
@@ -331,19 +331,13 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
     target = precision
     found: List[Tuple[Fraction, int]] = []  # (coefficient, absolute exponent)
     shift = 0  # exponent offset of the current residual's roots
-    lossy = False
     try_tail = True
     while True:
-        bound = max(target - shift, 1)
-        kept = {ij: a for ij, a in cur.items() if ij[1] < bound}
-        if len(kept) < len(cur):
-            cur, lossy = kept, True
         orders: Dict[int, int] = {}
         for i, j in cur:
-            if j < orders.get(i, bound):
-                orders[i] = j
+            orders[i] = min(j, orders.get(i, j))
         if 0 not in orders:
-            return _series_from_terms(found, precision=target if lossy else None), e
+            return _series_from_terms(found, precision=None), e
         hull = _lower_hull(list(orders.items()))
         if len(hull) < 2 or hull[1][1] >= hull[0][1]:
             raise ExtensionRequiredError(
@@ -351,8 +345,9 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
             )
         if try_tail and (1, 0) in cur:
             # the regular tail: every further edge ends at (1, 0), so the root
-            # is simple and its coefficients below t^bound are those of cur
-            nums, den, g = _hensel_tail(cur, bound)
+            # is simple and its coefficients below t^n, n = target - shift,
+            # depend only on cur's terms below t^n
+            nums, den, g = _hensel_tail(cur, max(target - shift, 1))
             if _is_root_at_two(cur, nums, den, g):
                 try_tail = False  # perhaps an exact root: the stages decide
             else:

@@ -125,12 +125,6 @@ def nash_step(state: NashState, m0: int) -> NashState:
             )
     # the chart: x -> t x for every ambient x, then t^m divides out
     G = {exp[:ti] + (sum(exp) - m,) + exp[ti + 1:]: c for exp, c in g.nums.items()}
-    low = min(exp[ti] for exp in G)
-    if low:
-        raise IdentityViolationError(
-            f"blow-up at step {state.step}: exceptional multiplicity {low + m} "
-            f"!= multiplicity {m}"
-        )
     forms = list(state.forms)
     center, shifts = [], []
     for i, s in enumerate(state.forms):

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arcs import Arc
 from .errors import ParseError, ValidationError
-from .poly import MultiPoly, Nums, canonical_var_key
+from .poly import MultiPoly, Nums, canonical_var_key, ratio_text
 from .presentation import LocalPresentation, tschirnhausen_normalize
 from .series import PowerSeries
 
@@ -399,4 +399,4 @@ def presentation_to_document(p: LocalPresentation) -> dict:
 
 def fraction_text(value) -> str:
     """Exact fraction string for reports."""
-    return str(Fraction(value))
+    return ratio_text(*Fraction(value).as_integer_ratio())

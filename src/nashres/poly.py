@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatchError, UnknownVariableError
 from .extorder import INFINITE, ExtOrder
@@ -341,30 +341,45 @@ class MultiPoly:
     # -- printing --------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.nums:
-            return "0"
-        den = self.den
-        chunks = []
+        terms = []
         for exp in sorted(self.nums, key=_gradlex_key, reverse=True):
-            c = self.nums[exp]
-            common = gcd(c, den)
-            num, d = abs(c) // common, den // common
-            mag = str(num) if d == 1 else f"{num}/{d}"  # str(abs(Fraction(c, den)))
-            factors = [
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, exp)
-                if e
-            ]
-            body = "*".join(([mag] if mag != "1" else []) + factors) if factors else mag
-            chunks.append(("-" if c < 0 else "+", body))
-        first_sign, first_body = chunks[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+            factors = (v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exp) if e)
+            terms.append((self.nums[exp], "*".join(factors)))
+        return sum_text(terms, self.den)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.vars!r}, {self})"
+
+
+def sum_text(terms: Iterable[Tuple[int, str]], den: int) -> str:
+    """The sum of c/den m over (c, m): a nonzero integer c and a monomial's text
+    m, "" for 1.  Every printer of polynomials and series writes through here."""
+    text = ""
+    for c, monomial in terms:
+        mag = ratio_text(abs(c), den)  # str(abs(Fraction(c, den)))
+        body = mag if not monomial else monomial if mag == "1" else f"{mag}*{monomial}"
+        text += (" - " if c < 0 else " + ") + body
+    return "0" if not text else text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def ratio_text(num: int, den: int) -> str:
+    """num/den for den > 0, as `str(Fraction(num, den))` prints it but at any
+    size: `str(int)` refuses more than 4,300 digits on Python >= 3.11."""
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past the digit limit: print the halves of each integer
+        text = "-" * (num < 0) + _digits(abs(num))
+        return text if den == 1 else f"{text}/{_digits(den)}"
+
+
+def _digits(n: int) -> str:
+    if n.bit_length() <= 10_000:  # about 3,000 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10**k)
+    return _digits(high) + _digits(low).zfill(k)
 
 
 def shift_integer_terms(

@@ -66,6 +66,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatchError, InsufficientPrecisionError
 from .extorder import INFINITE, ExtOrder
+from .poly import sum_text
 
 # The largest packed size w*n, in bits, evaluated by Kronecker substitution.
 PACKED_MAX_BITS = 1 << 14
@@ -256,27 +257,8 @@ class PowerSeries:
 
     def polynomial_text(self) -> str:
         """Grammar-compatible polynomial-in-t text for the stored coefficients."""
-        if not self.nums:
-            return "0"
-        chunks = []
-        for k, c in enumerate(self.nums):
-            if not c:
-                continue
-            common = gcd(c, self.den)
-            num, den = abs(c) // common, self.den // common
-            value = str(num) if den == 1 else f"{num}/{den}"  # str(abs(Fraction(c, den)))
-            if k == 0:
-                body = value
-            elif value == "1":
-                body = "t" if k == 1 else f"t^{k}"
-            else:
-                body = f"{value}*t" if k == 1 else f"{value}*t^{k}"
-            chunks.append(("-" if c < 0 else "+", body))
-        sign0, body0 = chunks[0]
-        text = ("-" if sign0 == "-" else "") + body0
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+        terms = [(c, "" if k == 0 else "t" if k == 1 else f"t^{k}") for k, c in enumerate(self.nums) if c]
+        return sum_text(terms, self.den)
 
     def __str__(self) -> str:
         if self.precision is None:

@@ -1,3 +1,4 @@
+import decimal
 import json
 import random
 import sys
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nashres import parse_poly
 from nashres.cli import main
 
 CUSP = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^3"}]}
@@ -162,6 +164,31 @@ def test_contact_with_a_coefficient_past_the_bit_limit_exit_code(tmp_path, capsy
     assert "passes 65536 bits" in report["results"]["error"]
 
 
+def _decimal_power_of_two(k):
+    # the digits of 2^k by the decimal module, which no integer digit limit governs
+    with decimal.localcontext() as context:
+        context.prec = k  # more digits than 2^k has
+        return format(decimal.Decimal(2) ** k, "f")
+
+
+def test_reports_print_integers_of_more_than_4300_digits(tmp_path, capsys):
+    # 2^15000 has 4,516 digits, past the default limit of str(int) on Python >= 3.11
+    coords = {"x": "2^15000 t^3", "z": "2^10000 t^2"}
+    arc = write(tmp_path, "a.json", {"precision": "exact", "coords": coords})
+    code, report = run_json(capsys, "contact", write(tmp_path, "p.json", CUSP), arc)
+    assert code == 0
+    assert report["inputs"]["arc"]["coords"] == {
+        "x": f"{_decimal_power_of_two(15000)}*t^3",
+        "z": f"{_decimal_power_of_two(10000)}*t^2",
+    }
+    doc = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - 1/2^15000 z^3"}]}
+    code, report = run_json(capsys, "tsch", write(tmp_path, "q.json", doc))
+    assert code == 0
+    assert report["inputs"]["presentation"]["hypersurfaces"][0]["f"] == (
+        f"-1/{_decimal_power_of_two(15000)}*z^3 + x^2"
+    )
+
+
 def test_identifier_with_two_digits_exit_code(tmp_path, capsys):
     doc = {"d": 2, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z1^2 z2 - z10^5"}]}
     code, report = run_json(capsys, "elim", write(tmp_path, "p.json", doc))
@@ -284,6 +311,34 @@ def test_nash_on_a_wrong_truncated_lift_exit_code(tmp_path, capsys, precision, x
     code, report = run_json(capsys, "nash", pres, arc)
     assert code == 5
     assert f"left the strict transform at step {step}" in report["results"]["error"]
+
+
+DOUBLE_BRANCH = {
+    "d": 1,
+    "hypersurfaces": [{"var": "x", "b": 4, "f": "x^4 - 2 (z^2 + z^3) x^2 + (z^2 + z^3)^2"}],
+}
+
+
+@pytest.mark.parametrize("precision", [32, 64])
+def test_generic_arc_on_a_double_branch_is_its_closed_form(tmp_path, capsys, precision):
+    # (x^2 - z^2 - z^3)^2: over z = -t the double root is x = t sqrt(1 - t), whose
+    # t^k coefficient is the t^(k-1) coefficient binom(1/2, k-1) (-1)^(k-1) of
+    # sqrt(1 - t).  Every coefficient below the precision is checked.
+    code, report = run_json(
+        capsys, "generic-arc", write(tmp_path, "p.json", DOUBLE_BRANCH), "--precision", str(precision)
+    )
+    assert code == 0
+    results = report["results"]
+    assert results["units"] == ["-1"] and results["ramification"] == 1
+    assert results["arc"]["precision"] == precision
+    x = parse_poly(results["arc"]["coords"]["x"]).terms
+    sign = x[(1,)]
+    assert sign in (1, -1)
+    binomial = Fraction(1)  # binom(1/2, k - 1) (-1)^(k - 1)
+    for k in range(1, precision):
+        assert x.get((k,), 0) == sign * binomial, f"coefficient of t^{k}"
+        binomial *= -(Fraction(1, 2) - (k - 1)) / k
+    assert max(exp[0] for exp in x) < precision
 
 
 def test_human_readable_output(tmp_path, capsys):

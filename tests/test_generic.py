@@ -104,6 +104,18 @@ def test_puiseux_nonterminating_branch_truncates():
     assert dict(va.certificates)["x"] == VanishingCertificate(False, 8)
 
 
+@pytest.mark.parametrize("precision", [21, 30, 40])
+def test_a_residual_term_above_the_target_fixes_a_low_coefficient(precision):
+    # With M = z1 z2 = 9/2 t^6 the root is x = 2/3 M^2 = 27/2 t^12, and the
+    # residual's terms from t^24 up fix its t^12 coefficient: a stage that
+    # dropped them returned 0 + O(t^21) and 27/2 t^12 + 243/2 t^24 + O(t^30).
+    f = "x^3 - 1/4 x z1^2 z2^2 - 1/3 x z1^4 z2^4 + 1/6 z1^4 z2^4 - 2/27 z1^6 z2^6"
+    h = tschirnhausen_normalize(parse_poly(f), "x")
+    lift = _lift_equation(h, [-3, Fraction(-3, 2)], [3, 3], precision)
+    assert lift.ramification == 1
+    assert lift.root == PowerSeries.monomial(Fraction(27, 2), 12)
+
+
 def test_truncated_lift_still_attains_the_order():
     p = make_presentation(1, ("x", "x^2 - z^2 - z^3"))
     assert presentation_elimination_order(p).value == 1

@@ -832,19 +832,28 @@ def test_middle_term_edge_roots_with_repeats_and_big_constants():
 def _reference_newton_puiseux_root(F, xvar, precision):
     """The Fraction-valued MultiPoly stage loop: the reference chart, the
     term-by-term Taylor shift above (independent of the integer kernel), the
-    reference chart."""
+    reference chart.  A residual is cut above the target only while its root
+    is simple (its x-coefficient has a nonzero constant term), where the
+    dropped terms cannot reach a coefficient below the target; so a root
+    found is exact only when it is a polynomial root of F itself, which
+    `MultiPoly.substitute` decides once F vanishes at (root(2), 2^e)."""
     t_index = F.vars.index("t")
     t_order = lambda c: min(exp[t_index] for exp in c.terms)
-    e, target, found, shift, cur, lossy = 1, precision, [], 0, F, False
+    e, target, found, shift, cur = 1, precision, [], 0, F
     while True:
         bound = max(target - shift, 1)
-        keep = {exp: c for exp, c in cur.terms.items() if exp[t_index] < bound}
-        if len(keep) != len(cur.terms):
-            cur, lossy = MultiPoly(cur.vars, keep), True
         coeffs = cur.coefficients_in(xvar)
+        if 1 in coeffs and any(exp[t_index] == 0 for exp in coeffs[1].terms):
+            cur = MultiPoly(cur.vars, {exp: c for exp, c in cur.terms.items() if exp[t_index] < bound})
+            coeffs = cur.coefficients_in(xvar)
         c0 = coeffs.get(0)
         if c0 is None or c0.is_zero():
-            return _series_from_terms(found, precision=target if lossy else None), e
+            at_two = [sum(c * 2**k for c, k in found) if v == xvar else 2**e for v in F.vars]
+            root = MultiPoly(F.vars, {tuple(k if v == "t" else 0 for v in F.vars): c for c, k in found})
+            exact = F.eval_at(at_two) == 0 and (
+                _reference_chart(F, {"t": e}).substitute(xvar, root).is_zero()
+            )
+            return _series_from_terms(found, precision=None if exact else target), e
         points = [(i, t_order(c)) for i, c in coeffs.items() if not c.is_zero()]
         hull = _lower_hull(points)
         if len(hull) < 2 or hull[1][1] >= hull[0][1]:
@@ -970,10 +979,10 @@ def tail_equations(draw):
 
     The branch is x^q - a t^p (1 + d t^r) for q = 2, 3, a binomial series
     (ramified when q does not divide p; its tail lies in a power of t), or
-    x - phi(t) for a polynomial phi, an exact root that the stages find unless
-    a term at t-degree >= 201, which the truncation drops, is added to the
-    cofactor.  A further term, on or above the Newton polygon or below it,
-    sometimes turns the root into a dense series or moves the branch."""
+    x - phi(t) for a polynomial phi, an exact root that the stages find, also
+    behind a term at t-degree >= 201 added to the cofactor, past every target.
+    A further term, on or above the Newton polygon or below it, sometimes
+    turns the root into a dense series or moves the branch."""
     x, t = MultiPoly.variable(XT, "x"), MultiPoly.variable(XT, "t")
     one = MultiPoly.constant(XT, 1)
     q = draw(st.integers(min_value=1, max_value=3))
@@ -1014,8 +1023,9 @@ def test_newton_tail_matches_the_multipoly_loop(case):
 
 def test_newton_tail_cases_cover_every_kind_of_tail(monkeypatch):
     # The equations of the tail test reach a compressed tail after ramification,
-    # a dense tail, a polynomial root found by the stages after the probe, and a
-    # polynomial root that comes back truncated.
+    # a dense tail, a polynomial root found by the stages after the probe, and
+    # one behind a cofactor term at t-degree >= 201, which comes back exact.
+    # A polynomial root never comes back truncated.
     outcomes, compressions = set(), []
     tail = generic_module._hensel_tail
 
@@ -1042,15 +1052,17 @@ def test_newton_tail_cases_cover_every_kind_of_tail(monkeypatch):
             outcomes.add("dense tail")
         if root.is_exact:
             outcomes.add("exact after the probe")
+            if max(j for _, j in F.terms) >= 201:
+                outcomes.add("exact behind a term at t-degree >= 201")
             return
         substitutes = {"x": PowerSeries(root.coeffs), "t": PowerSeries.t_power(1)}
-        if poly_compose_series(_reference_chart(F, {"t": e}), substitutes).is_exactly_zero():
-            outcomes.add("polynomial root, truncated")
+        image = poly_compose_series(_reference_chart(F, {"t": e}), substitutes)
+        assert not image.is_exactly_zero(), f"the polynomial root {root} came back truncated"
 
     classify()
     assert outcomes == {
         "ramified, compressed tail", "dense tail", "exact after the probe",
-        "polynomial root, truncated",
+        "exact behind a term at t-degree >= 201",
     }
 
 
@@ -1059,15 +1071,17 @@ def test_newton_tail_cases_cover_every_kind_of_tail(monkeypatch):
 
 def _reference_image(f, subs):
     """(coeffs, precision) of f(subs) in Fraction, every product cut at the precision."""
-    occurring = [v for i, v in enumerate(f.vars) if any(e[i] for e in f.terms)]
+    terms = f.terms
+    occurring = [v for i, v in enumerate(f.vars) if any(e[i] for e in terms)]
     precisions = [subs[v].precision for v in occurring if subs[v].precision is not None]
     prec = min(precisions) if precisions else None
+    coeffs = {v: list(subs[v].coeffs) for v in occurring}
     total = []
-    for exp, c in f.terms.items():
+    for exp, c in terms.items():
         term = [c]
         for v, e in zip(f.vars, exp):
             for _ in range(e):
-                term = _reference_product(term, list(subs[v].coeffs))[:prec]
+                term = _reference_product(term, coeffs[v])[:prec]
         total += [Fraction(0)] * (len(term) - len(total))
         for k, x in enumerate(term):
             total[k] += x
@@ -1166,17 +1180,17 @@ NASH_MAX_STEPS = 40
 
 @st.composite
 def lifted_arcs(draw):
-    """(f, coords): a centerd equation whose branches over Q((t)) are all
-    rational, and an arc on it lifted by `lift_monomial_base` at precision
-    4..24 from a base z_i -> u_i t^(a_i) with rational units, sometimes with
-    one coefficient moved so that the arc leaves the transform.
+    """(f, coords, moved): a centerd equation whose branches over Q((t)) are
+    all rational, and an arc on it lifted by `lift_monomial_base` at precision
+    4..24 from a base z_i -> u_i t^(a_i) with rational units; `moved` says
+    whether one coefficient was then moved, so that the arc may leave the
+    transform.
 
     Its kinds: b = 2, 3 polynomial branches (exact arcs); x^b - M^b (1 + N)
     for monomials M, N, a binomial series (truncated arcs, exact when N = 0);
-    and a polynomial branch times x^2 - M^2 (1 + N).  Some truncated lifts
-    are wrong below their precision (`_newton_puiseux_root` drops residual
-    terms at the target t-degree that still fix lower coefficients); the
-    check on a later transform finds them, as it finds a moved coefficient."""
+    and a polynomial branch times x^2 - M^2 (1 + N).  A lifted arc is right
+    below its precision, so only a moved coefficient takes it off a
+    transform."""
     d = draw(st.integers(min_value=1, max_value=2))
     base = NASH_BASES[d]
     V = ("x",) + base
@@ -1215,7 +1229,8 @@ def lifted_arcs(draw):
     except NashresError:
         assume(False)
     coords = dict(va.arc.coords)
-    if draw(st.integers(min_value=0, max_value=3)) == 0:
+    moved = draw(st.integers(min_value=0, max_value=3)) == 0
+    if moved:
         v = draw(st.sampled_from(sorted(coords)))
         s = coords[v]
         top = s.precision if s.precision is not None else len(s.coeffs) + 2
@@ -1223,7 +1238,7 @@ def lifted_arcs(draw):
         cs = list(s.coeffs) + [Fraction(0)] * (k + 1 - len(s.coeffs))
         cs[k] += draw(nash_units)
         coords[v] = PowerSeries(cs, s.precision)
-    return h.polynomial, coords
+    return h.polynomial, coords, moved
 
 
 _CUSP = MultiPoly(("x", "z"), {(2, 0): 1, (0, 3): -1})
@@ -1234,16 +1249,19 @@ _INSIDE_TOP_STRATUM = {"x": PowerSeries.zero(), "z": PowerSeries.zero()}
 @seed(20151111)
 @settings(max_examples=150, deadline=None)
 @given(lifted_arcs())
-@example((_CUSP, _ESCAPING))
-@example((_CUSP, _INSIDE_TOP_STRATUM))
+@example((_CUSP, _ESCAPING, False))
+@example((_CUSP, _INSIDE_TOP_STRATUM, False))
 def test_integer_nash_sequence_matches_the_multipoly_loop(case):
     # same multiplicities, centers, rho and traced equations, or the same
-    # typed error with the same message (which names the step)
-    f, coords = case
+    # typed error with the same message (which names the step); an arc as
+    # lifted never leaves a strict transform
+    f, coords, moved = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nash_module, "_MAX_STEPS", NASH_MAX_STEPS)
         got = _sequence_or_error(f, coords)
     assert got == _reference_or_error(f, coords, NASH_MAX_STEPS)
+    if not moved:
+        assert not (got[0] is IdentityViolationError and "left the strict transform" in got[1]), got
 
 
 def test_fixed_nash_cases_reach_the_escape_and_the_step_cap():
@@ -1265,7 +1283,7 @@ def test_nash_cases_cover_every_kind_of_outcome():
     @settings(max_examples=150, deadline=None, database=None)
     @given(lifted_arcs())
     def classify(case):
-        f, coords = case
+        f, coords, _ = case
         result = _reference_or_error(f, coords, NASH_MAX_STEPS)
         if result[0] is IdentityViolationError:
             outcomes.add("off at step 0" if "at step 0:" in result[1] else "off at a later step")
