@@ -17,6 +17,7 @@ so output is deterministic.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -364,18 +365,20 @@ def sum_text(terms: Iterable[Tuple[int, str]], den: int) -> str:
 
 def ratio_text(num: int, den: int) -> str:
     """num/den for den > 0, as `str(Fraction(num, den))` prints it but at any
-    size: `str(int)` refuses more than 4,300 digits on Python >= 3.11."""
+    size: `str(int)` refuses integers past the interpreter's digit limit
+    (4,300 digits by default on Python >= 3.11)."""
     common = gcd(num, den)
     num, den = num // common, den // common
-    try:
-        return str(num) if den == 1 else f"{num}/{den}"
-    except ValueError:  # past the digit limit: print the halves of each integer
-        text = "-" * (num < 0) + _digits(abs(num))
-        return text if den == 1 else f"{text}/{_digits(den)}"
+    text = "-" * (num < 0) + _digits(abs(num))
+    return text if den == 1 else f"{text}/{_digits(den)}"
 
 
 def _digits(n: int) -> str:
-    if n.bit_length() <= 10_000:  # about 3,000 digits
+    """str(n) for n >= 0, split at a power of ten into halves that each stay
+    within the digit limit (0: none; a limit is at least 640 digits, and
+    3 bits per digit keeps n below it)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or n.bit_length() <= 3 * limit:
         return str(n)
     k = n.bit_length() * 3 // 20  # about half of n's digits
     high, low = divmod(n, 10**k)

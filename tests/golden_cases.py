@@ -4,8 +4,12 @@ installed.
 
 The files under tests/golden/ were written by the code before the change
 that first pinned them (the integer series kernel for verify, generic-arc
-and nash; derived-object caching for tsch, elim, contact and mult); any
-later change must reproduce them exactly.  `tests/test_golden.py` compares
+and nash; derived-object caching for tsch, elim, contact and mult), with
+one exception: generic_arc_double_branch_p64 was written by the change that
+made Newton-Puiseux stages read the whole residual, because the code before
+it gave a wrong arc there; its arc is checked against the closed form in
+tests/test_cli.py::test_generic_arc_on_a_double_branch_is_its_closed_form.
+Any later change must reproduce them exactly.  `tests/test_golden.py` compares
 every case with its file.  To check them without pytest, write the reports
 to a scratch directory and compare:
 

@@ -189,6 +189,27 @@ def test_reports_print_integers_of_more_than_4300_digits(tmp_path, capsys):
     )
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this interpreter converts integers of any length",
+)
+def test_reports_print_integers_past_the_lowest_digit_limit(tmp_path, capsys):
+    # 640 is the lowest nonzero digit limit; 2^4500 has 1,355 digits, 2^3000 has 904
+    arc = write(tmp_path, "a.json", {"precision": "exact", "coords": {"x": "2^4500 t^3", "z": "2^3000 t^2"}})
+    pres = write(tmp_path, "p.json", CUSP)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, report = run_json(capsys, "contact", pres, arc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert report["inputs"]["arc"]["coords"] == {
+        "x": f"{_decimal_power_of_two(4500)}*t^3",
+        "z": f"{_decimal_power_of_two(3000)}*t^2",
+    }
+
+
 def test_identifier_with_two_digits_exit_code(tmp_path, capsys):
     doc = {"d": 2, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z1^2 z2 - z10^5"}]}
     code, report = run_json(capsys, "elim", write(tmp_path, "p.json", doc))
