@@ -41,8 +41,8 @@ from .series import PowerSeries, compose_integers
 
 T = "t"
 
-# Hard cap on blow-up count; corpus persistances are tiny, anything near this
-# limit means a non-dropping sequence slipped past the Max-mult guard.
+# Hard cap on blow-up count for an equation run without a bound on rho;
+# `nash_sequence_hypersurface` derives its bound from the elimination images.
 _MAX_STEPS = 10_000
 
 
@@ -81,9 +81,7 @@ class NashState:
         return m
 
     def check_arc_on_transform(self) -> None:
-        den = self.g.den
-        terms = [(c, den, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in self.g.nums.items()]
-        image = compose_integers(terms, self.forms)
+        image = compose_integers(self.g.nums, self.g.den, self.forms)
         if image.nums:
             raise IdentityViolationError(
                 f"lifted arc left the strict transform at step {self.step}: {image}"
@@ -164,13 +162,17 @@ def _initial_state(f: MultiPoly, coords: Dict[str, PowerSeries]) -> NashState:
 
 
 def nash_sequence_equation(
-    f: MultiPoly, coords: Dict[str, PowerSeries], trace: bool = False
+    f: MultiPoly,
+    coords: Dict[str, PowerSeries],
+    trace: bool = False,
+    bound: Optional[int] = None,
 ) -> NashSequence:
     """Run the directed blow-up sequence for one centered hypersurface equation.
 
     The arc must satisfy the equation (checked to its precision) and must not
     be contained in the top multiplicity stratum, or the sequence would never
-    drop.
+    drop.  A sequence that runs past `bound`, a proved upper bound on rho, is
+    an identity violation; without a bound it stops after _MAX_STEPS blow-ups.
     """
     state = _initial_state(f, coords)
     m0 = state.multiplicity()
@@ -178,7 +180,12 @@ def nash_sequence_equation(
     centers = []
     equations = [] if trace else None
     while True:
-        if state.step >= _MAX_STEPS:
+        if bound is not None and state.step >= bound:
+            raise IdentityViolationError(
+                f"no multiplicity drop after {bound} blow-ups of {f} = 0, "
+                f"past the bound floor(min a/l) = {bound} of its exact elimination images"
+            )
+        if bound is None and state.step >= _MAX_STEPS:
             precisions = [s.precision for s in coords.values() if s.precision is not None]
             known = f"to precision {min(precisions)}" if precisions else "exactly"
             raise ValidationError(
@@ -212,18 +219,23 @@ def nash_sequence_equation(
 def nash_sequence_hypersurface(
     h: TschirnhausenHypersurface, va: ValidatedArc, trace: bool = False
 ) -> NashSequence:
-    """Directed sequence for one hypersurface of a validated arc's presentation."""
+    """Directed sequence for one hypersurface of a validated arc's presentation.
+
+    rho = floor(r), and r is at most a/l for every exact elimination image
+    t^a W^l, so min floor(a/l) over those images bounds rho.
+    """
     images = dict(va.elimination_images)[h.var]
     if not images:
         raise MaxMultArcError(
             f"arc inside Max mult of the {h.var}-hypersurface; sequence never drops"
         )
-    if not any(img.a.is_exact for img, _ in images):
+    bounds = [img.a.value // img.l for img, _ in images if img.a.is_exact]
+    if not bounds:
         raise InsufficientPrecisionError(
             f"cannot bound the {h.var}-sequence: all elimination images censored"
         )
     coords = {v: va.arc.coords[v] for v in h.ambient_vars}
-    return nash_sequence_equation(h.polynomial, coords, trace=trace)
+    return nash_sequence_equation(h.polynomial, coords, trace=trace, bound=min(bounds))
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ correct.  A product convolves the numerators and multiplies the
 denominators.
 
 Evaluating a polynomial on series is one integer back end,
-`compose_integers`.  It takes each term as an integer numerator over its
-denominator and reads each substitute's numerators, denominator and
-precision as they are stored.  `poly_compose_series` is its `MultiPoly`
-front end; `PowerSeries.compose` and the Nash blow-up step, on its integer
-transform and arc, call the back end directly.  Only the first n
-coefficients are computed, n = min(precision, degree bound), and each term
-is its numerator over the terms' lcm denominator times powers of the
-substitutes.
+`compose_integers`.  It reads the polynomial as it is stored everywhere,
+{exponent tuple: integer numerator} over one denominator (`MultiPoly.nums`
+and `.den`, a Nash transform, a Newton-Puiseux residual over 1), and each
+substitute's numerators, denominator and precision as they are stored.
+`poly_compose_series` is its `MultiPoly` front end; `PowerSeries.compose`,
+the Nash blow-up step and the Newton-Puiseux tail call it directly.  Only
+the first n coefficients are computed, n = min(precision, degree bound).
+A term's own denominator is den times the powers of the substitutes'
+denominators it uses, and each term is brought to the lcm of those.
 
 The work follows the support of the substitutes.  Below t^n each one is a
 monomial c t^a or t^a sigma(t^g), where g is the gcd of the gaps between the
@@ -249,8 +250,8 @@ class PowerSeries:
         if not o.is_infinite and o.lower_bound() < 1:
             raise ValueError("parameter substitution needs a series of order >= 1")
         prec = _min_precision(self.precision, inner.precision)
-        terms = [(c, self.den, [(0, k)] if k else []) for k, c in enumerate(self.nums) if c]
-        image = compose_integers(terms, [PowerSeries.from_integers(inner.nums, inner.den, prec)])
+        inner = PowerSeries.from_integers(inner.nums, inner.den, prec)
+        image = compose_integers({(k,): c for k, c in enumerate(self.nums) if c}, self.den, [inner])
         return PowerSeries.from_integers(image.nums, image.den, prec)
 
     # -- printing ------------------------------------------------------------------
@@ -276,47 +277,49 @@ def poly_compose_series(f, substitutions: dict) -> PowerSeries:
     actually occur in f (exact when they are all exact).  This is the
     `MultiPoly` front end of `compose_integers`.
     """
-    forms = {}  # variable index -> its substitute
+    forms = [None] * len(f.vars)
     for i, v in enumerate(f.vars):
         if any(exp[i] for exp in f.nums):
             if v not in substitutions:
                 raise DimensionMismatchError(f"no substitute supplied for variable {v!r}")
             forms[i] = substitutions[v]
-    den = f.den
-    terms = [(c, den, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in f.nums.items()]
-    return compose_integers(terms, forms)
+    return compose_integers(f.nums, f.den, forms)
 
 
-def compose_integers(terms, forms) -> PowerSeries:
-    """The integer back end: sum over terms of num/den * prod s_i^e_i.
+def compose_integers(nums, den: int, forms) -> PowerSeries:
+    """The integer back end: sum over exponents e of nums[e]/den * prod s_i^e_i.
 
-    A term is (num, den, [(i, e), ...]) with every e positive, and forms[i]
-    is the substitute s_i.  The sum is computed below t^n, n the smaller of
-    its degree bound and prec, the min precision over the substitutes the
-    terms use, and returned at precision prec.  The path is chosen here.
+    nums is {exponent tuple: nonzero int} over one denominator den, the form
+    of `MultiPoly.nums`, and forms[i] is the substitute s_i for position i
+    (None where no exponent uses it).  The sum is computed below t^n, n the
+    smaller of its degree bound and prec, the min precision over the
+    substitutes the terms use, and returned at precision prec.  The path is
+    chosen here.
     """
+    terms = [(c, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in nums.items()]
     prec: int | None = None
     subs = {}  # index -> numerators of each substitute the terms use
-    for _, _, factors in terms:
+    for _, factors in terms:
         for i, _ in factors:
             if i not in subs:
                 s = forms[i]
                 subs[i] = s.nums
                 prec = _min_precision(prec, s.precision)
-    # terms that no zero substitute kills, over their denominators, and the
-    # degree bound of their sum
+    # terms that no zero substitute kills, each over its own denominator
+    # (den times the substitutes' denominators), and the degree bound of
+    # their sum
     kept = []
     degree = -1
-    for num, den, factors in terms:
-        d = 0
+    for num, factors in terms:
+        term_den, d = den, 0
         for i, e in factors:
-            nums = subs[i]
-            if not nums:
+            s_nums = subs[i]
+            if not s_nums:
                 break
-            den *= forms[i].den ** e
-            d += e * (len(nums) - 1)
+            term_den *= forms[i].den ** e
+            d += e * (len(s_nums) - 1)
         else:
-            kept.append((num, den, factors))
+            kept.append((num, term_den, factors))
             degree = max(degree, d)
     n = degree + 1 if prec is None else min(prec, degree + 1)
     if n <= 0:

@@ -72,6 +72,21 @@ def test_nash_command_with_trace(tmp_path, capsys):
     assert len(row["equations"]) == 3
 
 
+def test_nash_runs_past_the_step_cap_to_the_bound_of_the_elimination_images(
+    tmp_path, capsys, monkeypatch
+):
+    # rho = 30 on the exact arc (t^30, t^20); the cap of direct equation runs
+    # does not apply to a hypersurface of a presentation
+    from nashres import nash
+
+    monkeypatch.setattr(nash, "_MAX_STEPS", 4)
+    pres = write(tmp_path, "p.json", CUSP)
+    arc = write(tmp_path, "a.json", {"precision": "exact", "coords": {"x": "t^30", "z": "t^20"}})
+    code, report = run_json(capsys, "nash", pres, arc)
+    assert code == 0
+    assert report["results"]["rho"] == 30
+
+
 def test_mult_command(tmp_path, capsys):
     pres = write(tmp_path, "p.json", UMBRELLA)
     code, report = run_json(capsys, "mult", pres, "--point", "0,0,5")

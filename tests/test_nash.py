@@ -13,7 +13,12 @@ from nashres import (
     validate_arc,
 )
 from nashres import nash
-from nashres.errors import InsufficientPrecisionError, MaxMultArcError, ValidationError
+from nashres.errors import (
+    IdentityViolationError,
+    InsufficientPrecisionError,
+    MaxMultArcError,
+    ValidationError,
+)
 
 from conftest import exact_arc
 
@@ -159,6 +164,19 @@ def test_step_cap_error_names_equation_and_precision(monkeypatch):
     exact = {"x": PowerSeries.t_power(9), "z": PowerSeries.t_power(2)}
     with pytest.raises(ValidationError, match="known exactly"):
         nash_sequence_equation(f, exact)
+
+
+def test_a_sequence_past_its_bound_is_an_identity_violation():
+    # rho = 9 here: a bound of 9 lets the sequence drop, a bound of 8 is violated
+    f = parse_poly("x^2 - z^9")
+    coords = {"x": PowerSeries.t_power(9), "z": PowerSeries.t_power(2)}
+    assert nash_sequence_equation(f, coords, bound=9).rho == 9
+    with pytest.raises(IdentityViolationError) as info:
+        nash_sequence_equation(f, coords, bound=8)
+    message = str(info.value)
+    assert "after 8 blow-ups" in message
+    assert f"of {f} = 0" in message
+    assert "floor(min a/l) = 8" in message
 
 
 def test_sequence_centers_come_from_the_steps(cusp):

@@ -741,6 +741,25 @@ def test_binomial_edge_roots_with_a_big_constant():
     assert _rational_roots([two**72, 0, 0, 0, 1]) == []
 
 
+def test_binomial_edge_roots_with_constants_of_thousands_of_bits():
+    one = Fraction(1)
+    # c^6 -+ 2^3000: two roots of 501 bits, or none
+    assert set(_rational_roots([-(one * 2**3000), 0, 0, 0, 0, 0, 1])) == {2**500, -(2**500)}
+    assert _rational_roots([one * 2**3000, 0, 0, 0, 0, 0, 1]) == []
+    # 729 c^6 - 2^3000: the roots +-2^500/3 of a non-monic binomial
+    assert set(_rational_roots([-(one * 2**3000), 0, 0, 0, 0, 0, 3**6])) == {
+        Fraction(2**500, 3),
+        Fraction(-(2**500), 3),
+    }
+    # odd degree: a negative constant gives the positive root, a positive one the negative
+    assert _rational_roots([-(one * 3**1000), 0, 0, 0, 0, 1]) == [3**200]
+    assert _rational_roots([one * 3**1000, 0, 0, 0, 0, 1]) == [-(3**200)]
+    assert _rational_roots([-(one * 3**1000), 0, 0, 0, 0, -1]) == [-(3**200)]
+    # a constant that is no sixth or fifth power: no root
+    assert _rational_roots([-(one * (2**3000 + 1)), 0, 0, 0, 0, 0, 1]) == []
+    assert _rational_roots([-(one * (3**1000 - 1)), 0, 0, 0, 0, 1]) == []
+
+
 def _poly_product(a, b):
     return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(len(a) + len(b) - 1)]
 
