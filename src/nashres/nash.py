@@ -14,10 +14,14 @@ on the numerators (the t-exponent becomes the total degree minus m), the arc
 is recentered by dropping its first numerator and zeroing the new constant
 one, and the Taylor shift by each center p/q is the integer grouped shift
 `poly.shift_integer_terms`, which scales the numerators by q^N;
-`MultiPoly.from_integers` then puts the result in canonical form.  This is
-the chart move that a Newton-Puiseux stage in `generic` makes, on the same
+`MultiPoly.from_integers` then puts the result in canonical form.  A step
+whose centre is the chart origin keeps the chart's output as it is: the
+exponent map is one-to-one and leaves every numerator alone.  This is the
+chart move that a Newton-Puiseux stage in `generic` makes, on the same
 integer shift.  Every step checks that the arc still lies on the transform
-by a full evaluation through the integer back end `series.compose_integers`.
+by a full evaluation through the integer back end `series.compose_integers`;
+step 0 is the equation itself, which `validate_arc` has already certified
+when the sequence starts from a validated arc.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import cached_property
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .arcs import ValidatedArc
+from .arcs import ValidatedArc, VanishingCertificate
 from .errors import (
     IdentityViolationError,
     InsufficientPrecisionError,
@@ -92,9 +96,13 @@ class NashState:
 class NashSequence:
     multiplicities: Tuple[int, ...]
     rho: int
-    centers: Tuple[Tuple[Fraction, ...], ...]
+    center_pq: Tuple[Tuple[Tuple[int, int], ...], ...]  # (p, q) per coordinate per step
     precision_consumed: int
     equations: Optional[Tuple[str, ...]] = None  # transformed equation per step (trace)
+
+    @property
+    def centers(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(p, q) for p, q in center) for center in self.center_pq)
 
 
 def nash_step(state: NashState, m0: int) -> NashState:
@@ -148,17 +156,10 @@ def nash_step(state: NashState, m0: int) -> NashState:
     for i, p, q in shifts:
         G, scale = shift_integer_terms(G, i, p, q)
         D *= scale
-    transform = MultiPoly.from_integers(g.vars, G, D)
+    transform = MultiPoly.from_integers(g.vars, G, D) if shifts else MultiPoly._raw(g.vars, G, D)
     out = NashState(transform, tuple(forms), state.step + 1, tuple(center))
     out.check_arc_on_transform()
     return out
-
-
-def _initial_state(f: MultiPoly, coords: Dict[str, PowerSeries]) -> NashState:
-    g = f.extend_vars(f.vars + (T,))
-    state = NashState.from_poly(g, {v: coords[v] for v in f.vars})
-    state.check_arc_on_transform()
-    return state
 
 
 def nash_sequence_equation(
@@ -166,15 +167,20 @@ def nash_sequence_equation(
     coords: Dict[str, PowerSeries],
     trace: bool = False,
     bound: Optional[int] = None,
+    certificate: Optional[VanishingCertificate] = None,
 ) -> NashSequence:
     """Run the directed blow-up sequence for one centered hypersurface equation.
 
-    The arc must satisfy the equation (checked to its precision) and must not
-    be contained in the top multiplicity stratum, or the sequence would never
-    drop.  A sequence that runs past `bound`, a proved upper bound on rho, is
-    an identity violation; without a bound it stops after _MAX_STEPS blow-ups.
+    The arc must satisfy the equation (checked to its precision, unless
+    `certificate` records that `validate_arc` has seen f vanish on it) and
+    must not be contained in the top multiplicity stratum, or the sequence
+    would never drop.  A sequence that runs past `bound`, a proved upper
+    bound on rho, is an identity violation; without a bound it stops after
+    _MAX_STEPS blow-ups.
     """
-    state = _initial_state(f, coords)
+    state = NashState.from_poly(f.extend_vars(f.vars + (T,)), coords)
+    if certificate is None:
+        state.check_arc_on_transform()
     m0 = state.multiplicity()
     mults = [m0]
     centers = []
@@ -199,7 +205,7 @@ def nash_sequence_equation(
                 "insufficient precision for the directed sequence; "
                 f"supply the arc to >= {state.step + 2} terms"
             ) from None
-        centers.append(nxt.center)
+        centers.append(nxt.center_pq)
         m = nxt.multiplicity()
         mults.append(m)
         if equations is not None:
@@ -210,7 +216,7 @@ def nash_sequence_equation(
     return NashSequence(
         multiplicities=tuple(mults),
         rho=len(mults) - 1,
-        centers=tuple(centers),
+        center_pq=tuple(centers),
         precision_consumed=len(mults) - 1,
         equations=None if equations is None else tuple(equations),
     )
@@ -235,7 +241,9 @@ def nash_sequence_hypersurface(
             f"cannot bound the {h.var}-sequence: all elimination images censored"
         )
     coords = {v: va.arc.coords[v] for v in h.ambient_vars}
-    return nash_sequence_equation(h.polynomial, coords, trace=trace, bound=min(bounds))
+    return nash_sequence_equation(
+        h.polynomial, coords, trace, min(bounds), dict(va.certificates)[h.var]
+    )
 
 
 @dataclass(frozen=True)

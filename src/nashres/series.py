@@ -21,13 +21,17 @@ the first n coefficients are computed, n = min(precision, degree bound).
 A term's own denominator is den times the powers of the substitutes'
 denominators it uses, and each term is brought to the lcm of those.
 
-The work follows the support of the substitutes.  Below t^n each one is a
-monomial c t^a or t^a sigma(t^g), where g is the gcd of the gaps between the
-nonzero exponents of all substitutes, as on a ramified root or a root lifted
-at alpha = 2 (Duval, Rational Puiseux expansions, 1989).  Monomials fold
-into the term's numerator and offset o = sum a_i e_i.  When every
-substitute is a monomial (g = 0) each term is one coefficient at t^o: the
-monomial map, with nothing packed or convolved.  Otherwise the terms are
+The work follows the support of the substitutes.  The monomial map is
+decided first: when every substitute given is zero or one term c t^a, as
+in most Nash arc checks and at the probe t = 2 of a lifted root,
+each term is one coefficient at t^o, o = sum a_i e_i, summed in one pass
+over the terms with no term list, per-term denominator or lattice.
+Otherwise, below t^n each substitute is a monomial c t^a or t^a sigma(t^g),
+where g is the gcd of the gaps between the nonzero exponents of all
+substitutes, as on a ramified root or a root lifted at alpha = 2 (Duval,
+Rational Puiseux expansions, 1989).  Monomials fold into the term's
+numerator and offset o.  When every substitute is a monomial below t^n
+(g = 0) the same monomial map sums the terms.  Otherwise the terms are
 grouped by the residue r of o mod g, each is shifted by o // g, and each
 class is a sum of products of the sigma_i in s = t^g to ceil(n/g)
 coefficients; its coefficient k lands at t^(r + g k).  Only the powers the
@@ -294,8 +298,14 @@ def compose_integers(nums, den: int, forms) -> PowerSeries:
     (None where no exponent uses it).  The sum is computed below t^n, n the
     smaller of its degree bound and prec, the min precision over the
     substitutes the terms use, and returned at precision prec.  The path is
-    chosen here.
+    chosen here, the monomial map first: it is taken when every substitute
+    given is zero or one term.
     """
+    for s in forms:
+        if s is not None and s.nums.count(0) + 1 < len(s.nums):
+            break
+    else:
+        return _monomial_map(nums, den, forms)
     terms = [(c, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in nums.items()]
     prec: int | None = None
     subs = {}  # index -> numerators of each substitute the terms use
@@ -326,11 +336,13 @@ def compose_integers(nums, den: int, forms) -> PowerSeries:
         return PowerSeries.zero(prec)
     common = lcm(*(den for _, den, _ in kept))
     g, series, lattice = _on_lattice(kept, common, subs, n)
+    if not g:  # every substitute is one term below t^n, where the sum is read
+        cut = [
+            None if s is None else PowerSeries.from_integers(s.nums[:n], s.den, s.precision)
+            for s in forms
+        ]
+        return _monomial_map(nums, den, cut)
     out = [0] * n
-    if not g:  # the monomial map: each term is one coefficient
-        for num, o, _ in lattice:
-            out[o] += num
-        return PowerSeries.from_integers(out, common, prec)
     norms = {i: sum(map(abs, sigma)) for i, sigma in series.items()}
     bound = 0
     classes = {}  # residue r of the offset -> [(num, o // g, factors)]
@@ -349,6 +361,42 @@ def compose_integers(nums, den: int, forms) -> PowerSeries:
     for r, digits in sums.items():
         out[r::g] = digits[: len(range(r, n, g))]
     return PowerSeries.from_integers(out, common, prec)
+
+
+def _monomial_map(nums, den: int, forms) -> PowerSeries:
+    """compose_integers when every substitute the terms use is zero or one
+    term c_i/d_i t^a_i: term e adds num prod c_i^e_i d_i^(E_i - e_i) at
+    t^(sum a_i e_i), over den prod d_i^E_i with E_i the highest power of s_i,
+    in one pass over the terms: no term list, per-term denominator, lattice,
+    packing or convolution, and no list longer than the last nonzero sum."""
+    prec = None
+    factors = []  # (i, a_i, None when c_i = d_i = 1, else [c_i^e d_i^(E_i - e) for e <= E_i])
+    for i, top in enumerate(map(max, zip(*nums))):
+        if top:
+            s = forms[i]
+            prec = _min_precision(prec, s.precision)
+            c, d = (s.nums[-1] if s.nums else 0), s.den
+            table = None if c == d == 1 else [c**e * d ** (top - e) for e in range(top + 1)]
+            den *= d**top
+            factors.append((i, len(s.nums) - 1, table))
+    coeffs = {}
+    for exp, num in nums.items():
+        o = 0
+        for i, a, table in factors:
+            e = exp[i]
+            o += a * e
+            if table:
+                num *= table[e]
+        if num:  # zero when a zero substitute occurs in the term
+            coeffs[o] = coeffs.get(o, 0) + num
+    n = max((o + 1 for o, c in coeffs.items() if c), default=0)
+    if prec is not None:
+        n = min(n, prec)
+    out = [0] * n
+    for o, c in coeffs.items():
+        if o < n:
+            out[o] = c
+    return PowerSeries.from_integers(out, den, prec)
 
 
 def _on_lattice(kept, common, subs, n: int):

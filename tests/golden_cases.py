@@ -116,6 +116,12 @@ ARCS = {
         "precision": "exact",
         "coords": {"x": "(t \u2212 1/2 t^2)^3", "z": "t^2 (1 \u2212 1/2 t)^2"},
     },
+    # An exact monomial arc on mixed_weights: rho = 24, with runs of 28 and
+    # 25 blow-ups that are nearly all centred at the chart origin.
+    "mixed_weights_monomial": {
+        "precision": "exact",
+        "coords": {"x1": "t^27", "x2": "t^24", "z": "t^18"},
+    },
 }
 
 # golden file stem -> (presentation, arc or None, cli arguments after the inputs)
@@ -163,6 +169,9 @@ CASES = {
     ),
     "nash_cusp_shifted": ("cusp", "cusp_shifted", ["nash", "--trace"]),
     "nash_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["nash", "--trace"]),
+    "nash_mixed_weights_monomial": (
+        "mixed_weights", "mixed_weights_monomial", ["nash", "--trace"],
+    ),
     "tsch_needs_normalization": ("needs_normalization", None, ["tsch"]),
     "elim_two_hyp": ("two_hyp", None, ["elim"]),
     "contact_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["contact"]),

@@ -140,6 +140,28 @@ def test_cubic_edge_with_a_middle_term_and_a_2_71_constant_exit_code(tmp_path, c
     assert "extension" in report["results"]["error"]
 
 
+@pytest.mark.parametrize(
+    "b, equation", [(6, "x^6 - 3 2^30000 z^7"), (3, "x^3 + z^2 x + 3 2^30000 z^3")]
+)
+def test_edges_with_a_30000_bit_constant_exit_code(tmp_path, b, equation):
+    # The binomial and the middle-term edge have no rational root; root
+    # isolation needs O(log bits) evaluations, not bits / n bisection steps.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import nashres
+
+    pres = write(tmp_path, "p.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": b, "f": equation}]})
+    env = dict(os.environ, PYTHONPATH=str(Path(nashres.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nashres.cli", "generic-arc", pres, "--json"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 4
+    assert "extension" in json.loads(done.stdout)["results"]["error"]
+
+
 def test_verify_command(tmp_path, capsys):
     pres = write(tmp_path, "p.json", CUSP)
     code, report = run_json(capsys, "verify", pres, "--trials", "5", "--seed", "7")
@@ -697,3 +719,40 @@ def test_verify_lifts_each_units_and_exponents_once(monkeypatch, seed):
         climod.verify_main_theorem(p, trials=20, seed=seed)
         assert set(lifted.values()) == {1}, [k for k, n in lifted.items() if n > 1]
     assert failed  # failed lifts are exercised, not only successful ones
+
+
+MIXED_WEIGHTS = {
+    "d": 1,
+    "hypersurfaces": [
+        {"var": "x1", "b": 2, "f": "x1^2 - z^3"},
+        {"var": "x2", "b": 3, "f": "x2^3 - z^4"},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["cusp", "two_hyp", "mixed_weights"])
+@pytest.mark.parametrize("seed", ["7", "3"])
+def test_verify_checks_the_arc_once_per_blow_up(tmp_path, capsys, monkeypatch, name, seed):
+    # validate_arc has certified the equation on the arc, so a sequence
+    # checks its arc only on the transforms that its steps build
+    from nashres import nash
+
+    doc = {"cusp": CUSP, "two_hyp": TWO_HYP, "mixed_weights": MIXED_WEIGHTS}[name]
+    checked, steps = [], []
+    check, step = nash.NashState.check_arc_on_transform, nash.nash_step
+
+    def check_spy(state):
+        checked.append(state.step)
+        return check(state)
+
+    def step_spy(state, m0):
+        steps.append(state.step + 1)
+        return step(state, m0)
+
+    monkeypatch.setattr(nash.NashState, "check_arc_on_transform", check_spy)
+    monkeypatch.setattr(nash, "nash_step", step_spy)
+    code, report = run_json(capsys, "verify", write(tmp_path, "p.json", doc), "--seed", seed)
+    assert code == 0
+    assert all(c["status"] == "pass" for c in report["checks"])
+    assert steps and checked == steps
+    assert 0 not in checked

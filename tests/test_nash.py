@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from nashres import (
     Arc,
+    MultiPoly,
     NashState,
     PowerSeries,
     contact_order,
@@ -147,6 +150,31 @@ def test_truncated_arc_reports_needed_terms():
     f = parse_poly("x^2 - z^3")
     coords = {"x": PowerSeries([0, 0, 0, 1], 3), "z": PowerSeries([0, 0, 1], 3)}
     with pytest.raises(InsufficientPrecisionError, match=">= 4 terms"):
+        nash_sequence_equation(f, coords)
+
+
+def test_each_transform_is_canonical_and_a_zero_centre_keeps_the_chart():
+    # x = t^3/8, z = t^2/4: centres (0, 0), (0, 1/4) and (1/8, 0); a shift by
+    # a rational centre scales the numerators, a zero centre changes none
+    g = parse_poly("x^2 - z^3").extend_vars(("x", "z", "t"))
+    arc = {"x": PowerSeries.monomial(Fraction(1, 8), 3), "z": PowerSeries.monomial(Fraction(1, 4), 2)}
+    state, centers = NashState.from_poly(g, arc), []
+    while state.multiplicity() == 2:
+        before = state.g
+        state = nash_step(state, 2)
+        centers.append(state.center)
+        assert state.g == MultiPoly(state.g.vars, state.g.terms)
+        if not any(state.center):
+            assert state.g.den == before.den
+            assert sorted(state.g.nums.values()) == sorted(before.nums.values())
+    assert centers == [(0, 0), (0, Fraction(1, 4)), (Fraction(1, 8), 0)]
+
+
+def test_a_direct_run_checks_its_arc_at_step_0():
+    # no validate_arc has seen these coordinates: the equation itself is checked
+    f = parse_poly("x^2 - z^3")
+    coords = {"x": PowerSeries.t_power(3), "z": PowerSeries([0, 0, 1, 1])}
+    with pytest.raises(IdentityViolationError, match="left the strict transform at step 0"):
         nash_sequence_equation(f, coords)
 
 

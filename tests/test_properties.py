@@ -344,6 +344,57 @@ def test_compose_takes_the_packed_path_up_to_the_cut(monkeypatch):
         assert packed == expected
 
 
+def _monomial_cases(count):
+    """Seeded (f, subs) with every substitute zero or one term c t^a, c of
+    either sign with a denominator; each term of f uses some of z1, z2, z3,
+    and a precision is exact, any cut, or exactly a term's offset."""
+    rng = random.Random(20151201)
+    cases = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = tuple(rng.randint(0, 4) if rng.random() < 0.6 else 0 for _ in V3)
+            terms[exp] = Fraction(rng.randint(1, 2**30) * rng.choice([-1, 1]), rng.randint(1, 12))
+        f = MultiPoly(V3, terms)
+        lows = {v: rng.randint(0, 5) for v in V3}
+        offsets = [sum(lows[v] * e for v, e in zip(V3, exp)) for exp in f.terms]
+        subs = {}
+        for v in V3:
+            precision = rng.choice([None, None, rng.randint(0, 30), rng.choice(offsets or [0])])
+            if rng.random() < 0.15:
+                subs[v] = PowerSeries.zero(precision)
+            else:
+                c = Fraction(rng.randint(1, 2**20) * rng.choice([-1, 1]), rng.randint(1, 9))
+                subs[v] = PowerSeries.monomial(c, lows[v], precision)
+        cases.append((f, subs))
+    return cases
+
+
+def test_the_monomial_map_matches_fraction_reference(monkeypatch):
+    lattice_calls = []
+    on_lattice = series_module._on_lattice
+    monkeypatch.setattr(
+        series_module, "_on_lattice", lambda *args: lattice_calls.append(1) or on_lattice(*args)
+    )
+    for f, subs in _monomial_cases(300):
+        _assert_matches_reference(f, subs, poly_compose_series(f, subs))
+    # z1^2 - z2^3 on (8/27 t^3, 4/9 t^2) and 3 z1 z2 - 2 z3 on
+    # (1/2 t, -2/3 t^2, -1/2 t^3): each cancels to an exact zero
+    cancelling = [
+        (MultiPoly(V2, {(2, 0): 1, (0, 3): -1}),
+         {"z1": PowerSeries.monomial(Fraction(8, 27), 3), "z2": PowerSeries.monomial(Fraction(4, 9), 2)}),
+        (MultiPoly(V3, {(1, 1, 0): 3, (0, 0, 1): -2}),
+         {"z1": PowerSeries.monomial(Fraction(1, 2), 1),
+          "z2": PowerSeries.monomial(Fraction(-2, 3), 2),
+          "z3": PowerSeries.monomial(Fraction(-1, 2), 3)}),
+    ]
+    for f, subs in cancelling:
+        composed = poly_compose_series(f, subs)
+        assert composed.is_exactly_zero()
+        _assert_matches_reference(f, subs, composed)
+    assert not lattice_calls
+
+
 def _lattice_substitute(rng, g, longest):
     """Zero, a monomial, or t^a sigma(t^g) for an offset a of its own; exact
     or truncated, mostly at a cut inside a residue class mod g."""
@@ -400,8 +451,10 @@ def test_lattice_compositions_match_fraction_reference(monkeypatch):
 
 def test_lattice_cases_take_every_route(monkeypatch):
     # The cases of the lattice test on both paths: the monomial map (nothing
-    # packed or convolved), packed with g > 1 over two or more residue
-    # classes, schoolbook with g > 1, and the dense lattice g = 1.
+    # packed or convolved), taken before the lattice when every substitute
+    # is one term and from it when they are one term only below t^n, packed
+    # with g > 1 over two or more residue classes, schoolbook with g > 1,
+    # and the dense lattice g = 1.
     routes, seen = set(), {}
     on_lattice = series_module._on_lattice
 
@@ -429,7 +482,10 @@ def test_lattice_cases_take_every_route(monkeypatch):
             poly_compose_series(f, subs)
             monkeypatch.undo()
             g, taken = seen.get("g"), seen.get("sum")
-            if g == 0:
+            if "g" not in seen:
+                assert taken is None
+                routes.add("monomial map, before the lattice")
+            elif g == 0:
                 assert taken is None
                 routes.add("monomial map")
             elif g == 1 and taken:
@@ -439,7 +495,8 @@ def test_lattice_cases_take_every_route(monkeypatch):
             elif g and taken and taken[1] >= 2:
                 routes.add("packed, g > 1, two or more residues")
     assert routes == {
-        "monomial map", "g = 1", "schoolbook, g > 1", "packed, g > 1, two or more residues",
+        "monomial map, before the lattice", "monomial map",
+        "g = 1", "schoolbook, g > 1", "packed, g > 1, two or more residues",
     }
 
 
@@ -843,6 +900,64 @@ def test_middle_term_edge_roots_with_repeats_and_big_constants():
     # (3c - 2^24)(c + 5)(c^2 + 1): the roots 2^24/3 and -5 past a cofactor
     f = _poly_product(_poly_product([-(2**24), 3], [5, 1]), [1, 0, 1])
     assert set(_rational_roots([Fraction(a) for a in f])) == {Fraction(2**24, 3), -5}
+
+
+@st.composite
+def far_root_edges(draw):
+    """lead * prod (q c - p) * cofactor with roots p/q up to 2^90 3^3 and a
+    cofactor whose real roots, if any, are irrational and up to 2^80: long
+    brackets, closed by halving the bit length and then by Newton steps."""
+    roots = draw(
+        st.lists(
+            st.tuples(
+                st.builds(
+                    lambda a, b, sign: sign * 2**a * 3**b,
+                    st.integers(min_value=0, max_value=90),
+                    st.integers(min_value=0, max_value=3),
+                    st.sampled_from([-1, 1]),
+                ),
+                st.sampled_from([1, 2, 3, 4, 9]),
+            ),
+            max_size=3,
+        )
+    )
+    k = draw(st.integers(min_value=0, max_value=80))
+    cofactor = draw(
+        st.sampled_from(
+            [[1], [-2 * 4**k, 0, 1], [4**k, 0, 1], [-3 * 4**k, 0, 0, 0, 1], [2 * 8**k, 0, 0, 1]]
+        )
+    )
+    lead = draw(st.integers(min_value=-12, max_value=12).filter(lambda v: v != 0))
+    f = [lead]
+    for p, q in roots:
+        f = _poly_product(f, [-p, q])
+    f = _poly_product(f, cofactor)
+    assume(len(f) >= 4 and f[0])
+    return [Fraction(a) for a in f]
+
+
+@seed(20151202)
+@settings(max_examples=150, deadline=None)
+@given(far_root_edges())
+def test_far_edge_roots_match_the_divisor_scan(coeffs):
+    roots = _rational_roots(coeffs)
+    assert len(roots) == len(set(roots))
+    assert set(roots) == _reference_rational_roots(coeffs)
+
+
+def test_sextic_edge_roots_with_a_constant_at_the_bit_limit():
+    from nashres.parsing import MAX_CONSTANT_BITS
+
+    k = MAX_CONSTANT_BITS // 6 - 3
+    one = Fraction(1)
+    assert MAX_CONSTANT_BITS - 32 < (2 ** (6 * k) * 3**7).bit_length() <= MAX_CONSTANT_BITS
+    # c^6 - 2^(6k): the roots +-2^k; one more in the constant leaves no root
+    assert set(_rational_roots([-(one * 2 ** (6 * k)), 0, 0, 0, 0, 0, 1])) == {2**k, -(2**k)}
+    assert _rational_roots([-(one * (2 ** (6 * k) + 1)), 0, 0, 0, 0, 0, 1]) == []
+    # 3 c^6 - 2^(6k) 3^7, the same with a lead: the roots +-3 2^k
+    assert set(_rational_roots([-(one * 2 ** (6 * k) * 3**7), 0, 0, 0, 0, 0, 3])) == {
+        3 * 2**k, -3 * 2**k,
+    }
 
 
 # -- the integer Newton-Puiseux loop against the MultiPoly loop it replaced -------
