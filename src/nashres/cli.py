@@ -36,11 +36,12 @@ from .generic import (
 from .nash import nash_sequence_presentation
 from .parsing import (
     arc_to_document,
-    fraction_text,
     load_presentation,
     parse_arc,
+    parse_poly,
     presentation_to_document,
 )
+from .poly import fraction_text
 from .presentation import (
     LocalPresentation,
     elimination_order,
@@ -73,13 +74,12 @@ def _origin(n: int) -> Tuple[Fraction, ...]:
 
 
 def _parse_point(text: str, width: int) -> Tuple[Fraction, ...]:
-    parts = [p.strip() for p in text.split(",")]
+    """Comma-separated constants of the polynomial grammar, within its limits."""
+    parts = text.split(",")
     if len(parts) != width:
         raise NashresError(f"point needs {width} coordinates, got {len(parts)}")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as err:
-        raise NashresError(f"bad point coordinate: {err}") from None
+    constants = [parse_poly(p, ()) for p in parts]
+    return tuple(Fraction(c.nums.get((), 0), c.den) for c in constants)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -524,7 +524,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mult", help="multiplicities at a rational point")
     common(sp)
-    sp.add_argument("--point", help="comma-separated rational coordinates")
+    sp.add_argument(
+        "--point", help="comma-separated constants of the polynomial grammar, e.g. 3/2,0,5"
+    )
     sp.set_defaults(handler=_cmd_mult)
 
     sp = sub.add_parser("tsch", help="echo the Tschirnhausen normal forms")

@@ -171,6 +171,14 @@ def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return hull
 
 
+def _horner(coeffs: Sequence[int], y: int) -> int:
+    """sum coeffs[k] y^k."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * y + c
+    return value
+
+
 def _root_floors(coeffs: List[int]) -> List[int]:
     """Sorted integers that include the floor of every real root of
     sum coeffs[k] y^k, a nonconstant integer polynomial.
@@ -199,14 +207,8 @@ def _root_floors(coeffs: List[int]) -> List[int]:
     # |a_k/a_n| < 2^bits(a_k), as |a_n| >= 1
     bound = 2 << max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(coeffs[:-1]))
 
-    def at(cs: List[int], y: int) -> int:
-        value = 0
-        for c in reversed(cs):
-            value = value * y + c
-        return value
-
     def sign(y: int) -> int:
-        value = at(coeffs, y)
+        value = _horner(coeffs, y)
         return (value > 0) - (value < 0)
 
     floors = set(cuts)
@@ -228,8 +230,8 @@ def _root_floors(coeffs: List[int]) -> List[int]:
                 y, probes = (1 if lo >= 0 else -1) << ((lo.bit_length() + hi.bit_length()) // 2), ()
             else:
                 # a short bracket, or a flat slope, bisects
-                d = at(slope, y) if hi - lo > 16 else 0
-                z = y - at(coeffs, y) // d if d else lo - 1
+                d = _horner(slope, y) if hi - lo > 16 else 0
+                z = y - _horner(coeffs, y) // d if d else lo - 1
                 y, probes = (z, (z + 1, z - 1)) if lo <= z <= hi else ((lo + hi) // 2, ())
             for z in (y, *probes):
                 if lo < z < hi:
@@ -256,13 +258,9 @@ def _rational_roots(coeffs: Sequence[Fraction | int]) -> List[Fraction]:
     as on a binomial a_0 + a_n c^n, costs only root-isolation probes, about
     the logarithm of its bit length.
     """
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
+    content = gcd(*ints)
     if content > 1:
         ints = [c // content for c in ints]
     if len(ints) == 2:
@@ -278,14 +276,7 @@ def _rational_roots(coeffs: Sequence[Fraction | int]) -> List[Fraction]:
     lead = ints[-1]
     n = len(ints) - 1
     monic = [a * lead ** (n - 1 - k) for k, a in enumerate(ints[:-1])] + [1]
-    roots = []
-    for y in _root_floors(monic):
-        value = 0
-        for c in reversed(monic):
-            value = value * y + c
-        if value == 0:
-            roots.append(Fraction(y, lead))
-    return roots
+    return [Fraction(y, lead) for y in _root_floors(monic) if _horner(monic, y) == 0]
 
 
 def _pick_root(roots: List[Fraction]) -> Fraction:

@@ -32,13 +32,12 @@ at its exponent, a product at the factor that passes the limit.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arcs import Arc
 from .errors import ParseError, ValidationError
-from .poly import MultiPoly, Nums, canonical_var_key, ratio_text
+from .poly import MultiPoly, Nums, canonical_var_key
 from .presentation import LocalPresentation, tschirnhausen_normalize
 from .series import PowerSeries
 
@@ -395,8 +394,3 @@ def presentation_to_document(p: LocalPresentation) -> dict:
             for h in p.hypersurfaces
         ],
     }
-
-
-def fraction_text(value) -> str:
-    """Exact fraction string for reports."""
-    return ratio_text(*Fraction(value).as_integer_ratio())

@@ -373,6 +373,11 @@ def ratio_text(num: int, den: int) -> str:
     return text if den == 1 else f"{text}/{_digits(den)}"
 
 
+def fraction_text(value) -> str:
+    """Exact fraction string for reports."""
+    return ratio_text(*Fraction(value).as_integer_ratio())
+
+
 def _digits(n: int) -> str:
     """str(n) for n >= 0, split at a power of ten into halves that each stay
     within the digit limit (0: none; a limit is at least 640 digits, and

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .extorder import ExtOrder, ext_min
-from .poly import MultiPoly
+from .poly import MultiPoly, fraction_text
 from .rees import ReesAlgebra, ReesGenerator, diff_closure
 
 
@@ -207,7 +207,8 @@ def hypersurface_multiplicity_at(h: TschirnhausenHypersurface, point: Sequence) 
     """Multiplicity of the hypersurface at a rational point on it."""
     f = h.polynomial
     if f.eval_at(point) != 0:
-        raise ValidationError(f"point not on hypersurface: f{tuple(point)} != 0")
+        at = ", ".join(map(fraction_text, point))
+        raise ValidationError(f"point not on hypersurface: f({at}) != 0")
     return f.order_at(point).value
 
 

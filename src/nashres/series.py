@@ -17,25 +17,26 @@ and `.den`, a Nash transform, a Newton-Puiseux residual over 1), and each
 substitute's numerators, denominator and precision as they are stored.
 `poly_compose_series` is its `MultiPoly` front end; `PowerSeries.compose`,
 the Nash blow-up step and the Newton-Puiseux tail call it directly.  Only
-the first n coefficients are computed, n = min(precision, degree bound).
-A term's own denominator is den times the powers of the substitutes'
-denominators it uses, and each term is brought to the lcm of those.
+the first n coefficients are computed: n is the smaller of the result's
+precision and one past the degree of the sum.
 
-The work follows the support of the substitutes.  The monomial map is
-decided first: when every substitute given is zero or one term c t^a, as
-in most Nash arc checks and at the probe t = 2 of a lifted root,
-each term is one coefficient at t^o, o = sum a_i e_i, summed in one pass
-over the terms with no term list, per-term denominator or lattice.
-Otherwise, below t^n each substitute is a monomial c t^a or t^a sigma(t^g),
-where g is the gcd of the gaps between the nonzero exponents of all
-substitutes, as on a ramified root or a root lifted at alpha = 2 (Duval,
-Rational Puiseux expansions, 1989).  Monomials fold into the term's
-numerator and offset o.  When every substitute is a monomial below t^n
-(g = 0) the same monomial map sums the terms.  Otherwise the terms are
-grouped by the residue r of o mod g, each is shifted by o // g, and each
-class is a sum of products of the sigma_i in s = t^g to ceil(n/g)
-coefficients; its coefficient k lands at t^(r + g k).  Only the powers the
-terms use are built.  An even power is the square of its half (`_square`
+The work follows the support of the substitutes, read once per call.  Below
+the precision each substitute s_i = (numerators)/d_i is zero, one term
+c_i t^a_i, or t^a_i sigma_i(t^g), where g is the gcd of the gaps between the
+nonzero exponents of all substitutes of two terms or more, as on a ramified
+root or a root lifted at alpha = 2 (Duval, Rational Puiseux expansions,
+1989); a count of zeros settles the one-term case before any scan.  With E_i the
+highest power of s_i, every term is brought to the one denominator
+den prod d_i^E_i by a table per substitute, c_i^e d_i^(E_i - e) for a
+monomial (c_i = 0 for zero) and d_i^(E_i - e) for a series.  One walk over
+the terms multiplies each numerator by its tables and adds a_i e_i to its
+offset o.  When no substitute is a series (g = 0), as in most Nash arc
+checks and at the probe t = 2 of a lifted root, each term is one
+coefficient at t^o and the walk sums them there.  Otherwise it appends each
+term to its residue class r = o mod g, shifted by o // g; each class is a
+sum of products of the sigma_i in s = t^g to ceil(n/g) coefficients, and
+its coefficient k lands at t^(r + g k).  Only the powers the terms use are
+built.  An even power is the square of its half (`_square`
 forms each cross product once), so a quartic in Tschirnhausen form, which
 has no x^3 term, never builds x^3; an odd one is the base times the power
 below.  A short base whose powers are all used, as in `PowerSeries.compose`,
@@ -295,151 +296,87 @@ def compose_integers(nums, den: int, forms) -> PowerSeries:
 
     nums is {exponent tuple: nonzero int} over one denominator den, the form
     of `MultiPoly.nums`, and forms[i] is the substitute s_i for position i
-    (None where no exponent uses it).  The sum is computed below t^n, n the
-    smaller of its degree bound and prec, the min precision over the
-    substitutes the terms use, and returned at precision prec.  The path is
-    chosen here, the monomial map first: it is taken when every substitute
-    given is zero or one term.
+    (None where no exponent uses it).  The result has precision prec, the
+    min precision over the substitutes the terms use.  Each substitute's
+    shape below t^prec is decided once, zero, one term or t^a sigma(t^g)
+    (see the module), and one walk over the terms folds the substitutes'
+    tables into the numerators and their offsets into o, then sums at t^o
+    (g = 0) or groups by o mod g.  Only offsets below prec are kept, and a
+    class is computed below t^n, n = min(prec, one past the degree of the
+    sum), so the work follows the degree, not a large declared precision.
     """
-    for s in forms:
-        if s is not None and s.nums.count(0) + 1 < len(s.nums):
-            break
-    else:
-        return _monomial_map(nums, den, forms)
-    terms = [(c, [(i, e) for i, e in enumerate(exp) if e]) for exp, c in nums.items()]
     prec: int | None = None
-    subs = {}  # index -> numerators of each substitute the terms use
-    for _, factors in terms:
-        for i, _ in factors:
-            if i not in subs:
-                s = forms[i]
-                subs[i] = s.nums
-                prec = _min_precision(prec, s.precision)
-    # terms that no zero substitute kills, each over its own denominator
-    # (den times the substitutes' denominators), and the degree bound of
-    # their sum
-    kept = []
-    degree = -1
-    for num, factors in terms:
-        term_den, d = den, 0
-        for i, e in factors:
-            s_nums = subs[i]
-            if not s_nums:
-                break
-            term_den *= forms[i].den ** e
-            d += e * (len(s_nums) - 1)
-        else:
-            kept.append((num, term_den, factors))
-            degree = max(degree, d)
-    n = degree + 1 if prec is None else min(prec, degree + 1)
-    if n <= 0:
-        return PowerSeries.zero(prec)
-    common = lcm(*(den for _, den, _ in kept))
-    g, series, lattice = _on_lattice(kept, common, subs, n)
-    if not g:  # every substitute is one term below t^n, where the sum is read
-        cut = [
-            None if s is None else PowerSeries.from_integers(s.nums[:n], s.den, s.precision)
-            for s in forms
-        ]
-        return _monomial_map(nums, den, cut)
-    out = [0] * n
-    norms = {i: sum(map(abs, sigma)) for i, sigma in series.items()}
-    bound = 0
-    classes = {}  # residue r of the offset -> [(num, o // g, factors)]
-    for num, o, rest in lattice:
-        term_bound = abs(num)
-        for i, e in rest:
-            term_bound *= norms[i] ** e
-        bound += term_bound
-        classes.setdefault(o % g, []).append((num, o // g, rest))
-    slot = bound.bit_length() // 8 + 1  # bytes: the bound's bits plus a sign bit
-    size = -(-n // g)
-    if 8 * slot * size <= PACKED_MAX_BITS:
-        sums = _packed_sum(classes, series, size, slot)
-    else:
-        sums = _schoolbook_sum(classes, series, size)
-    for r, digits in sums.items():
-        out[r::g] = digits[: len(range(r, n, g))]
-    return PowerSeries.from_integers(out, common, prec)
-
-
-def _monomial_map(nums, den: int, forms) -> PowerSeries:
-    """compose_integers when every substitute the terms use is zero or one
-    term c_i/d_i t^a_i: term e adds num prod c_i^e_i d_i^(E_i - e_i) at
-    t^(sum a_i e_i), over den prod d_i^E_i with E_i the highest power of s_i,
-    in one pass over the terms: no term list, per-term denominator, lattice,
-    packing or convolution, and no list longer than the last nonzero sum."""
-    prec = None
-    factors = []  # (i, a_i, None when c_i = d_i = 1, else [c_i^e d_i^(E_i - e) for e <= E_i])
+    used = []  # (i, E_i, s_i): each substitute some exponent uses, E_i its top power
     for i, top in enumerate(map(max, zip(*nums))):
         if top:
             s = forms[i]
             prec = _min_precision(prec, s.precision)
-            c, d = (s.nums[-1] if s.nums else 0), s.den
-            table = None if c == d == 1 else [c**e * d ** (top - e) for e in range(top + 1)]
-            den *= d**top
-            factors.append((i, len(s.nums) - 1, table))
-    coeffs = {}
+            used.append((i, top, s))
+    g, monomials, lattice = 0, [], []  # (i, a_i, table or None when all ones, numerators below t^prec)
+    for i, top, s in used:
+        s_nums, cut, d = s.nums, s.nums[:prec], s.den
+        if s_nums.count(0) + 1 >= len(s_nums):  # zero, or one term c t^a in all
+            support = [len(cut) - 1] if cut and len(cut) == len(s_nums) else []
+        else:
+            support = [k for k, c in enumerate(cut) if c]
+        a, c = (support[0], cut[support[0]]) if support else (0, 0)
+        if len(support) > 1:  # t^a sigma(t^g): the table leaves sigma's numerators
+            c = 1
+            for k in support[1:]:
+                g = gcd(g, k - a)
+                if g == 1:
+                    break
+        den *= d**top
+        table = None if c == d == 1 else [c**e * d ** (top - e) for e in range(top + 1)]
+        (lattice if len(support) > 1 else monomials).append((i, a, table, cut))
+    series = {i: cut[a::g] for i, a, _, cut in lattice}
+    norms = {i: sum(map(abs, sigma)) for i, sigma in series.items()}
+    # g = 0: offset o -> coefficient at t^o; else residue of o mod g ->
+    # [(num, o // g, factors)] for num t^o prod sigma_i^e_i
+    sums, reach, bound = {}, -1, 0
     for exp, num in nums.items():
         o = 0
-        for i, a, table in factors:
+        for i, a, table, _ in monomials:
             e = exp[i]
             o += a * e
             if table:
                 num *= table[e]
-        if num:  # zero when a zero substitute occurs in the term
-            coeffs[o] = coeffs.get(o, 0) + num
-    n = max((o + 1 for o, c in coeffs.items() if c), default=0)
-    if prec is not None:
-        n = min(n, prec)
-    out = [0] * n
-    for o, c in coeffs.items():
-        if o < n:
-            out[o] = c
-    return PowerSeries.from_integers(out, den, prec)
-
-
-def _on_lattice(kept, common, subs, n: int):
-    """(g, series, lattice): the terms on the exponent lattice of the substitutes.
-
-    Below t^n each substitute with a nonzero coefficient is a monomial
-    c t^a or t^a sigma(t^g), g the gcd of the gaps between the nonzero
-    exponents of all substitutes (0 when all are monomials); series[i] is
-    sigma_i in s = t^g.  A lattice term is (num, o, factors) for
-    num t^o prod sigma_i^e_i, monomials folded into num and o; terms with
-    o >= n are dropped, and so are those of a substitute zero below t^n.
-    """
-    g, lows, monomials = 0, {}, set()
-    for i, nums in subs.items():
-        support = [k for k, c in enumerate(nums[:n]) if c]
-        if not support:
+        if not num:  # a substitute zero below t^prec occurs in the term
             continue
-        a = lows[i] = support[0]
-        if len(support) == 1:
-            monomials.add(i)
-        for k in support[1:]:
-            g = gcd(g, k - a)
-            if g == 1:
-                break
-    lattice = []
-    for num, den, factors in kept:
-        num *= common // den
-        o, rest = 0, []
-        for i, e in factors:
-            a = lows.get(i)
-            if a is None:
-                break
-            o += a * e
-            if o >= n:
-                break
-            if i in monomials:
-                num *= subs[i][a] ** e
-            else:
-                rest.append((i, e))
-        else:
-            lattice.append((num, o, rest))
-    series = {i: subs[i][a:n:g] for i, a in lows.items() if i not in monomials}
-    return g, series, lattice
+        if not g:
+            if prec is None or o < prec:
+                sums[o] = sums.get(o, 0) + num
+            continue
+        factors, degree, term_bound = [], 0, 1
+        for i, a, table, _ in lattice:
+            e = exp[i]
+            if table:
+                num *= table[e]
+            if e:
+                o += a * e
+                factors.append((i, e))
+                degree += e * (len(series[i]) - 1)
+                term_bound *= norms[i] ** e
+        if prec is None or o < prec:
+            reach, bound = max(reach, o + g * degree), bound + abs(num) * term_bound
+            sums.setdefault(o % g, []).append((num, o // g, factors))
+    if not g:
+        out = [0] * max((o + 1 for o, c in sums.items() if c), default=0)
+        for o, c in sums.items():
+            if c:
+                out[o] = c
+        return PowerSeries.from_integers(out, den, prec)
+    n = reach + 1 if prec is None else min(prec, reach + 1)
+    slot = bound.bit_length() // 8 + 1  # bytes: the bound's bits plus a sign bit
+    size = -(-n // g)
+    if 8 * slot * size <= PACKED_MAX_BITS:
+        sums = _packed_sum(sums, series, size, slot)
+    else:
+        sums = _schoolbook_sum(sums, series, size)
+    out = [0] * n
+    for r, digits in sums.items():
+        out[r::g] = digits[: len(range(r, n, g))]
+    return PowerSeries.from_integers(out, den, prec)
 
 
 def _powers(classes, series, bases, size: int, square, multiply):

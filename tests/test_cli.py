@@ -95,6 +95,27 @@ def test_mult_command(tmp_path, capsys):
     assert report["results"]["in_max_mult"] is True
 
 
+@pytest.mark.parametrize("point", ["1e5000,0", "1.5,0", "2^30000,0"])
+def test_a_point_past_the_grammar_or_off_the_cusp_exits_2(tmp_path, point):
+    # 1e5000 is 1 times an unknown identifier, not 10^5000; the grammar has no
+    # decimal notation; 2^30000 is within the constant limit and off the cusp,
+    # and its 9,031 digits print.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import nashres
+
+    pres = write(tmp_path, "p.json", CUSP)
+    env = dict(os.environ, PYTHONPATH=str(Path(nashres.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nashres.cli", "mult", pres, "--point", point],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_tsch_command(tmp_path, capsys):
     doc = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 + 2z x + z^3"}]}
     pres = write(tmp_path, "p.json", doc)
@@ -589,7 +610,8 @@ def _reference_samples(p, trials, seed, precision=64, search_bound=8):
     from nashres.errors import ExtensionRequiredError, IdentityViolationError
     from nashres.generic import admissible_unit_tuples, construct_generic_arc, lift_monomial_base
     from nashres.nash import nash_sequence_presentation
-    from nashres.parsing import arc_to_document, fraction_text
+    from nashres.parsing import arc_to_document
+    from nashres.poly import fraction_text
     from nashres.rees import onedim_resolution_steps
     from nashres.series import PowerSeries
 

@@ -344,6 +344,29 @@ def test_compose_takes_the_packed_path_up_to_the_cut(monkeypatch):
         assert packed == expected
 
 
+def test_a_large_declared_precision_bounds_no_sum(monkeypatch):
+    # x = t^3 + t^5 + O(t^(10^9)): g = 2 and x^2 + x reaches t^10, so each
+    # residue class is evaluated to at most 6 coefficients whatever the
+    # precision; the spies check the size before a sum allocates anything.
+    sizes = []
+    for name in ("_packed_sum", "_schoolbook_sum"):
+        real = getattr(series_module, name)
+
+        def checked(classes, series, size, *rest, real=real):
+            sizes.append(size)
+            assert size <= 6, size
+            return real(classes, series, size, *rest)
+
+        monkeypatch.setattr(series_module, name, checked)
+    big = 10**9
+    f = MultiPoly(("x",), {(2,): 1, (1,): 1})
+    composed = poly_compose_series(f, {"x": PowerSeries.from_integers((0, 0, 0, 1, 0, 1), 1, big)})
+    assert sizes and composed.nums == (0, 0, 0, 1, 0, 1, 1, 0, 2, 0, 1) and composed.precision == big
+    # one term: no sum, and the coefficients stop at the top offset
+    composed = poly_compose_series(f, {"x": PowerSeries.monomial(2, 3, big)})
+    assert len(sizes) == 1 and composed.nums == (0, 0, 0, 2, 0, 0, 4)
+
+
 def _monomial_cases(count):
     """Seeded (f, subs) with every substitute zero or one term c t^a, c of
     either sign with a denominator; each term of f uses some of z1, z2, z3,
@@ -370,12 +393,22 @@ def _monomial_cases(count):
     return cases
 
 
+def _spy_on_the_sums(monkeypatch, seen):
+    """Record (name, number of residue classes) of each `_packed_sum` or
+    `_schoolbook_sum` call in seen["sum"]; a monomial map calls neither."""
+    for name in ("_packed_sum", "_schoolbook_sum"):
+        real = getattr(series_module, name)
+
+        def counted(classes, *rest, name=name, real=real):
+            seen["sum"] = name, len(classes)
+            return real(classes, *rest)
+
+        monkeypatch.setattr(series_module, name, counted)
+
+
 def test_the_monomial_map_matches_fraction_reference(monkeypatch):
-    lattice_calls = []
-    on_lattice = series_module._on_lattice
-    monkeypatch.setattr(
-        series_module, "_on_lattice", lambda *args: lattice_calls.append(1) or on_lattice(*args)
-    )
+    seen = {}
+    _spy_on_the_sums(monkeypatch, seen)
     for f, subs in _monomial_cases(300):
         _assert_matches_reference(f, subs, poly_compose_series(f, subs))
     # z1^2 - z2^3 on (8/27 t^3, 4/9 t^2) and 3 z1 z2 - 2 z3 on
@@ -392,7 +425,7 @@ def test_the_monomial_map_matches_fraction_reference(monkeypatch):
         composed = poly_compose_series(f, subs)
         assert composed.is_exactly_zero()
         _assert_matches_reference(f, subs, composed)
-    assert not lattice_calls
+    assert not seen
 
 
 def _lattice_substitute(rng, g, longest):
@@ -443,59 +476,84 @@ def _lattice_cases(count):
     return cases
 
 
+def _cut_cases(count):
+    """Seeded (f, subs) whose substitutes are each zero or one term c t^a
+    below t^n, n the precision of z3, and z1 and z2 have more terms from
+    t^n up to their own precision; f uses every variable."""
+    rng = random.Random(20151203)
+    cases = []
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        subs = {}
+        for v, precision in zip(V3, (n + 6, rng.choice([None, n + 3]), n)):
+            coeffs = [Fraction(0)] * (n + 6)
+            if rng.random() < 0.85:
+                num = rng.randint(1, 2**20) * rng.choice([-1, 1])
+                coeffs[rng.randrange(n)] = Fraction(num, rng.randint(1, 9))
+            if v != "z3":
+                for k in rng.sample(range(n, n + 3), rng.randint(1, 3)):
+                    coeffs[k] = Fraction(rng.randint(1, 2**20), rng.randint(1, 9))
+            subs[v] = PowerSeries(coeffs, precision)
+        terms = {(1, 1, 1): Fraction(rng.randint(1, 2**30), rng.randint(1, 12))}
+        for _ in range(rng.randint(0, 3)):
+            exp = tuple(rng.randint(0, 4) for _ in V3)
+            terms[exp] = Fraction(rng.randint(1, 2**30) * rng.choice([-1, 1]), rng.randint(1, 12))
+        cases.append((MultiPoly(V3, terms), subs))
+    return cases
+
+
 def test_lattice_compositions_match_fraction_reference(monkeypatch):
-    for f, subs in _lattice_cases(150):
+    for f, subs in _lattice_cases(150) + _cut_cases(20):
         for composed in _compose_both_ways(monkeypatch, f, subs):
             _assert_matches_reference(f, subs, composed)
 
 
+def _shape_below_precision(f, subs):
+    """(g, cut) for the substitutes f uses, read below their min precision:
+    g is the gcd of the gaps between the nonzero exponents of those with two
+    terms or more there (0 when there is none), and cut says that one with
+    two terms or more in all has at most one there."""
+    used = [subs[v] for i, v in enumerate(f.vars) if any(e[i] for e in f.terms)]
+    precisions = [s.precision for s in used if s.precision is not None]
+    n = min(precisions) if precisions else None
+    g, cut = 0, False
+    for s in used:
+        support = [k for k, c in enumerate(s.coeffs[:n]) if c]
+        if len(support) > 1:
+            g = gcd(g, *(k - support[0] for k in support[1:]))
+        elif sum(1 for c in s.coeffs if c) > 1:
+            cut = True
+    return g, cut
+
+
 def test_lattice_cases_take_every_route(monkeypatch):
     # The cases of the lattice test on both paths: the monomial map (nothing
-    # packed or convolved), taken before the lattice when every substitute
-    # is one term and from it when they are one term only below t^n, packed
-    # with g > 1 over two or more residue classes, schoolbook with g > 1,
-    # and the dense lattice g = 1.
+    # packed or convolved) when every substitute is one term and when one
+    # is one term only below t^n, packed with g > 1 over two or more
+    # residue classes, schoolbook with g > 1, and the dense lattice g = 1.
     routes, seen = set(), {}
-    on_lattice = series_module._on_lattice
-
-    def lattice_spy(*args):
-        found = on_lattice(*args)
-        seen["g"] = found[0]
-        return found
-
-    def sum_spy(name):
-        real = getattr(series_module, name)
-
-        def counted(classes, *rest):
-            seen["sum"] = name, len(classes)
-            return real(classes, *rest)
-
-        return counted
-
-    for f, subs in _lattice_cases(150):
-        for cut in (1 << 40, 0):
+    for f, subs in _lattice_cases(150) + _cut_cases(20):
+        g, cut = _shape_below_precision(f, subs)
+        for packed_max_bits in (1 << 40, 0):
             seen.clear()
-            monkeypatch.setattr(series_module, "PACKED_MAX_BITS", cut)
-            monkeypatch.setattr(series_module, "_on_lattice", lattice_spy)
-            for name in ("_packed_sum", "_schoolbook_sum"):
-                monkeypatch.setattr(series_module, name, sum_spy(name))
+            monkeypatch.setattr(series_module, "PACKED_MAX_BITS", packed_max_bits)
+            _spy_on_the_sums(monkeypatch, seen)
             poly_compose_series(f, subs)
             monkeypatch.undo()
-            g, taken = seen.get("g"), seen.get("sum")
-            if "g" not in seen:
-                assert taken is None
-                routes.add("monomial map, before the lattice")
-            elif g == 0:
-                assert taken is None
-                routes.add("monomial map")
-            elif g == 1 and taken:
+            taken = seen.get("sum")
+            assert (taken is None) == (g == 0)
+            if taken is None:
+                routes.add(
+                    "monomial, one term only below t^n" if cut else "monomial, every substitute one term"
+                )
+            elif g == 1:
                 routes.add("g = 1")
-            elif g and taken and taken[0] == "_schoolbook_sum":
+            elif taken[0] == "_schoolbook_sum":
                 routes.add("schoolbook, g > 1")
-            elif g and taken and taken[1] >= 2:
+            elif taken[1] >= 2:
                 routes.add("packed, g > 1, two or more residues")
     assert routes == {
-        "monomial map, before the lattice", "monomial map",
+        "monomial, every substitute one term", "monomial, one term only below t^n",
         "g = 1", "schoolbook, g > 1", "packed, g > 1, two or more residues",
     }
 
