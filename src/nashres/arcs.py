@@ -6,9 +6,12 @@ records an exact-zero or zero-to-precision certificate.  The order of contact
 r is the order of the one-dimensional algebra obtained by pushing the full
 diff-closed ambient algebra through the arc; rho is its integral part.
 
-Validation pushes the arc once through every elimination generator and keeps
-the images: the ambient algebra is x_i*W plus the elimination generators, so
-its image, read for r, is the x-coordinate orders plus those images.
+Validation composes every defining equation in full, which certifies that
+the arc lies on the variety, and keeps the order of the arc's image through
+every elimination generator, read from leading terms by `image_order`: r
+uses nothing else of an image.  The ambient algebra is x_i*W plus the
+elimination generators, so its image, read for r, is the x-coordinate
+orders plus those orders.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .rees import (
     ReesGenerator,
     onedim_order_witness,
 )
-from .series import PowerSeries, poly_compose_series
+from .series import PowerSeries, image_order, poly_compose_series, substitute_forms
 
 
 class Arc:
@@ -159,13 +162,14 @@ def _generator_images(
 ) -> Tuple[Tuple[OneDimGenerator, ReesGenerator], ...]:
     """(image, generator) for each generator pushed through the arc.
 
-    The image is the order of the image series with the generator's weight.
-    Exact-zero images contribute no finite generator and are dropped;
-    censored orders are preserved as censored exponents.
+    The image is the order of the image series with the generator's weight,
+    read by `image_order` from the arc's leading terms.  Exact-zero images
+    contribute no finite generator and are dropped; censored orders are
+    preserved as censored exponents.
     """
     pairs = []
     for g in algebra.generators:
-        o = poly_compose_series(g.f, a.coords).order()
+        o = image_order(g.f.nums, g.f.den, substitute_forms(g.f, a.coords))
         if not o.is_infinite:
             pairs.append((OneDimGenerator(o, g.weight), g))
     return tuple(pairs)

@@ -16,7 +16,6 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
-    IdentityViolationError,
     InsufficientPrecisionError,
     NotPermissibleError,
     ValidationError,
@@ -239,15 +238,22 @@ def onedim_order_witness(algebra: OneDimAlgebra) -> Tuple[Fraction, int]:
     """Exact order together with the index of the first minimizing generator.
 
     Raises InsufficientPrecisionError unless every censored exponent is
-    dominated (its bound can no longer undercut the exact minimum).
+    dominated (its bound can no longer undercut the exact minimum).  The
+    quotients a/l are compared by cross-multiplication.
     """
-    order = onedim_order(algebra).expect_exact("one-dimensional algebra order")
+    best = low = None  # (a, l, i) of the first least exact quotient; (a, l) of the least bound
     for i, g in enumerate(algebra.generators):
-        if g.a.is_exact and g.quotient().value == order:
-            return Fraction(order), i
-    raise IdentityViolationError(
-        f"one-dimensional order {order}: no generator attains it exactly"
-    )
+        a, l = g.a.value, g.l
+        if g.a.is_exact:
+            if best is None or a * best[1] < best[0] * l:
+                best = a, l, i
+        elif low is None or a * low[1] < low[0] * l:
+            low = a, l
+    if best is None or low is not None and low[0] * best[1] < best[0] * low[1]:
+        bound = INFINITE if low is None else ExtOrder.at_least(Fraction(*low))
+        bound.expect_exact("one-dimensional algebra order")
+    a, l, i = best
+    return Fraction(a, l), i
 
 
 def onedim_transform(algebra: OneDimAlgebra) -> OneDimAlgebra:

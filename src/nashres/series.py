@@ -20,6 +20,12 @@ the Nash blow-up step and the Newton-Puiseux tail call it directly.  Only
 the first n coefficients are computed: n is the smaller of the result's
 precision and one past the degree of the sum.
 
+Where only the order of the image is wanted, as for the elimination images
+that the contact invariants read, `image_order` takes the same arguments
+and reads each substitute's leading term below the precision instead: the
+least offset of a term is the order unless the terms there cancel, and only
+then does it fall back to `compose_integers`.
+
 The work follows the support of the substitutes, read once per call.  Below
 the precision each substitute s_i = (numerators)/d_i is zero, one term
 c_i t^a_i, or t^a_i sigma_i(t^g), where g is the gcd of the gaps between the
@@ -282,13 +288,21 @@ def poly_compose_series(f, substitutions: dict) -> PowerSeries:
     actually occur in f (exact when they are all exact).  This is the
     `MultiPoly` front end of `compose_integers`.
     """
+    return compose_integers(f.nums, f.den, substitute_forms(f, substitutions))
+
+
+def substitute_forms(f, substitutions: dict) -> list:
+    """The forms argument of `compose_integers` and `image_order` for a
+    MultiPoly f: each variable's substitute where an exponent uses it, None
+    elsewhere."""
     forms = [None] * len(f.vars)
-    for i, v in enumerate(f.vars):
-        if any(exp[i] for exp in f.nums):
+    for i, top in enumerate(map(max, zip(*f.nums))):
+        if top:
+            v = f.vars[i]
             if v not in substitutions:
                 raise DimensionMismatchError(f"no substitute supplied for variable {v!r}")
             forms[i] = substitutions[v]
-    return compose_integers(f.nums, f.den, forms)
+    return forms
 
 
 def compose_integers(nums, den: int, forms) -> PowerSeries:
@@ -377,6 +391,54 @@ def compose_integers(nums, den: int, forms) -> PowerSeries:
     for r, digits in sums.items():
         out[r::g] = digits[: len(range(r, n, g))]
     return PowerSeries.from_integers(out, den, prec)
+
+
+def image_order(nums, den: int, forms) -> ExtOrder:
+    """compose_integers(nums, den, forms).order(), read from leading terms.
+
+    The arguments are those of `compose_integers`, and prec is again the min
+    precision over the substitutes the terms use.  Each of them is read
+    below t^prec as zero or its leading term c_i t^k_i over d_i.  A term
+    that uses a zero substitute drops out, and any other leads at
+    o = sum e_i k_i.  With no term left below t^prec the image is zero
+    there.  Otherwise the least such o is the order unless the terms that
+    lead there cancel: their sum, num prod c_i^e_i d_i^(E_i - e_i) over
+    den prod d_i^E_i, is the image's coefficient at t^o.  Only then is the
+    image composed in full.
+    """
+    used = [(i, top) for i, top in enumerate(map(max, zip(*nums))) if top]
+    prec: int | None = None
+    for i, _ in used:
+        prec = _min_precision(prec, forms[i].precision)
+    leads = []  # (i, E_i, k_i, c_i, d_i), c_i = 0 for a substitute zero below t^prec
+    for i, top in used:
+        s = forms[i]
+        k = next((k for k, c in enumerate(s.nums) if c), None)
+        c = 0 if k is None or prec is not None and k >= prec else s.nums[k]
+        leads.append((i, top, k, c, s.den))
+    least, meet = None, []  # the least offset o below t^prec and the terms there
+    for exp, num in nums.items():
+        o = 0
+        for i, _, k, c, _ in leads:
+            if exp[i]:
+                if not c:
+                    break  # the term drops out
+                o += k * exp[i]
+        else:
+            if (prec is None or o < prec) and (least is None or o <= least):
+                if o != least:
+                    least, meet = o, []
+                meet.append((exp, num))
+    if least is None:
+        return INFINITE if prec is None else ExtOrder.at_least(prec)
+    total = 0
+    for exp, num in meet:
+        for i, top, _, c, d in leads:
+            num *= c ** exp[i] * d ** (top - exp[i])
+        total += num
+    if total:
+        return ExtOrder.exact(least)
+    return compose_integers(nums, den, forms).order()
 
 
 def _powers(classes, series, bases, size: int, square, multiply):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, seed, settings
@@ -35,6 +35,7 @@ from nashres.errors import (
     NashresError,
     ValidationError,
 )
+from nashres.extorder import INFINITE, ExtOrder
 from nashres.generic import (
     _lower_hull,
     _newton_puiseux_root,
@@ -946,6 +947,24 @@ def test_root_floors_hold_every_integer_before_a_sign_change(lower, lead):
             assert y in floors
 
 
+def test_root_floors_halve_the_bit_length_of_a_long_bracket(monkeypatch):
+    # (y^2 - 2)(y^2 + 2^2000): Fujiwara's bound is 2^1001, the roots are
+    # +-sqrt 2, and p'(0) = 0, so a Newton step from 0 does not start.
+    # Halving the bit length closes each bracket in about log2(1000)
+    # probes, where Newton steps and bisection alone take about 4,000.
+    evaluations = []
+    real = generic_module._horner
+
+    def counted(coeffs, y):
+        evaluations.append(y)
+        return real(coeffs, y)
+
+    monkeypatch.setattr(generic_module, "_horner", counted)
+    floors = _root_floors(_poly_product([-2, 0, 1], [2**2000, 0, 1]))
+    assert {-2, 1} <= set(floors) and all(abs(y) < 2**1001 for y in floors)
+    assert len(evaluations) <= 100, len(evaluations)
+
+
 def test_middle_term_edge_roots_with_repeats_and_big_constants():
     one = Fraction(1)
     # (c^2 - 1)^2, the quartic_middle edge: two double roots
@@ -1255,6 +1274,140 @@ def test_newton_tail_cases_cover_every_kind_of_tail(monkeypatch):
     assert outcomes == {
         "ramified, compressed tail", "dense tail", "exact after the probe",
         "exact behind a term at t-degree >= 201",
+    }
+
+
+# -- orders of images from leading terms -----------------------------------------
+
+
+def _reference_order(f, subs):
+    """The order of f(subs) read off the Fraction reference composition."""
+    coeffs, prec = _reference_compose(f, subs)
+    k = next((k for k, c in enumerate(coeffs) if c), None)
+    if k is not None:
+        return ExtOrder.exact(k)
+    return INFINITE if prec is None else ExtOrder.at_least(prec)
+
+
+_SMALL_FRACTIONS = st.builds(
+    Fraction, st.integers(min_value=-5, max_value=5), st.integers(min_value=1, max_value=7)
+)
+_NONZERO_FRACTIONS = st.builds(
+    Fraction, st.integers(min_value=1, max_value=5) | st.integers(min_value=-5, max_value=-1),
+    st.integers(min_value=1, max_value=7),
+)
+_V3_EXPONENTS = st.tuples(*[st.integers(min_value=0, max_value=3) for _ in V3])
+_IMAGE_SUBSTITUTE = st.tuples(
+    st.one_of(st.none(), st.integers(min_value=0, max_value=8)),  # precision
+    st.integers(min_value=-1, max_value=3),  # k, or -1 for zero
+    _NONZERO_FRACTIONS,
+    st.lists(_SMALL_FRACTIONS, max_size=3),
+)
+_IMAGE_TERMS = st.dictionaries(_V3_EXPONENTS, _NONZERO_FRACTIONS, max_size=3)
+
+
+@st.composite
+def image_cases(draw):
+    """(f, subs) over V3 for `image_order`.  A substitute is an exact zero or
+    c t^k + tail for k <= 3, exact or truncated before, at or past t^k, so
+    it can be zero below its own precision or lead at or past another's.
+    Half the cases force cancellation: f = L2 m1 - L1 m2 (and maybe more
+    terms), where m1(subs) leads with L1 t^o and m2 = m1 + (k_w e_u - k_u
+    e_w)/gcd(k_u, k_w) leads with L2 t^o."""
+    subs, leads = {}, {}
+    for v in V3:
+        precision, k, c, tail = draw(_IMAGE_SUBSTITUTE)
+        if k < 0:
+            subs[v], leads[v] = PowerSeries.zero(precision), (0, Fraction(0))
+        else:
+            subs[v], leads[v] = PowerSeries([0] * k + [c] + tail, precision), (k, c)
+    terms = draw(_IMAGE_TERMS)
+    if draw(st.booleans()):
+        u, w = draw(st.sampled_from([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]))
+        (k_u, _), (k_w, _) = leads[V3[u]], leads[V3[w]]
+        g = gcd(k_u, k_w) or 1
+        m1 = list(draw(_V3_EXPONENTS))
+        m1[w] = max(m1[w], k_u // g)
+        m2 = list(m1)
+        m2[u], m2[w] = m2[u] + k_w // g, m2[w] - k_u // g
+        lead = lambda m: prod(leads[v][1] ** e for v, e in zip(V3, m))
+        for m, c in ((m1, lead(m2)), (m2, -lead(m1))):
+            terms[tuple(m)] = terms.get(tuple(m), 0) + c
+    f = MultiPoly(V3, {e: c for e, c in terms.items() if c})
+    assume(not f.is_zero())
+    return f, subs
+
+
+_CUSP_B0 = (  # B_0 = z1^3 - z2^2 of x^2 + z1^3 - z2^2 along (t^2, t^3): the leads cancel
+    MultiPoly(V3, {(3, 0, 0): 1, (0, 2, 0): -1}),
+    {"z1": PowerSeries.t_power(2), "z2": PowerSeries.t_power(3), "z3": PowerSeries.zero()},
+)
+_LEAD_PAST_PRECISION = (  # z2 leads at t^4, past the precision 3 of z1
+    MultiPoly(V3, {(1, 1, 0): 2, (0, 1, 0): 1}),
+    {"z1": PowerSeries([0, 1, 1], 3), "z2": PowerSeries([0, 0, 0, 0, 5], 9), "z3": PowerSeries.zero()},
+)
+_ZERO_IN_EVERY_TERM = (  # z1 z3 + z3^2 along an exact z3 = 0: every term drops out
+    MultiPoly(V3, {(1, 0, 1): 3, (0, 0, 2): 1}),
+    {"z1": PowerSeries([0, 1, 1]), "z2": PowerSeries.zero(), "z3": PowerSeries.zero()},
+)
+
+
+def _image_order(f, subs):
+    return series_module.image_order(f.nums, f.den, series_module.substitute_forms(f, subs))
+
+
+@seed(20151204)
+@settings(max_examples=200, deadline=None)
+@given(image_cases())
+@example(_CUSP_B0)
+@example(_LEAD_PAST_PRECISION)
+@example(_ZERO_IN_EVERY_TERM)
+def test_image_order_matches_fraction_reference(case):
+    f, subs = case
+    assert _image_order(f, subs) == _reference_order(f, subs)
+
+
+def test_image_order_cases_cover_every_outcome(monkeypatch):
+    # The cases above reach every outcome: an order read from the leads, a
+    # censored or exact zero with no composition, and a composition after
+    # the leads cancel, to an exact order, a censored zero or an exact zero;
+    # and the inputs they guard: a term dropped for a zero substitute and
+    # a lead at or past the min precision.
+    real, composed, outcomes = series_module.compose_integers, [], set()
+
+    def spy(*args):
+        composed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series_module, "compose_integers", spy)
+
+    @seed(20151204)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(image_cases())
+    @example(_CUSP_B0)
+    @example(_LEAD_PAST_PRECISION)
+    @example(_ZERO_IN_EVERY_TERM)
+    def classify(case):
+        f, subs = case
+        composed.clear()
+        o = _image_order(f, subs)
+        kind = "exact" if o.is_exact else "censored" if o.is_censored else "infinite"
+        outcomes.add(("composed, " if composed else "from the leads, ") + kind)
+        used = [v for i, v in enumerate(V3) if any(e[i] for e in f.terms)]
+        precisions = [subs[v].precision for v in used if subs[v].precision is not None]
+        n = min(precisions) if precisions else None
+        for v in used:
+            k = next((k for k, c in enumerate(subs[v].coeffs) if c), None)
+            if k is None:
+                outcomes.add("a zero substitute")
+            elif n is not None and k >= n:
+                outcomes.add("a lead at or past the min precision")
+
+    classify()
+    assert outcomes == {
+        "from the leads, exact", "from the leads, censored", "from the leads, infinite",
+        "composed, exact", "composed, censored", "composed, infinite",
+        "a zero substitute", "a lead at or past the min precision",
     }
 
 

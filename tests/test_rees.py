@@ -166,3 +166,36 @@ def test_onedim_order():
     a = OneDimAlgebra.from_pairs([(3, 1), (6, 2), (4, 1)])
     assert onedim_order(a).value == 3
     assert onedim_order(OneDimAlgebra([])).is_infinite
+
+
+def test_onedim_order_witness_keeps_the_first_minimizer():
+    from nashres.rees import onedim_order_witness
+
+    # 6/2, 3/1 and 9/3 tie at 3: the first one is the witness
+    ties = OneDimAlgebra.from_pairs([(7, 2), (6, 2), (3, 1), (9, 3)])
+    assert onedim_order_witness(ties) == (3, 1)
+    r, i = onedim_order_witness(OneDimAlgebra.from_pairs([(5, 2), (7, 3), (3, 1)]))
+    assert (r, i) == (Fraction(7, 3), 1) and type(r) is Fraction
+    # a censored bound equal to the exact minimum cannot undercut it
+    equal = OneDimAlgebra([_censored(5, 2), *OneDimAlgebra.from_pairs([(4, 1), (5, 2)]).generators])
+    assert onedim_order_witness(equal) == (Fraction(5, 2), 2)
+
+
+def test_onedim_order_witness_refuses_censored_and_empty_algebras():
+    from nashres.rees import onedim_order_witness
+
+    # the least censored bound, 3/2, lies below the exact minimum 2
+    low = OneDimAlgebra([_censored(7, 2), *OneDimAlgebra.from_pairs([(2, 1)]).generators, _censored(3, 2)])
+    with pytest.raises(InsufficientPrecisionError) as err:
+        onedim_order_witness(low)
+    assert str(err.value) == (
+        "one-dimensional algebra order is only known to be >= 3/2; supply more coefficients"
+    )
+    with pytest.raises(InsufficientPrecisionError) as err:
+        onedim_order_witness(OneDimAlgebra([_censored(4, 2)]))
+    assert str(err.value) == (
+        "one-dimensional algebra order is only known to be >= 2; supply more coefficients"
+    )
+    with pytest.raises(InsufficientPrecisionError) as err:
+        onedim_order_witness(OneDimAlgebra([]))
+    assert str(err.value) == "one-dimensional algebra order is infinite"
