@@ -34,14 +34,10 @@ from .extorder import INFINITE, ExtOrder, ext_min
 from .generic import (
     DiagonalArc,
     GenericArcResult,
-    PuiseuxLift,
     build_diagonal_arc,
     construct_generic_arc,
-    find_generic_units,
-    is_diagonal_generic,
     lift_monomial_base,
     lift_to_presentation,
-    verify_genericity,
 )
 from .nash import (
     NashSequence,
@@ -78,7 +74,6 @@ from .rees import (
     algebra_order_at,
     diff_closure,
     odot,
-    onedim_order,
     onedim_resolution_steps,
     onedim_transform,
     sing_contains,

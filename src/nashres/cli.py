@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import floor
 from typing import Dict, List, Optional, Tuple
 
-from .arcs import Arc, ValidatedArc, contact_order_without_x, validate_arc
+from .arcs import Arc, ContactResult, ValidatedArc, contact_order_without_x, validate_arc
 from .errors import (
     ExtensionRequiredError,
     IdentityViolationError,
@@ -30,6 +30,7 @@ from .errors import (
 from .generic import (
     GenericArcResult,
     admissible_unit_tuples,
+    arc_base_exponent,
     construct_generic_arc,
     lift_monomial_base,
 )
@@ -206,14 +207,14 @@ def _cmd_nash(args, p: LocalPresentation, report: dict) -> List[dict]:
             "multiplicities": list(seq.multiplicities),
             "rho": seq.rho,
             "centers": [[fraction_text(c) for c in center] for center in seq.centers],
-            "precision_consumed": seq.precision_consumed,
+            "precision_consumed": seq.rho,
         }
         if seq.equations is not None:
             row["equations"] = list(seq.equations)
         rows.append(row)
     report["results"]["hypersurfaces"] = rows
     report["results"]["rho"] = summary.rho
-    report["results"]["r"] = fraction_text(summary.contact_r)
+    report["results"]["r"] = fraction_text(result.r)
     return [_check("geometric_rho_is_floor_r", summary.rho == result.rho)]
 
 
@@ -221,7 +222,9 @@ def _cmd_generic_arc(args, p: LocalPresentation, report: dict) -> List[dict]:
     result = construct_generic_arc(
         p, alpha=args.alpha, search_bound=args.search_bound, precision=args.precision
     )
-    genericity = result.genericity
+    c = result.arc.contact
+    order = presentation_elimination_order(p).expect_exact("elimination order")
+    n = arc_base_exponent(result.arc)
     report["results"].update(
         {
             "arc": arc_to_document(result.arc.arc),
@@ -229,22 +232,18 @@ def _cmd_generic_arc(args, p: LocalPresentation, report: dict) -> List[dict]:
             "alpha": result.base.alpha,
             "ramification": result.ramification,
             "units_tried": result.units_tried,
-            "r_bar": fraction_text(genericity.r_bar),
-            "elimination_order": fraction_text(genericity.expected_order),
-            "witness": genericity.witness,
-            "arc_order": genericity.arc_order,
+            "r_bar": fraction_text(c.r_bar),
+            "elimination_order": fraction_text(order),
+            "witness": c.witness,
+            "arc_order": c.arc_order,
         }
     )
     return [
-        _check(
-            "attains_elimination_order",
-            genericity.generic,
-            witness=f"r_bar = {genericity.r_bar}",
-        ),
+        _check("attains_elimination_order", c.r_bar == order, witness=f"r_bar = {c.r_bar}"),
         _check(
             "arc_order_equals_base_exponent",
-            genericity.order_matches_base is True,
-            witness=f"order {genericity.arc_order}, base exponent {genericity.base_exponent}",
+            c.arc_order == n,
+            witness=f"order {c.arc_order}, base exponent {n}",
         ),
     ]
 
@@ -343,6 +342,14 @@ def _sample_arcs(
     return samples
 
 
+def _every_sample(name: str, sampled: List[Tuple[ContactResult, dict]], holds) -> dict:
+    """The check that holds(contact, row) on every sample; its witness is
+    the arc of the first sample where it fails."""
+    failing = next((row for c, row in sampled if not holds(c, row)), None)
+    witness = "" if failing is None else json.dumps(failing["arc"], sort_keys=True)
+    return _check(name, failing is None, witness=witness)
+
+
 def verify_main_theorem(
     p: LocalPresentation,
     trials: int = 20,
@@ -391,15 +398,9 @@ def verify_main_theorem(
     rng = random.Random(seed)
     arcs = {_arc_key(generic.arc.arc): generic.arc}
     samples = _sample_arcs(p, generic, trials, rng, precision, search_bound, arcs)
-    rows = []
-    lower_bound_ok, lb_witness = True, ""
-    rho_ok, rho_witness = True, ""
-    chain_ok, chain_witness = True, ""
-    min_rbar = gen_contact.r_bar
-    minimizing_rho_bars = [gen_contact.rho_bar]
-    # id of each distinct sampled ValidatedArc -> its row without the name,
-    # and whether its rho agrees three ways
-    seen: Dict[int, Tuple[dict, bool]] = {}
+    # id of each distinct sampled ValidatedArc -> its row without the name
+    seen: Dict[int, dict] = {}
+    rows, sampled = [], []  # sampled: (contact, row) per sample
     for name, va in samples:
         c = va.contact
         if id(va) not in seen:
@@ -408,7 +409,7 @@ def verify_main_theorem(
                 geo_rho: Optional[int] = nash_sequence_presentation(p, va).rho
             except IdentityViolationError:
                 geo_rho = None
-            row = {
+            seen[id(va)] = {
                 "arc": arc_to_document(va.arc),
                 "r": fraction_text(c.r),
                 "r_bar": fraction_text(c.r_bar),
@@ -418,29 +419,25 @@ def verify_main_theorem(
                 "rho_onedim": steps,
                 "rho_geometric": geo_rho,
             }
-            seen[id(va)] = row, c.rho == floor(c.r) == steps == geo_rho
-        row, rho_agrees = seen[id(va)]
-        rows.append({"name": name, **row})
-        min_rbar = min(min_rbar, c.r_bar)
-        if c.r_bar == ord_d:
-            minimizing_rho_bars.append(c.rho_bar)
-        if c.r_bar < ord_d and lower_bound_ok:
-            lower_bound_ok, lb_witness = False, json.dumps(row["arc"], sort_keys=True)
-        if not rho_agrees and rho_ok:
-            rho_ok, rho_witness = False, json.dumps(row["arc"], sort_keys=True)
-        if not (c.r_bar >= c.rho_bar >= floor(ord_d)) and chain_ok:
-            chain_ok, chain_witness = False, json.dumps(row["arc"], sort_keys=True)
+        sampled.append((c, seen[id(va)]))
+        rows.append({"name": name, **seen[id(va)]})
     results["samples"] = rows
-    checks.append(_check("samples_r_bar_lower_bound", lower_bound_ok, witness=lb_witness))
-    checks.append(_check("samples_rho_three_ways", rho_ok, witness=rho_witness))
-    checks.append(_check("samples_chain", chain_ok, witness=chain_witness))
-    checks.append(
+    min_rbar = min([gen_contact.r_bar] + [c.r_bar for c, _ in sampled])
+    minimizing_rho_bars = [gen_contact.rho_bar] + [c.rho_bar for c, _ in sampled if c.r_bar == ord_d]
+    checks += [
+        _every_sample("samples_r_bar_lower_bound", sampled, lambda c, row: c.r_bar >= ord_d),
+        _every_sample(
+            "samples_rho_three_ways",
+            sampled,
+            lambda c, row: c.rho == floor(c.r) == row["rho_onedim"] == row["rho_geometric"],
+        ),
+        _every_sample("samples_chain", sampled, lambda c, row: c.r_bar >= c.rho_bar >= floor(ord_d)),
         _check(
             "min_r_bar_attained",
             min_rbar == ord_d,
             witness=f"min r_bar over samples = {min_rbar}, order = {ord_d}",
-        )
-    )
+        ),
+    ]
 
     repar = ord_d.denominator
     attaining = _validated(generic.arc.arc.reparametrize(repar), p, arcs)

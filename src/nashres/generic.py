@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .arcs import Arc, ValidatedArc, arc_order, image_of_algebra, validate_arc
+from .arcs import Arc, ValidatedArc, validate_arc
 from .errors import (
     ExtensionRequiredError,
     IdentityViolationError,
@@ -35,13 +35,14 @@ from .errors import (
     NotOnVarietyError,
     ValidationError,
 )
+from .extorder import ExtOrder
 from .poly import MultiPoly, shift_integer_terms
 from .presentation import (
     LocalPresentation,
     TschirnhausenHypersurface,
     presentation_elimination_order,
 )
-from .rees import ReesAlgebra, algebra_order_at, onedim_order
+from .rees import ReesAlgebra, algebra_order_at
 from .series import PowerSeries, _convolve, compose_integers
 
 T = "t"
@@ -97,17 +98,6 @@ def admissible_unit_tuples(
             yield u
 
 
-def find_generic_units(
-    algebras: Sequence[ReesAlgebra], d: int, bound: int
-) -> Tuple[int, ...]:
-    """First admissible unit tuple in the enumeration order."""
-    for u in admissible_unit_tuples(algebras, d, bound):
-        return u
-    raise ValidationError(
-        f"no unit tuple within bound {bound}; retry with a larger --search-bound"
-    )
-
-
 # -- diagonal base arcs --------------------------------------------------------
 
 
@@ -127,32 +117,9 @@ class DiagonalArc:
         if any(u == 0 for u in self.units):
             raise ValidationError("diagonal units must be nonzero")
 
-    def coords(self) -> Dict[str, PowerSeries]:
-        return {
-            v: PowerSeries.monomial(u, self.alpha)
-            for v, u in zip(self.base_vars, self.units)
-        }
-
-    def to_arc(self) -> Arc:
-        return Arc(self.coords())
-
 
 def build_diagonal_arc(units: Sequence, alpha: int, base_vars: Sequence[str]) -> DiagonalArc:
     return DiagonalArc(tuple(Fraction(u) for u in units), alpha, tuple(base_vars))
-
-
-def is_diagonal_generic(base: DiagonalArc, algebras: Sequence[ReesAlgebra]) -> bool:
-    """Image order equals alpha times the algebra order, for every algebra."""
-    arc = base.to_arc()
-    origin = (Fraction(0),) * len(base.base_vars)
-    for algebra in algebras:
-        expected = algebra_order_at(algebra, origin)
-        got = onedim_order(image_of_algebra(arc, algebra))
-        if got.is_infinite or expected.is_infinite:
-            return False
-        if got.expect_exact("image order") != base.alpha * expected.value:
-            return False
-    return True
 
 
 # -- Newton-Puiseux lifting -------------------------------------------------------
@@ -282,16 +249,6 @@ def _rational_roots(coeffs: Sequence[Fraction | int]) -> List[Fraction]:
 def _pick_root(roots: List[Fraction]) -> Fraction:
     # Smallest by |numerator| then |denominator|, positive preferred on ties.
     return min(roots, key=lambda r: (abs(r.numerator), abs(r.denominator), r < 0))
-
-
-@dataclass(frozen=True)
-class PuiseuxLift:
-    ramification: int
-    root: PowerSeries  # in the reparametrized parameter
-
-    @property
-    def exact(self) -> bool:
-        return self.root.is_exact
 
 
 def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[PowerSeries, int]:
@@ -490,13 +447,13 @@ def _lift_equation(
     units: Sequence[Fraction],
     exponents: Sequence[int],
     precision: int,
-) -> PuiseuxLift:
+) -> Tuple[PowerSeries, int]:
+    """One branch of h over the base arc z_v -> u_v t^(a_v), and its ramification."""
     if h.elimination_algebra.is_empty():
         raise MaxMultArcError(
             "arc necessarily inside Max mult: the equation is a pure power"
         )
-    root, e = _newton_puiseux_root(_equation_on_base(h, units, exponents), h.var, precision)
-    return PuiseuxLift(ramification=e, root=root)
+    return _newton_puiseux_root(_equation_on_base(h, units, exponents), h.var, precision)
 
 
 def lift_monomial_base(
@@ -520,10 +477,8 @@ def lift_monomial_base(
         h.var: _lift_equation(h, units, exponents, precision)
         for h in p.hypersurfaces
     }
-    e = lcm(*(l.ramification for l in lifts.values()))
-    coords: Dict[str, PowerSeries] = {}
-    for var, lift in lifts.items():
-        coords[var] = lift.root.reparametrize(e // lift.ramification)
+    e = lcm(*(q for _, q in lifts.values()))
+    coords = {var: root.reparametrize(e // q) for var, (root, q) in lifts.items()}
     for v, u, a in zip(p.base_vars, units, exponents):
         coords[v] = PowerSeries.monomial(u, a * e)
     try:
@@ -544,14 +499,24 @@ def lift_to_presentation(
 # -- generic arc construction and verification --------------------------------------
 
 
+# Failed lifts (each needing an algebraic extension) after which the unit
+# search stops: the whole default cube of (2*8)^d unit tuples for d <= 3.
+# The cube grows as (2*bound)^d, and on x^2 + z1^2 + ... + zd^2 every tuple
+# fails: uncapped, generic-arc took 8.7 s at d = 4 and did not finish within
+# 200 s at d = 5 (2-core x86, Python 3.11).
+MAX_FAILED_LIFTS = 4096
+
+
 @dataclass(frozen=True)
 class GenericArcResult:
     arc: ValidatedArc
     base: DiagonalArc
     ramification: int
-    units_tried: int
-    genericity: GenericityReport
     failed_units: Tuple[Tuple[int, ...], ...]  # tried first, each needing an extension
+
+    @property
+    def units_tried(self) -> int:
+        return len(self.failed_units) + 1
 
 
 def construct_generic_arc(
@@ -561,11 +526,17 @@ def construct_generic_arc(
     precision: int = 64,
 ) -> GenericArcResult:
     """Find units, lift, and verify; retries the unit search past branches
-    that would need an algebraic extension."""
+    that would need an algebraic extension, at most MAX_FAILED_LIFTS times."""
     algebras = [h.elimination_algebra for h in p.hypersurfaces]
     failed: List[Tuple[int, ...]] = []
     last_error: Optional[ExtensionRequiredError] = None
     for u in admissible_unit_tuples(algebras, p.d, search_bound):
+        if len(failed) == MAX_FAILED_LIFTS:
+            raise ExtensionRequiredError(
+                f"the first {MAX_FAILED_LIFTS} admissible unit tuples within bound "
+                f"{search_bound} need an algebraic extension, and the unit search "
+                f"stops at that limit (last: {last_error})"
+            )
         base = build_diagonal_arc(u, alpha, p.base_vars)
         try:
             va = lift_to_presentation(p, base, precision)
@@ -573,19 +544,22 @@ def construct_generic_arc(
             failed.append(u)
             last_error = err
             continue
-        report = verify_genericity(va, p)
-        if not report.generic:
+        contact = va.contact
+        order = presentation_elimination_order(p).expect_exact("elimination order")
+        if contact.r_bar != order:
             raise IdentityViolationError(
                 f"lifted arc of a diagonal-generic base is not generic: "
-                f"r_bar = {report.r_bar} != {report.expected_order}"
+                f"r_bar = {contact.r_bar} != {order}"
             )
-        if report.order_realized_by_x and report.expected_order != 1:
+        if order != 1 and any(
+            va.arc.coords[h.var].order() == ExtOrder.exact(contact.arc_order)
+            for h in p.hypersurfaces
+        ):
             raise IdentityViolationError(
                 "arc order realized by a distinguished coordinate forces order 1, "
-                f"got {report.expected_order}"
+                f"got {order}"
             )
-        ram = _common_ramification(va, base)
-        return GenericArcResult(va, base, ram, len(failed) + 1, report, tuple(failed))
+        return GenericArcResult(va, base, _common_ramification(va, base), tuple(failed))
     if last_error is not None:
         raise ExtensionRequiredError(
             f"every admissible unit tuple within bound {search_bound} needs an "
@@ -616,37 +590,3 @@ def arc_base_exponent(va: ValidatedArc) -> Optional[int]:
             return None
         orders.add(o.value)
     return orders.pop() if len(orders) == 1 else None
-
-
-@dataclass(frozen=True)
-class GenericityReport:
-    generic: bool
-    r_bar: Fraction
-    expected_order: Fraction
-    witness: str
-    arc_order: int
-    base_exponent: Optional[int]
-    order_matches_base: Optional[bool]
-    order_realized_by_x: bool
-
-
-def verify_genericity(va: ValidatedArc, p: LocalPresentation) -> GenericityReport:
-    """Does the arc realize the presentation's elimination order exactly?"""
-    result = va.contact
-    expected = presentation_elimination_order(p).expect_exact("elimination order")
-    n = arc_base_exponent(va)
-    realized_by_x = False
-    for h in p.hypersurfaces:
-        o = va.arc.coords[h.var].order()
-        if o.is_exact and o.value == result.arc_order:
-            realized_by_x = True
-    return GenericityReport(
-        generic=(result.r_bar == expected),
-        r_bar=result.r_bar,
-        expected_order=Fraction(expected),
-        witness=result.witness,
-        arc_order=result.arc_order,
-        base_exponent=n,
-        order_matches_base=None if n is None else (result.arc_order == n),
-        order_realized_by_x=realized_by_x,
-    )

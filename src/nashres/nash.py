@@ -69,11 +69,6 @@ class NashState:
     def arc(self) -> Dict[str, PowerSeries]:
         return {v: s for v, s in zip(self.g.vars, self.forms) if v != T}
 
-    @property
-    def center(self) -> Tuple[Fraction, ...]:
-        """Ambient point blown up to reach this state."""
-        return tuple(Fraction(p, q) for p, q in self.center_pq)
-
     @cached_property
     def _multiplicity(self) -> Optional[int]:
         return min(map(sum, self.g.nums)) if self.g.nums else None
@@ -97,7 +92,6 @@ class NashSequence:
     multiplicities: Tuple[int, ...]
     rho: int
     center_pq: Tuple[Tuple[Tuple[int, int], ...], ...]  # (p, q) per coordinate per step
-    precision_consumed: int
     equations: Optional[Tuple[str, ...]] = None  # transformed equation per step (trace)
 
     @property
@@ -217,7 +211,6 @@ def nash_sequence_equation(
         multiplicities=tuple(mults),
         rho=len(mults) - 1,
         center_pq=tuple(centers),
-        precision_consumed=len(mults) - 1,
         equations=None if equations is None else tuple(equations),
     )
 
@@ -250,7 +243,6 @@ def nash_sequence_hypersurface(
 class PresentationNashSummary:
     rho: int
     per_hypersurface: Tuple[Tuple[str, Optional[NashSequence]], ...]
-    contact_r: Fraction
 
 
 def nash_sequence_presentation(
@@ -276,11 +268,8 @@ def nash_sequence_presentation(
     if not rhos:
         raise MaxMultArcError("arc inside Max mult: no hypersurface sequence drops")
     rho = min(rhos)
-    result = va.contact
-    if rho != result.rho:
+    if rho != va.contact.rho:
         raise IdentityViolationError(
-            f"geometric persistance {rho} != floor(r) = {result.rho}"
+            f"geometric persistance {rho} != floor(r) = {va.contact.rho}"
         )
-    return PresentationNashSummary(
-        rho=rho, per_hypersurface=tuple(runs), contact_r=result.r
-    )
+    return PresentationNashSummary(rho=rho, per_hypersurface=tuple(runs))

@@ -198,9 +198,6 @@ class OneDimGenerator:
         if self.a.is_infinite:
             raise ValidationError("infinite exponents are dropped, not stored")
 
-    def quotient(self) -> ExtOrder:
-        return self.a.divided_by(self.l)
-
     def __str__(self) -> str:
         return f"t^{self.a}*W^{self.l}"
 
@@ -225,13 +222,6 @@ class OneDimAlgebra:
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(g) for g in self.generators) + "]"
-
-
-def onedim_order(algebra: OneDimAlgebra) -> ExtOrder:
-    """Order at the closed point: min over generators of a/l."""
-    if algebra.is_empty():
-        return INFINITE
-    return ext_min(g.quotient() for g in algebra.generators)
 
 
 def onedim_order_witness(algebra: OneDimAlgebra) -> Tuple[Fraction, int]:

@@ -183,6 +183,39 @@ def test_edges_with_a_30000_bit_constant_exit_code(tmp_path, b, equation):
     assert "extension" in json.loads(done.stdout)["results"]["error"]
 
 
+def _sum_of_squares(d):
+    f = " + ".join(["x^2"] + [f"z{i}^2" for i in range(1, d + 1)])
+    return {"d": d, "hypersurfaces": [{"var": "x", "b": 2, "f": f}]}
+
+
+def test_the_unit_search_stops_at_its_limit(tmp_path):
+    # Every unit tuple of x^2 + z1^2 + ... + z5^2 needs an extension, and the
+    # default cube holds 16^5 of them: the search stops after 4096 failed lifts.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import nashres
+
+    pres = write(tmp_path, "p.json", _sum_of_squares(5))
+    env = dict(os.environ, PYTHONPATH=str(Path(nashres.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nashres.cli", "generic-arc", pres, "--json"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert done.returncode == 4
+    error = json.loads(done.stdout)["results"]["error"]
+    assert "the first 4096 admissible unit tuples within bound 8" in error
+
+
+def test_the_unit_search_covers_the_default_cube_at_d_3(tmp_path, capsys):
+    # (2*8)^3 = 4096 tuples: the limit is the whole cube, and the message is
+    # that of an exhausted search
+    code, report = run_json(capsys, "generic-arc", write(tmp_path, "p.json", _sum_of_squares(3)))
+    assert code == 4
+    assert "every admissible unit tuple within bound 8" in report["results"]["error"]
+
+
 def test_verify_command(tmp_path, capsys):
     pres = write(tmp_path, "p.json", CUSP)
     code, report = run_json(capsys, "verify", pres, "--trials", "5", "--seed", "7")

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -11,20 +12,17 @@ from nashres import (
     construct_generic_arc,
     contact_order,
     elimination_algebra,
-    find_generic_units,
-    is_diagonal_generic,
     lift_monomial_base,
     lift_to_presentation,
     parse_poly,
     presentation_elimination_order,
     tschirnhausen_normalize,
     validate_arc,
-    verify_genericity,
 )
 from nashres import generic, series
 from nashres.arcs import VanishingCertificate
 from nashres.errors import ExtensionRequiredError, IdentityViolationError, MaxMultArcError
-from nashres.generic import _equation_on_base, _lift_equation, unit_tuples
+from nashres.generic import _equation_on_base, _lift_equation, admissible_unit_tuples, unit_tuples
 from nashres.poly import MultiPoly
 from nashres.series import PowerSeries
 
@@ -39,49 +37,34 @@ def test_unit_enumeration_order():
 
 def test_find_units_single_variable(cusp):
     algebra = elimination_algebra(cusp.hypersurfaces[0])
-    assert find_generic_units([algebra], 1, 8) == (-1,)
+    assert next(admissible_unit_tuples([algebra], 1, 8)) == (-1,)
 
 
 def test_find_units_umbrella(umbrella):
     algebra = elimination_algebra(umbrella.hypersurfaces[0])
-    assert find_generic_units([algebra], 2, 8) == (-1, -1)
+    assert next(admissible_unit_tuples([algebra], 2, 8)) == (-1, -1)
 
 
 def test_find_units_skips_vanishing_initial_form():
     # raw z1^2 - z2^2 at weight 2: first tuple with u1^2 != u2^2 is (-2, -1)
     f = parse_poly("z1^2 - z2^2")
     algebra = ReesAlgebra.from_pairs(("z1", "z2"), [(f, 2)])
-    assert find_generic_units([algebra], 2, 8) == (-2, -1)
-
-
-def test_diagonal_genericity_certificate(umbrella):
-    algebra = elimination_algebra(umbrella.hypersurfaces[0])
-    base = build_diagonal_arc([1, 1], 2, ("z1", "z2"))
-    assert is_diagonal_generic(base, [algebra])
-
-
-def test_diagonal_genericity_negative():
-    f = parse_poly("z1^2 - z2^2")
-    algebra = ReesAlgebra.from_pairs(("z1", "z2"), [(f, 2)])
-    degenerate = build_diagonal_arc([1, 1], 1, ("z1", "z2"))
-    assert not is_diagonal_generic(degenerate, [algebra])
-    good = build_diagonal_arc([-2, -1], 1, ("z1", "z2"))
-    assert is_diagonal_generic(good, [algebra])
+    assert next(admissible_unit_tuples([algebra], 2, 8)) == (-2, -1)
 
 
 def test_puiseux_cusp(cusp):
     h = cusp.hypersurfaces[0]
-    lift = _lift_equation(h, [1], [1], 64)
-    assert lift.ramification == 2
-    assert lift.root.is_exact
-    assert lift.root.coeffs == (0, 0, 0, 1)  # t^3 after t -> t^2
+    root, e = _lift_equation(h, [1], [1], 64)
+    assert e == 2
+    assert root.is_exact
+    assert root.coeffs == (0, 0, 0, 1)  # t^3 after t -> t^2
 
 
 def test_puiseux_umbrella_alpha_two(umbrella):
     h = umbrella.hypersurfaces[0]
-    lift = _lift_equation(h, [1, 1], [2, 2], 64)
-    assert lift.ramification == 1
-    assert lift.root.coeffs == (0, 0, 0, 1)
+    root, e = _lift_equation(h, [1, 1], [2, 2], 64)
+    assert e == 1
+    assert root.coeffs == (0, 0, 0, 1)
 
 
 def test_puiseux_requires_rational_branch():
@@ -94,11 +77,11 @@ def test_puiseux_nonterminating_branch_truncates():
     # x^2 = z^2 (1 + z): the branch is z sqrt(1+z), an infinite series with
     # rational coefficients, so the root comes back truncated at the request
     h = tschirnhausen_normalize(parse_poly("x^2 - z^2 - z^3"), "x")
-    lift = _lift_equation(h, [1], [1], 8)
-    assert lift.ramification == 1
-    assert not lift.exact
-    assert lift.root.precision == 8
-    assert lift.root.coeffs[1] == 1 and lift.root.coeffs[2] == Fraction(1, 2)
+    root, e = _lift_equation(h, [1], [1], 8)
+    assert e == 1
+    assert not root.is_exact
+    assert root.precision == 8
+    assert root.coeffs[1] == 1 and root.coeffs[2] == Fraction(1, 2)
     # the equation vanishes on the assembled arc below t^8, and no further
     va = lift_monomial_base(make_presentation(1, ("x", "x^2 - z^2 - z^3")), [1], [1], 8)
     assert dict(va.certificates)["x"] == VanishingCertificate(False, 8)
@@ -111,9 +94,9 @@ def test_a_residual_term_above_the_target_fixes_a_low_coefficient(precision):
     # dropped them returned 0 + O(t^21) and 27/2 t^12 + 243/2 t^24 + O(t^30).
     f = "x^3 - 1/4 x z1^2 z2^2 - 1/3 x z1^4 z2^4 + 1/6 z1^4 z2^4 - 2/27 z1^6 z2^6"
     h = tschirnhausen_normalize(parse_poly(f), "x")
-    lift = _lift_equation(h, [-3, Fraction(-3, 2)], [3, 3], precision)
-    assert lift.ramification == 1
-    assert lift.root == PowerSeries.monomial(Fraction(27, 2), 12)
+    root, e = _lift_equation(h, [-3, Fraction(-3, 2)], [3, 3], precision)
+    assert e == 1
+    assert root == PowerSeries.monomial(Fraction(27, 2), 12)
 
 
 def test_truncated_lift_still_attains_the_order():
@@ -146,9 +129,9 @@ def test_residual_check_certifies_a_ramified_root(monkeypatch, text):
     # z = t^3, the check must accept the true root and refuse it with one
     # coefficient changed.
     h = tschirnhausen_normalize(parse_poly(text), "x")
-    lift = _lift_equation(h, [1], [1], 24)
-    assert lift.ramification == 3
-    assert lift.root.order().value == 4
+    root, e = _lift_equation(h, [1], [1], 24)
+    assert e == 3
+    assert root.order().value == 4
     p = make_presentation(1, ("x", text))
     va = lift_monomial_base(p, [1], [1], 24)
     assert va.arc.coords["z"].order().value == 3
@@ -242,10 +225,7 @@ def test_lift_mixed_ramification():
 def test_lift_monomial_base_skew_is_nongeneric(umbrella):
     va = lift_monomial_base(umbrella, [1, 1], [1, 2])
     assert va.arc.coords["x"].order().value == 2
-    result = contact_order(va)
-    assert result.r_bar == 2  # valid arc, strictly above the order 3/2
-    rep = verify_genericity(va, umbrella)
-    assert not rep.generic
+    assert va.contact.r_bar == 2  # valid arc, strictly above the order 3/2
 
 
 def test_construct_generic_arc_cusp_regression(cusp):
@@ -271,21 +251,21 @@ def test_generic_arcs_attain_order_a_family(n):
     assert result.ramification == (2 if n % 2 == 0 else 1)
 
 
-def test_verify_genericity_reports(cusp, umbrella, umbrella_fast_arc):
-    generic = construct_generic_arc(cusp).arc
-    report = verify_genericity(generic, cusp)
-    assert report.generic and report.r_bar == Fraction(3, 2)
-    assert report.order_matches_base
+def test_verify_genericity_reports(cusp, umbrella_fast_arc):
+    # genericity is read off the arc's contact result: r_bar equals the order,
+    # and the arc order is the base exponent
+    va = construct_generic_arc(cusp).arc
+    assert va.contact.r_bar == Fraction(3, 2)
+    assert va.contact.arc_order == generic.arc_base_exponent(va)
 
-    bad = verify_genericity(umbrella_fast_arc, umbrella)
-    assert not bad.generic and bad.r_bar == 2
+    assert umbrella_fast_arc.contact.r_bar == 2
 
 
 def test_genericity_invariant_under_reparametrization(cusp):
     generic = construct_generic_arc(cusp).arc
     for e in (2, 3):
         repar = validate_arc(generic.arc.reparametrize(e), cusp)
-        assert verify_genericity(repar, cusp).generic
+        assert repar.contact.r_bar == Fraction(3, 2)
 
 
 def test_every_lift_validates_exactly(two_hyp, umbrella):
@@ -293,7 +273,7 @@ def test_every_lift_validates_exactly(two_hyp, umbrella):
         result = construct_generic_arc(p)
         for _, cert in result.arc.certificates:
             assert cert.exact
-        assert verify_genericity(result.arc, p).generic
+        assert result.arc.contact.r_bar == presentation_elimination_order(p).value
 
 
 def test_rho_bar_attained_after_denominator_reparametrization(cusp):
@@ -301,6 +281,45 @@ def test_rho_bar_attained_after_denominator_reparametrization(cusp):
     ord_d = presentation_elimination_order(cusp).value
     repar = validate_arc(result.arc.arc.reparametrize(ord_d.denominator), cusp)
     assert contact_order(repar).rho_bar == ord_d
+
+
+def _skew_umbrella_lift(monkeypatch, umbrella):
+    """Make every diagonal lift return the skew umbrella arc, r_bar = 2 != 3/2."""
+    skew = lift_monomial_base(umbrella, [1, 1], [1, 2])
+    monkeypatch.setattr(generic, "lift_to_presentation", lambda p, base, precision=64: skew)
+
+
+def test_construct_generic_arc_refuses_a_lift_off_the_order(monkeypatch, umbrella):
+    _skew_umbrella_lift(monkeypatch, umbrella)
+    with pytest.raises(IdentityViolationError, match=r"not generic: r_bar = 2 != 3/2"):
+        construct_generic_arc(umbrella)
+
+
+def test_generic_arc_command_exits_5_on_a_lift_off_the_order(monkeypatch, umbrella, tmp_path, capsys):
+    from nashres.cli import main
+
+    _skew_umbrella_lift(monkeypatch, umbrella)
+    pres = tmp_path / "p.json"
+    pres.write_text('{"d": 2, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z1^2*z2"}]}')
+    assert main(["generic-arc", str(pres)]) == 5
+    assert "r_bar = 2 != 3/2" in capsys.readouterr().out
+
+
+def test_construct_generic_arc_refuses_an_arc_order_met_by_an_x_coordinate(monkeypatch, cusp):
+    # The cusp's order is 3/2, not 1: a lift whose arc order is the order of
+    # x (t^3 against z = t^2) is an identity violation.  The contact result is
+    # planted with arc_order 3 and its true r_bar, so only this check can fire.
+    true_lift = generic.lift_to_presentation
+
+    def planted(p, base, precision=64):
+        va = true_lift(p, base, precision)
+        x_order = va.arc.coords["x"].order().value
+        va.__dict__["contact"] = dataclasses.replace(va.contact, arc_order=x_order)
+        return va
+
+    monkeypatch.setattr(generic, "lift_to_presentation", planted)
+    with pytest.raises(IdentityViolationError, match="forces order 1, got 3/2"):
+        construct_generic_arc(cusp)
 
 
 # name -> (d, equations): the presentations of the benchmark's lift table, of

@@ -87,7 +87,7 @@ def test_presentation_sequence_minimum(two_hyp):
     assert dict(summary.per_hypersurface)["x1"].rho == 3
     assert dict(summary.per_hypersurface)["x2"].rho == 4
     assert summary.rho == 3
-    assert summary.contact_r == 3
+    assert va.contact.r == 3
 
 
 def test_presentation_sequence_single_is_hypersurface(cusp, cusp_arc):
@@ -143,7 +143,6 @@ def test_truncated_arc_runs_with_enough_terms(cusp):
     va = validate_arc(arc, cusp)
     seq = nash_sequence_hypersurface(cusp.hypersurfaces[0], va)
     assert seq.rho == 3
-    assert seq.precision_consumed == 3
 
 
 def test_truncated_arc_reports_needed_terms():
@@ -162,12 +161,12 @@ def test_each_transform_is_canonical_and_a_zero_centre_keeps_the_chart():
     while state.multiplicity() == 2:
         before = state.g
         state = nash_step(state, 2)
-        centers.append(state.center)
+        centers.append(state.center_pq)
         assert state.g == MultiPoly(state.g.vars, state.g.terms)
-        if not any(state.center):
+        if not any(p for p, _ in state.center_pq):
             assert state.g.den == before.den
             assert sorted(state.g.nums.values()) == sorted(before.nums.values())
-    assert centers == [(0, 0), (0, Fraction(1, 4)), (Fraction(1, 8), 0)]
+    assert centers == [((0, 1), (0, 1)), ((0, 1), (1, 4)), ((1, 8), (0, 1))]
 
 
 def test_a_direct_run_checks_its_arc_at_step_0():

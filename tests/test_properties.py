@@ -715,7 +715,7 @@ def test_unit_chart_is_blow_up_then_division(f, tail1, tail2):
     state = nash_module.NashState.from_poly(g, {v: PowerSeries(c) for v, c in coords.items()})
     step = nash_module.nash_step(state, m)
     assert step.g == divided
-    assert step.center == (0, 0)
+    assert step.center_pq == ((0, 1), (0, 1))
 
 
 # -- the integer Taylor shift against the term-by-term Fraction shift -------------
@@ -1505,7 +1505,6 @@ def _sequence_or_error(f, coords):
         seq = nash_sequence_equation(f, coords, trace=True)
     except NashresError as err:
         return type(err), str(err)
-    assert seq.precision_consumed == seq.rho
     return seq.multiplicities, seq.centers, seq.rho, seq.equations
 
 

@@ -8,7 +8,6 @@ from nashres import (
     algebra_order_at,
     diff_closure,
     odot,
-    onedim_order,
     onedim_resolution_steps,
     onedim_transform,
     sing_contains,
@@ -160,12 +159,6 @@ def test_onedim_resolution_steps_censored():
     algebra = OneDimAlgebra([_censored(3, 2)])
     with pytest.raises(InsufficientPrecisionError):
         onedim_resolution_steps(algebra)
-
-
-def test_onedim_order():
-    a = OneDimAlgebra.from_pairs([(3, 1), (6, 2), (4, 1)])
-    assert onedim_order(a).value == 3
-    assert onedim_order(OneDimAlgebra([])).is_infinite
 
 
 def test_onedim_order_witness_keeps_the_first_minimizer():
