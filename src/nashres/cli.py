@@ -481,9 +481,10 @@ def _cmd_verify(args, p: LocalPresentation, report: dict) -> List[dict]:
 # -- driver ------------------------------------------------------------------------
 
 # The largest --precision and --alpha accepted.  Lifting costs grow quickly
-# with the precision: generic-arc on x^2 - z^2 - z^3 takes about 0.23 s at
-# precision 512 and 1.9 s at 1024 (2-core x86, Python 3.11).  An --alpha above
-# it would only build a longer diagonal arc that the lift cannot reach.
+# with the precision: generic-arc on x^2 - z^2 - z^3 takes about 0.25 s at
+# precision 512 and 2.0 s at 1024 (subprocess wall time, 2-core Intel Xeon
+# x86, Python 3.11.7).  An --alpha above it would only build a longer
+# diagonal arc that the lift cannot reach.
 MAX_PRECISION = 1024
 
 

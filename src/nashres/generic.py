@@ -13,10 +13,13 @@ for the chart and for ramification t -> t^q, the integer grouped shift
 power of t and by the content.  Once a residual has a simple root (its
 x-coefficient has a nonzero constant term), the rest of the root is found by
 Newton iteration with precision doubling instead, in s = t^g for the gcd g of
-the residual's t-exponents, on integer numerators through
-`series.compose_integers`; an exact probe of that tail at t = 2 decides
-whether the stages must run on to find an exact root.  `validate_arc` on the
-assembled arc certifies every root, with its ramification and base monomials.
+the residual's t-exponents, on integer numerators, from one set of powers of
+the root per doubling; an exact probe of that tail at t = 2 decides whether
+the stages must run on to find an exact root.  A base arc is lifted only once
+every equation's first stage has found a rational root on it, so an arc that
+one equation cannot lift costs no other equation's Newton tail.
+`validate_arc` on the assembled arc certifies every root, with its
+ramification and base monomials.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .presentation import (
     presentation_elimination_order,
 )
 from .rees import ReesAlgebra, algebra_order_at
-from .series import PowerSeries, _convolve, compose_integers
+from .series import PowerSeries, _convolve, _square, compose_integers
 
 T = "t"
 
@@ -287,16 +290,9 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
     shift = 0  # exponent offset of the current residual's roots
     try_tail = True
     while True:
-        orders: Dict[int, int] = {}
-        for i, j in cur:
-            orders[i] = min(j, orders.get(i, j))
-        if 0 not in orders:
+        edge = _steepest_edge(cur)
+        if edge is None:
             return _series_from_terms(found, precision=None), e
-        hull = _lower_hull(list(orders.items()))
-        if len(hull) < 2 or hull[1][1] >= hull[0][1]:
-            raise ExtensionRequiredError(
-                "no branch through the origin on this Newton polygon"
-            )
         if try_tail and (1, 0) in cur:
             # the regular tail: every further edge ends at (1, 0), so the root
             # is simple and its coefficients below t^n, n = target - shift,
@@ -307,30 +303,53 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
             else:
                 found += [(Fraction(c, den), shift + k * g) for k, c in enumerate(nums) if c]
                 return _series_from_terms(found, precision=target), e
-        # the edge runs from (0, v0) to (i1, v1) with slope -m/q in lowest terms
-        (_, v0), (i1, v1) = hull[0], hull[1]
-        g = gcd(v0 - v1, i1)
-        m, q = (v0 - v1) // g, i1 // g
+        m, q, coeffs = edge
         if q > 1:
             cur = {(i, j * q): a for (i, j), a in cur.items()}
             e *= q
             target *= q
             shift *= q
             found = [(c, k * q) for c, k in found]
-            v0 *= q
         if shift + m >= target:
             return _series_from_terms(found, precision=target), e
-        edge = [cur.get((i, v0 - m * i), 0) for i in range(i1 + 1)]
-        roots = [r for r in _rational_roots(edge) if r != 0]
-        if not roots:
-            raise ExtensionRequiredError(
-                "edge equation has no nonzero rational root; "
-                "the branch requires an algebraic extension"
-            )
-        c = _pick_root(roots)
+        c = _edge_root(coeffs)
         found.append((c, shift + m))
         cur = _chart_stage(cur, m, c)
         shift += m
+
+
+def _steepest_edge(cur: Dict[Tuple[int, int], int]) -> Optional[Tuple[int, int, List[int]]]:
+    """The steepest descending edge of cur's Newton polygon, from (0, v0) to
+    (i1, v1): (m, q, edge) with slope -m/q in lowest terms and edge[i] the
+    coefficient of cur at (i, v0 - m i/q), the edge equation.  None when no
+    term of cur is free of x, so that x = 0 is a root.
+    """
+    orders: Dict[int, int] = {}
+    for i, j in cur:
+        orders[i] = min(j, orders.get(i, j))
+    if 0 not in orders:
+        return None
+    hull = _lower_hull(list(orders.items()))
+    if len(hull) < 2 or hull[1][1] >= hull[0][1]:
+        raise ExtensionRequiredError(
+            "no branch through the origin on this Newton polygon"
+        )
+    (_, v0), (i1, v1) = hull[0], hull[1]
+    g = gcd(v0 - v1, i1)
+    m, q = (v0 - v1) // g, i1 // g
+    # (i, v0 - m i/q) is a lattice point only where q divides i
+    return m, q, [cur.get((i, v0 - m * i // q), 0) if i % q == 0 else 0 for i in range(i1 + 1)]
+
+
+def _edge_root(edge: List[int]) -> Fraction:
+    """The picked nonzero rational root of an edge equation."""
+    roots = [r for r in _rational_roots(edge) if r != 0]
+    if not roots:
+        raise ExtensionRequiredError(
+            "edge equation has no nonzero rational root; "
+            "the branch requires an algebraic extension"
+        )
+    return _pick_root(roots)
 
 
 def _chart_stage(cur: Dict[Tuple[int, int], int], m: int, c: Fraction) -> Dict[Tuple[int, int], int]:
@@ -353,32 +372,54 @@ def _hensel_tail(cur: Dict[Tuple[int, int], int], n: int) -> Tuple[List[int], in
     t-exponents of cur have gcd g, so y lies in s = t^g and is computed to
     ceil(n/g) coefficients in s.  Newton iteration with precision doubling,
     y <- y - P(y) w for P(x) = cur(x, s) and w = 1/P'(y), updated by its own
-    Newton step w <- w (2 - P'(y) w).  While y is right below s^p, P(y) and
-    1 - P'(y) w vanish below s^p, so each correction is a product of their
-    upper parts.  Series are integer numerators over one denominator, reduced
-    by their gcd.
+    Newton step w <- w (2 - P'(y) w).  A step takes y from right below s^p
+    to below s^p2, p2 <= 2p: it builds y^2, ..., y^b below s^p2 once, b the
+    x-degree of cur, each even power the square of its half, and reads P(y)
+    from them, each term a s^j y^i, and P'(y) below s^p from their prefixes.
+    That P'(y) first brings w from below s^q, q the previous p, to below s^p
+    (2q >= p); then y is corrected with the upper part of P(y) times w,
+    below s^(p2 - p), p2 - p <= p.  As P(y) and 1 - P'(y) w vanish below s^p
+    and s^q, each correction is a product of upper parts.  Series are integer
+    numerators over one denominator, reduced by their gcd.
     """
     g = 0
     for _, j in cur:
         g = gcd(g, j)
     size = -(-n // g)
-    value = {(i, j // g): a for (i, j), a in cur.items()}
-    slope = {(i - 1, j // g): i * a for (i, j), a in cur.items() if i}
-    s = PowerSeries.t_power(1)
+    top = max(i for i, _ in cur)
+    terms = [(i, j // g, a) for (i, j), a in cur.items()]
     schedule = [size]
     while schedule[-1] > 1:
         schedule.append((schedule[-1] + 1) // 2)
-    y, y_den, w, w_den, p = [], 1, [1], cur[1, 0], 1
+    y, y_den, w, w_den, q, p = [], 1, [1], cur[1, 0], 1, 1
     for p2 in reversed(schedule[:-1]):
-        image = compose_integers(value, 1, (PowerSeries.from_integers(y, y_den, p2), s))
-        step = _convolve(image.nums[p:], w, p2 - p)
-        y, y_den = _raise_precision(y, y_den, [-c for c in step], image.den * w_den, p)
-        if p2 < size:
-            image = compose_integers(slope, 1, (PowerSeries.from_integers(y, y_den, p2), s))
-            error = _convolve(image.nums, w, p2)[p:]  # P'(y) w = 1 - error s^p/(image.den w_den)
-            step = _convolve(w, [-c for c in error], p2 - p)
-            w, w_den = _raise_precision(w, w_den, step, image.den * w_den * w_den, p)
-        p = p2
+        powers = [[1], y]
+        for k in range(2, top + 1):
+            half = powers[k // 2]
+            powers.append(_square(half, p2) if k % 2 == 0 else _convolve(powers[k - 1], y, p2))
+        scale = [y_den ** (top - i) for i in range(top + 1)]
+        # y_den^top s^-p P(y) below s^(p2 - p), and y_den^(top - 1) P'(y) below s^p
+        value, slope = [0] * (p2 - p), [0] * p
+        for i, j, a in terms:
+            if j >= p2:
+                continue
+            a *= scale[i]
+            lo = max(p - j, 0)
+            high = powers[i][lo : p2 - j]
+            o = j + lo - p
+            value[o : o + len(high)] = [v + a * c for v, c in zip(value[o:], high)]
+            if i and j < p:
+                low = powers[i - 1][: p - j]
+                a *= i
+                slope[j : j + len(low)] = [v + a * c for v, c in zip(slope[j:], low)]
+        if q < p:
+            # P'(y) w = 1 + s^q error/(y_den^(top - 1) w_den) below s^p
+            error = _convolve(slope, w, p)[q:]
+            step = _convolve(w, [-c for c in error], p - q)
+            w, w_den = _raise_precision(w, w_den, step, scale[1] * w_den * w_den, q)
+        step = _convolve(value, w, p2 - p)
+        y, y_den = _raise_precision(y, y_den, [-c for c in step], scale[0] * w_den, p)
+        q, p = p, p2
     return y, y_den, g
 
 
@@ -442,6 +483,30 @@ def _equation_on_base(
     return MultiPoly.from_integers((h.var, T), out, den)
 
 
+def _screened_equation(
+    h: TschirnhausenHypersurface,
+    units: Sequence[Fraction],
+    exponents: Sequence[int],
+    precision: int,
+) -> MultiPoly:
+    """h's equation on the base arc z_v -> u_v t^(a_v), once the first stage
+    of its lift to `precision` has found a rational root.
+
+    Raises what that lift would raise first: MaxMultArcError for a pure
+    power, or the first stage's ExtensionRequiredError.  The stage stops
+    without a root where x = 0 is one, or where its edge reaches the target.
+    """
+    if h.elimination_algebra.is_empty():
+        raise MaxMultArcError(
+            "arc necessarily inside Max mult: the equation is a pure power"
+        )
+    F = _equation_on_base(h, units, exponents)
+    edge = _steepest_edge(F.nums)
+    if edge is not None and edge[0] < edge[1] * precision:
+        _edge_root(edge[2])
+    return F
+
+
 def _lift_equation(
     h: TschirnhausenHypersurface,
     units: Sequence[Fraction],
@@ -449,11 +514,8 @@ def _lift_equation(
     precision: int,
 ) -> Tuple[PowerSeries, int]:
     """One branch of h over the base arc z_v -> u_v t^(a_v), and its ramification."""
-    if h.elimination_algebra.is_empty():
-        raise MaxMultArcError(
-            "arc necessarily inside Max mult: the equation is a pure power"
-        )
-    return _newton_puiseux_root(_equation_on_base(h, units, exponents), h.var, precision)
+    F = _screened_equation(h, units, exponents, precision)
+    return _newton_puiseux_root(F, h.var, precision)
 
 
 def lift_monomial_base(
@@ -466,6 +528,9 @@ def lift_monomial_base(
 
     Each separated equation is lifted independently; a common parameter is
     obtained by reparametrizing everything by the lcm of the ramifications.
+    Every equation's first Newton-Puiseux stage runs before any root is
+    computed, in the order of the equations, so a base arc that one of them
+    cannot lift there costs no other equation's Newton tail.
     Skew exponent vectors give valid arcs that are generally not generic.
     `validate_arc` certifies the roots; an arc off the variety is an internal error.
     """
@@ -473,10 +538,10 @@ def lift_monomial_base(
     exponents = tuple(exponents)
     if any(a < 1 for a in exponents):
         raise ValidationError("base exponents must be >= 1")
-    lifts = {
-        h.var: _lift_equation(h, units, exponents, precision)
-        for h in p.hypersurfaces
-    }
+    equations = [
+        (h.var, _screened_equation(h, units, exponents, precision)) for h in p.hypersurfaces
+    ]
+    lifts = {var: _newton_puiseux_root(F, var, precision) for var, F in equations}
     e = lcm(*(q for _, q in lifts.values()))
     coords = {var: root.reparametrize(e // q) for var, (root, q) in lifts.items()}
     for v, u, a in zip(p.base_vars, units, exponents):

@@ -16,9 +16,9 @@ Evaluating a polynomial on series is one integer back end,
 and `.den`, a Nash transform, a Newton-Puiseux residual over 1), and each
 substitute's numerators, denominator and precision as they are stored.
 `poly_compose_series` is its `MultiPoly` front end; `PowerSeries.compose`,
-the Nash blow-up step and the Newton-Puiseux tail call it directly.  Only
-the first n coefficients are computed: n is the smaller of the result's
-precision and one past the degree of the sum.
+the Nash blow-up step and the probe of a Newton-Puiseux tail at t = 2 call
+it directly.  Only the first n coefficients are computed: n is the smaller
+of the result's precision and one past the degree of the sum.
 
 Where only the order of the image is wanted, as for the elimination images
 that the contact invariants read, `image_order` takes the same arguments

@@ -204,6 +204,50 @@ def test_puiseux_rejects_pure_power():
         _lift_equation(h, [1], [1], 64)
 
 
+def test_a_base_arc_another_equation_cannot_lift_costs_no_tail(monkeypatch):
+    # At units (-1, -1, -1), x1^3 - z1^4 - z2^5 lifts but x3^2 - z1 z2 z3 has
+    # no rational branch: its first stage refuses the tuple before x1's
+    # Newton tail runs, so only the lift at (-1, -1, 1) reaches a tail.
+    p = make_presentation(3, ("x1", "x1^3 - z1^4 - z2^5"), ("x3", "x3^2 - z1 z2 z3"))
+    tails = []
+    real_tail = generic._hensel_tail
+
+    def spy(cur, n):
+        tails.append(n)
+        return real_tail(cur, n)
+
+    monkeypatch.setattr(generic, "_hensel_tail", spy)
+    result = construct_generic_arc(p, precision=96)
+    assert len(tails) == 1
+    assert result.units_tried == 2
+    assert result.failed_units == ((-1, -1, -1),)
+    assert result.arc.contact.r_bar == Fraction(4, 3)
+
+
+@pytest.mark.parametrize(
+    "equations, precision, outcome",
+    [
+        # the edge of x^2 + z^2 reaches t^1, so the lift stops before its root
+        ([("x", "x^2 + z^2")], 1, "0 + O(t^1)"),
+        ([("x", "x^2 + z^2")], 2, ExtensionRequiredError),
+        # a ramified edge, slope 3/2, reaches t^1 after t -> t^2
+        ([("x", "x^2 + z^3")], 1, "0 + O(t^2)"),
+        ([("x", "x^2 + z^3")], 2, ExtensionRequiredError),
+        # the second equation refuses the base arc; the first is a pure power
+        ([("x1", "x1^2 - z^3"), ("x2", "x2^2 + z^2")], 2, ExtensionRequiredError),
+        ([("x1", "x1^2 + 0 z"), ("x2", "x2^2 + z^2")], 2, MaxMultArcError),
+    ],
+)
+def test_screen_raises_what_the_first_stage_raises(equations, precision, outcome):
+    p = make_presentation(1, *equations)
+    if isinstance(outcome, str):
+        va = lift_monomial_base(p, [1], [1], precision)
+        assert str(va.arc.coords[equations[0][0]]) == outcome
+    else:
+        with pytest.raises(outcome):
+            lift_monomial_base(p, [1], [1], precision)
+
+
 def test_lift_two_hypersurfaces(two_hyp):
     va = lift_to_presentation(two_hyp, build_diagonal_arc([1, 1], 1, ("z1", "z2")))
     coords = va.arc.coords

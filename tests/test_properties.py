@@ -1,6 +1,7 @@
 """Property tests for the algebraic identities the toolkit is built on."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, lcm, prod
@@ -1275,6 +1276,52 @@ def test_newton_tail_cases_cover_every_kind_of_tail(monkeypatch):
         "ramified, compressed tail", "dense tail", "exact after the probe",
         "exact behind a term at t-degree >= 201",
     }
+
+
+@pytest.mark.parametrize(
+    "cur, n",
+    [
+        # the tail of quartic_middle (x^4 - 2 z^3 x^2 + z^6 - z^7) at alpha 1
+        (
+            {(1, 0): 64, (2, 0): 64, (0, 1): 8, (1, 1): 48, (2, 1): 96, (3, 1): 64, (0, 2): 1,
+             (1, 2): 8, (2, 2): 24, (3, 2): 32, (4, 2): 16},
+            188,
+        ),
+        ({(1, 0): 3, (0, 2): -2, (2, 2): 5, (3, 4): 7}, 61),  # compressed, s = t^2
+        ({(1, 0): -7, (0, 1): 3, (2, 0): 5, (2, 3): 1}, 40),
+    ],
+)
+def test_newton_tail_builds_one_set_of_powers_per_doubling(monkeypatch, cur, n):
+    # A doubling to s^p2 builds y^2, ..., y^b once, b the x-degree: its only
+    # products of two series without a constant term, each cut below s^p2.
+    # P(y) and P'(y) are read from those powers; nothing is composed.
+    powers, composed = Counter(), []
+    for name in ("_square", "_convolve"):
+        real = getattr(series_module, name)
+
+        def spy(*args, real=real):
+            *factors, cut = args
+            if all(not f or f[0] == 0 for f in factors):
+                powers[cut] += 1
+            return real(*args)
+
+        monkeypatch.setattr(generic_module, name, spy, raising=False)
+    compose = generic_module.compose_integers
+    monkeypatch.setattr(
+        generic_module, "compose_integers", lambda *args: composed.append(args) or compose(*args)
+    )
+    nums, den, g = generic_module._hensel_tail(cur, n)
+    monkeypatch.undo()
+    assert composed == []
+    assert len(powers) == (-(-n // g) - 1).bit_length()  # one cut per doubling
+    assert max(powers.values()) <= max(i for i, _ in cur) - 1
+    # and y is the root below t^n
+    y = [0] * (g * len(nums))
+    y[::g] = nums
+    image = series_module.compose_integers(
+        cur, 1, (PowerSeries.from_integers(y, den, n), PowerSeries.t_power(1))
+    )
+    assert nums[0] == 0 and image.is_zero_to_precision() and image.precision == n
 
 
 # -- orders of images from leading terms -----------------------------------------
