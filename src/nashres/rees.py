@@ -2,9 +2,8 @@
 
 An algebra is a finite list of pairs f*W^n (polynomial, positive weight).
 The operations here are the ones every invariant in the toolkit reduces to:
-joining two algebras, differential closure, order at a point, singular locus
-membership, and the one-dimensional transform model over K[[t]] that computes
-blow-up counts by repeated subtraction.
+differential closure, order at a point, and the one-dimensional transform
+model over K[[t]] that computes blow-up counts by repeated subtraction.
 """
 
 from __future__ import annotations
@@ -79,28 +78,6 @@ class ReesAlgebra:
         return "[" + ", ".join(str(g) for g in self.generators) + "]"
 
 
-def odot(g1: ReesAlgebra, g2: ReesAlgebra) -> ReesAlgebra:
-    """Smallest algebra containing both: generator union over the joint ambient.
-
-    One variable list must contain the other; the smaller algebra is extended
-    by inclusion.
-    """
-    v1, v2 = set(g1.ambient_vars), set(g2.ambient_vars)
-    if v2 <= v1:
-        target = g1.ambient_vars
-    elif v1 <= v2:
-        target = g2.ambient_vars
-    else:
-        raise DimensionMismatchError(
-            f"incompatible ambient variables: {g1.ambient_vars} vs {g2.ambient_vars}"
-        )
-    gens = [
-        ReesGenerator(g.f.extend_vars(target), g.weight)
-        for g in g1.generators + g2.generators
-    ]
-    return ReesAlgebra(target, gens)
-
-
 def _tschirnhausen_split(f: MultiPoly, weight: int) -> Optional[Tuple[str, dict]]:
     """Detect f = x^b + sum_{i<=b-2} B_i x^i (up to a constant) with b == weight.
 
@@ -169,17 +146,6 @@ def algebra_order_at(algebra: ReesAlgebra, point: Sequence) -> ExtOrder:
         o = g.f.order_at(point)
         quotients.append(o.divided_by(g.weight))
     return ext_min(quotients)
-
-
-def sing_contains(algebra: ReesAlgebra, point: Sequence) -> bool:
-    """Point membership in the singular locus: ord_p(f_i) >= n_i for every i."""
-    for g in algebra.generators:
-        o = g.f.order_at(point)
-        if o.is_infinite:
-            continue
-        if o.value < g.weight:
-            return False
-    return True
 
 
 # -- one-dimensional model over K[[t]] ---------------------------------------

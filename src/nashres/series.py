@@ -16,9 +16,10 @@ Evaluating a polynomial on series is one integer back end,
 and `.den`, a Nash transform, a Newton-Puiseux residual over 1), and each
 substitute's numerators, denominator and precision as they are stored.
 `poly_compose_series` is its `MultiPoly` front end; `PowerSeries.compose`,
-the Nash blow-up step and the probe of a Newton-Puiseux tail at t = 2 call
-it directly.  Only the first n coefficients are computed: n is the smaller
-of the result's precision and one past the degree of the sum.
+the Nash blow-up step, the lift's equation on its base arc and the probe of
+a Newton-Puiseux tail at t = 2 call it directly.  Only the first n
+coefficients are computed: n is the smaller of the result's precision and
+one past the degree of the sum.
 
 Where only the order of the image is wanted, as for the elimination images
 that the contact invariants read, `image_order` takes the same arguments
@@ -258,7 +259,7 @@ class PowerSeries:
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Substitute another series for t; inner must have order >= 1."""
         o = inner.order()
-        if not o.is_infinite and o.lower_bound() < 1:
+        if not o.is_infinite and o.value < 1:
             raise ValueError("parameter substitution needs a series of order >= 1")
         prec = _min_precision(self.precision, inner.precision)
         inner = PowerSeries.from_integers(inner.nums, inner.den, prec)

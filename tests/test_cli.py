@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nashres import parse_poly
-from nashres.cli import main
+from nashres.cli import MAX_TRIALS, main
 
 CUSP = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^3"}]}
 TWO_HYP = {
@@ -588,6 +588,7 @@ def test_parser_is_built_once_and_calls_stay_independent(tmp_path):
         (["generic-arc", "--search-bound", "-3"], "--search-bound"),
         (["verify", "--search-bound", "0"], "--search-bound"),
         (["verify", "--search-bound", "-3"], "--search-bound"),
+        (["verify", "--trials", str(MAX_TRIALS + 1)], "--trials"),
     ],
 )
 def test_out_of_range_numeric_options_exit_code(tmp_path, capsys, argv, option):

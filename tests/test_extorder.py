@@ -44,9 +44,8 @@ def test_min_ignores_infinite():
 
 def test_scaling_and_division():
     o = ExtOrder.exact(3)
-    assert o.scaled(2).value == 6
     assert o.divided_by(2).value == Fraction(3, 2)
-    assert INFINITE.scaled(5).is_infinite
+    assert INFINITE.divided_by(5).is_infinite
     assert ExtOrder.at_least(4).shifted(-1) == ExtOrder.at_least(3)
 
 

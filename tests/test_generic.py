@@ -22,7 +22,7 @@ from nashres import (
 from nashres import generic, series
 from nashres.arcs import VanishingCertificate
 from nashres.errors import ExtensionRequiredError, IdentityViolationError, MaxMultArcError
-from nashres.generic import _equation_on_base, _lift_equation, admissible_unit_tuples, unit_tuples
+from nashres.generic import _equation_on_base, admissible_unit_tuples, unit_tuples
 from nashres.poly import MultiPoly
 from nashres.series import PowerSeries
 
@@ -50,6 +50,12 @@ def test_find_units_skips_vanishing_initial_form():
     f = parse_poly("z1^2 - z2^2")
     algebra = ReesAlgebra.from_pairs(("z1", "z2"), [(f, 2)])
     assert next(admissible_unit_tuples([algebra], 2, 8)) == (-2, -1)
+
+
+def _lift_equation(h, units, exponents, precision):
+    """One branch of h over the base arc z_v -> u_v t^(a_v), and its ramification."""
+    F = generic._screened_equation(h, units, exponents, precision)
+    return generic._newton_puiseux_root(F, h.var, precision)
 
 
 def test_puiseux_cusp(cusp):
@@ -298,9 +304,10 @@ def test_generic_arcs_attain_order_a_family(n):
 def test_verify_genericity_reports(cusp, umbrella_fast_arc):
     # genericity is read off the arc's contact result: r_bar equals the order,
     # and the arc order is the base exponent
-    va = construct_generic_arc(cusp).arc
+    result = construct_generic_arc(cusp)
+    va = result.arc
     assert va.contact.r_bar == Fraction(3, 2)
-    assert va.contact.arc_order == generic.arc_base_exponent(va)
+    assert va.contact.arc_order == result.ramification * result.base.alpha
 
     assert umbrella_fast_arc.contact.r_bar == 2
 

@@ -21,9 +21,7 @@ from nashres import (
     elimination_order,
     lift_monomial_base,
     nash_sequence_equation,
-    odot,
     poly_compose_series,
-    sing_contains,
     tschirnhausen_normalize,
 )
 from nashres import generic as generic_module
@@ -590,31 +588,14 @@ def test_diff_closure_idempotent_and_extensive(fs):
 
 
 @settings(max_examples=40)
-@given(
-    st.lists(polys(V2, min_order=1), min_size=1, max_size=2),
-    st.lists(polys(V2, min_order=1), min_size=1, max_size=2),
-    st.lists(polys(V2, min_order=1), min_size=1, max_size=2),
-)
-def test_odot_commutative_associative(fs, gs, hs):
-    def algebra(polys_list):
-        pairs = [(f, 1 + i % 2) for i, f in enumerate(polys_list) if not f.is_zero()]
-        return ReesAlgebra.from_pairs(V2, pairs)
-
-    a, b, c = algebra(fs), algebra(gs), algebra(hs)
-    keys = lambda alg: {g.dedup_key() for g in alg.generators}
-    assert keys(odot(a, b)) == keys(odot(b, a))
-    assert keys(odot(odot(a, b), c)) == keys(odot(a, odot(b, c)))
-
-
-@settings(max_examples=40)
 @given(st.lists(polys(V2, min_order=2, max_terms=3), min_size=1, max_size=2))
 def test_closure_never_raises_order_at_singular_points(fs):
     pairs = [(f, 2) for f in fs if not f.is_zero() and f.order_at_origin().value >= 2]
     if not pairs:
         return
     algebra = ReesAlgebra.from_pairs(V2, pairs)
-    assert sing_contains(algebra, ORIGIN2)
     before = algebra_order_at(algebra, ORIGIN2)
+    assert before.value >= 1
     after = algebra_order_at(diff_closure(algebra), ORIGIN2)
     assert after.value <= before.value
 

@@ -5,7 +5,7 @@ sympy is a test dependency only; without it this module is skipped.  Every
 case is drawn from a fixed seed: random polynomials with rational
 coefficients for the ring operations, random texts of the grammar for the
 parser, and products of rational linear factors and random cofactors for
-the roots.
+the roots, and seeded units and exponents for the equation on a base arc.
 """
 
 from __future__ import annotations
@@ -25,8 +25,10 @@ from sympy.parsing.sympy_parser import (  # noqa: E402
     standard_transformations,
 )
 
+from conftest import make_presentation  # noqa: E402
 from nashres import MultiPoly, parse_poly  # noqa: E402
-from nashres.generic import _rational_roots  # noqa: E402
+from nashres.generic import _equation_on_base, _rational_roots  # noqa: E402
+from test_presentation import CORPUS  # noqa: E402
 
 V = ("x", "z1", "z2")
 GENS = sympy.symbols(V)
@@ -154,3 +156,39 @@ def test_rational_roots_match_sympy(coeffs):
     roots = _rational_roots(coeffs)
     assert len(roots) == len(set(roots))
     assert set(roots) == expected
+
+
+# The acceptance and extended corpus, the generic-arc presentations of the
+# lift benchmark, and one whose terms collide on a power of t.
+BASE_ARC_CASES = {
+    **CORPUS,
+    "quartic_tail": (1, [("x", "x^4 - z^5 - z^7")]),
+    "quartic_middle": (1, [("x", "x^4 - 2 z^3 x^2 + z^6 - z^7")]),
+    "cubic_two_base": (2, [("x", "x^3 - z1^2 z2^2 - z1^5")]),
+    "cubic_big_constant": (1, [("x", "x^3 - 8000000000000 z^4")]),
+    "cubic_middle": (1, [("x", "x^3 - 2 z^2 x - z^4 - z^5")]),
+    "two_hyp_three_base": (3, [("x1", "x1^3 - z1^4 - z2^5"), ("x3", "x3^2 - z1 z2 z3")]),
+    "colliding_terms": (2, [("x", "x^3 - z1^2 z2 + z1 z2^2 - 2 z1^4")]),
+}
+nonzero_units = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+
+@pytest.mark.parametrize("name", sorted(BASE_ARC_CASES))
+@seed(20160406)
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_equation_on_base_matches_sympy(name, data):
+    # f with each base variable z_v replaced by u_v t^(a_v), expanded by
+    # sympy: every (x, t) coefficient must be that of the lift's equation F.
+    d, equations = BASE_ARC_CASES[name]
+    us = data.draw(st.tuples(*[nonzero_units] * d))
+    exponents = data.draw(st.tuples(*[st.integers(min_value=1, max_value=3)] * d))
+    t = sympy.Symbol("t")
+    for h in make_presentation(d, *equations).hypersurfaces:
+        x, *base = sympy.symbols(h.ambient_vars)
+        arc = {z: sympy.Rational(u.numerator, u.denominator) * t**a for z, u, a in zip(base, us, exponents)}
+        expected = sympy.Poly(as_expr(h.polynomial).subs(arc, simultaneous=True), x, t, domain="QQ")
+        F = _equation_on_base(h, us, exponents)
+        assert_canonical(F)
+        assert F.vars == (h.var, "t")
+        assert F.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in expected.as_dict().items()}
