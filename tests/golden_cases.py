@@ -91,6 +91,11 @@ PRESENTATIONS = {
         "d": 1,
         "hypersurfaces": [{"var": "x", "b": 4, "f": "x^4 - 2 (z^2 + z^3) x^2 + (z^2 + z^3)^2"}],
     },
+    # (x - z - z^2)(x + z + z^2): a polynomial branch, x = t - t^2 over z = -t
+    "polynomial_branch": {
+        "d": 1,
+        "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^2 - 2 z^3 - z^4"}],
+    },
     "two_hyp_three_base": {
         "d": 3,
         "hypersurfaces": [
@@ -166,6 +171,11 @@ CASES = {
     # tests/test_cli.py checks each coefficient against the closed form.
     "generic_arc_double_branch_p64": (
         "double_branch", None, ["generic-arc", "--precision", "64"],
+    ),
+    # A polynomial root past the regular tail's first stage: the probe at
+    # t = 2 vanishes, and the root comes back exact.
+    "generic_arc_polynomial_branch_p64": (
+        "polynomial_branch", None, ["generic-arc", "--precision", "64"],
     ),
     "nash_cusp_shifted": ("cusp", "cusp_shifted", ["nash", "--trace"]),
     "nash_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["nash", "--trace"]),
