@@ -8,19 +8,18 @@ iteration, reparametrizing to clear denominators.  The equation on the base
 arc is built by `series.compose_integers`, the one evaluator of a polynomial
 along an arc, which composes each coefficient B_i of f_i along the base
 monomials.  Everything is exact; a branch that needs irrational
-coefficients raises instead of approximating.  Each stage is the chart move
+coefficients raises instead of approximating.  A branch has a singular part,
+the stages, and a regular part.  Each stage is the chart move
 x -> t^m (c + x) of the blow-ups in `nash`, made on a primitive integer
 polynomial {(x-degree, t-degree): int}: exponent maps for the chart and for
 ramification t -> t^q, the integer grouped shift
 `poly.shift_integer_terms` that the blow-ups use, then division by the lowest
-power of t and by the content.  Once a residual has a simple root (its
-x-coefficient has a nonzero constant term), the rest of the root is found by
-Newton iteration with precision doubling instead, in s = t^g for the gcd g of
-the residual's t-exponents, on integer numerators, from one set of powers of
-the root per doubling; an exact probe of that tail at t = 2 decides whether
-the stages must run on to find an exact root.  A base arc is lifted only once
-every equation's first stage has found a rational root on it, so an arc that
-one equation cannot lift costs no other equation's Newton tail.
+power of t and by the content.  The stages stop once a residual has a simple
+root (its x-coefficient has a nonzero constant term), and the regular part
+finds the rest of the root by Newton iteration with precision doubling, in
+s = t^g for the gcd g of the residual's t-exponents, on integer numerators,
+from one set of powers of the root per doubling.  Every equation's stages run
+before any Newton tail, so an arc that one equation cannot lift costs none.
 `validate_arc` on the assembled arc certifies every root, with its
 ramification and base monomials.
 """
@@ -42,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .extorder import ExtOrder
-from .poly import MultiPoly, shift_integer_terms
+from .poly import MultiPoly, fraction_text, shift_integer_terms, sum_text
 from .presentation import (
     LocalPresentation,
     TschirnhausenHypersurface,
@@ -257,13 +256,25 @@ def _pick_root(roots: List[Fraction]) -> Fraction:
     return min(roots, key=lambda r: (abs(r.numerator), abs(r.denominator), r < 0))
 
 
-def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[PowerSeries, int]:
-    """One branch x(t) of F(x, t) = 0 with positive order, plus the ramification.
+# (found, e, target, rest) of `_singular_part`, rest = (residual, shift) or None
+_SingularPart = Tuple[
+    List[Tuple[Fraction, int]], int, Optional[int], Optional[Tuple[Dict[Tuple[int, int], int], int]]
+]
+
+
+def _singular_part(F: MultiPoly, xvar: str, precision: int) -> _SingularPart:
+    """The stages of one branch x(t) of F(x, t) = 0 with positive order, up to
+    the point where its root becomes simple.
 
     Deterministic: at each stage take the steepest descending Newton polygon
-    edge and the smallest rational root of its edge equation.  Returns an
-    exact series when the iteration terminates (the residual constant
-    coefficient vanishes identically), a truncated one otherwise.
+    edge and the smallest rational root of its edge equation.  Returns
+    (found, e, target, rest): the coefficients found, each with its absolute
+    exponent, and the ramification e.  The stages stop where x = 0 is a root
+    of the residual, and found is the whole root (target None); where the
+    edge reaches the target; or at the first residual that has the point
+    (1, 0), rest = (residual, shift), whose root above t^shift the regular
+    part finds.  Past (1, 0) every edge runs from (0, v0) to (1, 0) and is
+    linear, so every ExtensionRequiredError of the branch is raised here.
 
     The residual is a primitive integer polynomial {(x-degree, t-degree):
     coefficient}: F with its denominators cleared, and after each stage the
@@ -272,40 +283,19 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
     stage reads its polygon and edge equation from the whole residual, a finite
     polynomial, so every coefficient found is exact: a term far above the
     target t-degree can still fix a low coefficient of a multiple root.
-
-    The regular tail starts at the first stage whose residual has the point
-    (1, 0): from there every edge runs from (0, v0) to (1, 0), the root is
-    simple, and its coefficients below the target depend only on the
-    residual's terms below it.
-    `_hensel_tail` computes them all at once by Newton iteration, in
-    s = t^g for the gcd g of the residual's t-exponents.  The stages would
-    return an exact root only if the tail, read as a polynomial, were an
-    exact root of the residual; so the residual is probed at (tail(2), 2).
-    A nonzero value proves it is not, and the tail comes back truncated at
-    the target.  A zero value hands the root back to the stages, which then
-    run to the end.
     """
     x_index, t_index = F.vars.index(xvar), F.vars.index(T)
     cur = {(exp[x_index], exp[t_index]): c for exp, c in F.nums.items()}
     e = 1
     target = precision
-    found: List[Tuple[Fraction, int]] = []  # (coefficient, absolute exponent)
+    found: List[Tuple[Fraction, int]] = []
     shift = 0  # exponent offset of the current residual's roots
-    try_tail = True
     while True:
         edge = _steepest_edge(cur)
         if edge is None:
-            return _series_from_terms(found, precision=None), e
-        if try_tail and (1, 0) in cur:
-            # the regular tail: every further edge ends at (1, 0), so the root
-            # is simple and its coefficients below t^n, n = target - shift,
-            # depend only on cur's terms below t^n
-            nums, den, g = _hensel_tail(cur, max(target - shift, 1))
-            if _is_root_at_two(cur, nums, den, g):
-                try_tail = False  # perhaps an exact root: the stages decide
-            else:
-                found += [(Fraction(c, den), shift + k * g) for k, c in enumerate(nums) if c]
-                return _series_from_terms(found, precision=target), e
+            return found, e, None, None
+        if (1, 0) in cur:
+            return found, e, target, (cur, shift)
         m, q, coeffs = edge
         if q > 1:
             cur = {(i, j * q): a for (i, j), a in cur.items()}
@@ -314,11 +304,30 @@ def _newton_puiseux_root(F: MultiPoly, xvar: str, precision: int) -> Tuple[Power
             shift *= q
             found = [(c, k * q) for c, k in found]
         if shift + m >= target:
-            return _series_from_terms(found, precision=target), e
+            return found, e, target, None
         c = _edge_root(coeffs)
         found.append((c, shift + m))
         cur = _chart_stage(cur, m, c)
         shift += m
+
+
+def _newton_puiseux_root(part: _SingularPart) -> Tuple[PowerSeries, int]:
+    """The branch whose singular part is `part`, and its ramification.
+
+    The regular part: the simple root of the residual has coefficients below
+    t^n, n = target - shift, that depend only on the residual's terms below
+    t^n.  `_hensel_tail` computes them all at once by Newton iteration, in
+    s = t^g for the gcd g of the residual's t-exponents.  The root is exact
+    when that tail, read as a polynomial, is a root of the residual.
+    """
+    found, e, target, rest = part
+    if rest is not None:
+        cur, shift = rest
+        nums, den, g = _hensel_tail(cur, target - shift)
+        found = found + [(Fraction(c, den), shift + k * g) for k, c in enumerate(nums) if c]
+        if _is_polynomial_root(cur, nums, den, g):
+            target = None
+    return _series_from_terms(found, precision=target), e
 
 
 def _steepest_edge(cur: Dict[Tuple[int, int], int]) -> Optional[Tuple[int, int, List[int]]]:
@@ -348,8 +357,10 @@ def _edge_root(edge: List[int]) -> Fraction:
     """The picked nonzero rational root of an edge equation."""
     roots = [r for r in _rational_roots(edge) if r != 0]
     if not roots:
+        terms = [(a, f"c^{k}" if k > 1 else "c" * k) for k, a in enumerate(edge) if a]
+        text = sum_text(reversed(terms), 1)
         raise ExtensionRequiredError(
-            "edge equation has no nonzero rational root; "
+            f"edge equation {text} = 0 has no nonzero rational root; "
             "the branch requires an algebraic extension"
         )
     return _pick_root(roots)
@@ -437,14 +448,21 @@ def _raise_precision(
     return [c // common for c in nums], den // common
 
 
-def _is_root_at_two(cur: Dict[Tuple[int, int], int], nums: List[int], den: int, g: int) -> bool:
-    """Does cur vanish at (y(2), 2), y = sum nums[k]/den t^(k g) as a polynomial?
+def _is_polynomial_root(cur: Dict[Tuple[int, int], int], nums: List[int], den: int, g: int) -> bool:
+    """Is y = sum nums[k]/den t^(k g), read as a polynomial, a root of cur?
 
-    A polynomial root of cur passes; a nonzero value proves that y is not one.
+    A probe at (y(2), 2) first: a nonzero value proves that y is not one, at
+    the cost of one integer evaluation.  Only when it vanishes is cur
+    composed exactly along y.
     """
     y_num = sum(c << (k * g) for k, c in enumerate(nums))
     at_two = (PowerSeries.from_integers([y_num], den, None), PowerSeries([2]))
-    return compose_integers(cur, 1, at_two).is_exactly_zero()
+    if not compose_integers(cur, 1, at_two).is_exactly_zero():
+        return False
+    y = [0] * (g * len(nums))
+    y[::g] = nums
+    along = (PowerSeries.from_integers(y, den, None), PowerSeries.t_power(1))
+    return compose_integers(cur, 1, along).is_exactly_zero()
 
 
 def _series_from_terms(terms: List[Tuple[Fraction, int]], precision: int | None) -> PowerSeries:
@@ -478,30 +496,6 @@ def _equation_on_base(
     return MultiPoly.from_integers((h.var, T), out, den)
 
 
-def _screened_equation(
-    h: TschirnhausenHypersurface,
-    units: Sequence[Fraction],
-    exponents: Sequence[int],
-    precision: int,
-) -> MultiPoly:
-    """h's equation on the base arc z_v -> u_v t^(a_v), once the first stage
-    of its lift to `precision` has found a rational root.
-
-    Raises what that lift would raise first: MaxMultArcError for a pure
-    power, or the first stage's ExtensionRequiredError.  The stage stops
-    without a root where x = 0 is one, or where its edge reaches the target.
-    """
-    if h.elimination_algebra.is_empty():
-        raise MaxMultArcError(
-            "arc necessarily inside Max mult: the equation is a pure power"
-        )
-    F = _equation_on_base(h, units, exponents)
-    edge = _steepest_edge(F.nums)
-    if edge is not None and edge[0] < edge[1] * precision:
-        _edge_root(edge[2])
-    return F
-
-
 def lift_monomial_base(
     p: LocalPresentation,
     units: Sequence,
@@ -512,9 +506,10 @@ def lift_monomial_base(
 
     Each separated equation is lifted independently; a common parameter is
     obtained by reparametrizing everything by the lcm of the ramifications.
-    Every equation's first Newton-Puiseux stage runs before any root is
-    computed, in the order of the equations, so a base arc that one of them
-    cannot lift there costs no other equation's Newton tail.
+    Every equation's singular part runs before any regular part, in the
+    order of the equations, so a base arc that one of them cannot lift costs
+    no Newton tail; the error names the equation's variable, the base arc
+    and the edge equation.
     Skew exponent vectors give valid arcs that are generally not generic.
     `validate_arc` certifies the roots; an arc off the variety is an internal error.
     """
@@ -522,10 +517,19 @@ def lift_monomial_base(
     exponents = tuple(exponents)
     if any(a < 1 for a in exponents):
         raise ValidationError("base exponents must be >= 1")
-    equations = [
-        (h.var, _screened_equation(h, units, exponents, precision)) for h in p.hypersurfaces
-    ]
-    lifts = {var: _newton_puiseux_root(F, var, precision) for var, F in equations}
+    parts = []
+    for h in p.hypersurfaces:
+        if h.elimination_algebra.is_empty():
+            raise MaxMultArcError(
+                "arc necessarily inside Max mult: the equation is a pure power"
+            )
+        F = _equation_on_base(h, units, exponents)
+        try:
+            parts.append((h.var, _singular_part(F, h.var, precision)))
+        except ExtensionRequiredError as err:
+            base = ", ".join(f"{v} = {fraction_text(u)} t^{a}" for v, u, a in zip(p.base_vars, units, exponents))
+            raise ExtensionRequiredError(f"cannot lift {h.var} over the base arc {base}: {err}") from err
+    lifts = {var: _newton_puiseux_root(part) for var, part in parts}
     e = lcm(*(q for _, q in lifts.values()))
     coords = {var: root.reparametrize(e // q) for var, (root, q) in lifts.items()}
     for v, u, a in zip(p.base_vars, units, exponents):

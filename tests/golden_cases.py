@@ -172,8 +172,8 @@ CASES = {
     "generic_arc_double_branch_p64": (
         "double_branch", None, ["generic-arc", "--precision", "64"],
     ),
-    # A polynomial root past the regular tail's first stage: the probe at
-    # t = 2 vanishes, and the root comes back exact.
+    # A polynomial root after one stage: the regular part's probe at t = 2
+    # vanishes, and the root comes back exact.
     "generic_arc_polynomial_branch_p64": (
         "polynomial_branch", None, ["generic-arc", "--precision", "64"],
     ),

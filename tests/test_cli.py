@@ -378,6 +378,17 @@ def test_extension_required_exit_code(tmp_path, capsys):
     assert "extension" in report["results"]["error"]
 
 
+def test_a_failed_lift_names_its_equation_base_arc_and_edge(tmp_path, capsys):
+    pres = write(tmp_path, "p.json", COMPLEX_BRANCH)
+    code, report = run_json(capsys, "generic-arc", pres, "--search-bound", "1")
+    assert code == 4
+    assert report["results"]["error"] == (
+        "every admissible unit tuple within bound 1 needs an algebraic extension "
+        "(last: cannot lift x over the base arc z = 1 t^1: edge equation c^2 + 1 = 0 "
+        "has no nonzero rational root; the branch requires an algebraic extension)"
+    )
+
+
 def test_max_mult_presentation_exit_code(tmp_path, capsys):
     pres = write(tmp_path, "p.json", PURE_SQUARE)
     code, report = run_json(capsys, "verify", pres, "--trials", "2")

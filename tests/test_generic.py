@@ -24,6 +24,7 @@ from nashres.arcs import VanishingCertificate
 from nashres.errors import ExtensionRequiredError, IdentityViolationError, MaxMultArcError
 from nashres.generic import _equation_on_base, admissible_unit_tuples, unit_tuples
 from nashres.poly import MultiPoly
+from nashres.presentation import LocalPresentation
 from nashres.series import PowerSeries
 
 from conftest import a_n, make_presentation
@@ -54,8 +55,8 @@ def test_find_units_skips_vanishing_initial_form():
 
 def _lift_equation(h, units, exponents, precision):
     """One branch of h over the base arc z_v -> u_v t^(a_v), and its ramification."""
-    F = generic._screened_equation(h, units, exponents, precision)
-    return generic._newton_puiseux_root(F, h.var, precision)
+    F = _equation_on_base(h, units, exponents)
+    return generic._newton_puiseux_root(generic._singular_part(F, h.var, precision))
 
 
 def test_puiseux_cusp(cusp):
@@ -105,6 +106,16 @@ def test_a_residual_term_above_the_target_fixes_a_low_coefficient(precision):
     assert root == PowerSeries.monomial(Fraction(27, 2), 12)
 
 
+@pytest.mark.parametrize("precision, expected", [(8, "t + O(t^8)"), (10, "t - 2*t^8 + t^9")])
+def test_only_a_polynomial_root_of_the_residual_comes_back_exact(precision, expected):
+    # The root x = t + t^8 (t - 2) is a polynomial whose terms from t^8 up
+    # vanish at t = 2: below t^8 its tail t passes the probe at t = 2, and
+    # only the exact composition shows that the tail is truncated.
+    F = parse_poly("x - t + 2 t^8 - t^9", ("x", "t"))
+    root, e = generic._newton_puiseux_root(generic._singular_part(F, "x", precision))
+    assert (str(root), e) == (expected, 1)
+
+
 def test_truncated_lift_still_attains_the_order():
     p = make_presentation(1, ("x", "x^2 - z^2 - z^3"))
     assert presentation_elimination_order(p).value == 1
@@ -113,14 +124,18 @@ def test_truncated_lift_still_attains_the_order():
     assert not dict(result.arc.certificates)["x"].exact
 
 
-def _leading_coefficient_plus_one(monkeypatch, target):
+def _leading_coefficient_plus_one(monkeypatch, p, target):
     """Make _newton_puiseux_root return target's root with its leading
-    coefficient raised by one, and every other root unchanged."""
+    coefficient raised by one, and every other root unchanged.  A lift finds
+    the roots in the order of p's hypersurfaces."""
     true_root = generic._newton_puiseux_root
+    order = [h.var for h in p.hypersurfaces]
+    calls = []
 
-    def wrong_root(F, xvar, precision):
-        root, e = true_root(F, xvar, precision)
-        if xvar != target:
+    def wrong_root(part):
+        root, e = true_root(part)
+        calls.append(part)
+        if order[(len(calls) - 1) % len(order)] != target:
             return root, e
         nums = list(root.nums)
         nums[root.order().value] += root.den
@@ -141,7 +156,7 @@ def test_residual_check_certifies_a_ramified_root(monkeypatch, text):
     p = make_presentation(1, ("x", text))
     va = lift_monomial_base(p, [1], [1], 24)
     assert va.arc.coords["z"].order().value == 3
-    _leading_coefficient_plus_one(monkeypatch, "x")
+    _leading_coefficient_plus_one(monkeypatch, p, "x")
     with pytest.raises(IdentityViolationError, match="Newton-Puiseux residual check"):
         lift_monomial_base(p, [1], [1], 24)
 
@@ -154,7 +169,7 @@ def test_residual_check_certifies_two_ramifications(monkeypatch, target):
     p = make_presentation(1, ("x1", "x1^2 - z^3"), ("x2", "x2^3 - z^4"))
     va = lift_monomial_base(p, [1], [1], 24)
     assert va.arc.coords["z"].order().value == 6
-    _leading_coefficient_plus_one(monkeypatch, target)
+    _leading_coefficient_plus_one(monkeypatch, p, target)
     with pytest.raises(IdentityViolationError, match="Newton-Puiseux residual check"):
         lift_monomial_base(p, [1], [1], 24)
 
@@ -207,12 +222,12 @@ def test_residual_check_sees_the_assembled_arc(monkeypatch, name):
 def test_puiseux_rejects_pure_power():
     h = tschirnhausen_normalize(parse_poly("x^2 + 0 z", ("x", "z")), "x")
     with pytest.raises(MaxMultArcError):
-        _lift_equation(h, [1], [1], 64)
+        lift_monomial_base(LocalPresentation(1, (h,)), [1], [1], 64)
 
 
 def test_a_base_arc_another_equation_cannot_lift_costs_no_tail(monkeypatch):
     # At units (-1, -1, -1), x1^3 - z1^4 - z2^5 lifts but x3^2 - z1 z2 z3 has
-    # no rational branch: its first stage refuses the tuple before x1's
+    # no rational branch: its singular part refuses the tuple before x1's
     # Newton tail runs, so only the lift at (-1, -1, 1) reaches a tail.
     p = make_presentation(3, ("x1", "x1^3 - z1^4 - z2^5"), ("x3", "x3^2 - z1 z2 z3"))
     tails = []
@@ -228,6 +243,38 @@ def test_a_base_arc_another_equation_cannot_lift_costs_no_tail(monkeypatch):
     assert result.units_tried == 2
     assert result.failed_units == ((-1, -1, -1),)
     assert result.arc.contact.r_bar == Fraction(4, 3)
+
+
+def test_a_later_stage_that_fails_costs_no_newton_tail(monkeypatch):
+    # The steepest edge of x2 is c^4 - 4c + 3 = (c - 1)^2 (c^2 + 2c + 3), whose
+    # only rational root is 1, and the branch through 1 needs 6c^2 + 6 = 0:
+    # x2's second stage refuses the base arc before x1's Newton tail runs.
+    p = make_presentation(1, ("x1", "x1^3 - z^4 - z^5"), ("x2", "x2^4 - 4 z^3 x2 + 3 z^4 + 6 z^5"))
+    tails = []
+    real_tail = generic._hensel_tail
+
+    def spy(cur, n):
+        tails.append(n)
+        return real_tail(cur, n)
+
+    monkeypatch.setattr(generic, "_hensel_tail", spy)
+    with pytest.raises(ExtensionRequiredError) as failure:
+        lift_monomial_base(p, (1,), (1,))
+    assert tails == []
+    assert "cannot lift x2 over the base arc z = 1 t^1: edge equation 6*c^2 + 6 = 0" in str(failure.value)
+
+
+def test_each_stage_finds_its_edge_roots_once(monkeypatch, cusp):
+    # The cusp at u = 1 lifts in one stage, through the edge c^2 - 1 of
+    # x^2 - t^3 after t -> t^2, whose roots are found once.
+    edges, stages = [], []
+    real_roots, real_stage = generic._rational_roots, generic._chart_stage
+    monkeypatch.setattr(generic, "_rational_roots", lambda edge: edges.append(list(edge)) or real_roots(edge))
+    monkeypatch.setattr(generic, "_chart_stage", lambda *args: stages.append(args) or real_stage(*args))
+    va = lift_monomial_base(cusp, [1], [1])
+    assert edges == [[-1, 0, 1]]
+    assert len(stages) == 1
+    assert va.arc.coords["x"] == PowerSeries.t_power(3)
 
 
 @pytest.mark.parametrize(

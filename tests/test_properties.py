@@ -42,6 +42,7 @@ from nashres.generic import (
     _rational_roots,
     _root_floors,
     _series_from_terms,
+    _singular_part,
 )
 
 V2 = ("z1", "z2")
@@ -1115,6 +1116,11 @@ def bivariate_equations(draw):
     return MultiPoly(XT, {key: c * scale for key, c in terms.items()})
 
 
+def _lift(F, xvar, precision):
+    """The code under test: the singular part of the branch, then its regular part."""
+    return _newton_puiseux_root(_singular_part(F, xvar, precision))
+
+
 def _root_or_error(solve, F, precision):
     try:
         return solve(F, "x", precision)
@@ -1126,7 +1132,7 @@ def _root_or_error(solve, F, precision):
 @settings(max_examples=300, deadline=None)
 @given(bivariate_equations(), st.integers(min_value=1, max_value=24))
 def test_integer_puiseux_loop_matches_the_multipoly_loop(F, precision):
-    assert _root_or_error(_newton_puiseux_root, F, precision) == _root_or_error(
+    assert _root_or_error(_lift, F, precision) == _root_or_error(
         _reference_newton_puiseux_root, F, precision
     )
 
@@ -1144,7 +1150,7 @@ def test_puiseux_loop_cases_cover_every_kind_of_branch():
             orders[i] = min(j, orders.get(i, j))
         if len(_lower_hull(list(orders.items()))) >= 3:
             outcomes.add("several edges")
-        result = _root_or_error(_newton_puiseux_root, F, precision)
+        result = _root_or_error(_lift, F, precision)
         if result is ExtensionRequiredError:
             outcomes.add("extension")
             return
@@ -1172,7 +1178,7 @@ def tail_equations(draw):
 
     The branch is x^q - a t^p (1 + d t^r) for q = 2, 3, a binomial series
     (ramified when q does not divide p; its tail lies in a power of t), or
-    x - phi(t) for a polynomial phi, an exact root that the stages find, also
+    x - phi(t) for a polynomial phi, an exact root that the tail finds, also
     behind a term at t-degree >= 201 added to the cofactor, past every target.
     A further term, on or above the Newton polygon or below it, sometimes
     turns the root into a dense series or moves the branch."""
@@ -1209,14 +1215,14 @@ def tail_equations(draw):
 @given(tail_equations())
 def test_newton_tail_matches_the_multipoly_loop(case):
     F, precision = case
-    assert _root_or_error(_newton_puiseux_root, F, precision) == _root_or_error(
+    assert _root_or_error(_lift, F, precision) == _root_or_error(
         _reference_newton_puiseux_root, F, precision
     )
 
 
 def test_newton_tail_cases_cover_every_kind_of_tail(monkeypatch):
     # The equations of the tail test reach a compressed tail after ramification,
-    # a dense tail, a polynomial root found by the stages after the probe, and
+    # a dense tail, a polynomial root confirmed exact after the probe, and
     # one behind a cofactor term at t-degree >= 201, which comes back exact.
     # A polynomial root never comes back truncated.
     outcomes, compressions = set(), []
@@ -1235,7 +1241,7 @@ def test_newton_tail_cases_cover_every_kind_of_tail(monkeypatch):
     def classify(case):
         F, precision = case
         compressions.clear()
-        result = _root_or_error(_newton_puiseux_root, F, precision)
+        result = _root_or_error(_lift, F, precision)
         if result is ExtensionRequiredError or not compressions:
             return
         root, e = result
