@@ -264,6 +264,18 @@ def test_a_later_stage_that_fails_costs_no_newton_tail(monkeypatch):
     assert "cannot lift x2 over the base arc z = 1 t^1: edge equation 6*c^2 + 6 = 0" in str(failure.value)
 
 
+def test_a_failed_lift_prints_its_edge_equation_only_when_read(monkeypatch):
+    # The unit search reads only its last failure: on x^2 + z^2 all sixteen
+    # unit tuples fail, and one edge equation is printed.
+    printed = []
+    real_failure = generic._edge_failure
+    monkeypatch.setattr(generic, "_edge_failure", lambda edge: printed.append(edge) or real_failure(edge))
+    p = make_presentation(1, ("x", "x^2 + z^2"))
+    with pytest.raises(ExtensionRequiredError, match=r"base arc z = 8 t\^1: edge equation c\^2 \+ 64 = 0"):
+        construct_generic_arc(p)
+    assert printed == [[64, 0, 1]]
+
+
 def test_each_stage_finds_its_edge_roots_once(monkeypatch, cusp):
     # The cusp at u = 1 lifts in one stage, through the edge c^2 - 1 of
     # x^2 - t^3 after t -> t^2, whose roots are found once.
