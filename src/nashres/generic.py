@@ -364,8 +364,9 @@ def _edge_root(edge: List[int]) -> Fraction:
 class _Deferred:
     """An error message built only when it is read.  The unit search drops
     most failed lifts unread, and an edge with a 32,000-bit coefficient
-    takes milliseconds to print: printed at once, 4,096 such failures took
-    generic-arc from 1.2 s to 6.0 s."""
+    takes milliseconds to print: printed at once, the 4,096 failed lifts of
+    generic-arc on x^2 + 2^32000 z1^2 + z2^2 + ... + z5^2 took it from 1.2 s
+    to 6.0 s (2-core x86, Python 3.11)."""
 
     def __init__(self, build, *args):
         self.build, self.args = build, args
