@@ -28,6 +28,9 @@ from .errors import (
     NashresError,
 )
 from .generic import (
+    DEFAULT_ALPHA,
+    DEFAULT_PRECISION,
+    DEFAULT_SEARCH_BOUND,
     GenericArcResult,
     admissible_unit_tuples,
     construct_generic_arc,
@@ -53,10 +56,8 @@ from .rees import algebra_order_at, onedim_resolution_steps
 from .series import PowerSeries
 
 
-def _check(name: str, passed: bool, witness=None) -> dict:
-    entry = {"name": name, "status": "pass" if passed else "fail"}
-    entry["witness"] = witness if witness is not None else ""
-    return entry
+def _check(name: str, passed: bool, witness: str = "") -> dict:
+    return {"name": name, "status": "pass" if passed else "fail", "witness": witness}
 
 
 def _load_json(path: str) -> dict:
@@ -109,38 +110,33 @@ def _cmd_mult(args, p: LocalPresentation, report: dict) -> List[dict]:
 
 
 def _cmd_tsch(args, p: LocalPresentation, report: dict) -> List[dict]:
-    rows = []
-    for h in p.hypersurfaces:
-        rows.append(
-            {
-                "var": h.var,
-                "b": h.b,
-                "f": str(h.polynomial),
-                "coefficients": {f"B_{i}": str(B) for i, B in enumerate(h.coeffs)},
-            }
-        )
-    report["results"]["hypersurfaces"] = rows
-    checks = [
+    report["results"]["hypersurfaces"] = [
+        {
+            "var": h.var,
+            "b": h.b,
+            "f": str(h.polynomial),
+            "coefficients": {f"B_{i}": str(B) for i, B in enumerate(h.coeffs)},
+        }
+        for h in p.hypersurfaces
+    ]
+    return [
         _check(
             "no_subprincipal_term",
             all(h.polynomial.coefficients_in(h.var).get(h.b - 1) is None
                 for h in p.hypersurfaces),
         )
     ]
-    return checks
 
 
 def _cmd_elim(args, p: LocalPresentation, report: dict) -> List[dict]:
-    rows = []
-    for h in p.hypersurfaces:
-        rows.append(
-            {
-                "var": h.var,
-                "generators": [str(g) for g in h.elimination_algebra.generators],
-                "order": str(elimination_order(h)),
-            }
-        )
-    report["results"]["hypersurfaces"] = rows
+    report["results"]["hypersurfaces"] = [
+        {
+            "var": h.var,
+            "generators": [str(g) for g in h.elimination_algebra.generators],
+            "order": str(elimination_order(h)),
+        }
+        for h in p.hypersurfaces
+    ]
     report["results"]["presentation_order"] = str(presentation_elimination_order(p))
     amb = p.ambient_algebra
     amb_order = algebra_order_at(amb, _origin(len(p.ambient_vars)))
@@ -154,11 +150,16 @@ def _cmd_elim(args, p: LocalPresentation, report: dict) -> List[dict]:
     ]
 
 
-def _cmd_contact(args, p: LocalPresentation, report: dict) -> List[dict]:
+def _load_arc(args, p: LocalPresentation, report: dict) -> Tuple[ValidatedArc, ContactResult]:
+    """The arc file, echoed into the report's inputs, validated on p, and its contact."""
     arc = parse_arc(_load_json(args.arc))
     report["inputs"]["arc"] = arc_to_document(arc)
     va = validate_arc(arc, p)
-    result = va.contact
+    return va, va.contact
+
+
+def _cmd_contact(args, p: LocalPresentation, report: dict) -> List[dict]:
+    va, result = _load_arc(args, p, report)
     report["results"]["certificates"] = {
         var: str(cert) for var, cert in va.certificates
     }
@@ -190,10 +191,7 @@ def _cmd_contact(args, p: LocalPresentation, report: dict) -> List[dict]:
 
 
 def _cmd_nash(args, p: LocalPresentation, report: dict) -> List[dict]:
-    arc = parse_arc(_load_json(args.arc))
-    report["inputs"]["arc"] = arc_to_document(arc)
-    va = validate_arc(arc, p)
-    result = va.contact
+    va, result = _load_arc(args, p, report)
     summary = nash_sequence_presentation(p, va, trace=args.trace)
     rows = []
     for var, seq in summary.per_hypersurface:
@@ -349,13 +347,18 @@ def _every_sample(name: str, sampled: List[Tuple[ContactResult, dict]], holds) -
     return _check(name, failing is None, witness=witness)
 
 
+# The defaults of verify's arc sampling: its number of trials and its seed.
+DEFAULT_TRIALS = 20
+DEFAULT_SEED = 0
+
+
 def verify_main_theorem(
     p: LocalPresentation,
-    trials: int = 20,
-    seed: int = 0,
-    alpha: int = 1,
-    search_bound: int = 8,
-    precision: int = 64,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+    alpha: int = DEFAULT_ALPHA,
+    search_bound: int = DEFAULT_SEARCH_BOUND,
+    precision: int = DEFAULT_PRECISION,
 ) -> Tuple[dict, List[dict]]:
     """Machine-check the arc characterization of the elimination order.
 
@@ -517,50 +520,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, arc_file=False):
+    def command(name, handler, help, arc_file=False):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("presentation", help="presentation JSON file")
         if arc_file:
             sp.add_argument("arc", help="arc JSON file")
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--precision", type=_int_in(1, MAX_PRECISION), default=64)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    sp = sub.add_parser("mult", help="multiplicities at a rational point")
-    common(sp)
-    sp.add_argument(
+    def lifting(sp):
+        sp.add_argument("--precision", type=_int_in(1, MAX_PRECISION), default=DEFAULT_PRECISION)
+        sp.add_argument("--alpha", type=_int_in(1, MAX_PRECISION), default=DEFAULT_ALPHA)
+        sp.add_argument("--search-bound", type=_int_in(1), default=DEFAULT_SEARCH_BOUND)
+
+    command("mult", _cmd_mult, "multiplicities at a rational point").add_argument(
         "--point", help="comma-separated constants of the polynomial grammar, e.g. 3/2,0,5"
     )
-    sp.set_defaults(handler=_cmd_mult)
-
-    sp = sub.add_parser("tsch", help="echo the Tschirnhausen normal forms")
-    common(sp)
-    sp.set_defaults(handler=_cmd_tsch)
-
-    sp = sub.add_parser("elim", help="elimination algebras and their orders")
-    common(sp)
-    sp.set_defaults(handler=_cmd_elim)
-
-    sp = sub.add_parser("contact", help="order of contact of an arc")
-    common(sp, arc_file=True)
-    sp.set_defaults(handler=_cmd_contact)
-
-    sp = sub.add_parser("nash", help="directed blow-up sequences of an arc")
-    common(sp, arc_file=True)
+    command("tsch", _cmd_tsch, "echo the Tschirnhausen normal forms")
+    command("elim", _cmd_elim, "elimination algebras and their orders")
+    command("contact", _cmd_contact, "order of contact of an arc", arc_file=True)
+    sp = command("nash", _cmd_nash, "directed blow-up sequences of an arc", arc_file=True)
     sp.add_argument("--trace", action="store_true", help="record per-step transforms")
-    sp.set_defaults(handler=_cmd_nash)
-
-    sp = sub.add_parser("generic-arc", help="construct an arc attaining the order")
-    common(sp)
-    sp.add_argument("--alpha", type=_int_in(1, MAX_PRECISION), default=1)
-    sp.add_argument("--search-bound", type=_int_in(1), default=8)
-    sp.set_defaults(handler=_cmd_generic_arc)
-
-    sp = sub.add_parser("verify", help="machine-check the arc/order identities")
-    common(sp)
-    sp.add_argument("--alpha", type=_int_in(1, MAX_PRECISION), default=1)
-    sp.add_argument("--search-bound", type=_int_in(1), default=8)
-    sp.add_argument("--trials", type=_int_in(0, MAX_TRIALS), default=20)
-    sp.set_defaults(handler=_cmd_verify)
+    lifting(command("generic-arc", _cmd_generic_arc, "construct an arc attaining the order"))
+    sp = command("verify", _cmd_verify, "machine-check the arc/order identities")
+    lifting(sp)
+    sp.add_argument("--trials", type=_int_in(0, MAX_TRIALS), default=DEFAULT_TRIALS)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
 
 
@@ -582,36 +568,35 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
+    # a subcommand without the option echoes the default it runs with
+    seed = getattr(args, "seed", DEFAULT_SEED)
     report = {
         "command": args.command,
         "inputs": {
             "defaults": {
-                "precision": args.precision,
-                "search_bound": getattr(args, "search_bound", 8),
-                "seed": args.seed,
+                "precision": getattr(args, "precision", DEFAULT_PRECISION),
+                "search_bound": getattr(args, "search_bound", DEFAULT_SEARCH_BOUND),
+                "seed": seed,
             }
         },
         "results": {},
         "checks": [],
-        "seed": args.seed,
+        "seed": seed,
         "elapsed_ms": 0,
     }
     try:
         p = load_presentation(_load_json(args.presentation))
         report["inputs"]["presentation"] = presentation_to_document(p)
         checks = args.handler(args, p, report)
+        code = 5 if any(c["status"] == "fail" for c in checks) else 0
     except NashresError as err:
         report["results"]["error"] = str(err)
-        report["checks"] = [_check("no_errors", False, witness=str(err))]
-        report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
-        _emit(report, args.json)
-        return err.exit_code
+        checks = [_check("no_errors", False, witness=str(err))]
+        code = err.exit_code
     report["checks"] = checks
     report["elapsed_ms"] = int((time.monotonic() - started) * 1000)
     _emit(report, args.json)
-    if any(c["status"] == "fail" for c in checks):
-        return 5
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -52,6 +52,11 @@ from .series import PowerSeries, _convolve, _square, compose_integers
 
 T = "t"
 
+# Defaults of the lifting functions, and of the options that set them.
+DEFAULT_PRECISION = 64
+DEFAULT_ALPHA = 1
+DEFAULT_SEARCH_BOUND = 8
+
 
 # -- unit search --------------------------------------------------------------
 
@@ -155,27 +160,43 @@ def _root_floors(coeffs: List[int]) -> List[int]:
     """Sorted integers that include the floor of every real root of
     sum coeffs[k] y^k, a nonconstant integer polynomial.
 
-    The floors of the derivative's real roots, found recursively, cut
-    [-B, B] into integer intervals on which the polynomial is monotone.  Each
-    interval whose ends differ in sign holds one root, and its bracket
-    [lo, hi] closes on the root's floor.  While the bracket spans more than
-    a factor 4 (or holds 0), the probe is 0 or the power of two that halves
-    the bit length.  Then it takes integer Newton steps y - p(y) // p'(y)
-    from the last probe, and probes y + 1 and y - 1 too, so that the bracket
-    closes once Newton is within 1 (Brent and Zimmermann, Modern Computer
-    Arithmetic, 1.5); it bisects when a step leaves the bracket or the
-    bracket is 16 wide or less, where bisection needs fewer evaluations.  A
-    constant term of b bits costs O(log b) evaluations where bisection costs
-    b/n: generic-arc on x^6 - 3 2^30000 z^7 takes 0.46 s instead of 20.3 s
-    in-process (CPython 3.11, 2-core x86).  A root between a cut point c
-    and c + 1 has floor c, so the cut points are kept too.  B is Fujiwara's
-    bound 2 max_k |a_k/a_n|^(1/(n-k)), rounded up to a power of two.
+    A loop up the derivative chain, from the linear derivative to the
+    polynomial: each derivative's floors cut the next polynomial's range
+    (`_floors_cut_by`), so no frame is kept per degree and a binomial of
+    degree 2,000 needs no deeper stack than a quadratic.
     """
-    if len(coeffs) == 2:
-        return [-coeffs[0] // coeffs[1]]
+    chain = [coeffs]
+    while len(chain[-1]) > 2:
+        f = chain[-1]
+        chain.append([k * f[k] for k in range(1, len(f))])
+    a0, a1 = chain[-1]
+    floors = [-a0 // a1]
+    for f, slope in zip(chain[-2::-1], chain[:0:-1]):
+        floors = _floors_cut_by(f, slope, floors)
+    return floors
+
+
+def _floors_cut_by(coeffs: List[int], slope: List[int], cuts: List[int]) -> List[int]:
+    """`_root_floors(coeffs)`, given its derivative `slope` and that
+    derivative's root floors `cuts`.
+
+    The cuts split [-B, B] into integer intervals on which the polynomial
+    is monotone.  Each interval whose ends differ in sign holds one root,
+    and its bracket [lo, hi] closes on the root's floor.  While the bracket
+    spans more than a factor 4 (or holds 0), the probe is 0 or the power of
+    two that halves the bit length.  Then it takes integer Newton steps
+    y - p(y) // p'(y) from the last probe, and probes y + 1 and y - 1 too,
+    so that the bracket closes once Newton is within 1 (Brent and
+    Zimmermann, Modern Computer Arithmetic, 1.5); it bisects when a step
+    leaves the bracket or the bracket is 16 wide or less, where bisection
+    needs fewer evaluations.  A constant term of b bits costs O(log b)
+    evaluations where bisection costs b/n: generic-arc on x^6 - 3 2^30000
+    z^7 takes 0.46 s instead of 20.3 s in-process (CPython 3.11, 2-core
+    x86).  A root between a cut point c and c + 1 has floor c, so the cut
+    points are kept too.  B is Fujiwara's bound 2 max_k |a_k/a_n|^(1/(n-k)),
+    rounded up to a power of two.
+    """
     n = len(coeffs) - 1
-    slope = [k * coeffs[k] for k in range(1, n + 1)]
-    cuts = _root_floors(slope)
     # |a_k/a_n| < 2^bits(a_k), as |a_n| >= 1
     bound = 2 << max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(coeffs[:-1]))
 
@@ -517,7 +538,7 @@ def lift_monomial_base(
     p: LocalPresentation,
     units: Sequence,
     exponents: Sequence[int],
-    precision: int = 64,
+    precision: int = DEFAULT_PRECISION,
 ) -> ValidatedArc:
     """Lift a monomial base arc z_i -> u_i t^(a_i), exponents not necessarily equal.
 
@@ -559,7 +580,7 @@ def lift_monomial_base(
 
 
 def lift_to_presentation(
-    p: LocalPresentation, base: DiagonalArc, precision: int = 64
+    p: LocalPresentation, base: DiagonalArc, precision: int = DEFAULT_PRECISION
 ) -> ValidatedArc:
     """Lift the diagonal base arc through every hypersurface at once."""
     return lift_monomial_base(
@@ -570,8 +591,8 @@ def lift_to_presentation(
 # -- generic arc construction and verification --------------------------------------
 
 
-# Failed lifts (each needing an algebraic extension) after which the unit
-# search stops: the whole default cube of (2*8)^d unit tuples for d <= 3.
+# Failed lifts (each needing an algebraic extension) after which the unit search
+# stops: the whole default cube of (2*DEFAULT_SEARCH_BOUND)^d tuples for d <= 3.
 # The cube grows as (2*bound)^d, and on x^2 + z1^2 + ... + zd^2 every tuple
 # fails: uncapped, generic-arc took 8.7 s at d = 4 and did not finish within
 # 200 s at d = 5 (2-core x86, Python 3.11).
@@ -592,9 +613,9 @@ class GenericArcResult:
 
 def construct_generic_arc(
     p: LocalPresentation,
-    alpha: int = 1,
-    search_bound: int = 8,
-    precision: int = 64,
+    alpha: int = DEFAULT_ALPHA,
+    search_bound: int = DEFAULT_SEARCH_BOUND,
+    precision: int = DEFAULT_PRECISION,
 ) -> GenericArcResult:
     """Find units, lift, and verify; retries the unit search past branches
     that would need an algebraic extension, at most MAX_FAILED_LIFTS times."""

@@ -21,7 +21,8 @@ two terms or more are multiplied out, as `MultiPoly` products.  An
 expression sums its terms over the lcm of their denominators into one
 `MultiPoly`, and `parse_arc` reads its numerators into a `PowerSeries`.
 
-Limits: powers of sums and products of sums expand to at most
+Limits: parentheses nest at most MAX_NESTING deep, and are refused at the
+first '(' past it.  Powers of sums and products of sums expand to at most
 MAX_POWER_TERMS monomials.  A k-th power is formed only while k times the
 bit length of its base's largest numerator or denominator fits in
 MAX_CONSTANT_BITS, a product only while the sum of its factors' bit lengths
@@ -52,6 +53,10 @@ MAX_ARC_COEFFS = 100_000
 # A power of an n-term sum is expanded only when its C(n+k-1, n-1) monomials fit,
 # and a product of an n-term and a k-term sum only when its n*k term products fit.
 MAX_POWER_TERMS = 200
+# Parentheses nest at most this deep.  Each level costs the parser about three
+# stack frames, and the limit leaves room below the interpreter's recursion limit
+# for a caller's own frames, as under pytest.
+MAX_NESTING = 100
 # The bits a power or product of coefficients may reach (see the module); int()
 # reads literals up to ~14,300 bits.
 MAX_CONSTANT_BITS = 1 << 16
@@ -127,6 +132,7 @@ class _Parser:
         self.pos = 0
         self.vars = variables
         self.index = {v: i for i, v in enumerate(variables)}
+        self.depth = 0  # of the open parentheses
 
     def take(self, kind: str) -> Token:
         tok = self.tokens[self.pos]
@@ -224,8 +230,14 @@ class _Parser:
         elif kind == "IDENT":
             base = (1, 1, ((self.index[text], 1),))
         elif kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", column=column
+                )
+            self.depth += 1
             base = self.parse_expr()
             self.take("RPAREN")
+            self.depth -= 1
         else:
             raise ParseError(
                 f"expected a number, variable or '(', found {text or 'end of input'!r}",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nashres import parse_poly
-from nashres.cli import MAX_TRIALS, main
+from nashres.cli import MAX_TRIALS, _build_parser, main
 
 CUSP = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^3"}]}
 TWO_HYP = {
@@ -183,6 +183,25 @@ def test_edges_with_a_30000_bit_constant_exit_code(tmp_path, b, equation):
     assert "extension" in json.loads(done.stdout)["results"]["error"]
 
 
+def test_generic_arc_on_an_edge_of_degree_1100(tmp_path):
+    # The edge equation c^1100 - 1 has a derivative chain longer than the
+    # interpreter's default recursion limit.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import nashres
+
+    pres = write(tmp_path, "p.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 1100, "f": "x^1100 - z^1101"}]})
+    env = dict(os.environ, PYTHONPATH=str(Path(nashres.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nashres.cli", "generic-arc", pres, "--json"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["r_bar"] == "1101/1100"
+
+
 def _sum_of_squares(d):
     f = " + ".join(["x^2"] + [f"z{i}^2" for i in range(1, d + 1)])
     return {"d": d, "hypersurfaces": [{"var": "x", "b": 2, "f": f}]}
@@ -245,6 +264,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, report = run_json(capsys, "elim", pres)
     assert code == 2
     assert "error" in report["results"]
+
+
+def test_parentheses_past_the_nesting_limit_exit_code(tmp_path, capsys):
+    from nashres.parsing import MAX_NESTING
+
+    nested = "(" * (MAX_NESTING + 1) + "z" + ")" * (MAX_NESTING + 1)
+    pres = write(tmp_path, "p.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": f"x^2 - {nested}^3"}]})
+    code, report = run_json(capsys, "elim", pres)
+    assert code == 2
+    assert "nest deeper than" in report["results"]["error"]
+    arc = write(tmp_path, "a.json", {"precision": "exact", "coords": {"x": "t^3", "z": f"{nested}^2"}})
+    code, report = run_json(capsys, "contact", write(tmp_path, "cusp.json", CUSP), arc)
+    assert code == 2
+    assert "nest deeper than" in report["results"]["error"]
 
 
 def test_contact_with_a_coefficient_past_the_bit_limit_exit_code(tmp_path, capsys):
@@ -588,7 +621,7 @@ def test_parser_is_built_once_and_calls_stay_independent(tmp_path):
         (["generic-arc", "--precision", "-5"], "--precision"),
         (["verify", "--precision", "-5"], "--precision"),
         (["generic-arc", "--precision", "0"], "--precision"),
-        (["nash", "ARC", "--precision", "0"], "--precision"),
+        (["generic-arc", "--precision", "1025"], "--precision"),
         (["verify", "--precision", "1025"], "--precision"),
         (["verify", "--trials", "-3"], "--trials"),
         (["generic-arc", "--alpha", "0"], "--alpha"),
@@ -619,6 +652,51 @@ def test_out_of_range_numeric_options_exit_code(tmp_path, capsys, argv, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {option}" in captured.err
+
+
+def _documented_options():
+    """{subcommand: its options}, read from the README's subcommand table."""
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Subcommands (add `--json`", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    options = {}
+    for line in table.splitlines():
+        words = line.split("#")[0].split()
+        options[words[1]] = {"--json"} | {w.strip("[]") for w in words[2:] if w.startswith("[--")}
+    return options
+
+
+def test_every_subcommand_takes_exactly_its_documented_options():
+    import argparse
+
+    documented = _documented_options()
+    (subcommands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subcommands.choices) == set(documented)
+    for name, sp in subcommands.choices.items():
+        taken = {option for action in sp._actions for option in action.option_strings}
+        assert taken - {"-h", "--help"} == documented[name], name
+    assert sum(map(len, documented.values())) == 17
+    assert documented["verify"] >= {"--precision", "--alpha", "--search-bound", "--trials", "--seed"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["nash", "ARC", "--precision", "0"], ["contact", "ARC", "--precision", "5"]]
+    + [[name, "--precision", "5"] for name in ("mult", "tsch", "elim")]
+    + [[name, "ARC", "--seed", "7"] for name in ("contact", "nash")]
+    + [[name, "--seed", "7"] for name in ("mult", "tsch", "elim", "generic-arc")],
+)
+def test_options_a_subcommand_does_not_read_exit_code(tmp_path, capsys, argv):
+    pres = write(tmp_path, "p.json", CUSP)
+    arc = write(tmp_path, "a.json", CUSP_ARC)
+    argv = [argv[0], pres] + [arc if a == "ARC" else a for a in argv[1:]]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--json"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
 
 
 def test_numeric_options_at_their_bounds_are_accepted(tmp_path, capsys):

@@ -90,6 +90,20 @@ def test_product_of_sums_is_expanded_up_to_the_term_limit():
     assert len(parse_poly("3 z (t + 1)^199 x").terms) == 200
 
 
+def test_parentheses_nest_up_to_the_nesting_limit():
+    from nashres.parsing import MAX_NESTING
+
+    def nested(depth):
+        return "x^2 - " + "(" * depth + "z" + ")" * depth + "^3"
+
+    assert parse_poly(nested(MAX_NESTING)) == parse_poly("x^2 - z^3")
+    with pytest.raises(ParseError, match=f"nest deeper than {MAX_NESTING} levels") as err:
+        parse_poly(nested(MAX_NESTING + 1))
+    assert err.value.column == len("x^2 - ") + MAX_NESTING + 1  # the first '(' past it
+    # the limit counts open parentheses, not parentheses met one after another
+    assert parse_poly(" + ".join(["(z)"] * (2 * MAX_NESTING))) == parse_poly(f"{2 * MAX_NESTING} z")
+
+
 def test_power_of_a_constant_is_formed_up_to_the_bit_limit():
     from nashres.parsing import MAX_CONSTANT_BITS
 

@@ -859,6 +859,12 @@ def test_binomial_edge_roots_with_constants_of_thousands_of_bits():
     assert _rational_roots([-(one * (3**1000 - 1)), 0, 0, 0, 0, 1]) == []
 
 
+def test_binomial_edge_roots_of_degree_two_thousand():
+    # The derivative chain is walked in a loop, so a degree above the
+    # interpreter's default recursion limit of 1,000 needs no deeper stack.
+    assert set(_rational_roots([Fraction(-1)] + [0] * 1999 + [1])) == {1, -1}
+
+
 def _poly_product(a, b):
     return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(len(a) + len(b) - 1)]
 
