@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -150,29 +151,31 @@ def _cmd_elim(args, p: LocalPresentation, report: dict) -> List[dict]:
     ]
 
 
-def _load_arc(args, p: LocalPresentation, report: dict) -> Tuple[ValidatedArc, ContactResult]:
-    """The arc file, echoed into the report's inputs, validated on p, and its contact."""
+def _load_arc(args, p: LocalPresentation, report: dict) -> ValidatedArc:
+    """The arc file, echoed into the report's inputs, validated on p."""
     arc = parse_arc(_load_json(args.arc))
     report["inputs"]["arc"] = arc_to_document(arc)
-    va = validate_arc(arc, p)
-    return va, va.contact
+    return validate_arc(arc, p)
+
+
+def _contact_fields(c: ContactResult) -> dict:
+    """The contact invariants of a report: r, r_bar, rho, rho_bar and arc_order."""
+    return {
+        "r": fraction_text(c.r),
+        "r_bar": fraction_text(c.r_bar),
+        "rho": c.rho,
+        "rho_bar": fraction_text(c.rho_bar),
+        "arc_order": c.arc_order,
+    }
 
 
 def _cmd_contact(args, p: LocalPresentation, report: dict) -> List[dict]:
-    va, result = _load_arc(args, p, report)
+    va = _load_arc(args, p, report)
+    result = va.contact
     report["results"]["certificates"] = {
         var: str(cert) for var, cert in va.certificates
     }
-    report["results"].update(
-        {
-            "r": fraction_text(result.r),
-            "r_bar": fraction_text(result.r_bar),
-            "rho": result.rho,
-            "rho_bar": fraction_text(result.rho_bar),
-            "arc_order": result.arc_order,
-            "witness": result.witness,
-        }
-    )
+    report["results"].update({**_contact_fields(result), "witness": result.witness})
     ord_d = presentation_elimination_order(p).expect_exact("elimination order")
     without_x = contact_order_without_x(va)
     return [
@@ -191,7 +194,7 @@ def _cmd_contact(args, p: LocalPresentation, report: dict) -> List[dict]:
 
 
 def _cmd_nash(args, p: LocalPresentation, report: dict) -> List[dict]:
-    va, result = _load_arc(args, p, report)
+    va = _load_arc(args, p, report)
     summary = nash_sequence_presentation(p, va, trace=args.trace)
     rows = []
     for var, seq in summary.per_hypersurface:
@@ -211,8 +214,8 @@ def _cmd_nash(args, p: LocalPresentation, report: dict) -> List[dict]:
         rows.append(row)
     report["results"]["hypersurfaces"] = rows
     report["results"]["rho"] = summary.rho
-    report["results"]["r"] = fraction_text(result.r)
-    return [_check("geometric_rho_is_floor_r", summary.rho == result.rho)]
+    report["results"]["r"] = fraction_text(va.contact.r)
+    return [_check("geometric_rho_is_floor_r", summary.rho == va.contact.rho)]
 
 
 def _cmd_generic_arc(args, p: LocalPresentation, report: dict) -> List[dict]:
@@ -263,15 +266,6 @@ def _arc_key(arc: Arc) -> tuple:
     return tuple(sorted(arc.coords.items()))
 
 
-def _validated(arc: Arc, p: LocalPresentation, arcs: Dict[tuple, ValidatedArc]) -> ValidatedArc:
-    """validate_arc(arc, p), run once per distinct arc in `arcs`."""
-    key = _arc_key(arc)
-    va = arcs.get(key)
-    if va is None:
-        va = arcs[key] = validate_arc(arc, p)
-    return va
-
-
 def _sample_arcs(
     p: LocalPresentation,
     generic: GenericArcResult,
@@ -280,62 +274,52 @@ def _sample_arcs(
     precision: int,
     search_bound: int,
     arcs: Dict[tuple, ValidatedArc],
-) -> List[Tuple[str, ValidatedArc]]:
+) -> List[ValidatedArc]:
     """Deterministic corpus of valid arcs: transformations of the generic
     branch plus fresh lifts over other admissible diagonal bases.
 
-    The same arc is often drawn more than once.  A repeat reuses the first
-    draw's ValidatedArc object: `arcs` maps each arc's content to it, and a
-    dict local to the call maps each (units, exponents) to its lift, or to
-    None when the lift needed an algebraic extension, starting from the
-    generic-arc search's lifts.  Nothing outlives the caller's verify run,
-    and the draws are the same, in the same order, whether or not one repeats.
+    Each draw takes the one path of `tests/test_cli.py::_reference_samples`,
+    which recomputes every sample with no reuse.  A repeated arc reuses the
+    first draw's ValidatedArc: every arc resolves through `arcs`, the run's
+    map from an arc's content to it, and `lifts` maps each (units,
+    exponents) to its lift, or to None when it needs an algebraic extension,
+    starting from the generic-arc search's lifts.  The draws are the same,
+    in the same order, whether or not one repeats.
     """
     algebras = [h.elimination_algebra for h in p.hypersurfaces]
-    admissible: List[Tuple[int, ...]] = []
-    for u in admissible_unit_tuples(algebras, p.d, search_bound):
-        admissible.append(u)
-        if len(admissible) >= 6:
-            break
-    samples: List[Tuple[str, ValidatedArc]] = []
-    diagonal = (generic.base.alpha,) * len(p.base_vars)
+    admissible = list(itertools.islice(admissible_unit_tuples(algebras, p.d, search_bound), 6))
+    diagonal = (generic.base.alpha,) * p.d
     lifts: Dict[tuple, Optional[ValidatedArc]] = {(u, diagonal): None for u in generic.failed_units}
     lifts[generic.base.units, diagonal] = generic.arc
-    for k in range(trials):
+    samples = []
+    for _ in range(trials):
         kind = rng.choice(("reparam", "scale", "deform", "fresh", "skew", "reparam_scale"))
-        va: Optional[ValidatedArc]
+        arc, lifted = generic.arc.arc, None
         if kind in ("fresh", "skew"):
             if kind == "fresh":
                 alpha = rng.randint(1, 3)
-                u = admissible[rng.randrange(len(admissible))]
-                exponents = (alpha,) * len(p.base_vars)
+                base = (admissible[rng.randrange(len(admissible))], (alpha,) * p.d)
             else:
                 # independent base exponents: valid but usually non-generic arcs
                 u = admissible[rng.randrange(len(admissible))]
-                exponents = tuple(rng.randint(1, 3) for _ in p.base_vars)
-            key = (u, exponents)
-            if key not in lifts:
+                base = (u, tuple(rng.randint(1, 3) for _ in range(p.d)))
+            if base not in lifts:
                 try:
-                    lifted = lift_monomial_base(p, u, exponents, precision)
+                    lifts[base] = lift_monomial_base(p, *base, precision)
                 except ExtensionRequiredError:
-                    lifts[key] = None
-                else:
-                    lifts[key] = arcs.setdefault(_arc_key(lifted.arc), lifted)
-            va = lifts[key]
-            if va is None:  # fall back to a reparametrized generic branch
-                va = _validated(generic.arc.arc.reparametrize(rng.randint(2, 3)), p, arcs)
-        else:
-            arc = generic.arc.arc
-            if kind in ("reparam", "reparam_scale"):
-                arc = arc.reparametrize(rng.randint(2, 3))
-            if kind in ("scale", "reparam_scale"):
-                arc = arc.scale_parameter(rng.choice(_SCALES))
-            if kind == "deform":
-                c = rng.choice(_SCALES)
-                tau = PowerSeries((0, 1, c))  # t + c*t^2
-                arc = arc.substitute_parameter(tau)
-            va = _validated(arc, p, arcs)
-        samples.append((f"trial-{k}", va))
+                    lifts[base] = None
+            lifted = lifts[base]
+            arc = arc.reparametrize(rng.randint(2, 3)) if lifted is None else lifted.arc
+        if kind in ("reparam", "reparam_scale"):
+            arc = arc.reparametrize(rng.randint(2, 3))
+        if kind in ("scale", "reparam_scale"):
+            arc = arc.scale_parameter(rng.choice(_SCALES))
+        if kind == "deform":
+            arc = arc.substitute_parameter(PowerSeries((0, 1, rng.choice(_SCALES))))
+        key = _arc_key(arc)
+        if key not in arcs:
+            arcs[key] = lifted or validate_arc(arc, p)
+        samples.append(arcs[key])
     return samples
 
 
@@ -368,10 +352,10 @@ def verify_main_theorem(
     simulation; the reparametrized arc attains rho-bar; and the chain
     r_bar >= rho_bar >= floor(order) holds throughout.
 
-    Within one call every distinct arc is validated once, and its
-    one-dimensional steps, Nash sequence and arc document are computed once;
-    repeated samples reuse them (see _sample_arcs).  The cache lives and dies
-    with the call.
+    Within one call every distinct arc, the rho-bar-attaining one included,
+    is validated once through the content memo `arcs` (see _sample_arcs),
+    and its one-dimensional steps, Nash sequence and arc document are
+    computed once, in one row that its repeats reuse.
     """
     results: dict = {}
     checks: List[dict] = []
@@ -402,28 +386,21 @@ def verify_main_theorem(
     samples = _sample_arcs(p, generic, trials, rng, precision, search_bound, arcs)
     # id of each distinct sampled ValidatedArc -> its row without the name
     seen: Dict[int, dict] = {}
-    rows, sampled = [], []  # sampled: (contact, row) per sample
-    for name, va in samples:
-        c = va.contact
+    for va in samples:
         if id(va) not in seen:
-            steps = onedim_resolution_steps(c.image)
+            c = va.contact
             try:
                 geo_rho: Optional[int] = nash_sequence_presentation(p, va).rho
             except IdentityViolationError:
                 geo_rho = None
             seen[id(va)] = {
                 "arc": arc_to_document(va.arc),
-                "r": fraction_text(c.r),
-                "r_bar": fraction_text(c.r_bar),
-                "rho": c.rho,
-                "rho_bar": fraction_text(c.rho_bar),
-                "arc_order": c.arc_order,
-                "rho_onedim": steps,
+                **_contact_fields(c),
+                "rho_onedim": onedim_resolution_steps(c.image),
                 "rho_geometric": geo_rho,
             }
-        sampled.append((c, seen[id(va)]))
-        rows.append({"name": name, **seen[id(va)]})
-    results["samples"] = rows
+    sampled = [(va.contact, seen[id(va)]) for va in samples]
+    results["samples"] = [{"name": f"trial-{k}", **row} for k, (_, row) in enumerate(sampled)]
     min_rbar = min([gen_contact.r_bar] + [c.r_bar for c, _ in sampled])
     minimizing_rho_bars = [gen_contact.rho_bar] + [c.rho_bar for c, _ in sampled if c.r_bar == ord_d]
     checks += [
@@ -441,8 +418,8 @@ def verify_main_theorem(
         ),
     ]
 
-    repar = ord_d.denominator
-    attaining = _validated(generic.arc.arc.reparametrize(repar), p, arcs)
+    arc = generic.arc.arc.reparametrize(ord_d.denominator)
+    attaining = arcs.get(_arc_key(arc)) or validate_arc(arc, p)
     att_contact = attaining.contact
     results["rho_bar_arc"] = arc_to_document(attaining.arc)
     results["rho_bar_attained"] = fraction_text(att_contact.rho_bar)

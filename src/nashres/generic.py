@@ -135,19 +135,6 @@ def build_diagonal_arc(units: Sequence, alpha: int, base_vars: Sequence[str]) ->
 # -- Newton-Puiseux lifting -------------------------------------------------------
 
 
-def _lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    hull: List[Tuple[int, int]] = []
-    for pt in sorted(points):
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
 def _horner(coeffs: Sequence[int], y: int) -> int:
     """sum coeffs[k] y^k."""
     value = 0
@@ -353,23 +340,24 @@ def _newton_puiseux_root(part: _SingularPart) -> Tuple[PowerSeries, int]:
 
 def _steepest_edge(cur: Dict[Tuple[int, int], int]) -> Optional[Tuple[int, int, List[int]]]:
     """The steepest descending edge of cur's Newton polygon, from (0, v0) to
-    (i1, v1): (m, q, edge) with slope -m/q in lowest terms and edge[i] the
-    coefficient of cur at (i, v0 - m i/q), the edge equation.  None when no
-    term of cur is free of x, so that x = 0 is a root.
+    (i1, v1), the farthest point (i, v) of least slope (v - v0)/i, v the
+    least t-degree at x-degree i: (m, q, edge) with slope -m/q in lowest
+    terms and edge[i] the coefficient of cur at (i, v0 - m i/q), the edge
+    equation.  None when no term of cur is free of x, so that x = 0 is a root.
     """
     orders: Dict[int, int] = {}
     for i, j in cur:
         orders[i] = min(j, orders.get(i, j))
-    if 0 not in orders:
+    v0 = orders.pop(0, None)
+    if v0 is None:
         return None
-    hull = _lower_hull(list(orders.items()))
-    if len(hull) < 2 or hull[1][1] >= hull[0][1]:
+    i1 = min(orders, key=lambda i: (Fraction(orders[i] - v0, i), -i), default=None)
+    if i1 is None or orders[i1] >= v0:
         raise ExtensionRequiredError(
             "no branch through the origin on this Newton polygon"
         )
-    (_, v0), (i1, v1) = hull[0], hull[1]
-    g = gcd(v0 - v1, i1)
-    m, q = (v0 - v1) // g, i1 // g
+    g = gcd(v0 - orders[i1], i1)
+    m, q = (v0 - orders[i1]) // g, i1 // g
     # (i, v0 - m i/q) is a lattice point only where q divides i
     return m, q, [cur.get((i, v0 - m * i // q), 0) if i % q == 0 else 0 for i in range(i1 + 1)]
 
@@ -651,7 +639,9 @@ def construct_generic_arc(
                 "arc order realized by a distinguished coordinate forces order 1, "
                 f"got {order}"
             )
-        return GenericArcResult(va, base, _common_ramification(va, base), tuple(failed))
+        # lift_monomial_base builds every base coordinate as u t^(alpha e)
+        e = va.arc.coords[p.base_vars[0]].order().value // alpha
+        return GenericArcResult(va, base, e, tuple(failed))
     if last_error is not None:
         raise ExtensionRequiredError(
             f"every admissible unit tuple within bound {search_bound} needs an "
@@ -661,14 +651,3 @@ def construct_generic_arc(
         f"no unit tuple within bound {search_bound}; retry with a larger --search-bound"
     )
 
-
-def _common_ramification(va: ValidatedArc, base: DiagonalArc) -> int:
-    """The ramification e of the lift: every base coordinate has order alpha * e."""
-    orders = {va.arc.coords[v].order() for v in va.presentation.base_vars}
-    n = orders.pop() if len(orders) == 1 else None
-    if n is None or not n.is_exact or n.value % base.alpha:
-        raise IdentityViolationError(
-            f"common ramification: the lifted base coordinates have order {n}, "
-            f"not a multiple of alpha = {base.alpha}"
-        )
-    return n.value // base.alpha

@@ -36,13 +36,13 @@ from nashres.errors import (
 )
 from nashres.extorder import INFINITE, ExtOrder
 from nashres.generic import (
-    _lower_hull,
     _newton_puiseux_root,
     _pick_root,
     _rational_roots,
     _root_floors,
     _series_from_terms,
     _singular_part,
+    _steepest_edge,
 )
 
 V2 = ("z1", "z2")
@@ -1029,6 +1029,21 @@ def test_sextic_edge_roots_with_a_constant_at_the_bit_limit():
 # -- the integer Newton-Puiseux loop against the MultiPoly loop it replaced -------
 
 
+def _reference_lower_hull(points):
+    """The lower convex hull of lattice points, by the monotone chain: its
+    vertices from the leftmost point, collinear points dropped."""
+    hull = []
+    for pt in sorted(points):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return hull
+
+
 def _reference_newton_puiseux_root(F, xvar, precision):
     """The Fraction-valued MultiPoly stage loop: the reference chart, the
     term-by-term Taylor shift above (independent of the integer kernel), the
@@ -1055,7 +1070,7 @@ def _reference_newton_puiseux_root(F, xvar, precision):
             )
             return _series_from_terms(found, precision=None if exact else target), e
         points = [(i, t_order(c)) for i, c in coeffs.items() if not c.is_zero()]
-        hull = _lower_hull(points)
+        hull = _reference_lower_hull(points)
         if len(hull) < 2 or hull[1][1] >= hull[0][1]:
             raise ExtensionRequiredError("no branch through the origin")
         (i0, v0), (i1, v1) = hull[0], hull[1]
@@ -1154,7 +1169,7 @@ def test_puiseux_loop_cases_cover_every_kind_of_branch():
         orders = {}
         for i, j in F.terms:
             orders[i] = min(j, orders.get(i, j))
-        if len(_lower_hull(list(orders.items()))) >= 3:
+        if len(_reference_lower_hull(list(orders.items()))) >= 3:
             outcomes.add("several edges")
         result = _root_or_error(_lift, F, precision)
         if result is ExtensionRequiredError:
@@ -1171,6 +1186,66 @@ def test_puiseux_loop_cases_cover_every_kind_of_branch():
     assert outcomes == {
         "several edges", "extension", "exact", "truncated", "ramified", "three or more stages"
     }
+
+
+def _reference_first_edge(cur):
+    """_steepest_edge(cur) read off the lower hull of the points (i, least
+    t-degree at x-degree i): its first edge, slope and edge equation."""
+    orders = {}
+    for i, j in cur:
+        orders[i] = min(j, orders.get(i, j))
+    if 0 not in orders:
+        return None
+    hull = _reference_lower_hull(list(orders.items()))
+    if len(hull) < 2 or hull[1][1] >= hull[0][1]:
+        return ExtensionRequiredError
+    (_, v0), (i1, v1) = hull[0], hull[1]
+    slope = Fraction(v0 - v1, i1)
+    edge = []
+    for i in range(i1 + 1):
+        j = v0 - slope * i
+        edge.append(cur.get((i, int(j)), 0) if j.denominator == 1 else 0)
+    return slope.numerator, slope.denominator, edge
+
+
+def test_steepest_edge_is_the_first_edge_of_the_lower_hull():
+    # Random supports; supports with further points on the first edge, which
+    # must end at the farthest of them; supports with no descending edge;
+    # and supports with no x-free term.
+    rng = random.Random(20151113)
+    outcomes = Counter()
+    for k in range(800):
+        shape = k % 4
+        cur = {}
+        for _ in range(rng.randint(1, 8)):
+            cur[rng.randint(0, 6), rng.randint(0, 12)] = rng.choice([-3, -1, 1, 2, 5])
+        if shape == 1:  # points on a line of slope -m/q from (0, v0)
+            m, q = rng.randint(1, 3), rng.randint(1, 3)
+            v0 = m * rng.randint(2, 4)
+            for n in range(v0 // m + 1):
+                if n == 0 or rng.random() < 0.7:
+                    cur[n * q, v0 - n * m] = rng.choice([-2, 1, 3])
+            cur = {(i, j): a for (i, j), a in cur.items() if m * i + q * j >= q * v0}
+        elif shape == 2:  # nothing below the x-free term's t-degree
+            v0 = rng.randint(0, 5)
+            cur = {(i, max(j, v0)): a for (i, j), a in cur.items() if i} or {(1, v0): 1}
+            cur[0, v0] = 1
+        elif shape == 3:  # no x-free term
+            cur = {(i + 1, j): a for (i, j), a in cur.items()}
+        expected = _reference_first_edge(cur)
+        try:
+            got = _steepest_edge(cur)
+        except ExtensionRequiredError:
+            got = ExtensionRequiredError
+        assert got == expected, cur
+        if expected is None or expected is ExtensionRequiredError:
+            outcomes[expected] += 1
+        else:
+            outcomes["edge"] += 1
+            if sum(1 for a in expected[2] if a) >= 3:
+                outcomes["collinear"] += 1
+    assert set(outcomes) == {None, ExtensionRequiredError, "edge", "collinear"}
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 # -- the Newton tail against the stage loop, at long precisions ------------------
