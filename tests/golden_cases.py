@@ -9,6 +9,8 @@ one exception: generic_arc_double_branch_p64 was written by the change that
 made Newton-Puiseux stages read the whole residual, because the code before
 it gave a wrong arc there; its arc is checked against the closed form in
 tests/test_cli.py::test_generic_arc_on_a_double_branch_is_its_closed_form.
+tsch_nonmonic_cubic and elim_split_in_the_base were written by the code
+before Tschirnhausen forms were read by one splitter in `rees`.
 Any later change must reproduce them exactly.  `tests/test_golden.py` compares
 every case with its file.  To check them without pytest, write the reports
 to a scratch directory and compare:
@@ -103,6 +105,18 @@ PRESENTATIONS = {
             {"var": "x3", "b": 2, "f": "x3^2 - z1 z2 z3"},
         ],
     },
+    # A leading coefficient 2 and an x^2 term: normalization divides by the
+    # lead and shifts x by -z.
+    "nonmonic_cubic": {
+        "d": 1,
+        "hypersurfaces": [{"var": "x", "b": 3, "f": "2 x^3 + 6 z x^2 + z^4"}],
+    },
+    # B_0 = -z1^2 - z2^3 is itself a Tschirnhausen polynomial in z1, whose
+    # closure splits into z1 W and z2^3 W^2.
+    "split_in_the_base": {
+        "d": 2,
+        "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z1^2 - z2^3"}],
+    },
 }
 
 # Arcs for the `nash --trace` cases, whose reports carry the blow-up centres.
@@ -183,7 +197,9 @@ CASES = {
         "mixed_weights", "mixed_weights_monomial", ["nash", "--trace"],
     ),
     "tsch_needs_normalization": ("needs_normalization", None, ["tsch"]),
+    "tsch_nonmonic_cubic": ("nonmonic_cubic", None, ["tsch"]),
     "elim_two_hyp": ("two_hyp", None, ["elim"]),
+    "elim_split_in_the_base": ("split_in_the_base", None, ["elim"]),
     "contact_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["contact"]),
     "contact_cusp_full_grammar": ("cusp", "cusp_full_grammar", ["contact"]),
     "mult_cusp_point_1_1": ("cusp", None, ["mult", "--point", "1,1"]),

@@ -1,10 +1,11 @@
 """One digest of every `--json` report of the benchmark's verify, lift and
-contact workloads, at workload seeds 7 and 3, rendered in process.
+contact workloads, at workload seeds 7 and 3, and of the `tsch` and `elim`
+reports on every presentation of the workload tables, rendered in process.
 
-The op lists come from perfbench/workloads.py, which this script imports and
-never changes.  Each op runs `nashres.cli.main` on its argv; its exit code
-and its report, with `elapsed_ms` removed and the keys sorted, are hashed in
-op order.  The script prints the SHA-256 and the number of ops, and needs
+The op lists and the tables come from perfbench/workloads.py, which this
+script imports and never changes.  Each op runs `nashres.cli.main` on its
+argv; its exit code and its report, with `elapsed_ms` removed and the keys
+sorted, are hashed in op order.  The script prints the SHA-256 and the number of ops, and needs
 only the stdlib.  A change that keeps every report byte-identical keeps this
 line:
 
@@ -33,22 +34,42 @@ from nashres.cli import main  # noqa: E402
 
 SEEDS = (7, 3)
 WORKLOADS = ("verify", "lift", "contact")
+TABLES = (workloads.ACCEPTANCE, workloads.EXTENDED, workloads.LIFT)
+ELIMINATION_COMMANDS = ("tsch", "elim")
+
+
+def _elimination_ops(root: str):
+    """(label, argv) of `tsch` and `elim` on each presentation of the tables."""
+    for table in TABLES:
+        for name in table:
+            path = Path(root) / f"{name}.json"
+            path.write_text(json.dumps(workloads.presentation_document(name)), encoding="utf-8")
+            for command in ELIMINATION_COMMANDS:
+                yield f"{name}/{command}", (command, str(path), "--json")
 
 
 def digest() -> str:
     sha, count = hashlib.sha256(), 0
+
+    def add(label, argv):
+        nonlocal count
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        report = json.loads(out.getvalue())
+        del report["elapsed_ms"]
+        line = f"{label}\t{code}\t{json.dumps(report, sort_keys=True)}\n"
+        sha.update(line.encode("utf-8"))
+        count += 1
+
     for seed in SEEDS:
         for name in WORKLOADS:
             with tempfile.TemporaryDirectory() as root:
                 for op in workloads.BUILDERS[name](seed, root).ops:
-                    out = io.StringIO()
-                    with contextlib.redirect_stdout(out):
-                        code = main(list(op.argv))
-                    report = json.loads(out.getvalue())
-                    del report["elapsed_ms"]
-                    line = f"{op.label}\t{code}\t{json.dumps(report, sort_keys=True)}\n"
-                    sha.update(line.encode("utf-8"))
-                    count += 1
+                    add(op.label, op.argv)
+    with tempfile.TemporaryDirectory() as root:
+        for label, argv in _elimination_ops(root):
+            add(label, argv)
     return f"sha256 {sha.hexdigest()} over {count} reports"
 
 
