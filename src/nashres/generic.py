@@ -40,14 +40,14 @@ from .errors import (
     NotOnVarietyError,
     ValidationError,
 )
-from .extorder import ExtOrder
+from .extorder import ExtOrder, ext_min
 from .poly import MultiPoly, fraction_text, shift_integer_terms, sum_text
 from .presentation import (
     LocalPresentation,
     TschirnhausenHypersurface,
     presentation_elimination_order,
 )
-from .rees import ReesAlgebra, algebra_order_at
+from .rees import ReesAlgebra
 from .series import PowerSeries, _convolve, _square, compose_integers
 
 T = "t"
@@ -70,41 +70,29 @@ def unit_tuples(d: int, bound: int) -> Iterator[Tuple[int, ...]]:
                 yield u
 
 
-def min_achieving_generators(algebra: ReesAlgebra) -> List[MultiPoly]:
-    """Generators whose quotient attains the algebra order at the origin."""
-    origin = (Fraction(0),) * len(algebra.ambient_vars)
-    order = algebra_order_at(algebra, origin)
-    if order.is_infinite:
-        return []
-    out = []
-    for g in algebra.generators:
-        if g.f.order_at_origin().divided_by(g.weight) == order:
-            out.append(g.f)
-    return out
-
-
-def _admits(u: Sequence[int], witnesses: Sequence[MultiPoly]) -> bool:
-    pt = [Fraction(v) for v in u]
-    return all(w.initial_form().eval_at(pt) != 0 for w in witnesses)
-
-
 def admissible_unit_tuples(
     algebras: Sequence[ReesAlgebra], d: int, bound: int
 ) -> Iterator[Tuple[int, ...]]:
     """Unit tuples at which no minimizing generator's initial form vanishes.
 
     Nonvanishing is demanded on *every* generator achieving each algebra's
-    minimum, so the certificate does not depend on a witness choice.
+    order at the origin, so the certificate does not depend on a witness
+    choice.  One pass over each algebra reads every quotient ord(f)/weight
+    and builds the initial forms of the minimizing generators.
     """
-    witnesses: List[MultiPoly] = []
+    forms: List[MultiPoly] = []
     for algebra in algebras:
         if algebra.is_empty():
             raise MaxMultArcError(
                 "arc necessarily inside Max mult: an elimination algebra is empty"
             )
-        witnesses.extend(min_achieving_generators(algebra))
+        quotients = [g.f.order_at_origin().divided_by(g.weight) for g in algebra.generators]
+        order = ext_min(quotients)
+        forms.extend(
+            g.f.initial_form() for g, q in zip(algebra.generators, quotients) if q == order
+        )
     for u in unit_tuples(d, bound):
-        if _admits(u, witnesses):
+        if all(form.eval_at(u) != 0 for form in forms):
             yield u
 
 

@@ -345,7 +345,7 @@ def load_presentation(document: dict) -> LocalPresentation:
 
     Equations may carry an x^(b-1) term; they are brought to Tschirnhausen
     form here.  The base variables are everything the equations mention
-    besides the distinguished variables, and must number exactly d.
+    besides the distinguished variables; `LocalPresentation` checks d.
     """
     if not isinstance(document, dict) or "d" not in document or "hypersurfaces" not in document:
         raise ValidationError('presentation document needs "d" and "hypersurfaces"')
@@ -367,8 +367,6 @@ def load_presentation(document: dict) -> LocalPresentation:
             raise ValidationError(f"degree b of {var!r} must be an integer, got {b!r}")
         declared.append(var)
         parsed.append((var, b, parse_poly(str(entry["f"]))))
-    if len(set(declared)) != len(declared):
-        raise ValidationError(f"distinguished variables repeat: {declared}")
     base = set()
     for var, _, f in parsed:
         for v in f.vars:
@@ -377,10 +375,6 @@ def load_presentation(document: dict) -> LocalPresentation:
             if v not in declared:
                 base.add(v)
     base_vars = tuple(sorted(base, key=canonical_var_key))
-    if len(base_vars) != d:
-        raise ValidationError(
-            f"equations mention base variables {base_vars}, but d = {d}"
-        )
     hypersurfaces = []
     for var, b, f in parsed:
         foreign = [v for v in f.vars if v != var and v not in base_vars]

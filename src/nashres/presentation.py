@@ -4,7 +4,9 @@ A presentation is a separated-variable system: one monic equation per
 distinguished variable x_i, with coefficients in the shared base variables.
 The elimination algebra of each hypersurface lives on the base alone and its
 order, minimized over the hypersurfaces, is the resolution invariant every
-arc computation in this package is compared against.
+arc computation in this package is compared against.  The B_i are read by
+`rees._tschirnhausen_split`, and `LocalPresentation` alone checks the base
+count d and that the distinguished variables differ.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
 )
 from .extorder import ExtOrder, ext_min
 from .poly import MultiPoly, fraction_text
-from .rees import ReesAlgebra, ReesGenerator, diff_closure
+from .rees import ReesAlgebra, ReesGenerator, _tschirnhausen_split, diff_closure
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,12 @@ class TschirnhausenHypersurface:
 
 
 def tschirnhausen_normalize(f: MultiPoly, var: str) -> TschirnhausenHypersurface:
-    """Bring a monic equation into Tschirnhausen form by x -> x - D_{b-1}/b.
+    """Bring an equation into Tschirnhausen form by x -> x - D_{b-1}/(b lead).
 
-    Accepts a constant leading coefficient (the equation is rescaled), kills
-    the degree b-1 term, and checks the centering bounds; base variables are
-    everything else in f's variable list.
+    Accepts a constant leading coefficient, kills the degree b-1 term, reads
+    the B_i through `rees._tschirnhausen_split` (which divides by the lead)
+    and checks the centering bounds; base variables are everything else in
+    f's variable list.
     """
     b = f.degree_in(var)
     if b < 2:
@@ -92,28 +95,19 @@ def tschirnhausen_normalize(f: MultiPoly, var: str) -> TschirnhausenHypersurface
     lead = coeffs[b]
     if lead.total_degree() != 0:
         raise ValidationError(f"equation is not monic in {var!r}: leading coefficient {lead}")
-    lc = lead.leading_coefficient()
-    if lc != 1:
-        f = f.scale(Fraction(1) / lc)
-        coeffs = f.coefficients_in(var)
     d_top = coeffs.get(b - 1)
-    if d_top is not None and not d_top.is_zero():
+    if d_top is not None:
         x = MultiPoly.variable(f.vars, var)
-        f = f.substitute(var, x - d_top.scale(Fraction(1, b)))
-        coeffs = f.coefficients_in(var)
-        top = coeffs.get(b - 1)
-        if top is not None and not top.is_zero():
-            raise IdentityViolationError(
-                f"Tschirnhausen normalization in {var!r}: the shift left {top} "
-                f"on {var}^{b - 1} in {f}"
-            )
+        f = f.substitute(var, x - d_top.scale(Fraction(1, b) / lead.leading_coefficient()))
+    split = _tschirnhausen_split(f, var, b)
+    if split is None:
+        raise IdentityViolationError(
+            f"Tschirnhausen normalization in {var!r}: the shift left a {var}^{b - 1} term in {f}"
+        )
     base_vars = tuple(v for v in f.vars if v != var)
-    zero = MultiPoly.zero(base_vars)
-    bs = []
-    for i in range(b - 1):
-        Bi = coeffs.get(i)
-        bs.append(zero if Bi is None else Bi.restrict_vars(base_vars))
-    return TschirnhausenHypersurface(var, b, base_vars, tuple(bs))
+    zero = MultiPoly.zero(f.vars)
+    bs = tuple(split.get(i, zero).restrict_vars(base_vars) for i in range(b - 1))
+    return TschirnhausenHypersurface(var, b, base_vars, bs)
 
 
 def elimination_algebra(h: TschirnhausenHypersurface) -> ReesAlgebra:
@@ -155,9 +149,7 @@ class LocalPresentation:
             raise ValidationError("a presentation needs at least one hypersurface")
         base = self.hypersurfaces[0].base_vars
         if len(base) != self.d:
-            raise ValidationError(
-                f"base dimension {self.d} but base variables {base}"
-            )
+            raise ValidationError(f"equations mention base variables {base}, but d = {self.d}")
         names = [h.var for h in self.hypersurfaces]
         if len(set(names)) != len(names):
             raise ValidationError(f"distinguished variables not pairwise distinct: {names}")

@@ -4,6 +4,8 @@ An algebra is a finite list of pairs f*W^n (polynomial, positive weight).
 The operations here are the ones every invariant in the toolkit reduces to:
 differential closure, order at a point, and the one-dimensional transform
 model over K[[t]] that computes blow-up counts by repeated subtraction.
+`_tschirnhausen_split` is the one reader of the Tschirnhausen form, for
+`diff_closure` and for `presentation.tschirnhausen_normalize` alike.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -78,27 +80,19 @@ class ReesAlgebra:
         return "[" + ", ".join(str(g) for g in self.generators) + "]"
 
 
-def _tschirnhausen_split(f: MultiPoly, weight: int) -> Optional[Tuple[str, dict]]:
-    """Detect f = x^b + sum_{i<=b-2} B_i x^i (up to a constant) with b == weight.
-
-    Returns (variable, {i: B_i}) for the first matching variable, or None.
-    """
-    if weight < 2:
+def _tschirnhausen_split(f: MultiPoly, var: str, b: int) -> Optional[Dict[int, MultiPoly]]:
+    """{i: B_i} when f = lead * (var^b + sum_{i<=b-2} B_i var^i) for a
+    constant lead and b >= 2; None otherwise.  The B_i keep f's variables."""
+    if b < 2 or f.degree_in(var) != b:
         return None
-    for var in f.vars:
-        if f.degree_in(var) != weight:
-            continue
-        coeffs = f.coefficients_in(var)
-        lead = coeffs.get(weight)
-        if lead is None or lead.total_degree() != 0:
-            continue
-        if weight - 1 in coeffs:
-            continue
-        c = lead.leading_coefficient()
-        return var, {
-            i: g.scale(Fraction(1) / c) for i, g in coeffs.items() if i <= weight - 2
-        }
-    return None
+    coeffs = f.coefficients_in(var)
+    lead = coeffs.pop(b)
+    if lead.total_degree() != 0 or b - 1 in coeffs:
+        return None
+    c = lead.leading_coefficient()
+    if c == 1:
+        return coeffs
+    return {i: g.scale(1 / c) for i, g in coeffs.items()}
 
 
 def diff_closure(algebra: ReesAlgebra) -> ReesAlgebra:
@@ -121,19 +115,20 @@ def diff_closure(algebra: ReesAlgebra) -> ReesAlgebra:
         if key in visited:
             continue
         visited.add(key)
-        split = _tschirnhausen_split(f, n)
-        if split is not None:
-            var, coeffs = split
-            queue.appendleft((MultiPoly.variable(f.vars, var), 1, False))
-            for i in sorted(coeffs, reverse=True):
-                queue.append((coeffs[i], n - i, False))
-            continue
-        out.append(ReesGenerator(f if original else f.monic_normalized(), n))
-        if n >= 2:
-            for var in f.vars:
-                d = f.derive(var)
-                if not d.is_zero():
-                    queue.append((d, n - 1, False))
+        for var in f.vars:
+            coeffs = _tschirnhausen_split(f, var, n)
+            if coeffs is not None:
+                queue.appendleft((MultiPoly.variable(f.vars, var), 1, False))
+                for i in sorted(coeffs, reverse=True):
+                    queue.append((coeffs[i], n - i, False))
+                break
+        else:
+            out.append(ReesGenerator(f if original else f.monic_normalized(), n))
+            if n >= 2:
+                for var in f.vars:
+                    d = f.derive(var)
+                    if not d.is_zero():
+                        queue.append((d, n - 1, False))
     return ReesAlgebra(algebra.ambient_vars, out)
 
 

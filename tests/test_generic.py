@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 
 from nashres import (
     ReesAlgebra,
+    algebra_order_at,
     arc_order,
     build_diagonal_arc,
     construct_generic_arc,
@@ -51,6 +53,74 @@ def test_find_units_skips_vanishing_initial_form():
     f = parse_poly("z1^2 - z2^2")
     algebra = ReesAlgebra.from_pairs(("z1", "z2"), [(f, 2)])
     assert next(admissible_unit_tuples([algebra], 2, 8)) == (-2, -1)
+
+
+def _reference_admissible(algebras, d, bound, first_only=False):
+    """The unit search read the long way: each algebra's order by
+    `algebra_order_at` at the origin, then every minimizing generator's
+    initial form rebuilt and evaluated at each tuple.  With `first_only`,
+    only the first minimizing generator of each algebra is kept."""
+    witnesses = []
+    for algebra in algebras:
+        origin = (Fraction(0),) * len(algebra.ambient_vars)
+        order = algebra_order_at(algebra, origin)
+        minimizing = [
+            g.f for g in algebra.generators if g.f.order_at(origin).divided_by(g.weight) == order
+        ]
+        witnesses += minimizing[:1] if first_only else minimizing
+    return [
+        u
+        for u in unit_tuples(d, bound)
+        if all(w.initial_form().eval_at([Fraction(v) for v in u]) != 0 for w in witnesses)
+    ]
+
+
+def _random_algebra(rng, variables):
+    """One to four generators of weight 1..3 and order weight or 2 weight,
+    whose initial forms have two or three terms and often vanish at units."""
+
+    def exponent(n):
+        cuts = sorted(rng.randint(0, n) for _ in range(len(variables) - 1))
+        return tuple(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        w = rng.randint(1, 3)
+        low = w * rng.choice([1, 1, 2])
+        terms = {exponent(low + rng.randint(1, 2)): rng.choice([-1, 3])}
+        for _ in range(rng.randint(2, 3)):
+            terms[exponent(low)] = rng.choice([-2, -1, 1, 2])
+        pairs.append((MultiPoly(variables, terms), w))
+    return ReesAlgebra.from_pairs(variables, pairs)
+
+
+def test_unit_search_matches_the_reference_on_the_workload_presentations():
+    from report_digest import TABLES, workloads
+
+    from nashres.parsing import load_presentation
+
+    for table in TABLES:
+        for name in table:
+            p = load_presentation(workloads.presentation_document(name))
+            algebras = [h.elimination_algebra for h in p.hypersurfaces]
+            got = list(admissible_unit_tuples(algebras, p.d, 4))
+            assert got == _reference_admissible(algebras, p.d, 4), name
+
+
+def test_unit_search_matches_the_reference_on_random_algebras():
+    rng = random.Random(20151121)
+    outcomes = Counter()
+    for _ in range(120):
+        d = rng.randint(1, 3)
+        variables = tuple(f"z{k}" for k in range(1, d + 1))
+        algebras = [_random_algebra(rng, variables) for _ in range(rng.randint(1, 2))]
+        expected = _reference_admissible(algebras, d, 3)
+        assert list(admissible_unit_tuples(algebras, d, 3)) == expected
+        if len(expected) < len(list(unit_tuples(d, 3))):
+            outcomes["a tuple refused"] += 1
+        if _reference_admissible(algebras, d, 3, first_only=True) != expected:
+            outcomes["a later minimizer refuses a tuple"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 2, outcomes
 
 
 def _lift_equation(h, units, exponents, precision):

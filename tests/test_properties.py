@@ -35,6 +35,7 @@ from nashres.errors import (
     ValidationError,
 )
 from nashres.extorder import INFINITE, ExtOrder
+from nashres.rees import _tschirnhausen_split
 from nashres.generic import (
     _newton_puiseux_root,
     _pick_root,
@@ -599,6 +600,54 @@ def test_closure_never_raises_order_at_singular_points(fs):
     assert before.value >= 1
     after = algebra_order_at(diff_closure(algebra), ORIGIN2)
     assert after.value <= before.value
+
+
+def test_tschirnhausen_split_reads_the_form_or_refuses_it():
+    # f = lead x^b + top x^(b-1) + sum_{i<=b-2} B_i x^i over (x, z1, z2) with
+    # a constant or non-constant lead, with or without the top term, and pure
+    # powers lead x^b; read at b, and at b + 1, where f has no such form.
+    rng = random.Random(20151120)
+    variables = ("x",) + V2
+    x = MultiPoly.variable(variables, "x")
+
+    def base_poly(min_degree):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e1 = rng.randint(0, 3)
+            terms[0, e1, rng.randint(max(min_degree - e1, 0), 3)] = Fraction(
+                rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3])
+            )
+        return MultiPoly(variables, terms)
+
+    outcomes = Counter()
+    for k in range(600):
+        b = rng.randint(2, 4)
+        constant_lead, with_top, pure = k % 2 == 0, k % 3 == 0, k % 7 == 0
+        c = Fraction(rng.choice([-3, -1, 1, 1, 2]), rng.choice([1, 1, 2, 3]))
+        lead = MultiPoly.constant(variables, c)
+        if not constant_lead:
+            lead = lead + base_poly(1)
+        f = lead * x**b
+        if with_top and not pure:
+            f = f + base_poly(0) * x ** (b - 1)
+        if not pure:
+            for i in range(b - 1):
+                if rng.random() < 0.7:
+                    f = f + base_poly(0) * x**i
+        read_at = b + 1 if k % 5 == 0 else b
+        has_form = read_at == b and constant_lead and not (with_top and not pure)
+        got = _tschirnhausen_split(f, "x", read_at)
+        assert (got is not None) == has_form, (str(f), read_at)
+        if got is None:
+            outcomes["none"] += 1
+            continue
+        assert all(i <= b - 2 for i in got), got
+        monic = x**b
+        for i, B in got.items():
+            monic = monic + B * x**i
+        assert lead * monic == f, (str(f), got)
+        outcomes["pure" if pure else "unit lead" if c == 1 else "scaled"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 4, outcomes
 
 
 @st.composite
