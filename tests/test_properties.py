@@ -35,7 +35,6 @@ from nashres.errors import (
     ValidationError,
 )
 from nashres.extorder import INFINITE, ExtOrder
-from nashres.rees import _tschirnhausen_split
 from nashres.generic import (
     _newton_puiseux_root,
     _pick_root,
@@ -45,6 +44,7 @@ from nashres.generic import (
     _singular_part,
     _steepest_edge,
 )
+from nashres.rees import _tschirnhausen_split
 
 V2 = ("z1", "z2")
 ORIGIN2 = (Fraction(0), Fraction(0))
