@@ -10,7 +10,9 @@ made Newton-Puiseux stages read the whole residual, because the code before
 it gave a wrong arc there; its arc is checked against the closed form in
 tests/test_cli.py::test_generic_arc_on_a_double_branch_is_its_closed_form.
 tsch_nonmonic_cubic and elim_split_in_the_base were written by the code
-before Tschirnhausen forms were read by one splitter in `rees`.
+before Tschirnhausen forms were read by one splitter in `rees`, and
+contact_quartic_tail_generic and nash_cusp_printed_and_grammar by the code
+before `parse_arc` read the printed series form without the grammar.
 Any later change must reproduce them exactly.  `tests/test_golden.py` compares
 every case with its file.  To check them without pytest, write the reports
 to a scratch directory and compare:
@@ -141,7 +143,18 @@ ARCS = {
         "precision": "exact",
         "coords": {"x1": "t^27", "x2": "t^24", "z": "t^18"},
     },
+    # x as `PowerSeries.polynomial_text` prints it, and z in the grammar only:
+    # one report from both arc readers.
+    "cusp_printed_and_grammar": {
+        "precision": "exact",
+        "coords": {"x": "t^3 + 3*t^4 + 3*t^5 + t^6", "z": "(t + t^2)^2"},
+    },
 }
+# The generic arc that generic_arc_quartic_tail_p96 pins, as generic-arc
+# prints it: precision 384, and 48 rational terms in x.
+ARCS["quartic_tail_generic"] = json.loads(
+    (GOLDEN_DIR / "generic_arc_quartic_tail_p96.json").read_text(encoding="utf-8")
+)["results"]["arc"]
 
 # golden file stem -> (presentation, arc or None, cli arguments after the inputs)
 CASES = {
@@ -196,12 +209,16 @@ CASES = {
     "nash_mixed_weights_monomial": (
         "mixed_weights", "mixed_weights_monomial", ["nash", "--trace"],
     ),
+    "nash_cusp_printed_and_grammar": (
+        "cusp", "cusp_printed_and_grammar", ["nash", "--trace"],
+    ),
     "tsch_needs_normalization": ("needs_normalization", None, ["tsch"]),
     "tsch_nonmonic_cubic": ("nonmonic_cubic", None, ["tsch"]),
     "elim_two_hyp": ("two_hyp", None, ["elim"]),
     "elim_split_in_the_base": ("split_in_the_base", None, ["elim"]),
     "contact_two_hyp_tilted": ("two_hyp", "two_hyp_tilted", ["contact"]),
     "contact_cusp_full_grammar": ("cusp", "cusp_full_grammar", ["contact"]),
+    "contact_quartic_tail_generic": ("quartic_tail", "quartic_tail_generic", ["contact"]),
     "mult_cusp_point_1_1": ("cusp", None, ["mult", "--point", "1,1"]),
     "mult_two_hyp": ("two_hyp", None, ["mult"]),
 }
