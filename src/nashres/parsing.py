@@ -19,7 +19,18 @@ built as a monomial num/den z^e: a number multiplies num and den, a variable
 adds to e, and a parenthesized sum of one term folds in alike; only sums of
 two terms or more are multiplied out, as `MultiPoly` products.  An
 expression sums its terms over the lcm of their denominators into one
-`MultiPoly`, and `parse_arc` reads its numerators into a `PowerSeries`.
+`MultiPoly`.
+
+Arc coordinates have two readers.  Text in the printed series form, the one
+`PowerSeries.polynomial_text` writes (terms p[/q][*t[^k]] or t[^k] joined by
+exactly " + " and " - ", ASCII numbers of at most 640 digits and no zero
+denominator), is read by one pattern match and summed over the lcm of its
+denominators without the grammar; every arc nashres writes, and every arc of
+the benchmark, is in that form.  Any other text, or a value that is not a
+string, goes through the grammar, which stays the only source of
+`ParseError`s: on the printed form the grammar can raise none.  Both readers
+give `parse_arc` numerators by exponent over one denominator, and it sizes,
+bounds and stores them alike.
 
 Limits: parentheses nest at most MAX_NESTING deep, and are refused at the
 first '(' past it.  Powers of sums and products of sums expand to at most
@@ -67,6 +78,17 @@ _OPS = {"+": "PLUS", "-": "MINUS", "*": "STAR",
         "^": "CARET", "/": "SLASH", "(": "LPAREN", ")": "RPAREN"}
 
 Token = Tuple[str, str, int]  # (kind, text, column)
+
+# The printed series form (see the module); 640 digits is the least int() digit
+# limit Python allows.  A term's groups: numerator, denominator, and the
+# monomial after a coefficient or alone.
+_PRINTED_NUMBER = "[0-9]{1,640}"
+_PRINTED_TERM = (
+    rf"(?:({_PRINTED_NUMBER})(?:/({_PRINTED_NUMBER}))?(?:\*(t(?:\^{_PRINTED_NUMBER})?))?"
+    rf"|(t(?:\^{_PRINTED_NUMBER})?))"
+)
+_PRINTED = re.compile(rf"-?{_PRINTED_TERM}(?: [-+] {_PRINTED_TERM})*")
+_PRINTED_TERMS = re.compile(rf"(^-|^| - | \+ ){_PRINTED_TERM}")
 
 
 def _ascii_class(ch: str) -> str:
@@ -297,6 +319,26 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read_printed(text) -> Optional[Tuple[Dict[int, int], int]]:
+    """The numerators {k: c} over one denominator of a coordinate in the
+    printed form (see the module), with cancelled terms left at 0, or None
+    for any other text."""
+    if type(text) is not str or not _PRINTED.fullmatch(text):
+        return None
+    terms = _PRINTED_TERMS.findall(text)
+    dens = [int(q) if q else 1 for _, _, q, _, _ in terms]
+    den = lcm(*dens)
+    if not den:
+        return None  # a zero denominator
+    nums: Dict[int, int] = {}
+    for (sign, p, _, times, bare), q in zip(terms, dens):
+        monomial = times or bare
+        k = 0 if not monomial else 1 if monomial == "t" else int(monomial[2:])
+        c = (int(p) if p else 1) * (den // q)
+        nums[k] = nums.get(k, 0) + (-c if "-" in sign else c)
+    return nums, den
+
+
 def parse_arc(document: dict) -> Arc:
     """Arc file: {"precision": N | "exact", "coords": {var: poly-in-t text}}."""
     if not isinstance(document, dict) or not isinstance(document.get("coords"), dict):
@@ -312,23 +354,26 @@ def parse_arc(document: dict) -> Arc:
     for name, text in document["coords"].items():
         if name not in IDENTIFIERS or name == "t":
             raise ValidationError(f"bad coordinate name {name!r}")
-        f = parse_poly(str(text))
-        bad = [v for v in f.vars if v != "t"]
-        if bad:
-            raise ValidationError(f"non-t variables in coordinate {name!r}: {bad}")
-        # every exponent is (k,) over t, or () for a constant
-        size = max((sum(e) for e in f.nums), default=-1) + 1
+        read = _read_printed(text)
+        if read is None:
+            f = parse_poly(str(text))
+            bad = [v for v in f.vars if v != "t"]
+            if bad:
+                raise ValidationError(f"non-t variables in coordinate {name!r}: {bad}")
+            # every exponent is (k,) over t, or () for a constant
+            read = {sum(e): c for e, c in f.nums.items()}, f.den
+        terms, den = read
+        size = max((k for k, c in terms.items() if c), default=-1) + 1
         size = size if prec is None else min(size, prec)
         if size > MAX_ARC_COEFFS:
             raise ValidationError(
                 f"coordinate {name!r} needs {size} coefficients, above the limit {MAX_ARC_COEFFS}"
             )
         nums = [0] * size
-        for exp, c in f.nums.items():
-            k = sum(exp)
+        for k, c in terms.items():
             if k < size:
                 nums[k] = c
-        coords[name] = PowerSeries.from_integers(nums, f.den, prec)
+        coords[name] = PowerSeries.from_integers(nums, den, prec)
     return Arc(coords)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence, Tuple
 
 from .errors import (
@@ -66,14 +67,16 @@ class TschirnhausenHypersurface:
 
     @cached_property
     def polynomial(self) -> MultiPoly:
-        """The defining equation over (var, base variables)."""
-        ambient = self.ambient_vars
-        x = MultiPoly.variable(ambient, self.var)
-        f = x**self.b
+        """The defining equation over (var, base variables): x^b over the lcm
+        of the B_i denominators, and each B_i's numerators at (i,) + e.  Each
+        B_i is canonical, so the sum is too (no gcd is needed)."""
+        den = lcm(*(B.den for B in self.coeffs))
+        nums = {(self.b,) + (0,) * len(self.base_vars): den}
         for i, B in enumerate(self.coeffs):
-            if not B.is_zero():
-                f = f + B.extend_vars(ambient) * x**i
-        return f
+            scale = den // B.den
+            for e, c in B.nums.items():
+                nums[(i,) + e] = c * scale
+        return MultiPoly._raw(self.ambient_vars, nums, den)
 
     @cached_property
     def elimination_algebra(self) -> ReesAlgebra:

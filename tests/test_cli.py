@@ -508,17 +508,30 @@ def test_human_readable_output(tmp_path, capsys):
 def test_arc_coefficients_are_stored_below_the_precision_only(tmp_path, capsys):
     import tracemalloc
 
+    from nashres.parsing import _read_printed
+
+    # Each x is in the printed form, so the printed reader sizes it: a term
+    # far above the precision, a zero term far above it, and a cancelling
+    # pair.  Exact, the first needs 300001 coefficients and is refused.
     pres = write(tmp_path, "p.json", CUSP)
-    arc = write(tmp_path, "a.json", {"precision": 8, "coords": {"x": "t^3 + t^300000", "z": "t^2"}})
-    tracemalloc.start()
-    try:
-        code, report = run_json(capsys, "contact", pres, arc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert report["results"]["r"] == "3"
-    assert peak < 1_000_000  # a dense list up to t^300000 alone takes 2.4 MB
+    for x in ("t^3 + t^300000", "t^3 + 0*t^99999999", "t^3 + t^200000 - t^200000"):
+        assert _read_printed(x) is not None, x
+        for precision in (8, "exact"):
+            arc = write(tmp_path, "a.json", {"precision": precision, "coords": {"x": x, "z": "t^2"}})
+            tracemalloc.start()
+            try:
+                code, report = run_json(capsys, "contact", pres, arc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if precision == "exact" and x == "t^3 + t^300000":
+                assert code == 2
+                assert "needs 300001 coefficients" in report["results"]["error"]
+            else:
+                assert code == 0, (x, precision, report)
+                assert report["results"]["r"] == "3"
+            # a dense list up to t^200000 alone takes 1.6 MB
+            assert peak < 1_000_000, (x, precision, peak)
 
 
 def test_exact_arc_coordinate_above_the_coefficient_limit_exit_code(tmp_path, capsys):

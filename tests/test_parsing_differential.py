@@ -8,18 +8,29 @@ two digits or more is now one unknown identifier (`z10`), where the reference
 read a letter and one digit and multiplied by the rest.  The bit limit on
 products and powers of sums is the other deliberate change; no text drawn
 here comes near it (test_parsing.py pins it).
+
+`parse_arc` reads the printed series form without the grammar.  On seeded
+printed texts and near misses of them, it must give what the grammar path
+alone gives (the printed reader patched out): the same series, or the same
+error and message.  Every arc nashres writes must take the printed reader.
 """
 
 from __future__ import annotations
 
+import json
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import reference_parser
-from nashres import Arc, PowerSeries, arc_to_document, parse_arc, parse_poly
+from nashres import Arc, PowerSeries, arc_to_document, parse_arc, parse_poly, parsing
 from nashres.errors import NashresError
 from nashres.parsing import IDENTIFIERS, MAX_POWER_TERMS
 
@@ -199,3 +210,197 @@ def test_arc_documents_round_trip(a):
     again = parse_arc(arc_to_document(a))
     assert again.coords == a.coords
     assert again.precision == a.precision
+
+
+# -- the printed series reader against the grammar ------------------------------
+
+PRECISIONS = ("exact", 1, 2, 5, 8, 40)
+
+
+def _arc_outcome(text, precision):
+    """parse_arc's x coordinate beside z = t, or its error and message."""
+    try:
+        arc = parse_arc({"precision": precision, "coords": {"x": text, "z": "t"}})
+        return ("ok", arc.coords["x"])
+    except NashresError as err:
+        return (type(err).__name__, str(err))
+
+
+def _grammar_outcome(text, precision):
+    with mock.patch.object(parsing, "_read_printed", lambda text: None):
+        return _arc_outcome(text, precision)
+
+
+def _number(rng):
+    return rng.choice([0, 1, 1, 2, 3, 7, 12, rng.randrange(10**30), rng.randrange(2**64)])
+
+
+def _printed_text(rng):
+    """A sum in the printed form, as `sum_text` writes it or with what the form
+    also admits: zero, unreduced, p/1 and 1*t^k terms, repeated and
+    cancelling exponents, and exponents far above a small precision."""
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        roll = rng.random()
+        if terms and roll < 0.15:  # a repeated exponent, or a cancelling copy
+            sign, p, q, k = rng.choice(terms)
+            if rng.random() < 0.5:
+                sign = "-" if sign == "+" else "+"
+            else:
+                p = _number(rng)
+        else:
+            sign, p, q = rng.choice("+-"), _number(rng), rng.choice([1, 1, 1, 2, 3, 8, 9, 10**20 + 1])
+            k = rng.choice([None, 1, 2, 3, 5, 9, 30, 700, rng.randrange(10**5, 10**8)])
+            if k is None and rng.random() < 0.8:
+                k = 1  # a constant term alone makes no arc
+        terms.append((sign, p, q, k))
+    text = ""
+    for sign, p, q, k in terms:
+        mag = f"{p}/{q}" if q != 1 or rng.random() < 0.1 else str(p)
+        monomial = "" if k is None else "t" if k == 1 else f"t^{k}"
+        if monomial and mag == "1" and rng.random() < 0.8:
+            body = monomial
+        else:
+            body = f"{mag}*{monomial}" if monomial else mag
+        text += f" {sign} {body}"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _near_miss(rng, text):
+    """One edit that takes a printed text out of the printed form, or (for a
+    few edits) keeps it in."""
+    edits = [
+        lambda s: s.replace(" + ", "+", 1),
+        lambda s: s.replace(" - ", "  - ", 1),
+        lambda s: s.replace(" - ", f" {MINUS} ", 1),
+        lambda s: MINUS + s.lstrip("-"),
+        lambda s: s.replace("*t", "t", 1),
+        lambda s: s.replace("*t", " t", 1),
+        lambda s: s.replace("*", " * ", 1),
+        lambda s: f"({s})",
+        lambda s: "+" + s,
+        lambda s: s + " + ",
+        lambda s: s + " ",
+        lambda s: s.replace("/", "/0", 1),
+        lambda s: s.replace("t", "x", 1),
+        lambda s: s.replace("^", "^^", 1),
+        lambda s: s + " + t^",
+        lambda s: s + " - 3/0*t^2",
+        lambda s: s + " + 0/0",
+        lambda s: s.replace("1", "\N{ARABIC-INDIC DIGIT ONE}", 1),
+        lambda s: s + " + 2t",
+        lambda s: s + "\n",
+    ]
+    return rng.choice(edits)(text)
+
+
+def _random_series(rng, precision):
+    top = rng.randint(1, 30)
+    den = rng.choice([1, 2, 6, 2**70, 3**40])
+    nums = [0] + [
+        rng.choice([0, 0, 1, -1, rng.randrange(-(10**25), 10**25)]) for _ in range(top)
+    ]
+    return PowerSeries.from_integers(nums, den, precision)
+
+
+def test_printed_reader_agrees_with_the_grammar():
+    # On printed texts and near misses of them, parse_arc gives what the
+    # grammar alone gives: the same series, or the same error and message.
+    rng = random.Random(20160305)
+    outcomes = Counter()
+    for k in range(1500):
+        if k % 3 == 0:
+            text = _random_series(rng, None).polynomial_text()
+        else:
+            text = _printed_text(rng)
+        if k % 2:
+            text = _near_miss(rng, text)
+        precision = rng.choice(PRECISIONS)
+        got = _arc_outcome(text, precision)
+        assert got == _grammar_outcome(text, precision), (text, precision)
+        route = "printed" if parsing._read_printed(text) is not None else "grammar"
+        outcomes[route, got[0]] += 1
+    assert outcomes["printed", "ParseError"] == 0, outcomes
+    for key in [("printed", "ok"), ("printed", "ValidationError"),
+                ("grammar", "ok"), ("grammar", "ParseError"), ("grammar", "ValidationError")]:
+        assert outcomes[key] >= 20, outcomes
+
+
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("t^2 + 0*t^3 + 0", True),
+        ("t^2 + 0*t^99999999", True),
+        ("t^2 + t^200000 - t^200000", True),
+        ("t^2 + t^2 - 2*t^2 + t^9", True),
+        ("3/1*t + 4/2*t^2", True),
+        ("1*t^3 - 1/3*t^99999999", True),
+        ("-t^2 - 5/7*t^100000", True),
+        ("t^2 +  t^3", False),
+        ("t^2+t^3", False),
+        ("t^2 \N{MINUS SIGN} t^3", False),
+        ("\N{MINUS SIGN}t^2", False),
+        ("3t^2", False),
+        ("3 t^2", False),
+        ("(t^2)", False),
+        ("t^2 + 1/0*t^3", False),
+        ("+t^2", False),
+        ("t^2 + z", False),
+    ],
+)
+def test_printed_reader_takes_the_printed_form_only(text, printed):
+    assert (parsing._read_printed(text) is not None) == printed
+    for precision in PRECISIONS:
+        assert _arc_outcome(text, precision) == _grammar_outcome(text, precision)
+
+
+def test_printed_reader_leaves_non_strings_to_the_grammar():
+    assert parsing._read_printed(5) is None
+    assert _arc_outcome(0, 8) == _grammar_outcome(0, 8)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_numbers_at_the_least_int_digit_limit():
+    # At the least limit Python allows, a 640-digit number is read by the
+    # printed reader, and a 641-digit one by the grammar, which refuses it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for digits in (640, 641):
+            n = "7" * digits
+            for text in (f"{n}*t^2", f"t^2 + 1/{n}*t^3", f"t^2 - t^{n}"):
+                assert (parsing._read_printed(text) is not None) == (digits == 640), digits
+                for precision in (8, "exact"):
+                    got = _arc_outcome(text, precision)
+                    assert got == _grammar_outcome(text, precision), (digits, text[:20])
+                    assert got[0] != "ParseError" or digits == 641
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_printed_arcs_never_reach_the_grammar(monkeypatch, tmp_path):
+    # Every arc nashres writes, and every arc of the contact workload, is read
+    # by the printed reader: a slip in its pattern would otherwise fall back
+    # to the grammar unseen.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    documents = [
+        json.loads(Path(op.argv[2]).read_text(encoding="utf-8"))
+        for op in workloads.build_contact(7, str(tmp_path)).ops
+    ]
+    rng = random.Random(20160306)
+    arcs = []
+    for _ in range(300):
+        precision = rng.choice([None, 3, 12, 96])
+        arcs.append(Arc({name: _random_series(rng, precision) for name in ("x", "z1", "z2")}))
+    calls = []
+    monkeypatch.setattr(parsing, "parse_poly", lambda *args: calls.append(args))
+    for a in arcs:
+        again = parse_arc(arc_to_document(a))
+        assert again.coords == a.coords
+    for document in documents:
+        parse_arc(document)
+    assert len(documents) == 768 and calls == []

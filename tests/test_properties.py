@@ -671,6 +671,22 @@ def test_closed_form_order_is_the_algebra_order(h):
     assert elimination_order(h) == algebra_order_at(h.elimination_algebra, origin)
 
 
+@seed(20151103)
+@settings(max_examples=200, deadline=None)
+@given(centred_tschirnhausen())
+def test_tschirnhausen_polynomial_is_the_ring_product_construction(h):
+    # the exponent map of `polynomial` against x^b + sum B_i x^i built by
+    # ring products, in canonical form and printed alike
+    ambient = h.ambient_vars
+    x = MultiPoly.variable(ambient, h.var)
+    f = x**h.b
+    for i, B in enumerate(h.coeffs):
+        f = f + B.extend_vars(ambient) * x**i
+    got = h.polynomial
+    assert got == f and str(got) == str(f), (str(got), str(f))
+    assert got.den > 0 and gcd(got.den, *got.nums.values()) == 1
+
+
 # -- the t-chart move shared by the blow-ups and the Newton-Puiseux stages --------
 
 XT = ("x", "t")
