@@ -6,6 +6,10 @@ fraction string, and a fixed --seed replays the same report (timing aside).
 
 Exit codes: 0 pass, 2 parse/validation error, 3 insufficient precision,
 4 extension required, 5 identity violation.
+
+`main` reads its presentation file on every call and loads each distinct
+text once: it keeps the presentations of the last PRESENTATION_MEMO_SIZE = 64
+distinct texts, keyed on the exact text (`_loaded_presentation`).
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .presentation import (
     elimination_order,
     hypersurface_multiplicity_at,
     max_mult_contains,
-    presentation_elimination_order,
 )
 from .rees import algebra_order_at, onedim_resolution_steps
 from .series import PowerSeries
@@ -61,14 +64,32 @@ def _check(name: str, passed: bool, witness: str = "") -> dict:
     return {"name": name, "status": "pass" if passed else "fail", "witness": witness}
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, decode=json.loads):
+    """decode(the text of the file at path), the errors of reading it and of
+    its JSON named by path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as err:
         raise NashresError(f"cannot read {path}: {err}") from None
+    try:
+        return decode(text)
     except json.JSONDecodeError as err:
         raise NashresError(f"{path} is not valid JSON: {err}") from None
+
+
+# The most presentation texts `main` keeps loaded; the perfbench tables hold 27.
+PRESENTATION_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
+def _loaded_presentation(text: str) -> Tuple[LocalPresentation, dict]:
+    """The presentation of a file's JSON text and its report document, shared
+    by every report on that text and never changed.  A rewritten file is a
+    new key, and a text that fails to load is loaded again on each call
+    (`lru_cache` stores no exception)."""
+    p = load_presentation(json.loads(text))
+    return p, presentation_to_document(p)
 
 
 def _origin(n: int) -> Tuple[Fraction, ...]:
@@ -138,7 +159,7 @@ def _cmd_elim(args, p: LocalPresentation, report: dict) -> List[dict]:
         }
         for h in p.hypersurfaces
     ]
-    report["results"]["presentation_order"] = str(presentation_elimination_order(p))
+    report["results"]["presentation_order"] = str(p.elimination_order)
     amb = p.ambient_algebra
     amb_order = algebra_order_at(amb, _origin(len(p.ambient_vars)))
     report["results"]["ambient_order_at_origin"] = str(amb_order)
@@ -176,7 +197,7 @@ def _cmd_contact(args, p: LocalPresentation, report: dict) -> List[dict]:
         var: str(cert) for var, cert in va.certificates
     }
     report["results"].update({**_contact_fields(result), "witness": result.witness})
-    ord_d = presentation_elimination_order(p).expect_exact("elimination order")
+    ord_d = p.elimination_order.expect_exact("elimination order")
     without_x = contact_order_without_x(va)
     return [
         _check("rho_is_floor_r", result.rho == floor(result.r)),
@@ -223,7 +244,7 @@ def _cmd_generic_arc(args, p: LocalPresentation, report: dict) -> List[dict]:
         p, alpha=args.alpha, search_bound=args.search_bound, precision=args.precision
     )
     c = result.arc.contact
-    order = presentation_elimination_order(p).expect_exact("elimination order")
+    order = p.elimination_order.expect_exact("elimination order")
     n = result.ramification * result.base.alpha
     report["results"].update(
         {
@@ -359,7 +380,7 @@ def verify_main_theorem(
     """
     results: dict = {}
     checks: List[dict] = []
-    ord_ext = presentation_elimination_order(p)
+    ord_ext = p.elimination_order
     if ord_ext.is_infinite:
         raise MaxMultArcError(
             "arc necessarily inside Max mult: the elimination order is infinite"
@@ -562,8 +583,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "elapsed_ms": 0,
     }
     try:
-        p = load_presentation(_load_json(args.presentation))
-        report["inputs"]["presentation"] = presentation_to_document(p)
+        p, report["inputs"]["presentation"] = _load_json(args.presentation, _loaded_presentation)
         checks = args.handler(args, p, report)
         code = 5 if any(c["status"] == "fail" for c in checks) else 0
     except NashresError as err:

@@ -142,7 +142,8 @@ def elimination_order(h: TschirnhausenHypersurface) -> ExtOrder:
 
 @dataclass(frozen=True)
 class LocalPresentation:
-    """Hypersurfaces over a shared base; the ambient algebra is cached."""
+    """Hypersurfaces over a shared base; the ambient algebra and the
+    elimination order are cached."""
 
     d: int
     hypersurfaces: Tuple[TschirnhausenHypersurface, ...]
@@ -174,9 +175,14 @@ class LocalPresentation:
     def ambient_algebra(self) -> ReesAlgebra:
         return ambient_algebra(self)
 
+    @cached_property
+    def elimination_order(self) -> ExtOrder:
+        return presentation_elimination_order(self)
+
 
 def presentation_elimination_order(p: LocalPresentation) -> ExtOrder:
-    """Hironaka's order in base dimension: min over hypersurfaces."""
+    """Hironaka's order in base dimension: min over hypersurfaces.  Read it
+    through the cached `p.elimination_order`."""
     return ext_min(elimination_order(h) for h in p.hypersurfaces)
 
 

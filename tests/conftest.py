@@ -54,6 +54,15 @@ def exact_arc(**coords):
     return Arc(out)
 
 
+@pytest.fixture(autouse=True)
+def _no_loaded_presentations():
+    """Each test starts with no presentation kept by `cli.main`, so a test
+    that spies on the loading path through `main` sees its own loads."""
+    from nashres.cli import _loaded_presentation
+
+    _loaded_presentation.cache_clear()
+
+
 @pytest.fixture
 def cusp():
     return make_presentation(1, ("x", "x^2 - z^3"))

@@ -1,6 +1,7 @@
 import decimal
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -914,3 +915,75 @@ def test_verify_checks_the_arc_once_per_blow_up(tmp_path, capsys, monkeypatch, n
     assert all(c["status"] == "pass" for c in report["checks"])
     assert steps and checked == steps
     assert 0 not in checked
+
+
+# -- the presentations main keeps, by file text ---------------------------------
+
+
+def test_a_rewritten_presentation_file_is_loaded_anew(tmp_path, capsys):
+    pres = write(tmp_path, "p.json", CUSP)
+    code, report = run_json(capsys, "elim", pres)
+    assert (code, report["results"]["presentation_order"]) == (0, "3/2")
+    write(tmp_path, "p.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^5"}]})
+    code, report = run_json(capsys, "elim", pres)
+    assert (code, report["results"]["presentation_order"]) == (0, "5/2")
+    assert report["inputs"]["presentation"]["hypersurfaces"][0]["f"] == "-z^5 + x^2"
+
+
+def test_a_presentation_fixed_at_the_same_path_loads(tmp_path, capsys):
+    from nashres.cli import _loaded_presentation
+
+    pres = write(tmp_path, "p.json", _cusp_without("b"))
+    for _ in range(2):
+        code, report = run_json(capsys, "elim", pres)
+        assert code == 2 and report["results"]["error"]
+    assert _loaded_presentation.cache_info().currsize == 0
+    write(tmp_path, "p.json", CUSP)
+    code, report = run_json(capsys, "elim", pres)
+    assert (code, report["results"]["presentation_order"]) == (0, "3/2")
+
+
+def test_malformed_json_names_its_own_path_on_every_call(tmp_path, capsys):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for path in (first, second):
+        path.write_text('{"d": 1, "hypersurfaces": [')
+    for path in (first, first, second):
+        code, report = run_json(capsys, "elim", str(path))
+        assert code == 2
+        assert report["results"]["error"].startswith(f"{path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("command", ["contact", "elim", "verify"])
+def test_a_kept_presentation_gives_the_same_report(tmp_path, capsys, monkeypatch, command):
+    from nashres import cli as climod
+
+    loads = []
+    real = climod.load_presentation
+    monkeypatch.setattr(climod, "load_presentation", lambda doc: loads.append(doc) or real(doc))
+    argv = [command, write(tmp_path, "p.json", TWO_HYP)]
+    if command == "contact":
+        arc = {"precision": "exact", "coords": {"x1": "t^3", "x2": "t^4", "z1": "t^2", "z2": "t^3"}}
+        argv.append(write(tmp_path, "a.json", arc))
+    reports = [run(capsys, *argv, "--json") for _ in range(2)]
+    assert [code for code, _ in reports] == [0, 0]
+    first, second = (re.sub(r'"elapsed_ms": [0-9]+', "", out) for _, out in reports)
+    assert first == second
+    assert len(loads) == 1
+
+
+def test_main_keeps_at_most_its_stated_number_of_presentations(tmp_path, capsys):
+    from nashres.cli import PRESENTATION_MEMO_SIZE, _loaded_presentation
+
+    paths = [
+        write(tmp_path, f"a{n}.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": f"x^2 - z^{n}"}]})
+        for n in range(2, PRESENTATION_MEMO_SIZE + 7)
+    ]
+    for path in paths:
+        assert run(capsys, "tsch", path)[0] == 0
+    info = _loaded_presentation.cache_info()
+    assert (info.currsize, info.maxsize, info.misses) == (PRESENTATION_MEMO_SIZE,) * 2 + (len(paths),)
+    # the last one read is kept, the first was dropped
+    run(capsys, "tsch", paths[-1])
+    run(capsys, "tsch", paths[0])
+    info = _loaded_presentation.cache_info()
+    assert (info.hits, info.misses) == (1, len(paths) + 1)

@@ -925,9 +925,37 @@ def test_binomial_edge_roots_with_constants_of_thousands_of_bits():
 
 
 def test_binomial_edge_roots_of_degree_two_thousand():
-    # The derivative chain is walked in a loop, so a degree above the
-    # interpreter's default recursion limit of 1,000 needs no deeper stack.
+    # c^2000 - 1 is read as u - 1 in u = c^2000, so no derivative chain is
+    # built; it took 4.3 s through the chain.
+    import time
+
+    start = time.perf_counter()
     assert set(_rational_roots([Fraction(-1)] + [0] * 1999 + [1])) == {1, -1}
+    assert time.perf_counter() - start < 0.1
+
+
+def test_edge_roots_of_degree_above_the_recursion_limit():
+    # c^1201 + c - 2 = (c - 1)(c^1200 + ... + c + 2), exponents of gcd 1, is
+    # no polynomial in a power of c: its derivative chain of 1,200 steps is
+    # walked in a loop, so a degree above the interpreter's default
+    # recursion limit of 1,000 needs no deeper stack.
+    assert _rational_roots([Fraction(-2), 1] + [0] * 1199 + [1]) == [1]
+
+
+def test_edge_roots_in_a_power_of_c_by_hand():
+    one = Fraction(1)
+    # (c^2 - 4)(4 c^2 - 9): u = 4 and 9/4 give +-2 and +-3/2
+    assert set(_rational_roots([36 * one, 0, -25, 0, 4])) == {2, -2, Fraction(3, 2), Fraction(-3, 2)}
+    # (c^2 + 1)(c^2 + 4): u = -1 and -4 have no even root
+    assert _rational_roots([4 * one, 0, 5, 0, 1]) == []
+    # (c^3 + 1)(c^3 + 8): an odd g keeps the sign, c = -1 and -2
+    assert set(_rational_roots([8 * one, 0, 0, 9, 0, 0, 1])) == {-1, -2}
+    # (c^2 - 2)(c^2 - 9/4): u = 2 is no square, 9/4 is
+    assert set(_rational_roots([18 * one, 0, -17, 0, 4])) == {Fraction(3, 2), Fraction(-3, 2)}
+    # 2^3000 c^6 - 3^6 in u = c^6: +-3/2^500, numerator and denominator rooted apart
+    assert set(_rational_roots([-(3**6) * one, 0, 0, 0, 0, 0, 2**3000])) == {
+        Fraction(3, 2**500), Fraction(-3, 2**500),
+    }
 
 
 def _poly_product(a, b):
@@ -981,6 +1009,26 @@ def test_middle_term_edge_roots_match_the_divisor_scan(coeffs):
     assert set(roots) == expected
     if expected:
         assert _pick_root(roots) == _pick_root(list(expected))
+
+
+@st.composite
+def edges_in_a_power(draw):
+    """A middle-term edge P(u) read in u = c^g, g from 2 to 4: its roots are
+    the rational g-th roots of P's, with both signs when g is even."""
+    f = draw(middle_term_edges())
+    g = draw(st.integers(min_value=2, max_value=4))
+    out = [Fraction(0)] * ((len(f) - 1) * g + 1)
+    out[::g] = f
+    return out
+
+
+@seed(20151111)
+@settings(max_examples=120, deadline=None)
+@given(edges_in_a_power())
+def test_edge_roots_in_a_power_of_c_match_the_divisor_scan(coeffs):
+    roots = _rational_roots(coeffs)
+    assert len(roots) == len(set(roots))
+    assert set(roots) == _reference_rational_roots(coeffs)
 
 
 @seed(20151110)
