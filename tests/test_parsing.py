@@ -150,6 +150,36 @@ def test_product_is_bounded_in_bits():
     assert parse_poly(f"{factor} " + "t " * 3000) == MultiPoly(("t",), {(3000,): 2**30000})
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        # a zero factor, wherever it stands, leaves no sum to expand
+        ("0 (z+1)^15 (z+1)^15", MultiPoly(("z",), {})),
+        ("(z+1)^15 0 (z+1)^15", MultiPoly(("z",), {})),
+        ("(z+1)^15 (z - z) (z+1)^15", MultiPoly(("z",), {})),
+        # a parenthesized factor of one term counts as a monomial, in terms and in bits
+        ("3 (2^30000 z)^2 2^5000", MultiPoly(("z",), {(2,): 3 * 2**65000})),
+    ],
+)
+def test_limits_of_a_term_with_a_zero_or_one_term_factor(text, value):
+    assert parse_poly(text) == value
+
+
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("(z+1)^15 (z+1)^15", "product of a 16-term and a 16-term sum expands past 200 terms", 10),
+        ("2^40000 2^30000", "power 40000 of a 2-bit coefficient passes 65536 bits", 3),
+        ("(1/3)^2 z (z+1)^14 (z+1)^14", "product of a 15-term and a 15-term sum expands past 200 terms", 20),
+    ],
+)
+def test_limits_of_a_term_refuse_at_the_same_column(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert str(err.value) == f"{message} (line 1, column {column})"
+    assert err.value.column == column
+
+
 def test_identifier_followed_by_a_digit_is_unknown():
     for text, name, column in (
         ("x^2 - z1^2 z2 - z10^5", "z10", 17),
