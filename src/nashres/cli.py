@@ -64,17 +64,31 @@ def _check(name: str, passed: bool, witness: str = "") -> dict:
     return {"name": name, "status": "pass" if passed else "fail", "witness": witness}
 
 
-def _load_json(path: str, decode=json.loads):
+class _NotJSON(Exception):
+    """A refusal of the JSON decoder, without the path of its text."""
+
+
+def _decode_json(text: str):
+    """json.loads(text).  Besides a JSONDecodeError, the decoder raises a
+    RecursionError on arrays or objects nested past the recursion limit, and
+    a ValueError on an integer past int()'s digit limit; each is a _NotJSON."""
+    try:
+        return json.loads(text)
+    except (RecursionError, ValueError) as err:  # JSONDecodeError is a ValueError
+        raise _NotJSON(err) from None
+
+
+def _load_json(path: str, decode=_decode_json):
     """decode(the text of the file at path), the errors of reading it and of
     its JSON named by path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise NashresError(f"cannot read {path}: {err}") from None
     try:
         return decode(text)
-    except json.JSONDecodeError as err:
+    except _NotJSON as err:
         raise NashresError(f"{path} is not valid JSON: {err}") from None
 
 
@@ -88,7 +102,7 @@ def _loaded_presentation(text: str) -> Tuple[LocalPresentation, dict]:
     by every report on that text and never changed.  A rewritten file is a
     new key, and a text that fails to load is loaded again on each call
     (`lru_cache` stores no exception)."""
-    p = load_presentation(json.loads(text))
+    p = load_presentation(_decode_json(text))
     return p, presentation_to_document(p)
 
 

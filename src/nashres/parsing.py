@@ -14,12 +14,15 @@ identifier, not z1 times 0.  Errors carry 1-based line/column positions.
 
 One compiled regular expression splits the text; outside ASCII it reads a
 copy in which each character stands for its class (space, digit, letter,
-the minus sign U+2212, other), so columns stay those of the text.  A term is
-built as a monomial num/den z^e: a number multiplies num and den, a variable
-adds to e, and a parenthesized sum of one term folds in alike; only sums of
-two terms or more are multiplied out, as `MultiPoly` products.  An
+the minus sign U+2212, other), so columns stay those of the text.  Every
+factor is a `MultiPoly`: a number, a variable, a parenthesized sum, or one
+of them to a power.  A term is the running product of its factors, and an
 expression sums its terms over the lcm of their denominators into one
-`MultiPoly`.
+`MultiPoly`.  Nothing nashres writes and no benchmark workload reads much
+text through the grammar (arcs take the printed reader below, and `cli.main`
+loads each presentation text once), so monomials take no faster path: a
+coordinate of 100,000 terms that is not in printed form takes about 1.5 s
+(CPython 3.11, 2-core x86).
 
 Arc coordinates have two readers.  Text in the printed series form, the one
 `PowerSeries.polynomial_text` writes (terms p[/q][*t[^k]] or t[^k] joined by
@@ -44,7 +47,7 @@ at its exponent, a product at the factor that passes the limit.
 from __future__ import annotations
 
 import re
-from math import comb, gcd, lcm
+from math import comb, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arcs import Arc
@@ -134,16 +137,9 @@ def _number(tok: Token) -> int:
         ) from None
 
 
-# A monomial factor: the coefficient p/q and the variable powers [(index, k)].
-Monomial = Tuple[int, int, Sequence[Tuple[int, int]]]
-
-
-def _size(factor: "Monomial | MultiPoly") -> Tuple[int, int]:
+def _size(factor: MultiPoly) -> Tuple[int, int]:
     """The factor's number of terms and the bit length of its largest
     numerator or denominator."""
-    if type(factor) is tuple:
-        p, q, _ = factor
-        return (1 if p else 0), max(p.bit_length(), q.bit_length())
     top = max(max(map(abs, factor.nums.values()), default=0), factor.den)
     return len(factor.nums), top.bit_length()
 
@@ -153,7 +149,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.vars = variables
-        self.index = {v: i for i, v in enumerate(variables)}
         self.depth = 0  # of the open parentheses
 
     def take(self, kind: str) -> Token:
@@ -166,75 +161,59 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> MultiPoly:
-        terms = []  # (sign, numerators, denominator)
+        terms = []  # (sign, term)
         kind = self.tokens[self.pos][0]
         while True:
             sign = 1
             if kind in ("PLUS", "MINUS"):  # optional before the first term only
                 self.pos += 1
                 sign = -1 if kind == "MINUS" else 1
-            terms.append((sign, *self.parse_term()))
+            terms.append((sign, self.parse_term()))
             kind = self.tokens[self.pos][0]
             if kind not in ("PLUS", "MINUS"):
                 break
-        den = lcm(*(d for _, _, d in terms))
+        den = lcm(*(term.den for _, term in terms))
         out: Nums = {}
-        for sign, nums, d in terms:
-            factor = sign * (den // d)
-            for exp, c in nums.items():
+        for sign, term in terms:
+            factor = sign * (den // term.den)
+            for exp, c in term.nums.items():
                 out[exp] = out.get(exp, 0) + c * factor
         return MultiPoly.from_integers(self.vars, out, den)
 
-    def parse_term(self) -> Tuple[Nums, int]:
-        """The product num/den z^exp times the sums met, as numerators over a denominator."""
+    def parse_term(self) -> MultiPoly:
+        """The product of the factors."""
         tokens = self.tokens
-        num, den, exp = 1, 1, [0] * len(self.vars)
-        product: Optional[MultiPoly] = None  # the sums with two terms or more
-        bits = 0  # sum of the factors' bit lengths above 1
-        column = 0  # of the current factor; 0 for the first
+        product = self.parse_factor()
+        bits = _size(product)[1]
+        bits = bits if bits > 1 else 0  # the sum of the factors' bit lengths above 1
         while True:
+            kind = tokens[self.pos][0]
+            if kind == "STAR":
+                self.pos += 1
+            elif kind not in ("NUM", "IDENT", "LPAREN"):
+                return product
+            column = tokens[self.pos][2]
             factor = self.parse_factor()
+            n = len(product.nums)
             k, factor_bits = _size(factor)
-            if column:
-                n = 0 if not num else 1 if product is None else len(product.nums)
-                if n >= 2 and k >= 2 and n * k > MAX_POWER_TERMS:
-                    raise ParseError(
-                        f"product of a {n}-term and a {k}-term sum expands past "
-                        f"{MAX_POWER_TERMS} terms",
-                        column=column,
-                    )
-                if factor_bits > 1 and bits + factor_bits > MAX_CONSTANT_BITS:
+            if n >= 2 and k >= 2 and n * k > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"product of a {n}-term and a {k}-term sum expands past "
+                    f"{MAX_POWER_TERMS} terms",
+                    column=column,
+                )
+            if factor_bits > 1:
+                if bits + factor_bits > MAX_CONSTANT_BITS:
                     raise ParseError(
                         f"product of {bits}-bit and {factor_bits}-bit coefficients passes "
                         f"{MAX_CONSTANT_BITS} bits",
                         column=column,
                     )
-            if factor_bits > 1:
                 bits += factor_bits
-            if type(factor) is tuple:
-                p, q, powers = factor
-                num, den = num * p, den * q
-                for i, e in powers:
-                    exp[i] += e
-                if not num:
-                    product = None
-            elif num:
-                product = factor if product is None else product * factor
-            kind = tokens[self.pos][0]
-            if kind == "STAR":
-                self.pos += 1
-            elif kind not in ("NUM", "IDENT", "LPAREN"):
-                break
-            column = tokens[self.pos][2]
-        if product is None:
-            return {tuple(exp): num}, den
-        return (
-            {tuple(a + b for a, b in zip(e, exp)): c * num for e, c in product.nums.items()},
-            den * product.den,
-        )
+            product = product * factor
 
-    def parse_factor(self) -> "Monomial | MultiPoly":
-        """The base to its power: a `Monomial`, or a `MultiPoly` of two terms or more."""
+    def parse_factor(self) -> MultiPoly:
+        """The base to its power."""
         tokens = self.tokens
         kind, text, column = tok = tokens[self.pos]
         self.pos += 1
@@ -246,11 +225,9 @@ class _Parser:
                 q = _number(den)
                 if q == 0:
                     raise ParseError("division by zero", column=den[2])
-                common = gcd(p, q)
-                p, q = p // common, q // common
-            base = (p, q, ())
+            base = MultiPoly.from_integers(self.vars, {(0,) * len(self.vars): p}, q)
         elif kind == "IDENT":
-            base = (1, 1, ((self.index[text], 1),))
+            base = MultiPoly.variable(self.vars, text)
         elif kind == "LPAREN":
             if self.depth == MAX_NESTING:
                 raise ParseError(
@@ -265,31 +242,23 @@ class _Parser:
                 f"expected a number, variable or '(', found {text or 'end of input'!r}",
                 column=column,
             )
-        if tokens[self.pos][0] == "CARET":
-            self.pos += 1
-            exp = self.take("NUM")
-            k = _number(exp)
-            n, bits = _size(base)
-            if n >= 2 and comb(n + k - 1, n - 1) > MAX_POWER_TERMS:
-                raise ParseError(
-                    f"power {k} of a {n}-term sum expands past {MAX_POWER_TERMS} terms",
-                    column=exp[2],
-                )
-            if bits > 1 and k * bits > MAX_CONSTANT_BITS:
-                raise ParseError(
-                    f"power {k} of a {bits}-bit coefficient passes {MAX_CONSTANT_BITS} bits",
-                    column=exp[2],
-                )
-            if type(base) is tuple:
-                p, q, powers = base
-                base = (p**k, q**k, tuple((i, e * k) for i, e in powers))
-            else:
-                base = base**k
-        if type(base) is tuple or len(base.nums) > 1:
+        if tokens[self.pos][0] != "CARET":
             return base
-        # a sum of one term (or none) folds into the monomial
-        ((e, c),) = base.nums.items() or (((), 0),)
-        return c, base.den, tuple((i, a) for i, a in enumerate(e) if a)
+        self.pos += 1
+        exp = self.take("NUM")
+        k = _number(exp)
+        n, bits = _size(base)
+        if n >= 2 and comb(n + k - 1, n - 1) > MAX_POWER_TERMS:
+            raise ParseError(
+                f"power {k} of a {n}-term sum expands past {MAX_POWER_TERMS} terms",
+                column=exp[2],
+            )
+        if bits > 1 and k * bits > MAX_CONSTANT_BITS:
+            raise ParseError(
+                f"power {k} of a {bits}-bit coefficient passes {MAX_CONSTANT_BITS} bits",
+                column=exp[2],
+            )
+        return base**k
 
 
 def parse_poly(text: str, variables: Optional[Sequence[str]] = None) -> MultiPoly:

@@ -1,10 +1,13 @@
-"""The parser as it was before polynomials were built term by term on integers.
+"""An independent reading of the polynomial grammar, for tests only.
 
-A test-only reference for the differential test in test_parsing_differential.py:
-it tokenizes character by character and builds a `MultiPoly` for every
-number, variable and power, then multiplies and adds them one at a time.  It
-reads identifiers as one letter and at most one digit, and bounds the bits of
-a power only when its base is a single term.
+The reference of the differential test in test_parsing_differential.py.  It
+shares the grammar and its term limit with `nashres.parsing` but none of its
+reading: its tokenizer steps through the text one character at a time, with
+no regular expression; an identifier is one letter and at most one digit; it
+sizes factors through the `Fraction` view `MultiPoly.terms`, not the integer
+numerators; and it builds a sum one term at a time with `MultiPoly` addition,
+not over one common denominator.  It bounds the bits of a power only when
+its base is a single term, and the bits of a product not at all.
 """
 
 from __future__ import annotations

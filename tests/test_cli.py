@@ -166,8 +166,9 @@ def test_cubic_edge_with_a_middle_term_and_a_2_71_constant_exit_code(tmp_path, c
     "b, equation", [(6, "x^6 - 3 2^30000 z^7"), (3, "x^3 + z^2 x + 3 2^30000 z^3")]
 )
 def test_edges_with_a_30000_bit_constant_exit_code(tmp_path, b, equation):
-    # The binomial and the middle-term edge have no rational root; root
-    # isolation needs O(log bits) evaluations, not bits / n bisection steps.
+    # Neither edge has a rational root.  The binomial's is read as u = c^6,
+    # which is linear; the middle-term edge isolates its roots in O(log bits)
+    # evaluations, not bits / n bisection steps.
     import os
     import subprocess
     from pathlib import Path
@@ -951,6 +952,57 @@ def test_malformed_json_names_its_own_path_on_every_call(tmp_path, capsys):
         code, report = run_json(capsys, "elim", str(path))
         assert code == 2
         assert report["results"]["error"].startswith(f"{path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("refusal", ["nesting", "digits"])
+@pytest.mark.parametrize("role", ["presentation", "arc"])
+def test_json_the_decoder_refuses_without_a_decode_error_exits_2(tmp_path, capsys, role, refusal):
+    # the decoder raises RecursionError on deep nesting and ValueError on an
+    # integer past int()'s digit limit, not JSONDecodeError
+    from nashres.cli import _loaded_presentation
+
+    if refusal == "nesting":
+        text = "[" * 100_000 + "]" * 100_000
+    else:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter reads integers of any length")
+        digits = "1" * (limit + 1)
+        if role == "presentation":
+            text = f'{{"d": {digits}, "hypersurfaces": {json.dumps(CUSP["hypersurfaces"])}}}'
+        else:
+            text = f'{{"precision": {digits}, "coords": {json.dumps(CUSP_ARC["coords"])}}}'
+    pres = write(tmp_path, "p.json", CUSP)
+    for name in ("first.json", "second.json"):
+        path = tmp_path / name
+        path.write_text(text)
+        argv = ["elim", str(path)] if role == "presentation" else ["contact", pres, str(path)]
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["results"]["error"].startswith(f"{path} is not valid JSON: ")
+    assert _loaded_presentation.cache_info().currsize == (role == "arc")
+
+
+@pytest.mark.parametrize("role", ["presentation", "arc"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, role):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"d": 1, "\xff": []}')
+    argv = ["elim", str(path)] if role == "presentation" else ["contact", write(tmp_path, "p.json", CUSP), str(path)]
+    code, report = run_json(capsys, *argv)
+    assert code == 2
+    assert report["results"]["error"].startswith(f"cannot read {path}: ")
+
+
+def test_a_value_error_of_loading_a_presentation_is_not_read_as_json(tmp_path, capsys, monkeypatch):
+    from nashres import cli as climod
+
+    def refuse(document):
+        raise ValueError("not a JSON error")
+
+    monkeypatch.setattr(climod, "load_presentation", refuse)
+    with pytest.raises(ValueError, match="not a JSON error"):
+        main(["elim", write(tmp_path, "p.json", CUSP)])
+    assert climod._loaded_presentation.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("command", ["contact", "elim", "verify"])

@@ -1,13 +1,14 @@
-"""The parser against its former self.
+"""The parser against an independent reading of its grammar.
 
-`reference_parser` is the parser as it was before terms were built on
-integers.  Both read seeded texts of the grammar and near misses of it, and
-must give an equal `MultiPoly` or an equal error, message and column.  The
-one deliberate difference in this range of texts is that a letter followed by
-two digits or more is now one unknown identifier (`z10`), where the reference
-read a letter and one digit and multiplied by the rest.  The bit limit on
-products and powers of sums is the other deliberate change; no text drawn
-here comes near it (test_parsing.py pins it).
+`reference_parser` reads the text one character at a time, identifiers as
+one letter and at most one digit, factors through the `Fraction` view, and
+sums one term at a time.  Both read seeded texts of the grammar and near
+misses of it, and must give an equal `MultiPoly` or an equal error, message
+and column.  The one deliberate difference in this range of texts is that a
+letter followed by two digits or more is one unknown identifier (`z10`) in
+the parser, where the reference reads a letter and one digit and multiplies
+by the rest.  The bit limit on products and powers of sums is the other;
+no text drawn here comes near it (test_parsing.py pins it).
 
 `parse_arc` reads the printed series form without the grammar.  On seeded
 printed texts and near misses of them, it must give what the grammar path
