@@ -122,94 +122,78 @@ def build_diagonal_arc(units: Sequence, alpha: int, base_vars: Sequence[str]) ->
 # -- Newton-Puiseux lifting -------------------------------------------------------
 
 
-def _horner(coeffs: Sequence[int], y: int) -> int:
-    """sum coeffs[k] y^k."""
+def _horner(coeffs: Sequence[int], y: int, modulus: int = 0) -> int:
+    """sum coeffs[k] y^k, reduced mod `modulus` at each step if it is nonzero."""
     value = 0
     for c in reversed(coeffs):
         value = value * y + c
+        if modulus:
+            value %= modulus
     return value
 
 
-def _root_floors(coeffs: List[int]) -> List[int]:
-    """Sorted integers that include the floor of every real root of
-    sum coeffs[k] y^k, a nonconstant integer polynomial.
+def _pseudo_divide(a: List[int], b: List[int]) -> Tuple[List[int], List[int]]:
+    """(q, r) for integer coefficient lists, lowest degree first: r is the
+    pseudo-remainder lead(b)^(deg a - deg b + 1) a mod b, with deg b entries,
+    zeros included, and for a monic b, q is the quotient of a by b."""
+    q: List[int] = []
+    r = list(a)
+    for s in range(len(a) - len(b), -1, -1):
+        top = r.pop()
+        if b[-1] != 1:
+            r = [b[-1] * c for c in r]
+        q.append(top)
+        for k, c in enumerate(b[:-1]):
+            r[s + k] -= top * c
+    return q[::-1], r
 
-    A loop up the derivative chain, from the linear derivative to the
-    polynomial: each derivative's floors cut the next polynomial's range
-    (`_floors_cut_by`), so no frame is kept per degree and a binomial of
-    degree 2,000 needs no deeper stack than a quadratic.
+
+def _primitive(a: List[int]) -> List[int]:
+    """a, its zero leading terms popped, divided by its content."""
+    while a and not a[-1]:
+        a.pop()
+    content = gcd(*a)
+    return [c // content for c in a] if content > 1 else a
+
+
+def _integer_roots(g: List[int]) -> List[int]:
+    """Sorted distinct integer roots of sum g[k] y^k, a monic integer
+    polynomial with a nonzero constant term, by p-adic lifting (Loos,
+    Computing rational zeros of integral polynomials by p-adic expansion,
+    SIAM J. Comput. 12, 1983).
+
+    h, the squarefree part g / gcd(g, g'), has the roots of g, each simple:
+    the gcd comes from a primitive pseudo-remainder sequence over Z, and is
+    monic up to sign, as it divides the monic g.  The modulus m is the least
+    m >= 2 at which h'(r) is a unit mod m at every root r of h mod m; every
+    prime that does not divide disc(h) is one.  Then each root r mod m has
+    one lift mod m^(2^k): each Newton-Hensel step lifts the inverse w of
+    h'(r) to mod m by w <- w (2 - h'(r) w), so no modular inverse is taken
+    past the first, then r to mod m^2 by r <- r - h(r) w.  Once m passes
+    twice Fujiwara's bound 2 max_k |h_k|^(1/(n-k)) on |y|, each |h_k| read as
+    2^bits, every integer root is the balanced residue of a lift, and each
+    such residue is checked exactly.
     """
-    chain = [coeffs]
-    while len(chain[-1]) > 2:
-        f = chain[-1]
-        chain.append([k * f[k] for k in range(1, len(f))])
-    a0, a1 = chain[-1]
-    floors = [-a0 // a1]
-    for f, slope in zip(chain[-2::-1], chain[:0:-1]):
-        floors = _floors_cut_by(f, slope, floors)
-    return floors
-
-
-def _floors_cut_by(coeffs: List[int], slope: List[int], cuts: List[int]) -> List[int]:
-    """`_root_floors(coeffs)`, given its derivative `slope` and that
-    derivative's root floors `cuts`.
-
-    The cuts split [-B, B] into integer intervals on which the polynomial
-    is monotone.  Each interval whose ends differ in sign holds one root,
-    and its bracket [lo, hi] closes on the root's floor.  While the bracket
-    spans more than a factor 4 (or holds 0), the probe is 0 or the power of
-    two that halves the bit length.  Then it takes integer Newton steps
-    y - p(y) // p'(y) from the last probe, and probes y + 1 and y - 1 too,
-    so that the bracket closes once Newton is within 1 (Brent and
-    Zimmermann, Modern Computer Arithmetic, 1.5); it bisects when a step
-    leaves the bracket or the bracket is 16 wide or less, where bisection
-    needs fewer evaluations.  A constant term of b bits costs O(log b)
-    evaluations where bisection costs b/n: generic-arc on x^3 + z^2 x +
-    3 2^30000 z^3, whose 16 edges c^3 + u^2 c + 3 2^30000 u^3 each isolate
-    their roots here, takes 0.23 s in-process where bisection took 26.2 s
-    (CPython 3.11, 2-core x86).  A root between a cut point c and c + 1
-    has floor c, so the cut points are kept too.  B is Fujiwara's bound
-    2 max_k |a_k/a_n|^(1/(n-k)), rounded up to a power of two.
-    """
-    n = len(coeffs) - 1
-    # |a_k/a_n| < 2^bits(a_k), as |a_n| >= 1
-    bound = 2 << max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(coeffs[:-1]))
-
-    def sign(y: int) -> int:
-        value = _horner(coeffs, y)
-        return (value > 0) - (value < 0)
-
-    floors = set(cuts)
-    for lo, hi in zip([-bound - 1] + cuts, cuts + [bound]):
-        lo, hi = max(lo + 1, -bound), min(hi, bound)
-        if lo > hi:
-            continue
-        s_lo = sign(lo)
-        if s_lo == 0:
-            floors.add(lo)
-            continue
-        if sign(hi) == s_lo:
-            continue
-        y = lo
-        while hi - lo > 1:  # sign(lo) == s_lo != sign(hi)
-            if lo < 0 < hi:
-                y, probes = 0, ()
-            elif (hi > 4 * max(lo, 1)) if lo >= 0 else (-lo > 4 * max(-hi, 1)):
-                y, probes = (1 if lo >= 0 else -1) << ((lo.bit_length() + hi.bit_length()) // 2), ()
-            else:
-                # a short bracket, or a flat slope, bisects
-                d = _horner(slope, y) if hi - lo > 16 else 0
-                z = y - _horner(coeffs, y) // d if d else lo - 1
-                y, probes = (z, (z + 1, z - 1)) if lo <= z <= hi else ((lo + hi) // 2, ())
-            for z in (y, *probes):
-                if lo < z < hi:
-                    s = sign(z)
-                    if s == s_lo:
-                        lo = z
-                    else:
-                        lo, hi = (lo, z) if s else (z - 1, z)  # an exact root closes it
-        floors.add(hi if sign(hi) == 0 else lo)
-    return sorted(floors)
+    a, b = g, _primitive([k * c for k, c in enumerate(g)][1:])
+    while len(b) > 1:
+        a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    # b = [] leaves a = gcd(g, g'); b = [c], a constant, leaves gcd 1
+    h = g if b else _pseudo_divide(g, a if a[-1] > 0 else [-c for c in a])[0]
+    slope = [k * c for k, c in enumerate(h)][1:]
+    for m in itertools.count(2):
+        roots = [r for r in range(m) if _horner(h, r, m) == 0]
+        inverses = [_horner(slope, r, m) for r in roots]
+        if all(gcd(d, m) == 1 for d in inverses):
+            break
+    lifts = [(r, pow(d, -1, m)) for r, d in zip(roots, inverses)]
+    bound = 4 << max(-(-abs(c).bit_length() // (len(h) - 1 - k)) for k, c in enumerate(h[:-1]))
+    while m <= bound:
+        for i, (r, w) in enumerate(lifts):
+            w = w * (2 - _horner(slope, r, m) * w) % m
+            lifts[i] = (r - _horner(h, r, m * m) * w) % (m * m), w
+        m *= m
+    balanced = [r if 2 * r < m else r - m for r, _ in lifts]
+    return sorted(y for y in balanced if _horner(h, y) == 0)
 
 
 def _rational_roots(coeffs: Sequence[Fraction | int]) -> List[Fraction]:
@@ -220,14 +204,10 @@ def _rational_roots(coeffs: Sequence[Fraction | int]) -> List[Fraction]:
     the c with c^g = u: the exact integer g-th roots of u's numerator and
     denominator, with both signs when g is even.  Every ramified edge of
     slope -m/q has q | g, and a binomial edge a_0 + a_n c^n becomes linear:
-    c^2000 - 1 takes 0.5 ms where its derivative chain took 4.3 s (CPython
-    3.11, 2-core x86).
+    c^2000 - 1 takes 0.5 ms (CPython 3.11, 2-core x86).
     """
     denom = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    content = gcd(*ints)
-    if content > 1:
-        ints = [c // content for c in ints]
+    ints = _primitive([int(c * denom) for c in coeffs])
     g = gcd(*(k for k, a in enumerate(ints) if a))
     roots = _primitive_roots(ints[::g])
     if g == 1:
@@ -260,14 +240,13 @@ def _primitive_roots(ints: List[int]) -> List[Fraction]:
     polynomial with a nonzero constant term.
 
     Degrees one and two are solved in closed form, the quadratic by an exact
-    integer square root of its discriminant.  Lifting meets quadratic edges of
-    1,000-2,000 bits, and on the 126 such edges of the perfbench workloads
-    the closed form takes 0.005 s where `_root_floors` by bisection took 3.7 s
-    (CPython 3.11, 2-core x86).  An equation of degree n >= 3 is made monic
-    over the integers, g(y) = a_n^(n-1) f(y/a_n), whose rational roots are the
-    integers y with g(y) = 0; every such y is among `_root_floors(g)`, and the
-    roots of f are y/a_n.  No divisor is enumerated, so a large constant term
-    costs only root-isolation probes, about the logarithm of its bit length.
+    integer square root of its discriminant: lifting meets quadratic edges of
+    1,000-2,000 bits, 126 of them in the perfbench workloads.  An equation of
+    degree n >= 3 is made monic over the integers, g(y) = a_n^(n-1) f(y/a_n),
+    whose rational roots are the integer roots y of g (`_integer_roots`), and
+    the roots of f are y/a_n.  No divisor is enumerated, so a large constant
+    term costs about the logarithm of its bit length in squarings of the
+    modulus.
     """
     if len(ints) == 2:
         return [Fraction(-ints[0], ints[1])]
@@ -282,7 +261,7 @@ def _primitive_roots(ints: List[int]) -> List[Fraction]:
     lead = ints[-1]
     n = len(ints) - 1
     monic = [a * lead ** (n - 1 - k) for k, a in enumerate(ints[:-1])] + [1]
-    return [Fraction(y, lead) for y in _root_floors(monic) if _horner(monic, y) == 0]
+    return [Fraction(y, lead) for y in _integer_roots(monic)]
 
 
 def _pick_root(roots: List[Fraction]) -> Fraction:

@@ -150,7 +150,8 @@ def test_generic_arc_with_a_2_71_constant_term(tmp_path, capsys):
 
 def test_cubic_edge_with_a_middle_term_and_a_2_71_constant_exit_code(tmp_path, capsys):
     # the edge u^2 c + 2^71 u^3 + c^3 has no rational root; finding that out
-    # takes bisection steps in the constant's bit length, not a divisor scan
+    # takes squarings of a small modulus, about the log of the constant's bit
+    # length, not a divisor scan
     import time
 
     doc = {"d": 1, "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 + z^2 x + 2361183241434822606848 z^3"}]}
@@ -167,8 +168,8 @@ def test_cubic_edge_with_a_middle_term_and_a_2_71_constant_exit_code(tmp_path, c
 )
 def test_edges_with_a_30000_bit_constant_exit_code(tmp_path, b, equation):
     # Neither edge has a rational root.  The binomial's is read as u = c^6,
-    # which is linear; the middle-term edge isolates its roots in O(log bits)
-    # evaluations, not bits / n bisection steps.
+    # which is linear; the middle-term edge lifts its roots mod a small m in
+    # O(log bits) squarings of m, not bits / n bisection steps.
     import os
     import subprocess
     from pathlib import Path
@@ -186,8 +187,8 @@ def test_edges_with_a_30000_bit_constant_exit_code(tmp_path, b, equation):
 
 
 def test_generic_arc_on_an_edge_of_degree_1100(tmp_path):
-    # The edge equation c^1100 - 1 has a derivative chain longer than the
-    # interpreter's default recursion limit.
+    # The edge equation c^1100 - 1 has a degree above the interpreter's
+    # default recursion limit; it is read as u - 1 in u = c^1100.
     import os
     import subprocess
     from pathlib import Path
@@ -202,6 +203,29 @@ def test_generic_arc_on_an_edge_of_degree_1100(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["results"]["r_bar"] == "1101/1100"
+
+
+def test_generic_arc_on_a_non_binomial_edge_of_degree_800(tmp_path):
+    # At u = -1 the edge is c^800 - 3 c^798 - 4 c - 2, with the root c = -1.
+    # Its derivatives keep more than one term; isolating real roots up their
+    # chain took more than 120 s, where lifting them mod a small m is quick.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import nashres
+
+    equation = "x^800 - 3 z^2 x^798 + 4 z^799 x - 2 z^800"
+    pres = write(tmp_path, "p.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 800, "f": equation}]})
+    env = dict(os.environ, PYTHONPATH=str(Path(nashres.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nashres.cli", "generic-arc", pres, "--json"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert results["r_bar"] == "1"
+    assert results["arc"]["coords"] == {"x": "-t", "z": "-t"}
 
 
 def _sum_of_squares(d):

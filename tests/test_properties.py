@@ -1,6 +1,7 @@
 """Property tests for the algebraic identities the toolkit is built on."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
@@ -36,10 +37,10 @@ from nashres.errors import (
 )
 from nashres.extorder import INFINITE, ExtOrder
 from nashres.generic import (
+    _integer_roots,
     _newton_puiseux_root,
     _pick_root,
     _rational_roots,
-    _root_floors,
     _series_from_terms,
     _singular_part,
     _steepest_edge,
@@ -925,8 +926,8 @@ def test_binomial_edge_roots_with_constants_of_thousands_of_bits():
 
 
 def test_binomial_edge_roots_of_degree_two_thousand():
-    # c^2000 - 1 is read as u - 1 in u = c^2000, so no derivative chain is
-    # built; it took 4.3 s through the chain.
+    # c^2000 - 1 is read as u - 1 in u = c^2000, which is linear, so no root
+    # of degree 2,000 is lifted.
     import time
 
     start = time.perf_counter()
@@ -936,9 +937,9 @@ def test_binomial_edge_roots_of_degree_two_thousand():
 
 def test_edge_roots_of_degree_above_the_recursion_limit():
     # c^1201 + c - 2 = (c - 1)(c^1200 + ... + c + 2), exponents of gcd 1, is
-    # no polynomial in a power of c: its derivative chain of 1,200 steps is
-    # walked in a loop, so a degree above the interpreter's default
-    # recursion limit of 1,000 needs no deeper stack.
+    # no polynomial in a power of c: its squarefree part and the lifts of its
+    # roots are loops, so a degree above the interpreter's default recursion
+    # limit of 1,000 needs no deeper stack.
     assert _rational_roots([Fraction(-2), 1] + [0] * 1199 + [1]) == [1]
 
 
@@ -1031,42 +1032,6 @@ def test_edge_roots_in_a_power_of_c_match_the_divisor_scan(coeffs):
     assert set(roots) == _reference_rational_roots(coeffs)
 
 
-@seed(20151110)
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(min_value=-30, max_value=30), min_size=1, max_size=5),
-    st.integers(min_value=-4, max_value=4).filter(lambda v: v != 0),
-)
-def test_root_floors_hold_every_integer_before_a_sign_change(lower, lead):
-    # y is the floor of a real root when g(y) = 0 or g changes sign on (y, y + 1)
-    g = lower + [lead]
-    value = lambda y: sum(c * y**k for k, c in enumerate(g))
-    floors = _root_floors(g)
-    assert floors == sorted(set(floors))
-    bound = 1 + max(map(abs, lower)) // abs(lead) + 1
-    for y in range(-bound - 1, bound + 1):
-        if value(y) == 0 or value(y) * value(y + 1) < 0:
-            assert y in floors
-
-
-def test_root_floors_halve_the_bit_length_of_a_long_bracket(monkeypatch):
-    # (y^2 - 2)(y^2 + 2^2000): Fujiwara's bound is 2^1001, the roots are
-    # +-sqrt 2, and p'(0) = 0, so a Newton step from 0 does not start.
-    # Halving the bit length closes each bracket in about log2(1000)
-    # probes, where Newton steps and bisection alone take about 4,000.
-    evaluations = []
-    real = generic_module._horner
-
-    def counted(coeffs, y):
-        evaluations.append(y)
-        return real(coeffs, y)
-
-    monkeypatch.setattr(generic_module, "_horner", counted)
-    floors = _root_floors(_poly_product([-2, 0, 1], [2**2000, 0, 1]))
-    assert {-2, 1} <= set(floors) and all(abs(y) < 2**1001 for y in floors)
-    assert len(evaluations) <= 100, len(evaluations)
-
-
 def test_middle_term_edge_roots_with_repeats_and_big_constants():
     one = Fraction(1)
     # (c^2 - 1)^2, the quartic_middle edge: two double roots
@@ -1137,6 +1102,89 @@ def test_sextic_edge_roots_with_a_constant_at_the_bit_limit():
     assert set(_rational_roots([-(one * 2 ** (6 * k) * 3**7), 0, 0, 0, 0, 0, 3])) == {
         3 * 2**k, -3 * 2**k,
     }
+
+
+@pytest.mark.parametrize("n", [400, 1200])
+def test_edge_roots_of_a_non_binomial_edge_of_high_degree(n):
+    # (c - 1)(c^n + 2) = c^(n+1) - c^n + 2c - 2: every derivative keeps a
+    # second term, and isolating real roots up the derivative chain took
+    # 28.6 s at n = 400 and did not finish at n = 1,200.
+    import time
+
+    start = time.perf_counter()
+    assert _rational_roots([Fraction(-2), 2] + [0] * (n - 2) + [-1, 1]) == [1]
+    assert time.perf_counter() - start < 2.0
+
+
+def test_edge_roots_of_an_edge_with_a_double_root():
+    # (c - 1)^2 (c + 2) = c^3 - 3c + 2: its derivative vanishes at 1, so no
+    # modulus makes the root 1 simple, and only the squarefree part
+    # c^2 + c - 2 lifts.  A search for a modulus that never ends fails here,
+    # as it runs in its own process.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    code = (
+        "from fractions import Fraction; from nashres.generic import _rational_roots; "
+        "print(*sorted(_rational_roots([Fraction(v) for v in (2, -3, 0, 1)])))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(generic_module.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["-2", "1"]
+
+
+def test_integer_root_lifts_grow_with_the_log_of_the_bit_length(monkeypatch):
+    # (y - 2^k)(y^2 - 3): the root bound has about k bits, and each squaring
+    # of the modulus doubles its bits, so 30 times the bits cost about
+    # log2(30) more squarings of two evaluations each, where isolating
+    # by bisection would cost about 29,000 more evaluations.
+    counts = []
+    real = generic_module._horner
+    for k in (1000, 30000):
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(generic_module, "_horner", counted)
+        g = [3 * 2**k, -3, -(2**k), 1]
+        assert _integer_roots(g) == [2**k]
+        counts.append(len(evaluations))
+    assert counts[1] - counts[0] <= 4 * (30000 // 1000).bit_length(), counts
+
+
+@st.composite
+def sparse_edges_with_a_planted_root(draw):
+    """(q c - p)^k times a sparse cofactor, k = 1 or 2: degree 50-400, 3-5
+    small nonzero terms in the cofactor, a constant term among them."""
+    n = draw(st.integers(min_value=49, max_value=398))
+    small = st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0)
+    inner = draw(st.lists(st.integers(min_value=1, max_value=n - 1), min_size=1, max_size=3, unique=True))
+    cofactor = [0] * (n + 1)
+    for k in [0, n] + inner:
+        cofactor[k] = draw(small)
+    p = draw(small)
+    q = draw(st.integers(min_value=1, max_value=6))
+    f = cofactor
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        f = _poly_product(f, [-p, q])
+    return [Fraction(a) for a in f]
+
+
+@seed(20151203)
+@settings(max_examples=30, deadline=None)
+@given(sparse_edges_with_a_planted_root())
+def test_sparse_edge_roots_of_high_degree_match_the_divisor_scan(coeffs):
+    roots = _rational_roots(coeffs)
+    expected = _reference_rational_roots(coeffs)
+    assert Fraction(coeffs[0]) != 0 and expected
+    assert len(roots) == len(set(roots))
+    assert set(roots) == expected
 
 
 # -- the integer Newton-Puiseux loop against the MultiPoly loop it replaced -------
