@@ -148,6 +148,19 @@ def test_generic_arc_with_a_2_71_constant_term(tmp_path, capsys):
     assert report["checks"] and all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_generic_arc_on_a_quadratic_edge_of_two_thousand_bits(tmp_path, capsys):
+    # At u = +-1 the edge is c^2 - 5 2^999 c + 3 2^1999 = (c - 2^1000)(c - 3 2^999),
+    # which stays quadratic in u = c^g (g = 1), so its two roots of about
+    # 1,000 bits come from p-adic lifting; the smaller one, 2^1000, is picked.
+    doc = {"d": 1, "hypersurfaces": [{"var": "x", "b": 4, "f": "x^4 + z^2 x^2 - 5 2^999 z^4 x + 3 2^1999 z^6"}]}
+    pres = write(tmp_path, "p.json", doc)
+    code, report = run_json(capsys, "generic-arc", pres)
+    assert code == 0
+    results = report["results"]
+    assert results["r_bar"] == "1"
+    assert results["arc"]["coords"]["x"].startswith(f"{2**1000}*t^2 + ")
+
+
 def test_cubic_edge_with_a_middle_term_and_a_2_71_constant_exit_code(tmp_path, capsys):
     # the edge u^2 c + 2^71 u^3 + c^3 has no rational root; finding that out
     # takes squarings of a small modulus, about the log of the constant's bit

@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, seed, settings
@@ -1047,6 +1047,63 @@ def test_middle_term_edge_roots_with_repeats_and_big_constants():
 
 
 @st.composite
+def quadratic_edges(draw):
+    """lead * (q c - p)(q' c - p'), the roots distinct or repeated, or
+    lead * (c^2 + k c + m) with no rational root, p, k and m smooth: the
+    middle term is nonzero, so the edge stays quadratic in u = c^g."""
+    lead = draw(st.integers(min_value=-12, max_value=12).filter(lambda v: v != 0))
+    shape = draw(st.sampled_from(["distinct", "repeated", "irreducible"]))
+    if shape == "irreducible":
+        k, m = draw(smooth_numerators), draw(smooth_numerators)
+        disc = k * k - 4 * m
+        assume(disc < 0 or isqrt(disc) ** 2 != disc)
+        f = [lead * m, lead * k, lead]
+    else:
+        root = st.tuples(smooth_numerators, st.sampled_from([1, 2, 3, 4, 9]))
+        p, q = draw(root)
+        p2, q2 = (p, q) if shape == "repeated" else draw(root)
+        assume(shape == "repeated" or p * q2 != p2 * q)
+        f = _poly_product([-lead * p, lead * q], [-p2, q2])
+    assume(f[1] != 0)
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(lambda v: v != 0))
+    return [Fraction(a) * scale for a in f]
+
+
+@seed(20151204)
+@settings(max_examples=200, deadline=None)
+@given(quadratic_edges())
+def test_quadratic_edge_roots_match_the_divisor_scan(coeffs):
+    roots = _rational_roots(coeffs)
+    expected = _reference_rational_roots(coeffs)
+    assert len(roots) == len(set(roots))
+    assert set(roots) == expected
+    if expected:
+        assert _pick_root(roots) == _pick_root(list(expected))
+
+
+def test_quadratic_edge_roots_of_thousands_of_bits():
+    def roots_of(*factors):
+        f = [1]
+        for factor in factors:
+            f = _poly_product(f, factor)
+        return set(_rational_roots([Fraction(a) for a in f]))
+
+    # (c - 2^1000)(c - 3 2^999) = c^2 - 5 2^999 c + 3 2^1999
+    assert roots_of([-(2**1000), 1], [-3 * 2**999, 1]) == {2**1000, 3 * 2**999}
+    # (3c - 2^2000)^2, a double root of a non-monic quadratic
+    assert roots_of([-(2**2000), 3], [-(2**2000), 3]) == {Fraction(2**2000, 3)}
+    # (2^1500 c + 1)(c - 3^2000): a lead of 1,501 bits
+    assert roots_of([1, 2**1500], [-(3**2000), 1]) == {Fraction(-1, 2**1500), 3**2000}
+    # c^2 + 2^1000 c + 1: the discriminant 4 (2^1998 - 1) lies strictly
+    # between (2^1000 - 2)^2 and (2^1000)^2, so no rational root
+    assert roots_of([1, 2**1000, 1]) == set()
+    # c^2 + c - 2^3000: the discriminant 2^3002 + 1 is one past a square
+    assert roots_of([-(2**3000), 1, 1]) == set()
+    # (c - 2^15000)(c + 3^9000): a constant of about 29,300 bits
+    assert roots_of([-(2**15000), 1], [3**9000, 1]) == {2**15000, -(3**9000)}
+
+
+@st.composite
 def far_root_edges(draw):
     """lead * prod (q c - p) * cofactor with roots p/q up to 2^90 3^3 and a
     cofactor whose real roots, if any, are irrational and up to 2^80: long
@@ -1403,6 +1460,7 @@ def test_steepest_edge_is_the_first_edge_of_the_lower_hull():
             outcomes[expected] += 1
         else:
             outcomes["edge"] += 1
+            assert got[2][0] != 0, cur  # so 0 is never a root of an edge equation
             if sum(1 for a in expected[2] if a) >= 3:
                 outcomes["collinear"] += 1
     assert set(outcomes) == {None, ExtensionRequiredError, "edge", "collinear"}
