@@ -2,9 +2,10 @@
 
 An arc is a tuple of power series through the origin, one per ambient
 variable.  Validation substitutes the arc into every defining equation and
-records an exact-zero or zero-to-precision certificate.  The order of contact
-r is the order of the one-dimensional algebra obtained by pushing the full
-diff-closed ambient algebra through the arc; rho is its integral part.
+records the precision below which each vanishes on the arc, None when it
+vanishes exactly.  The order of contact r is the order of the
+one-dimensional algebra obtained by pushing the full diff-closed ambient
+algebra through the arc; rho is its integral part.
 
 Validation composes every defining equation in full, which certifies that
 the arc lies on the variety, and keeps the order of the arc's image through
@@ -39,7 +40,7 @@ from .rees import (
     ReesGenerator,
     onedim_order_witness,
 )
-from .series import PowerSeries, image_order, poly_compose_series, substitute_forms
+from .series import PowerSeries, image_order, poly_compose_series
 
 
 class Arc:
@@ -103,27 +104,17 @@ def arc_order(a: Arc) -> int:
 
 
 @dataclass(frozen=True)
-class VanishingCertificate:
-    """How an equation was seen to vanish on the arc."""
-
-    exact: bool
-    precision: Optional[int] = None
-
-    def __str__(self) -> str:
-        return "exact zero" if self.exact else f"zero below t^{self.precision}"
-
-
-@dataclass(frozen=True)
 class ValidatedArc:
     arc: Arc
     presentation: LocalPresentation
-    certificates: Tuple[Tuple[str, VanishingCertificate], ...]
-    # per hypersurface: its elimination generators of finite image order
-    elimination_images: Tuple[Tuple[str, Tuple[Tuple[OneDimGenerator, ReesGenerator], ...]], ...]
+    # per hypersurface variable: the precision below which its equation vanishes, None if exactly
+    vanishing: Dict[str, Optional[int]]
+    # per hypersurface variable: its elimination generators of finite image order
+    elimination_images: Dict[str, Tuple[Tuple[OneDimGenerator, ReesGenerator], ...]]
 
     @property
     def in_max_mult(self) -> bool:  # every elimination image is exactly zero
-        return not any(pairs for _, pairs in self.elimination_images)
+        return not any(self.elimination_images.values())
 
     @cached_property
     def contact(self) -> "ContactResult":
@@ -139,37 +130,39 @@ def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
     guessing whether the arc lies in the top multiplicity stratum.
     """
     arc = a.restrict(p.ambient_vars)
-    certs, images = [], []
+    vanishing, images = {}, {}
     for h in p.hypersurfaces:
         image = poly_compose_series(h.polynomial, arc.coords)
         if not image.is_zero_to_precision():
             raise NotOnVarietyError(
                 f"arc not on variety: phi({h.var}-equation) = {image}"
             )
-        certs.append((h.var, VanishingCertificate(image.is_exact, image.precision)))
-        images.append((h.var, _generator_images(arc, h.elimination_algebra)))
-    exact = [img.a.is_exact for _, pairs in images for img, _ in pairs]
+        vanishing[h.var] = image.precision
+        images[h.var] = _generator_images(arc, h.elimination_algebra)
+    exact = [img.a.is_exact for pairs in images.values() for img, _ in pairs]
     if exact and not any(exact):
         raise InsufficientPrecisionError(
             "cannot decide containment in the top multiplicity stratum: "
             "every elimination image is zero to precision but not exactly"
         )
-    return ValidatedArc(arc, p, tuple(certs), tuple(images))
+    return ValidatedArc(arc, p, vanishing, images)
 
 
 def _generator_images(
     a: Arc, algebra: ReesAlgebra
 ) -> Tuple[Tuple[OneDimGenerator, ReesGenerator], ...]:
-    """(image, generator) for each generator pushed through the arc.
+    """(image, generator) for each generator pushed through an arc with a
+    coordinate for every ambient variable of the algebra.
 
     The image is the order of the image series with the generator's weight,
     read by `image_order` from the arc's leading terms.  Exact-zero images
     contribute no finite generator and are dropped; censored orders are
     preserved as censored exponents.
     """
+    forms = [a.coords[v] for v in algebra.ambient_vars]
     pairs = []
     for g in algebra.generators:
-        o = image_order(g.f.nums, g.f.den, substitute_forms(g.f, a.coords))
+        o = image_order(g.f.nums, g.f.den, forms)
         if not o.is_infinite:
             pairs.append((OneDimGenerator(o, g.weight), g))
     return tuple(pairs)
@@ -177,7 +170,8 @@ def _generator_images(
 
 def image_of_algebra(a: Arc, algebra: ReesAlgebra) -> OneDimAlgebra:
     """Push each generator through the arc: orders of the image series."""
-    return OneDimAlgebra([img for img, _ in _generator_images(a, algebra)])
+    arc = a.restrict(algebra.ambient_vars)
+    return OneDimAlgebra([img for img, _ in _generator_images(arc, algebra)])
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,7 @@ def contact_order(va: ValidatedArc) -> ContactResult:
         if not o.is_infinite:
             x = ReesGenerator(MultiPoly.variable(va.presentation.ambient_vars, h.var), 1)
             pairs.append((OneDimGenerator(o, 1), x))
-    for _, group in va.elimination_images:
+    for group in va.elimination_images.values():
         pairs.extend(group)
     image = OneDimAlgebra([img for img, _ in pairs])
     r, idx = onedim_order_witness(image)
@@ -229,6 +223,6 @@ def contact_order_without_x(va: ValidatedArc) -> Fraction:
     """
     if va.in_max_mult:
         raise MaxMultArcError("arc inside Max mult")
-    gens = [img for _, group in va.elimination_images for img, _ in group]
+    gens = [img for group in va.elimination_images.values() for img, _ in group]
     r, _ = onedim_order_witness(OneDimAlgebra(gens))
     return r

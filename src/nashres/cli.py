@@ -208,7 +208,7 @@ def _cmd_contact(args, p: LocalPresentation, report: dict) -> List[dict]:
     va = _load_arc(args, p, report)
     result = va.contact
     report["results"]["certificates"] = {
-        var: str(cert) for var, cert in va.certificates
+        var: "exact zero" if n is None else f"zero below t^{n}" for var, n in va.vanishing.items()
     }
     report["results"].update({**_contact_fields(result), "witness": result.witness})
     ord_d = p.elimination_order.expect_exact("elimination order")

@@ -20,7 +20,7 @@ exponent map is one-to-one and leaves every numerator alone.  This is the
 chart move that a Newton-Puiseux stage in `generic` makes, on the same
 integer shift.  Every step checks that the arc still lies on the transform
 by a full evaluation through the integer back end `series.compose_integers`;
-step 0 is the equation itself, which `validate_arc` has already certified
+step 0 is the equation itself, which `validate_arc` has already seen vanish
 when the sequence starts from a validated arc.
 """
 
@@ -32,7 +32,7 @@ from functools import cached_property
 from math import gcd
 from typing import Dict, Optional, Tuple
 
-from .arcs import ValidatedArc, VanishingCertificate
+from .arcs import ValidatedArc
 from .errors import (
     IdentityViolationError,
     InsufficientPrecisionError,
@@ -161,19 +161,19 @@ def nash_sequence_equation(
     coords: Dict[str, PowerSeries],
     trace: bool = False,
     bound: Optional[int] = None,
-    certificate: Optional[VanishingCertificate] = None,
+    validated: bool = False,
 ) -> NashSequence:
     """Run the directed blow-up sequence for one centered hypersurface equation.
 
     The arc must satisfy the equation (checked to its precision, unless
-    `certificate` records that `validate_arc` has seen f vanish on it) and
+    `validated` says that `validate_arc` has seen f vanish on it) and
     must not be contained in the top multiplicity stratum, or the sequence
     would never drop.  A sequence that runs past `bound`, a proved upper
     bound on rho, is an identity violation; without a bound it stops after
     _MAX_STEPS blow-ups.
     """
     state = NashState.from_poly(f.extend_vars(f.vars + (T,)), coords)
-    if certificate is None:
+    if not validated:
         state.check_arc_on_transform()
     m0 = state.multiplicity()
     mults = [m0]
@@ -223,7 +223,7 @@ def nash_sequence_hypersurface(
     rho = floor(r), and r is at most a/l for every exact elimination image
     t^a W^l, so min floor(a/l) over those images bounds rho.
     """
-    images = dict(va.elimination_images)[h.var]
+    images = va.elimination_images[h.var]
     if not images:
         raise MaxMultArcError(
             f"arc inside Max mult of the {h.var}-hypersurface; sequence never drops"
@@ -234,9 +234,7 @@ def nash_sequence_hypersurface(
             f"cannot bound the {h.var}-sequence: all elimination images censored"
         )
     coords = {v: va.arc.coords[v] for v in h.ambient_vars}
-    return nash_sequence_equation(
-        h.polynomial, coords, trace, min(bounds), dict(va.certificates)[h.var]
-    )
+    return nash_sequence_equation(h.polynomial, coords, trace, min(bounds), validated=True)
 
 
 @dataclass(frozen=True)

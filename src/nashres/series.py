@@ -287,15 +287,9 @@ def poly_compose_series(f, substitutions: dict) -> PowerSeries:
 
     The result's precision is the min over the substitutes of variables that
     actually occur in f (exact when they are all exact).  This is the
-    `MultiPoly` front end of `compose_integers`.
+    `MultiPoly` front end of `compose_integers`, which reads the substitute
+    of each variable an exponent uses and no other.
     """
-    return compose_integers(f.nums, f.den, substitute_forms(f, substitutions))
-
-
-def substitute_forms(f, substitutions: dict) -> list:
-    """The forms argument of `compose_integers` and `image_order` for a
-    MultiPoly f: each variable's substitute where an exponent uses it, None
-    elsewhere."""
     forms = [None] * len(f.vars)
     for i, top in enumerate(map(max, zip(*f.nums))):
         if top:
@@ -303,7 +297,7 @@ def substitute_forms(f, substitutions: dict) -> list:
             if v not in substitutions:
                 raise DimensionMismatchError(f"no substitute supplied for variable {v!r}")
             forms[i] = substitutions[v]
-    return forms
+    return compose_integers(f.nums, f.den, forms)
 
 
 def compose_integers(nums, den: int, forms) -> PowerSeries:

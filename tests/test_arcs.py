@@ -17,6 +17,7 @@ from nashres import (
     validate_arc,
 )
 from nashres.errors import (
+    DimensionMismatchError,
     InsufficientPrecisionError,
     MaxMultArcError,
     NotOnVarietyError,
@@ -51,13 +52,13 @@ def test_arc_order_censored():
 
 def test_validate_cusp(cusp):
     va = validate_arc(exact_arc(x="t^3", z="t^2"), cusp)
-    assert dict(va.certificates)["x"].exact
+    assert va.vanishing["x"] is None
     assert not va.in_max_mult
 
 
 def test_validate_umbrella(umbrella):
     va = validate_arc(exact_arc(x="t^3", z1="t^2", z2="t^2"), umbrella)
-    assert dict(va.certificates)["x"].exact
+    assert va.vanishing["x"] is None
 
 
 def test_validate_rejects_off_variety(cusp):
@@ -68,8 +69,7 @@ def test_validate_rejects_off_variety(cusp):
 def test_validate_zero_to_precision_certificate(cusp):
     arc = Arc({"x": PowerSeries([0, 0, 0, 1], 20), "z": PowerSeries([0, 0, 1], 20)})
     va = validate_arc(arc, cusp)
-    cert = dict(va.certificates)["x"]
-    assert not cert.exact and cert.precision == 20
+    assert va.vanishing["x"] == 20
 
 
 def test_in_max_mult_flag(umbrella):
@@ -124,6 +124,13 @@ def test_image_of_algebra_umbrella(umbrella):
         (4, 1),
         (6, 2),
     ]
+
+
+def test_image_of_algebra_names_a_missing_coordinate(umbrella):
+    # the elimination algebra of x^2 - z1^2 z2 uses z2, which the arc lacks
+    algebra = umbrella.hypersurfaces[0].elimination_algebra
+    with pytest.raises(DimensionMismatchError, match="'z2'"):
+        image_of_algebra(exact_arc(z1="t^2"), algebra)
 
 
 def test_image_drops_exact_zeros(cusp):

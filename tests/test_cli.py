@@ -88,6 +88,21 @@ def test_nash_runs_past_the_step_cap_to_the_bound_of_the_elimination_images(
     assert report["results"]["rho"] == 30
 
 
+def test_nash_reports_a_hypersurface_whose_sequence_never_drops(tmp_path, capsys):
+    # along (x1, x2, z1, z2) = (t^3, 0, t^2, 0) every elimination image of the
+    # x2-hypersurface x2^2 - z1 z2^2 is exactly zero, so its row says only
+    # that it never drops; the x1-hypersurface drops after 3 blow-ups
+    pres = write(tmp_path, "p.json", TWO_HYP)
+    arc = {"precision": "exact", "coords": {"x1": "t^3", "x2": "0", "z1": "t^2", "z2": "0"}}
+    code, report = run_json(capsys, "nash", pres, write(tmp_path, "a.json", arc))
+    assert code == 0
+    results = report["results"]
+    assert (results["r"], results["rho"]) == ("3", 3)
+    x1, x2 = results["hypersurfaces"]
+    assert (x1["var"], x1["multiplicities"], x1["rho"]) == ("x1", [2, 2, 2, 1], 3)
+    assert x2 == {"var": "x2", "drops": False}
+
+
 def test_mult_command(tmp_path, capsys):
     pres = write(tmp_path, "p.json", UMBRELLA)
     code, report = run_json(capsys, "mult", pres, "--point", "0,0,5")
@@ -480,6 +495,26 @@ def test_identity_violation_exit_code(tmp_path, capsys, monkeypatch):
     code, report = run_json(capsys, "verify", pres)
     assert code == 5
     assert report["checks"][0]["status"] == "fail"
+
+
+def test_verify_reports_a_nash_run_that_violates_an_identity_and_exits_5(
+    tmp_path, capsys, monkeypatch
+):
+    # an IdentityViolationError of the Nash run leaves rho_geometric null in
+    # every row, and the check that compares it with floor(r) fails
+    from nashres import cli as climod
+    from nashres.errors import IdentityViolationError
+
+    def broken(p, va, trace=False):
+        raise IdentityViolationError("synthetic")
+
+    monkeypatch.setattr(climod, "nash_sequence_presentation", broken)
+    code, report = run_json(capsys, "verify", write(tmp_path, "p.json", CUSP), "--trials", "3")
+    assert code == 5
+    assert [row["rho_geometric"] for row in report["results"]["samples"]] == [None] * 3
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status.pop("samples_rho_three_ways") == "fail"
+    assert set(status.values()) == {"pass"}
 
 
 # Lifted over z = (-3 t^3, -3/2 t^3) at precision 21 and 30, this equation's

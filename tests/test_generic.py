@@ -22,7 +22,6 @@ from nashres import (
     validate_arc,
 )
 from nashres import generic, series
-from nashres.arcs import VanishingCertificate
 from nashres.errors import ExtensionRequiredError, IdentityViolationError, MaxMultArcError
 from nashres.generic import _equation_on_base, admissible_unit_tuples, unit_tuples
 from nashres.poly import MultiPoly
@@ -161,7 +160,7 @@ def test_puiseux_nonterminating_branch_truncates():
     assert root.coeffs[1] == 1 and root.coeffs[2] == Fraction(1, 2)
     # the equation vanishes on the assembled arc below t^8, and no further
     va = lift_monomial_base(make_presentation(1, ("x", "x^2 - z^2 - z^3")), [1], [1], 8)
-    assert dict(va.certificates)["x"] == VanishingCertificate(False, 8)
+    assert va.vanishing["x"] == 8
 
 
 @pytest.mark.parametrize("precision", [21, 30, 40])
@@ -191,7 +190,7 @@ def test_truncated_lift_still_attains_the_order():
     assert presentation_elimination_order(p).value == 1
     result = construct_generic_arc(p, precision=16)
     assert contact_order(result.arc).r_bar == 1
-    assert not dict(result.arc.certificates)["x"].exact
+    assert result.arc.vanishing["x"] is not None
 
 
 def _leading_coefficient_plus_one(monkeypatch, p, target):
@@ -336,7 +335,8 @@ def test_a_later_stage_that_fails_costs_no_newton_tail(monkeypatch):
 
 def test_a_failed_lift_prints_its_edge_equation_only_when_read(monkeypatch):
     # The unit search reads only its last failure: on x^2 + z^2 all sixteen
-    # unit tuples fail, and one edge equation is printed.
+    # unit tuples fail, and on x^2 + z1^2 + z2^2 all (2*8)^2 = 256, and each
+    # search prints one edge equation.
     printed = []
     real_failure = generic._edge_failure
     monkeypatch.setattr(generic, "_edge_failure", lambda edge: printed.append(edge) or real_failure(edge))
@@ -344,6 +344,11 @@ def test_a_failed_lift_prints_its_edge_equation_only_when_read(monkeypatch):
     with pytest.raises(ExtensionRequiredError, match=r"base arc z = 8 t\^1: edge equation c\^2 \+ 64 = 0"):
         construct_generic_arc(p)
     assert printed == [[64, 0, 1]]
+    printed.clear()
+    p = make_presentation(2, ("x", "x^2 + z1^2 + z2^2"))
+    with pytest.raises(ExtensionRequiredError, match="every admissible unit tuple within bound 8"):
+        construct_generic_arc(p)
+    assert printed == [[128, 0, 1]]
 
 
 def test_each_stage_finds_its_edge_roots_once(monkeypatch, cusp):
@@ -451,8 +456,8 @@ def test_genericity_invariant_under_reparametrization(cusp):
 def test_every_lift_validates_exactly(two_hyp, umbrella):
     for p in (two_hyp, umbrella):
         result = construct_generic_arc(p)
-        for _, cert in result.arc.certificates:
-            assert cert.exact
+        for n in result.arc.vanishing.values():
+            assert n is None
         assert result.arc.contact.r_bar == presentation_elimination_order(p).value
 
 

@@ -1687,7 +1687,7 @@ _ZERO_IN_EVERY_TERM = (  # z1 z3 + z3^2 along an exact z3 = 0: every term drops 
 
 
 def _image_order(f, subs):
-    return series_module.image_order(f.nums, f.den, series_module.substitute_forms(f, subs))
+    return series_module.image_order(f.nums, f.den, [subs[v] for v in f.vars])
 
 
 @seed(20151204)

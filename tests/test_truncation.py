@@ -1,0 +1,28 @@
+"""Truncation refinement on a seeded draw of `tests/truncation_sweep.py`.
+
+Along an arc cut below t^N, `contact` and `nash` must report what they
+report along the whole arc, or exit 3.  The whole sweep (27 presentations,
+alpha 1 and 2, every cut N = 1..48) runs as a script; this test draws 16 of
+its 54 arcs, and cuts each at every coordinate's order, where the
+coordinate is zero below t^N but not at t^N, and at 6 further cuts.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+from truncation_sweep import ALPHAS, NAMES, PRECISION, coordinate_orders, generic_arc, refine
+
+
+def test_truncations_report_what_the_whole_arc_reports_or_exit_3(tmp_path):
+    rng = random.Random(20151204)
+    total, violations = Counter(), []
+    for name, alpha in rng.sample([(n, a) for n in NAMES for a in ALPHAS], 16):
+        pres, arc = generic_arc(tmp_path, name, alpha)
+        cuts = coordinate_orders(arc) | set(rng.sample(range(1, PRECISION + 1), 6))
+        counts, bad = refine(tmp_path, pres, arc, sorted(n for n in cuts if n <= PRECISION))
+        total += counts
+        violations += [(name, alpha, *v) for v in bad]
+    assert not violations
+    assert total["same"] and total["exit 3"], total
