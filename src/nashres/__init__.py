@@ -67,7 +67,6 @@ from .presentation import (
     tschirnhausen_normalize,
 )
 from .rees import (
-    OneDimAlgebra,
     OneDimGenerator,
     ReesAlgebra,
     ReesGenerator,

@@ -33,13 +33,7 @@ from .errors import (
 from .extorder import ExtOrder, ext_min
 from .poly import MultiPoly
 from .presentation import LocalPresentation
-from .rees import (
-    OneDimAlgebra,
-    OneDimGenerator,
-    ReesAlgebra,
-    ReesGenerator,
-    onedim_order_witness,
-)
+from .rees import OneDimGenerator, ReesAlgebra, ReesGenerator, onedim_order_witness
 from .series import PowerSeries, image_order, poly_compose_series
 
 
@@ -168,10 +162,10 @@ def _generator_images(
     return tuple(pairs)
 
 
-def image_of_algebra(a: Arc, algebra: ReesAlgebra) -> OneDimAlgebra:
+def image_of_algebra(a: Arc, algebra: ReesAlgebra) -> Tuple[OneDimGenerator, ...]:
     """Push each generator through the arc: orders of the image series."""
     arc = a.restrict(algebra.ambient_vars)
-    return OneDimAlgebra([img for img, _ in _generator_images(arc, algebra)])
+    return tuple(img for img, _ in _generator_images(arc, algebra))
 
 
 @dataclass(frozen=True)
@@ -182,7 +176,7 @@ class ContactResult:
     rho_bar: Fraction
     arc_order: int
     witness: str
-    image: OneDimAlgebra = field(compare=False, repr=False)  # ambient algebra through the arc
+    image: Tuple[OneDimGenerator, ...] = field(compare=False, repr=False)  # ambient algebra through the arc
 
 
 def contact_order(va: ValidatedArc) -> ContactResult:
@@ -200,7 +194,7 @@ def contact_order(va: ValidatedArc) -> ContactResult:
             pairs.append((OneDimGenerator(o, 1), x))
     for group in va.elimination_images.values():
         pairs.extend(group)
-    image = OneDimAlgebra([img for img, _ in pairs])
+    image = tuple(img for img, _ in pairs)
     r, idx = onedim_order_witness(image)
     order = arc_order(va.arc)
     rho = floor(r)
@@ -223,6 +217,5 @@ def contact_order_without_x(va: ValidatedArc) -> Fraction:
     """
     if va.in_max_mult:
         raise MaxMultArcError("arc inside Max mult")
-    gens = [img for group in va.elimination_images.values() for img, _ in group]
-    r, _ = onedim_order_witness(OneDimAlgebra(gens))
+    r, _ = onedim_order_witness([img for group in va.elimination_images.values() for img, _ in group])
     return r

@@ -104,7 +104,8 @@ def nash_step(state: NashState, m0: int) -> NashState:
 
     Requires the current multiplicity to still equal m0.  Consumes one unit
     of arc precision: coordinates are divided by t and recentered at their
-    new constant terms.
+    new constant terms.  A coordinate known only below t^1 (or t^0) raises
+    InsufficientPrecisionError naming the terms the sequence needs.
     """
     m = state.multiplicity()
     if m != m0:
@@ -121,7 +122,8 @@ def nash_step(state: NashState, m0: int) -> NashState:
             )
         if not s.nums and s.precision == 0:
             raise InsufficientPrecisionError(
-                f"coordinate {g.vars[i]!r} exhausted at step {state.step}"
+                "insufficient precision for the directed sequence; "
+                f"supply the arc to >= {state.step + 2} terms"
             )
     # the chart: x -> t x for every ambient x, then t^m divides out
     G = {exp[:ti] + (sum(exp) - m,) + exp[ti + 1:]: c for exp, c in g.nums.items()}
@@ -132,7 +134,8 @@ def nash_step(state: NashState, m0: int) -> NashState:
             continue
         if s.precision == 1:
             raise InsufficientPrecisionError(
-                "coefficient of t^0 requested, series known below t^0"
+                "insufficient precision for the directed sequence; "
+                f"supply the arc to >= {state.step + 2} terms"
             )
         # divided by t, the coordinate's first numerator is the new center
         nums, den = s.nums, s.den
@@ -192,13 +195,7 @@ def nash_sequence_equation(
                 f"no multiplicity drop after {_MAX_STEPS} blow-ups of {f} = 0 "
                 f"along an arc known {known}; is the arc inside the top stratum?"
             )
-        try:
-            nxt = nash_step(state, m0)
-        except InsufficientPrecisionError:
-            raise InsufficientPrecisionError(
-                "insufficient precision for the directed sequence; "
-                f"supply the arc to >= {state.step + 2} terms"
-            ) from None
+        nxt = nash_step(state, m0)
         centers.append(nxt.center_pq)
         m = nxt.multiplicity()
         mults.append(m)

@@ -163,37 +163,19 @@ class OneDimGenerator:
         return f"t^{self.a}*W^{self.l}"
 
 
-class OneDimAlgebra:
-    __slots__ = ("generators",)
-
-    def __init__(self, generators: Sequence[OneDimGenerator]):
-        self.generators: Tuple[OneDimGenerator, ...] = tuple(generators)
-
-    @staticmethod
-    def from_pairs(pairs) -> "OneDimAlgebra":
-        gens = []
-        for a, l in pairs:
-            if isinstance(a, int):
-                a = ExtOrder.exact(a)
-            gens.append(OneDimGenerator(a, l))
-        return OneDimAlgebra(gens)
-
-    def is_empty(self) -> bool:
-        return not self.generators
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(g) for g in self.generators) + "]"
-
-
-def onedim_order_witness(algebra: OneDimAlgebra) -> Tuple[Fraction, int]:
-    """Exact order together with the index of the first minimizing generator.
+def onedim_order_witness(algebra: Sequence[OneDimGenerator]) -> Tuple[Fraction, int]:
+    """Exact order together with the index of the first generator whose
+    exact quotient a/l attains it.
 
     Raises InsufficientPrecisionError unless every censored exponent is
-    dominated (its bound can no longer undercut the exact minimum).  The
-    quotients a/l are compared by cross-multiplication.
+    dominated (its bound can no longer undercut the exact minimum).  A
+    censored generator whose bound ties the minimum is passed over, so the
+    witness can move when the arc is refined: along A_7's generic arc at
+    alpha 2 it is z^8*W^2 at precision 8 and x*W^1 at 16.  The quotients
+    a/l are compared by cross-multiplication.
     """
     best = low = None  # (a, l, i) of the first least exact quotient; (a, l) of the least bound
-    for i, g in enumerate(algebra.generators):
+    for i, g in enumerate(algebra):
         a, l = g.a.value, g.l
         if g.a.is_exact:
             if best is None or a * best[1] < best[0] * l:
@@ -207,15 +189,15 @@ def onedim_order_witness(algebra: OneDimAlgebra) -> Tuple[Fraction, int]:
     return Fraction(a, l), i
 
 
-def onedim_transform(algebra: OneDimAlgebra) -> OneDimAlgebra:
+def onedim_transform(algebra: Sequence[OneDimGenerator]) -> Tuple[OneDimGenerator, ...]:
     """Blow-up transform at the origin: t^a W^l  ->  t^(a-l) W^l.
 
     Permissible only when every quotient a/l is >= 1.
     """
-    if algebra.is_empty():
+    if not algebra:
         raise ValidationError("cannot transform the empty algebra")
     new = []
-    for g in algebra.generators:
+    for g in algebra:
         bound = g.a.value
         if bound < g.l:
             if g.a.is_censored:
@@ -226,22 +208,22 @@ def onedim_transform(algebra: OneDimAlgebra) -> OneDimAlgebra:
                 f"not permissible: generator {g} has order {Fraction(bound, g.l)} < 1"
             )
         new.append(OneDimGenerator(g.a.shifted(-g.l), g.l))
-    return OneDimAlgebra(new)
+    return tuple(new)
 
 
-def onedim_resolution_steps(algebra: OneDimAlgebra) -> int:
+def onedim_resolution_steps(algebra: Sequence[OneDimGenerator]) -> int:
     """Number of transforms until the order drops below 1.
 
     Equals floor(min_j a_j/l_j); computed by literal iteration.
     """
-    if algebra.is_empty():
+    if not algebra:
         raise ValidationError("resolution steps undefined for the empty algebra")
     steps = 0
     current = algebra
     while True:
         censored_low = False
         done = False
-        for g in current.generators:
+        for g in current:
             if g.a.value < g.l:
                 if g.a.is_censored:
                     censored_low = True

@@ -11,8 +11,9 @@ from math import floor
 
 from nashres import (
     Arc,
+    ExtOrder,
     MultiPoly,
-    OneDimAlgebra,
+    OneDimGenerator,
     PowerSeries,
     algebra_order_at,
     ambient_algebra,
@@ -178,7 +179,7 @@ def test_acceptance_4_lemma_suite():
         arc = Arc(coords)
         arc_ord = arc.order().value
         algebra_ord = algebra_order_at(algebra, (Fraction(0),) * nvars).value
-        for g in image_of_algebra(arc, algebra).generators:
+        for g in image_of_algebra(arc, algebra):
             assert Fraction(g.a.value, g.l) >= arc_ord * algebra_ord
 
     # (c) resolution step count equals the floor of the minimal quotient
@@ -187,7 +188,7 @@ def test_acceptance_4_lemma_suite():
             (rng.randint(1, 40), rng.randint(1, 8))
             for _ in range(rng.randint(1, 4))
         ]
-        algebra = OneDimAlgebra.from_pairs(pairs)
+        algebra = [OneDimGenerator(ExtOrder.exact(a), l) for a, l in pairs]
         expected = min(Fraction(a, l) for a, l in pairs).__floor__()
         assert onedim_resolution_steps(algebra) == expected
 

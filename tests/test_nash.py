@@ -152,6 +152,21 @@ def test_truncated_arc_reports_needed_terms():
         nash_sequence_equation(f, coords)
 
 
+def test_a_step_names_the_terms_the_sequence_needs():
+    # a coordinate known below t^1, or below t^0, cannot be divided by t:
+    # the step itself says how many terms the sequence needs
+    g = parse_poly("x^2 - z^3").extend_vars(("x", "z", "t"))
+    z = PowerSeries.t_power(2)
+    for precision, step in ((1, 0), (1, 3), (0, 4)):
+        state = NashState(g, (PowerSeries.zero(precision), z, PowerSeries.t_power(1)), step)
+        with pytest.raises(InsufficientPrecisionError) as info:
+            nash_step(state, 2)
+        assert str(info.value) == (
+            "insufficient precision for the directed sequence; "
+            f"supply the arc to >= {step + 2} terms"
+        )
+
+
 def test_each_transform_is_canonical_and_a_zero_centre_keeps_the_chart():
     # x = t^3/8, z = t^2/4: centres (0, 0), (0, 1/4) and (1/8, 0); a shift by
     # a rational centre scales the numerators, a zero centre changes none

@@ -41,7 +41,6 @@ from nashres.generic import (
     _newton_puiseux_root,
     _pick_root,
     _rational_roots,
-    _series_from_terms,
     _singular_part,
     _steepest_edge,
 )
@@ -1262,6 +1261,22 @@ def _reference_lower_hull(points):
     return hull
 
 
+def _sympy_rational_roots(coeffs):
+    """The distinct rational roots of sum coeffs[i] c^i, found by sympy."""
+    sympy = pytest.importorskip("sympy")
+    rationals = [sympy.Rational(a.numerator, a.denominator) for a in reversed(coeffs)]
+    poly = sympy.Poly(rationals, sympy.Symbol("c"), domain="QQ")
+    return [Fraction(int(r.p), int(r.q)) for r in poly.ground_roots()]
+
+
+def _reference_series(found, precision):
+    """sum c t^k over the (c, k) found, known below t^precision."""
+    coeffs = [Fraction(0)] * (max((k for _, k in found), default=-1) + 1)
+    for c, k in found:
+        coeffs[k] += c
+    return PowerSeries(coeffs, precision)
+
+
 def _reference_newton_puiseux_root(F, xvar, precision):
     """The Fraction-valued MultiPoly stage loop: the reference chart, the
     term-by-term Taylor shift above (independent of the integer kernel), the
@@ -1269,7 +1284,10 @@ def _reference_newton_puiseux_root(F, xvar, precision):
     is simple (its x-coefficient has a nonzero constant term), where the
     dropped terms cannot reach a coefficient below the target; so a root
     found is exact only when it is a polynomial root of F itself, which
-    `MultiPoly.substitute` decides once F vanishes at (root(2), 2^e)."""
+    `MultiPoly.substitute` decides once F vanishes at (root(2), 2^e).  It
+    shares no code with `generic`: sympy finds each edge's rational roots,
+    the root taken is the least by |numerator|, then by denominator, positive
+    first, and the series is assembled here."""
     t_index = F.vars.index("t")
     t_order = lambda c: min(exp[t_index] for exp in c.terms)
     e, target, found, shift, cur = 1, precision, [], 0, F
@@ -1286,7 +1304,7 @@ def _reference_newton_puiseux_root(F, xvar, precision):
             exact = F.eval_at(at_two) == 0 and (
                 _reference_chart(F, {"t": e}).substitute(xvar, root).is_zero()
             )
-            return _series_from_terms(found, precision=None if exact else target), e
+            return _reference_series(found, None if exact else target), e
         points = [(i, t_order(c)) for i, c in coeffs.items() if not c.is_zero()]
         hull = _reference_lower_hull(points)
         if len(hull) < 2 or hull[1][1] >= hull[0][1]:
@@ -1301,7 +1319,7 @@ def _reference_newton_puiseux_root(F, xvar, precision):
             v0, gamma = v0 * q, gamma * q
         m = int(gamma)
         if shift + m >= target:
-            return _series_from_terms(found, precision=target), e
+            return _reference_series(found, target), e
         coeffs = cur.coefficients_in(xvar)
         edge_coeffs = [Fraction(0)] * (i1 - i0 + 1)
         for i, c in coeffs.items():
@@ -1311,10 +1329,10 @@ def _reference_newton_puiseux_root(F, xvar, precision):
                 edge_coeffs[i - i0] = c.terms.get(tuple(exp), Fraction(0))
         while edge_coeffs and edge_coeffs[-1] == 0:
             edge_coeffs.pop()
-        roots = [r for r in _rational_roots(edge_coeffs) if r != 0]
+        roots = [r for r in _sympy_rational_roots(edge_coeffs) if r != 0]
         if not roots:
             raise ExtensionRequiredError("no nonzero rational root")
-        c = _pick_root(roots)
+        c = min(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
         found.append((c, shift + m))
         cur = _reference_chart(cur, {"t": 1, xvar: m})
         cur = _reference_shift_one(cur, cur.vars.index(xvar), c)

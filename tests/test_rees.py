@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nashres import (
-    OneDimAlgebra,
+    OneDimGenerator,
     ReesAlgebra,
     algebra_order_at,
     diff_closure,
@@ -82,37 +82,39 @@ def test_order_never_increases_under_closure():
 
 
 def test_onedim_transform():
-    a = OneDimAlgebra.from_pairs([(3, 1)])
-    assert [(g.a.value, g.l) for g in onedim_transform(a).generators] == [(2, 1)]
-    b = OneDimAlgebra.from_pairs([(6, 2), (4, 1)])
-    assert [(g.a.value, g.l) for g in onedim_transform(b).generators] == [(4, 2), (3, 1)]
+    a = _exact([(3, 1)])
+    assert [(g.a.value, g.l) for g in onedim_transform(a)] == [(2, 1)]
+    b = _exact([(6, 2), (4, 1)])
+    assert [(g.a.value, g.l) for g in onedim_transform(b)] == [(4, 2), (3, 1)]
     with pytest.raises(NotPermissibleError, match="not permissible"):
-        onedim_transform(OneDimAlgebra.from_pairs([(1, 2)]))
+        onedim_transform(_exact([(1, 2)]))
 
 
 def test_onedim_transform_censored():
-    low = OneDimAlgebra([_censored(1, 2)])
+    low = [_censored(1, 2)]
     with pytest.raises(InsufficientPrecisionError):
         onedim_transform(low)
-    fine = OneDimAlgebra([_censored(5, 2)])
-    out = onedim_transform(fine).generators[0]
+    fine = [_censored(5, 2)]
+    out = onedim_transform(fine)[0]
     assert out.a.is_censored and out.a.value == 3
 
 
-def _censored(bound, weight):
-    from nashres import OneDimGenerator
+def _exact(pairs):
+    return [OneDimGenerator(ExtOrder.exact(a), l) for a, l in pairs]
 
+
+def _censored(bound, weight):
     return OneDimGenerator(ExtOrder.at_least(bound), weight)
 
 
 def test_onedim_resolution_steps_examples():
-    assert onedim_resolution_steps(OneDimAlgebra.from_pairs([(3, 1)])) == 3
-    assert onedim_resolution_steps(OneDimAlgebra.from_pairs([(7, 2)])) == 3
-    assert onedim_resolution_steps(OneDimAlgebra.from_pairs([(2, 2)])) == 1
+    assert onedim_resolution_steps(_exact([(3, 1)])) == 3
+    assert onedim_resolution_steps(_exact([(7, 2)])) == 3
+    assert onedim_resolution_steps(_exact([(2, 2)])) == 1
 
 
 def test_onedim_resolution_steps_censored():
-    algebra = OneDimAlgebra([_censored(3, 2)])
+    algebra = [_censored(3, 2)]
     with pytest.raises(InsufficientPrecisionError):
         onedim_resolution_steps(algebra)
 
@@ -121,12 +123,12 @@ def test_onedim_order_witness_keeps_the_first_minimizer():
     from nashres.rees import onedim_order_witness
 
     # 6/2, 3/1 and 9/3 tie at 3: the first one is the witness
-    ties = OneDimAlgebra.from_pairs([(7, 2), (6, 2), (3, 1), (9, 3)])
+    ties = _exact([(7, 2), (6, 2), (3, 1), (9, 3)])
     assert onedim_order_witness(ties) == (3, 1)
-    r, i = onedim_order_witness(OneDimAlgebra.from_pairs([(5, 2), (7, 3), (3, 1)]))
+    r, i = onedim_order_witness(_exact([(5, 2), (7, 3), (3, 1)]))
     assert (r, i) == (Fraction(7, 3), 1) and type(r) is Fraction
     # a censored bound equal to the exact minimum cannot undercut it
-    equal = OneDimAlgebra([_censored(5, 2), *OneDimAlgebra.from_pairs([(4, 1), (5, 2)]).generators])
+    equal = [_censored(5, 2), *_exact([(4, 1), (5, 2)])]
     assert onedim_order_witness(equal) == (Fraction(5, 2), 2)
 
 
@@ -134,17 +136,17 @@ def test_onedim_order_witness_refuses_censored_and_empty_algebras():
     from nashres.rees import onedim_order_witness
 
     # the least censored bound, 3/2, lies below the exact minimum 2
-    low = OneDimAlgebra([_censored(7, 2), *OneDimAlgebra.from_pairs([(2, 1)]).generators, _censored(3, 2)])
+    low = [_censored(7, 2), *_exact([(2, 1)]), _censored(3, 2)]
     with pytest.raises(InsufficientPrecisionError) as err:
         onedim_order_witness(low)
     assert str(err.value) == (
         "one-dimensional algebra order is only known to be >= 3/2; supply more coefficients"
     )
     with pytest.raises(InsufficientPrecisionError) as err:
-        onedim_order_witness(OneDimAlgebra([_censored(4, 2)]))
+        onedim_order_witness([_censored(4, 2)])
     assert str(err.value) == (
         "one-dimensional algebra order is only known to be >= 2; supply more coefficients"
     )
     with pytest.raises(InsufficientPrecisionError) as err:
-        onedim_order_witness(OneDimAlgebra([]))
+        onedim_order_witness([])
     assert str(err.value) == "one-dimensional algebra order is infinite"

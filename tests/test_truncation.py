@@ -1,10 +1,12 @@
-"""Truncation refinement on a seeded draw of `tests/truncation_sweep.py`.
+"""Truncation refinement from `tests/truncation_sweep.py`.
 
 Along an arc cut below t^N, `contact` and `nash` must report what they
 report along the whole arc, or exit 3.  The whole sweep (27 presentations,
-alpha 1 and 2, every cut N = 1..48) runs as a script; this test draws 16 of
-its 54 arcs, and cuts each at every coordinate's order, where the
-coordinate is zero below t^N but not at t^N, and at 6 further cuts.
+alpha 1 and 2, every cut N = 1..48) runs as a script; the first test draws
+16 of its 54 arcs, and cuts each at every coordinate's order, where the
+coordinate is zero below t^N but not at t^N, and at 6 further cuts.  The
+second runs the script's whole `generic-arc` sweep: at precision 2p the
+lift must refine what it reports at p.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from truncation_sweep import ALPHAS, NAMES, PRECISION, coordinate_orders, generic_arc, refine
+from truncation_sweep import ALPHAS, NAMES, PRECISION, coordinate_orders, generic_arc, lift_sweep, refine
 
 
 def test_truncations_report_what_the_whole_arc_reports_or_exit_3(tmp_path):
@@ -26,3 +28,9 @@ def test_truncations_report_what_the_whole_arc_reports_or_exit_3(tmp_path):
         violations += [(name, alpha, *v) for v in bad]
     assert not violations
     assert total["same"] and total["exit 3"], total
+
+
+def test_generic_arc_at_twice_the_precision_refines_the_lift_or_p_exits_3(tmp_path):
+    counts, violations = lift_sweep(tmp_path)
+    assert not violations
+    assert counts["agree"] and counts["p exits 3"], counts

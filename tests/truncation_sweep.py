@@ -1,5 +1,6 @@
 """Truncation refinement: `contact` and `nash` along an arc cut below t^N
-report what they report along the whole arc, or exit 3.
+report what they report along the whole arc, or exit 3; and `generic-arc`
+at precision 2p refines what it reports at p.
 
 Let phi be an arc known below t^P, and N <= P.  phi mod t^N agrees with phi
 below t^N and says nothing above it.  So along phi mod t^N each subcommand
@@ -13,8 +14,22 @@ below t^N") differs by design and is not compared.
 The sweep takes the generic arc of each of the 27 presentations of
 perfbench/workloads.py, at alpha 1 and 2 and precision 48, and cuts it at
 every N = 1..48: 5,184 queries, each a `nashres.cli.main` call in process
-on an arc file.  It needs only the stdlib, prints its outcome counts, and
-exits 1 on any violation:
+on an arc file.
+
+`generic-arc` runs on each of the 27 presentations at alpha 1 and 2, at
+precision p and 2p for p in 8, 16, 24 and 48.  Three outcomes pass: both
+runs exit 0 and agree (the same units, alpha, ramification, units_tried,
+r_bar, elimination order and arc order, and the 2p arc equal to the p arc
+below the p arc's precision, or exact and equal when the p arc is exact);
+the p run exits 3; or both runs exit 4.  Anything else is a violation, and
+so is exit 2 or 5 at either precision.  The witness is not compared: a
+censored generator whose bound ties the order is passed over, so the
+witness can move under refinement.  A printed arc carries one precision for
+all its coordinates, so a coordinate counts as exact only when the whole
+printed arc is.
+
+The script needs only the stdlib, prints its outcome counts, and exits 1 on
+any violation:
 
     PYTHONPATH=src python tests/truncation_sweep.py
 """
@@ -35,9 +50,12 @@ import workloads  # noqa: E402
 
 from nashres.cli import main  # noqa: E402
 from nashres.parsing import parse_arc  # noqa: E402
+from nashres.series import PowerSeries  # noqa: E402
 
 PRECISION = 48
 ALPHAS = (1, 2)
+LIFT_PRECISIONS = (8, 16, 24, 48)
+LIFT_FIELDS = ("units", "alpha", "ramification", "units_tried", "r_bar", "elimination_order", "arc_order")
 NAMES = tuple(name for table in (workloads.ACCEPTANCE, workloads.EXTENDED, workloads.LIFT) for name in table)
 COMMANDS = ("contact", "nash")
 
@@ -54,14 +72,68 @@ def _write(path: Path, document: dict) -> str:
     return str(path)
 
 
+def _lift(pres: str, alpha: int, precision: int) -> tuple:
+    return _run("generic-arc", pres, "--precision", str(precision), "--alpha", str(alpha))
+
+
 def generic_arc(root: Path, name: str, alpha: int) -> tuple:
     """(presentation path, arc document) of the generic arc of a workload
     presentation at PRECISION."""
     pres = _write(root / f"{name}.json", workloads.presentation_document(name))
-    code, report = _run("generic-arc", pres, "--precision", str(PRECISION), "--alpha", str(alpha))
+    code, report = _lift(pres, alpha, PRECISION)
     if code:
         raise RuntimeError(f"generic-arc on {name} at alpha {alpha} exits {code}")
     return pres, report["results"]["arc"]
+
+
+def _refines(arc: dict, finer: dict) -> bool:
+    """Whether the arc document `finer` equals `arc` below its precision,
+    and is exact and equal where `arc` is exact."""
+    coarse, fine = parse_arc(arc).coords, parse_arc(finer).coords
+    n = arc["precision"]
+    if n == "exact":
+        return finer["precision"] == "exact" and fine == coarse
+    if finer["precision"] != "exact" and finer["precision"] < n:
+        return False
+    return fine.keys() == coarse.keys() and all(
+        PowerSeries.from_integers(fine[v].nums, fine[v].den, n) == s for v, s in coarse.items()
+    )
+
+
+def lift_outcome(pres: str, alpha: int, p: int) -> str:
+    """"agree", "p exits 3" or "both exit 4" for `generic-arc` at precision p
+    and 2p; any other text names a violation."""
+    (code, report), (code2, report2) = _lift(pres, alpha, p), _lift(pres, alpha, 2 * p)
+    if code in (2, 5) or code2 in (2, 5):
+        return f"exit {code} at p, exit {code2} at 2p"
+    if code == 3:
+        return "p exits 3"
+    if (code, code2) == (4, 4):
+        return "both exit 4"
+    if code or code2:
+        return f"exit {code} at p, exit {code2} at 2p"
+    r, r2 = report["results"], report2["results"]
+    differ = [k for k in LIFT_FIELDS if r[k] != r2[k]]
+    if differ:
+        return f"{', '.join(differ)} differ"
+    return "agree" if _refines(r["arc"], r2["arc"]) else "the 2p arc does not refine the p arc"
+
+
+def lift_sweep(root: Path) -> tuple:
+    """(outcome counts, violations) of `generic-arc` at p and 2p over every
+    presentation, alpha and p of LIFT_PRECISIONS; a violation is (name,
+    alpha, p, what)."""
+    counts, violations = Counter(), []
+    for name in NAMES:
+        pres = _write(root / f"{name}.json", workloads.presentation_document(name))
+        for alpha in ALPHAS:
+            for p in LIFT_PRECISIONS:
+                outcome = lift_outcome(pres, alpha, p)
+                if outcome in ("agree", "p exits 3", "both exit 4"):
+                    counts[outcome] += 1
+                else:
+                    violations.append((name, alpha, p, outcome))
+    return counts, violations
 
 
 def coordinate_orders(arc: dict) -> set:
@@ -120,9 +192,17 @@ def sweep() -> int:
                 for c, n, whole, cut in violations:
                     print(f"VIOLATION {name} alpha={alpha} {c} mod t^{n}: {cut!r}, whole arc {whole!r}")
                 failed += len(violations)
-    queries = sum(total.values()) + failed
-    print(f"{queries} queries: {total['same']} same, {total['exit 3']} exit 3, {failed} violations")
-    return 1 if failed else 0
+        queries = sum(total.values()) + failed
+        print(f"{queries} queries: {total['same']} same, {total['exit 3']} exit 3, {failed} violations")
+        counts, violations = lift_sweep(root)
+    for name, alpha, p, what in violations:
+        print(f"VIOLATION {name} alpha={alpha} generic-arc at p={p} and {2 * p}: {what}")
+    pairs = sum(counts.values()) + len(violations)
+    print(
+        f"{pairs} generic-arc pairs: {counts['agree']} agree, {counts['p exits 3']} p exits 3, "
+        f"{counts['both exit 4']} both exit 4, {len(violations)} violations"
+    )
+    return 1 if failed or violations else 0
 
 
 if __name__ == "__main__":
