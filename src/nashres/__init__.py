@@ -43,7 +43,6 @@ from .nash import (
     NashSequence,
     NashState,
     nash_sequence_equation,
-    nash_sequence_hypersurface,
     nash_sequence_presentation,
     nash_step,
 )

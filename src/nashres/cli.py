@@ -230,7 +230,7 @@ def _cmd_contact(args, p: LocalPresentation, report: dict) -> List[dict]:
 
 def _cmd_nash(args, p: LocalPresentation, report: dict) -> List[dict]:
     va = _load_arc(args, p, report)
-    summary = nash_sequence_presentation(p, va, trace=args.trace)
+    summary = nash_sequence_presentation(va, trace=args.trace)
     rows = []
     for var, seq in summary.per_hypersurface:
         if seq is None:
@@ -425,7 +425,7 @@ def verify_main_theorem(
         if id(va) not in seen:
             c = va.contact
             try:
-                geo_rho: Optional[int] = nash_sequence_presentation(p, va).rho
+                geo_rho: Optional[int] = nash_sequence_presentation(va).rho
             except IdentityViolationError:
                 geo_rho = None
             seen[id(va)] = {
@@ -495,10 +495,12 @@ def _cmd_verify(args, p: LocalPresentation, report: dict) -> List[dict]:
 # -- driver ------------------------------------------------------------------------
 
 # The largest --precision and --alpha accepted.  Lifting costs grow quickly
-# with the precision: generic-arc on x^2 - z^2 - z^3 takes about 0.25 s at
-# precision 512 and 2.0 s at 1024 (subprocess wall time, 2-core Intel Xeon
-# x86, Python 3.11.7).  An --alpha above it would only build a longer
-# diagonal arc that the lift cannot reach.
+# with the precision.  The worst input known is the double branch
+# x^4 - 2 (z^2 + z^3) x^2 + (z^2 + z^3)^2: generic-arc on it takes 2.3 s at
+# precision 256 and 26 s at 512 (subprocess wall time, 2-core Intel Xeon
+# x86, Python 3.11.7), and does not finish in minutes at 1024 (ROADMAP item
+# 2).  An --alpha above it would only build a longer diagonal arc that the
+# lift cannot reach.
 MAX_PRECISION = 1024
 
 # The largest --trials accepted.  Every trial keeps its sample row until the

@@ -40,13 +40,12 @@ from .errors import (
     ValidationError,
 )
 from .poly import MultiPoly, shift_integer_terms
-from .presentation import LocalPresentation, TschirnhausenHypersurface
 from .series import PowerSeries, compose_integers
 
 T = "t"
 
 # Hard cap on blow-up count for an equation run without a bound on rho;
-# `nash_sequence_hypersurface` derives its bound from the elimination images.
+# `nash_sequence_presentation` derives its bound from the elimination images.
 _MAX_STEPS = 10_000
 
 
@@ -60,14 +59,10 @@ class NashState:
     center_pq: Tuple[Tuple[int, int], ...] = ()  # (p, q) of each ambient coordinate
 
     @classmethod
-    def from_poly(cls, g: MultiPoly, arc: Dict[str, PowerSeries], step: int = 0) -> "NashState":
+    def from_poly(cls, g: MultiPoly, arc: Dict[str, PowerSeries]) -> "NashState":
         """The state of a transform over the ambient variables and t, and an arc."""
         forms = tuple(PowerSeries.t_power(1) if v == T else arc[v] for v in g.vars)
-        return cls(g, forms, step)
-
-    @property
-    def arc(self) -> Dict[str, PowerSeries]:
-        return {v: s for v, s in zip(self.g.vars, self.forms) if v != T}
+        return cls(g, forms, 0)
 
     @cached_property
     def _multiplicity(self) -> Optional[int]:
@@ -104,27 +99,16 @@ def nash_step(state: NashState, m0: int) -> NashState:
 
     Requires the current multiplicity to still equal m0.  Consumes one unit
     of arc precision: coordinates are divided by t and recentered at their
-    new constant terms.  A coordinate known only below t^1 (or t^0) raises
-    InsufficientPrecisionError naming the terms the sequence needs.
+    new constant terms.  Each coordinate is read once, in order: a nonzero
+    constant term has escaped the t-chart, and a coordinate known only below
+    t^1 (or t^0) raises InsufficientPrecisionError naming the terms the
+    sequence needs.
     """
     m = state.multiplicity()
     if m != m0:
         raise ValidationError(f"multiplicity already dropped: {m} != {m0}")
     g = state.g
     ti = g.vars.index(T)
-    for i, s in enumerate(state.forms):
-        if i == ti:
-            continue
-        if s.nums and s.nums[0]:
-            raise IdentityViolationError(
-                f"lifted center escaped the t-chart via coordinate {g.vars[i]!r} "
-                f"at step {state.step}"
-            )
-        if not s.nums and s.precision == 0:
-            raise InsufficientPrecisionError(
-                "insufficient precision for the directed sequence; "
-                f"supply the arc to >= {state.step + 2} terms"
-            )
     # the chart: x -> t x for every ambient x, then t^m divides out
     G = {exp[:ti] + (sum(exp) - m,) + exp[ti + 1:]: c for exp, c in g.nums.items()}
     forms = list(state.forms)
@@ -132,13 +116,18 @@ def nash_step(state: NashState, m0: int) -> NashState:
     for i, s in enumerate(state.forms):
         if i == ti:
             continue
-        if s.precision == 1:
+        nums, den = s.nums, s.den
+        if nums and nums[0]:
+            raise IdentityViolationError(
+                f"lifted center escaped the t-chart via coordinate {g.vars[i]!r} "
+                f"at step {state.step}"
+            )
+        if s.precision is not None and s.precision < 2:
             raise InsufficientPrecisionError(
                 "insufficient precision for the directed sequence; "
                 f"supply the arc to >= {state.step + 2} terms"
             )
         # divided by t, the coordinate's first numerator is the new center
-        nums, den = s.nums, s.den
         c = nums[1] if len(nums) > 1 else 0
         forms[i] = PowerSeries.from_integers(
             (0,) + nums[2:], den, None if s.precision is None else s.precision - 1
@@ -212,54 +201,37 @@ def nash_sequence_equation(
     )
 
 
-def nash_sequence_hypersurface(
-    h: TschirnhausenHypersurface, va: ValidatedArc, trace: bool = False
-) -> NashSequence:
-    """Directed sequence for one hypersurface of a validated arc's presentation.
-
-    rho = floor(r), and r is at most a/l for every exact elimination image
-    t^a W^l, so min floor(a/l) over those images bounds rho.
-    """
-    images = va.elimination_images[h.var]
-    if not images:
-        raise MaxMultArcError(
-            f"arc inside Max mult of the {h.var}-hypersurface; sequence never drops"
-        )
-    bounds = [img.a.value // img.l for img, _ in images if img.a.is_exact]
-    if not bounds:
-        raise InsufficientPrecisionError(
-            f"cannot bound the {h.var}-sequence: all elimination images censored"
-        )
-    coords = {v: va.arc.coords[v] for v in h.ambient_vars}
-    return nash_sequence_equation(h.polynomial, coords, trace, min(bounds), validated=True)
-
-
 @dataclass(frozen=True)
 class PresentationNashSummary:
     rho: int
     per_hypersurface: Tuple[Tuple[str, Optional[NashSequence]], ...]
 
 
-def nash_sequence_presentation(
-    p: LocalPresentation, va: ValidatedArc, trace: bool = False
-) -> PresentationNashSummary:
-    """Per-hypersurface sequences; rho of the presentation is their minimum.
+def nash_sequence_presentation(va: ValidatedArc, trace: bool = False) -> PresentationNashSummary:
+    """Per-hypersurface sequences of a validated arc; rho is their minimum.
 
     A hypersurface whose elimination generators are all killed exactly never
-    drops and contributes no finite candidate (recorded as None).  The result
-    is cross-checked against floor(r) from the contact algebra; disagreement
-    is a hard identity violation.
+    drops and contributes no finite candidate (recorded as None).  Every other
+    runs to a bound: rho = floor(r), and r is at most a/l for every exact
+    elimination image t^a W^l, so min floor(a/l) over those images bounds
+    rho.  The result is cross-checked against floor(r) from the contact
+    algebra; disagreement is a hard identity violation.
     """
     runs = []
-    rhos = []
-    for h in p.hypersurfaces:
-        try:
-            seq = nash_sequence_hypersurface(h, va, trace=trace)
-        except MaxMultArcError:
+    for h in va.presentation.hypersurfaces:
+        images = va.elimination_images[h.var]
+        if not images:
             runs.append((h.var, None))
             continue
+        bounds = [img.a.value // img.l for img, _ in images if img.a.is_exact]
+        if not bounds:
+            raise InsufficientPrecisionError(
+                f"cannot bound the {h.var}-sequence: all elimination images censored"
+            )
+        coords = {v: va.arc.coords[v] for v in h.ambient_vars}
+        seq = nash_sequence_equation(h.polynomial, coords, trace, min(bounds), validated=True)
         runs.append((h.var, seq))
-        rhos.append(seq.rho)
+    rhos = [seq.rho for _, seq in runs if seq is not None]
     if not rhos:
         raise MaxMultArcError("arc inside Max mult: no hypersurface sequence drops")
     rho = min(rhos)

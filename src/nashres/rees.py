@@ -109,8 +109,6 @@ def diff_closure(algebra: ReesAlgebra) -> ReesAlgebra:
     queue = deque((g.f, g.weight, True) for g in algebra.generators)
     while queue:
         f, n, original = queue.popleft()
-        if f.is_zero():
-            continue
         key = (f.monic_normalized(), n)
         if key in visited:
             continue

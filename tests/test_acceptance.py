@@ -23,7 +23,6 @@ from nashres import (
     elimination_algebra,
     elimination_order,
     image_of_algebra,
-    nash_sequence_hypersurface,
     nash_sequence_presentation,
     onedim_resolution_steps,
     presentation_elimination_order,
@@ -52,12 +51,16 @@ def done(n, name, budget):
     print(f"ACCEPTANCE {n} [{name}]: PASS ({elapsed:.2f}s)")
 
 
+def sequence_of(va, var):
+    return dict(nash_sequence_presentation(va).per_hypersurface)[var]
+
+
 def rho_three_ways(p, va):
     """persistance by closed form, one-dimensional iteration, and geometry."""
     result = contact_order(va)
     closed_form = result.rho
     iterated = onedim_resolution_steps(image_of_algebra(va.arc, ambient_algebra(p)))
-    geometric = nash_sequence_presentation(p, va).rho
+    geometric = nash_sequence_presentation(va).rho
     assert closed_form == floor(result.r)
     assert iterated == closed_form
     assert geometric == closed_form
@@ -71,7 +74,7 @@ def test_acceptance_1_cusp_end_to_end():
     va = validate_arc(exact_arc(x="t^3", z="t^2"), p)
     result = contact_order(va)
     assert result.r == 3 and result.rho == 3
-    seq = nash_sequence_hypersurface(p.hypersurfaces[0], va)
+    seq = sequence_of(va, "x")
     assert seq.multiplicities == (2, 2, 2, 1)
     assert result.rho == floor(result.r) == seq.rho
     done(1, "cusp end-to-end", budget)
@@ -88,12 +91,11 @@ def test_acceptance_2_a_family():
             assert built.ramification == 2
         result = contact_order(built.arc)
         assert result.r_bar == expected
-        h = p.hypersurfaces[0]
-        seq = nash_sequence_hypersurface(h, built.arc)
+        seq = sequence_of(built.arc, "x")
         assert seq.rho == floor(result.r)
         doubled = validate_arc(built.arc.arc.reparametrize(2), p)
         result2 = contact_order(doubled)
-        seq2 = nash_sequence_hypersurface(h, doubled)
+        seq2 = sequence_of(doubled, "x")
         assert seq2.rho == floor(result2.r) == floor(2 * result.r)
     done(2, "A_n family n=1..8", budget)
 
@@ -233,7 +235,7 @@ def test_acceptance_5_two_hypersurfaces():
     budget = Budget(5.0)
     p = make_presentation(2, ("x1", "x1^2 - z1^3"), ("x2", "x2^2 - z1*z2^2"))
     va = validate_arc(exact_arc(x1="t^3", x2="t^4", z1="t^2", z2="t^3"), p)
-    summary = nash_sequence_presentation(p, va)
+    summary = nash_sequence_presentation(va)
     per = {var: seq.rho for var, seq in summary.per_hypersurface}
     assert per == {"x1": 3, "x2": 4}
     assert summary.rho == min(per.values())

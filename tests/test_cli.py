@@ -505,7 +505,7 @@ def test_verify_reports_a_nash_run_that_violates_an_identity_and_exits_5(
     from nashres import cli as climod
     from nashres.errors import IdentityViolationError
 
-    def broken(p, va, trace=False):
+    def broken(va, trace=False):
         raise IdentityViolationError("synthetic")
 
     monkeypatch.setattr(climod, "nash_sequence_presentation", broken)
@@ -854,7 +854,7 @@ def _reference_samples(p, trials, seed, precision=64, search_bound=8):
         va = validate_arc(arc, p)
         c = va.contact
         try:
-            geo_rho = nash_sequence_presentation(p, va).rho
+            geo_rho = nash_sequence_presentation(va).rho
         except IdentityViolationError:
             geo_rho = None
         rows.append({
@@ -897,7 +897,7 @@ def test_verify_computes_each_distinct_sampled_arc_once(monkeypatch, name, seed)
     )
     monkeypatch.setattr(
         climod, "nash_sequence_presentation",
-        spy(nash_runs, lambda p, va: _content(va.arc), climod.nash_sequence_presentation),
+        spy(nash_runs, lambda va: _content(va.arc), climod.nash_sequence_presentation),
     )
     results, checks = climod.verify_main_theorem(p, trials=20, seed=seed)
     monkeypatch.undo()

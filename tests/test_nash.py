@@ -9,7 +9,6 @@ from nashres import (
     PowerSeries,
     contact_order,
     nash_sequence_equation,
-    nash_sequence_hypersurface,
     nash_sequence_presentation,
     nash_step,
     parse_poly,
@@ -26,6 +25,10 @@ from nashres.errors import (
 from conftest import exact_arc
 
 
+def sequence_of(va, var="x"):
+    return dict(nash_sequence_presentation(va).per_hypersurface)[var]
+
+
 def cusp_state():
     g = parse_poly("x^2 - z^3").extend_vars(("x", "z", "t"))
     arc = {"x": PowerSeries.t_power(3), "z": PowerSeries.t_power(2)}
@@ -35,16 +38,16 @@ def cusp_state():
 def test_nash_step_first_transform():
     state = nash_step(cusp_state(), 2)
     assert state.g == parse_poly("x^2 - z^3 t").extend_vars(("x", "z", "t"))
-    assert state.arc["x"] == PowerSeries.t_power(2)
-    assert state.arc["z"] == PowerSeries.t_power(1)
+    assert state.forms == (PowerSeries.t_power(2), PowerSeries.t_power(1), PowerSeries.t_power(1))
 
 
 def test_nash_step_second_transform_translates():
     state = nash_step(nash_step(cusp_state(), 2), 2)
     expected = parse_poly("x^2 - t^2 (z+1)^3").extend_vars(("x", "z", "t"))
     assert state.g == expected
-    assert state.arc["z"].is_exactly_zero()
-    assert state.arc["x"] == PowerSeries.t_power(1)
+    x, z, _ = state.forms
+    assert z.is_exactly_zero()
+    assert x == PowerSeries.t_power(1)
 
 
 def test_nash_step_third_transform_drops_order():
@@ -57,7 +60,7 @@ def test_nash_step_third_transform_drops_order():
 
 
 def test_nash_sequence_cusp(cusp, cusp_arc):
-    seq = nash_sequence_hypersurface(cusp.hypersurfaces[0], cusp_arc)
+    seq = sequence_of(cusp_arc)
     assert seq.multiplicities == (2, 2, 2, 1)
     assert seq.rho == 3
     assert seq.centers == ((0, 0), (0, 1), (1, 0))
@@ -65,25 +68,25 @@ def test_nash_sequence_cusp(cusp, cusp_arc):
 
 def test_nash_sequence_reparametrized_cusp(cusp):
     va = validate_arc(exact_arc(x="t^6", z="t^4"), cusp)
-    seq = nash_sequence_hypersurface(cusp.hypersurfaces[0], va)
+    seq = sequence_of(va)
     assert seq.rho == 6
     assert seq.multiplicities == (2,) * 6 + (1,)
 
 
 def test_nash_sequence_umbrella(umbrella, umbrella_min_arc):
-    seq = nash_sequence_hypersurface(umbrella.hypersurfaces[0], umbrella_min_arc)
+    seq = sequence_of(umbrella_min_arc)
     assert seq.multiplicities == (2, 2, 2, 1)
     assert seq.rho == 3
 
 
 def test_nash_matches_contact_floor(umbrella, umbrella_fast_arc):
-    seq = nash_sequence_hypersurface(umbrella.hypersurfaces[0], umbrella_fast_arc)
+    seq = sequence_of(umbrella_fast_arc)
     assert seq.rho == contact_order(umbrella_fast_arc).rho == 2
 
 
 def test_presentation_sequence_minimum(two_hyp):
     va = validate_arc(exact_arc(x1="t^3", x2="t^4", z1="t^2", z2="t^3"), two_hyp)
-    summary = nash_sequence_presentation(two_hyp, va)
+    summary = nash_sequence_presentation(va)
     assert dict(summary.per_hypersurface)["x1"].rho == 3
     assert dict(summary.per_hypersurface)["x2"].rho == 4
     assert summary.rho == 3
@@ -91,15 +94,16 @@ def test_presentation_sequence_minimum(two_hyp):
 
 
 def test_presentation_sequence_single_is_hypersurface(cusp, cusp_arc):
-    summary = nash_sequence_presentation(cusp, cusp_arc)
-    assert summary.rho == nash_sequence_hypersurface(cusp.hypersurfaces[0], cusp_arc).rho
+    summary = nash_sequence_presentation(cusp_arc)
+    assert summary.per_hypersurface == (("x", sequence_of(cusp_arc)),)
+    assert summary.rho == sequence_of(cusp_arc).rho
 
 
 def test_presentation_handles_per_hypersurface_max_mult(two_hyp):
     # x2 = z2 = 0 kills every x2-elimination generator exactly: only the
     # x1-hypersurface sequence drops, and rho takes its value
     va = validate_arc(exact_arc(x1="t^3", x2="0", z1="t^2", z2="0"), two_hyp)
-    summary = nash_sequence_presentation(two_hyp, va)
+    summary = nash_sequence_presentation(va)
     assert dict(summary.per_hypersurface)["x2"] is None
     assert summary.rho == dict(summary.per_hypersurface)["x1"].rho == 3
 
@@ -109,7 +113,7 @@ def test_sequence_requires_arc_off_max_mult(umbrella):
         exact_arc(x="0", z1="0", z2="t"), umbrella
     )
     with pytest.raises(MaxMultArcError):
-        nash_sequence_presentation(umbrella, inside)
+        nash_sequence_presentation(inside)
 
 
 def test_sequence_nonincreasing_on_samples(cusp, umbrella, two_hyp):
@@ -121,7 +125,7 @@ def test_sequence_nonincreasing_on_samples(cusp, umbrella, two_hyp):
     ]
     for p, arc in cases:
         va = validate_arc(arc, p)
-        for _, seq in nash_sequence_presentation(p, va).per_hypersurface:
+        for _, seq in nash_sequence_presentation(va).per_hypersurface:
             if seq is None:
                 continue
             assert all(a >= b for a, b in zip(seq.multiplicities, seq.multiplicities[1:]))
@@ -132,7 +136,7 @@ def test_reparametrization_scales_rho(cusp, cusp_arc):
     r = contact_order(cusp_arc).r
     for e in (2, 3):
         va = validate_arc(cusp_arc.arc.reparametrize(e), cusp)
-        seq = nash_sequence_hypersurface(cusp.hypersurfaces[0], va)
+        seq = sequence_of(va)
         assert seq.rho == (e * r).__floor__()
 
 
@@ -141,7 +145,7 @@ def test_truncated_arc_runs_with_enough_terms(cusp):
 
     arc = Arc({"x": PowerSeries([0, 0, 0, 1], 8), "z": PowerSeries([0, 0, 1], 8)})
     va = validate_arc(arc, cusp)
-    seq = nash_sequence_hypersurface(cusp.hypersurfaces[0], va)
+    seq = sequence_of(va)
     assert seq.rho == 3
 
 
@@ -154,11 +158,14 @@ def test_truncated_arc_reports_needed_terms():
 
 def test_a_step_names_the_terms_the_sequence_needs():
     # a coordinate known below t^1, or below t^0, cannot be divided by t:
-    # the step itself says how many terms the sequence needs
+    # the step itself says how many terms the sequence needs.  The step reads
+    # the coordinates in order, so a short x raises before z's escape is seen
     g = parse_poly("x^2 - z^3").extend_vars(("x", "z", "t"))
-    z = PowerSeries.t_power(2)
-    for precision, step in ((1, 0), (1, 3), (0, 4)):
-        state = NashState(g, (PowerSeries.zero(precision), z, PowerSeries.t_power(1)), step)
+    x, z = PowerSeries.t_power(3), PowerSeries.t_power(2)
+    cases = [(PowerSeries.zero(1), z, 0), (PowerSeries.zero(1), z, 3), (PowerSeries.zero(0), z, 4)]
+    cases += [(x, PowerSeries.zero(1), 2), (PowerSeries.zero(1), PowerSeries([1]), 1)]
+    for x_form, z_form, step in cases:
+        state = NashState(g, (x_form, z_form, PowerSeries.t_power(1)), step)
         with pytest.raises(InsufficientPrecisionError) as info:
             nash_step(state, 2)
         assert str(info.value) == (
@@ -223,7 +230,7 @@ def test_a_sequence_past_its_bound_is_an_identity_violation():
 
 def test_sequence_centers_come_from_the_steps(cusp):
     va = validate_arc(exact_arc(x="(t + t^2)^3", z="(t + t^2)^2"), cusp)
-    seq = nash_sequence_hypersurface(cusp.hypersurfaces[0], va)
+    seq = sequence_of(va)
     assert seq.centers == ((0, 0), (0, 1), (1, 2))
 
 
@@ -239,4 +246,4 @@ def test_censored_elimination_images_of_one_hypersurface_stop_its_sequence(two_h
     va = validate_arc(arc, two_hyp)
     assert va.contact.r == 3
     with pytest.raises(InsufficientPrecisionError, match="cannot bound the x2-sequence"):
-        nash_sequence_presentation(two_hyp, va)
+        nash_sequence_presentation(va)

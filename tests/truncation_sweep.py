@@ -8,13 +8,21 @@ must do one of two things: report the same invariants as along phi (for
 `contact` r, r_bar, rho, rho_bar, the arc order and the witness; for `nash`
 r, rho and each hypersurface's multiplicity sequence), or raise
 InsufficientPrecisionError, exit 3.  Any other report or exit code guesses
-through the censoring, and is a violation.  The certificate text ("zero
-below t^N") differs by design and is not compared.
+through the censoring, and is a violation; so is any nonzero exit along the
+whole arc, which leaves the cuts nothing to keep.  The certificate text
+("zero below t^N") differs by design and is not compared.
 
 The sweep takes the generic arc of each of the 27 presentations of
 perfbench/workloads.py, at alpha 1 and 2 and precision 48, and cuts it at
 every N = 1..48: 5,184 queries, each a `nashres.cli.main` call in process
 on an arc file.
+
+Generic arcs never reach a Nash centre with a denominator, so the sweep
+also reads the rows of `verify --seed 7 --trials 20 --precision 48` on each
+of the 27 presentations.  `verify` must exit 0.  Along each distinct row
+arc, `contact` and `nash` must report the row's r, r_bar, rho, rho_bar,
+arc_order and rho_geometric, and the arc is cut at every coordinate's
+order and at 6 seeded cuts below its precision.
 
 `generic-arc` runs on each of the 27 presentations at alpha 1 and 2, at
 precision p and 2p for p in 8, 16, 24 and 48.  Three outcomes pass: both
@@ -39,6 +47,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import sys
 import tempfile
 from collections import Counter
@@ -58,6 +67,8 @@ LIFT_PRECISIONS = (8, 16, 24, 48)
 LIFT_FIELDS = ("units", "alpha", "ramification", "units_tried", "r_bar", "elimination_order", "arc_order")
 NAMES = tuple(name for table in (workloads.ACCEPTANCE, workloads.EXTENDED, workloads.LIFT) for name in table)
 COMMANDS = ("contact", "nash")
+ROW_FIELDS = ("r", "r_bar", "rho", "rho_bar", "arc_order")
+VERIFY_SEED = 7
 
 
 def _run(*argv) -> tuple:
@@ -156,10 +167,14 @@ def invariants(command: str, code: int, report: dict):
     return r["r"], r["rho"], rows
 
 
-def refine(root: Path, pres: str, arc: dict, cuts) -> tuple:
+def refine(root: Path, pres: str, arc: dict, cuts, row: dict | None = None) -> tuple:
     """(outcome counts, violations) of `contact` and `nash` along the arc and
     along each cut of it.  An outcome is "same" or "exit 3"; a violation is
-    (command, cut, invariants along the arc, invariants along the cut)."""
+    (command, cut, invariants along the arc, invariants along the cut).  A
+    command that exits nonzero along the whole arc is a violation with cut
+    None, and its cuts are not compared.  Given the `verify` row of the arc,
+    the whole arc must report the row's invariants: a violation ("read back",
+    None, the row's, the arc's)."""
     path = root / "arc.json"
 
     def along(document: dict) -> dict:
@@ -167,10 +182,19 @@ def refine(root: Path, pres: str, arc: dict, cuts) -> tuple:
         return {c: invariants(c, *_run(c, pres, str(path))) for c in COMMANDS}
 
     whole = along(arc)
-    counts, violations = Counter(), []
+    failed = [c for c in COMMANDS if isinstance(whole[c], int)]
+    violations = [(c, None, 0, whole[c]) for c in failed]
+    if row is not None and not failed:
+        read = whole["contact"][:-1], whole["nash"][:2]
+        expected = tuple(row[k] for k in ROW_FIELDS), (row["r"], row["rho_geometric"])
+        if read != expected:
+            violations.append(("read back", None, expected, read))
+    counts = Counter()
     for n in cuts:
         cut = along({"precision": n, "coords": arc["coords"]})
         for c in COMMANDS:
+            if c in failed:
+                continue
             if cut[c] == whole[c]:
                 counts["same"] += 1
             elif cut[c] == 3:
@@ -178,6 +202,32 @@ def refine(root: Path, pres: str, arc: dict, cuts) -> tuple:
             else:
                 violations.append((c, n, whole[c], cut[c]))
     return counts, violations
+
+
+def verify_rows(root: Path, name: str, rng: random.Random) -> tuple:
+    """(row counts, outcome counts, violations) of `verify --seed 7 --trials
+    20 --precision 48` on a workload presentation.  Any exit but 0 is a
+    violation ("verify", None, 0, code).  Each distinct row arc is read back
+    and refined at every coordinate's order, which lies below the arc's
+    precision, and at 6 cuts drawn from rng up to it."""
+    pres = _write(root / f"{name}.json", workloads.presentation_document(name))
+    code, report = _run(
+        "verify", pres, "--seed", str(VERIFY_SEED), "--trials", "20",
+        "--precision", str(PRECISION),
+    )
+    if code:
+        return Counter(), Counter(), [("verify", None, 0, code)]
+    rows = report["results"]["samples"]
+    distinct = {json.dumps(row["arc"], sort_keys=True): row for row in rows}
+    total, violations = Counter(), []
+    for row in distinct.values():
+        arc = row["arc"]
+        top = PRECISION if arc["precision"] == "exact" else arc["precision"]
+        cuts = coordinate_orders(arc) | set(rng.sample(range(1, top + 1), 6))
+        counts, bad = refine(root, pres, arc, sorted(cuts), row)
+        total += counts
+        violations += bad
+    return Counter(rows=len(rows), distinct=len(distinct)), total, violations
 
 
 def sweep() -> int:
@@ -190,10 +240,25 @@ def sweep() -> int:
                 counts, violations = refine(root, pres, arc, range(1, PRECISION + 1))
                 total += counts
                 for c, n, whole, cut in violations:
-                    print(f"VIOLATION {name} alpha={alpha} {c} mod t^{n}: {cut!r}, whole arc {whole!r}")
+                    where = "along the whole arc" if n is None else f"mod t^{n}"
+                    print(f"VIOLATION {name} alpha={alpha} {c} {where}: {cut!r}, whole arc {whole!r}")
                 failed += len(violations)
         queries = sum(total.values()) + failed
         print(f"{queries} queries: {total['same']} same, {total['exit 3']} exit 3, {failed} violations")
+        rows, total, failed_rows = Counter(), Counter(), 0
+        rng = random.Random(VERIFY_SEED)
+        for name in NAMES:
+            seen, counts, violations = verify_rows(root, name, rng)
+            rows += seen
+            total += counts
+            for violation in violations:
+                print(f"VIOLATION {name} verify rows: {violation!r}")
+            failed_rows += len(violations)
+        print(
+            f"{rows['rows']} verify rows, {rows['distinct']} distinct: "
+            f"{total['same'] + total['exit 3']} cut queries, {total['same']} same, "
+            f"{total['exit 3']} exit 3, {failed_rows} violations"
+        )
         counts, violations = lift_sweep(root)
     for name, alpha, p, what in violations:
         print(f"VIOLATION {name} alpha={alpha} generic-arc at p={p} and {2 * p}: {what}")
@@ -202,7 +267,7 @@ def sweep() -> int:
         f"{pairs} generic-arc pairs: {counts['agree']} agree, {counts['p exits 3']} p exits 3, "
         f"{counts['both exit 4']} both exit 4, {len(violations)} violations"
     )
-    return 1 if failed or violations else 0
+    return 1 if failed or failed_rows or violations else 0
 
 
 if __name__ == "__main__":
