@@ -61,13 +61,10 @@ from .presentation import (
     elimination_algebra,
     elimination_order,
     hypersurface_multiplicity_at,
-    max_mult_contains,
-    presentation_elimination_order,
     tschirnhausen_normalize,
 )
 from .rees import (
     OneDimGenerator,
-    ReesAlgebra,
     ReesGenerator,
     algebra_order_at,
     diff_closure,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -33,7 +33,7 @@ from .errors import (
 from .extorder import ExtOrder, ext_min
 from .poly import MultiPoly
 from .presentation import LocalPresentation
-from .rees import OneDimGenerator, ReesAlgebra, ReesGenerator, onedim_order_witness
+from .rees import OneDimGenerator, ReesGenerator, onedim_order_witness
 from .series import PowerSeries, image_order, poly_compose_series
 
 
@@ -132,7 +132,7 @@ def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
                 f"arc not on variety: phi({h.var}-equation) = {image}"
             )
         vanishing[h.var] = image.precision
-        images[h.var] = _generator_images(arc, h.elimination_algebra)
+        images[h.var] = _generator_images(arc, h.base_vars, h.elimination_algebra)
     exact = [img.a.is_exact for pairs in images.values() for img, _ in pairs]
     if exact and not any(exact):
         raise InsufficientPrecisionError(
@@ -143,29 +143,32 @@ def validate_arc(a: Arc, p: LocalPresentation) -> ValidatedArc:
 
 
 def _generator_images(
-    a: Arc, algebra: ReesAlgebra
+    a: Arc, variables: Sequence[str], generators: Sequence[ReesGenerator]
 ) -> Tuple[Tuple[OneDimGenerator, ReesGenerator], ...]:
-    """(image, generator) for each generator pushed through an arc with a
-    coordinate for every ambient variable of the algebra.
+    """(image, generator) for each generator over `variables` pushed through
+    an arc with a coordinate for each of them.
 
     The image is the order of the image series with the generator's weight,
     read by `image_order` from the arc's leading terms.  Exact-zero images
     contribute no finite generator and are dropped; censored orders are
     preserved as censored exponents.
     """
-    forms = [a.coords[v] for v in algebra.ambient_vars]
+    forms = [a.coords[v] for v in variables]
     pairs = []
-    for g in algebra.generators:
+    for g in generators:
         o = image_order(g.f.nums, g.f.den, forms)
         if not o.is_infinite:
             pairs.append((OneDimGenerator(o, g.weight), g))
     return tuple(pairs)
 
 
-def image_of_algebra(a: Arc, algebra: ReesAlgebra) -> Tuple[OneDimGenerator, ...]:
-    """Push each generator through the arc: orders of the image series."""
-    arc = a.restrict(algebra.ambient_vars)
-    return tuple(img for img, _ in _generator_images(arc, algebra))
+def image_of_algebra(a: Arc, generators: Sequence[ReesGenerator]) -> Tuple[OneDimGenerator, ...]:
+    """Push each generator through the arc: orders of the image series, over
+    the first generator's variables; () for no generators."""
+    if not generators:
+        return ()
+    variables = generators[0].f.vars
+    return tuple(img for img, _ in _generator_images(a.restrict(variables), variables, generators))
 
 
 @dataclass(frozen=True)

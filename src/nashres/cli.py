@@ -54,7 +54,6 @@ from .presentation import (
     LocalPresentation,
     elimination_order,
     hypersurface_multiplicity_at,
-    max_mult_contains,
 )
 from .rees import algebra_order_at, onedim_resolution_steps
 from .series import PowerSeries
@@ -141,7 +140,7 @@ def _cmd_mult(args, p: LocalPresentation, report: dict) -> List[dict]:
         )
     report["inputs"]["point"] = [fraction_text(c) for c in point]
     report["results"]["hypersurfaces"] = rows
-    report["results"]["in_max_mult"] = max_mult_contains(p, point)
+    report["results"]["in_max_mult"] = all(row["multiplicity"] >= row["b"] for row in rows)
     return []
 
 
@@ -168,7 +167,7 @@ def _cmd_elim(args, p: LocalPresentation, report: dict) -> List[dict]:
     report["results"]["hypersurfaces"] = [
         {
             "var": h.var,
-            "generators": [str(g) for g in h.elimination_algebra.generators],
+            "generators": [str(g) for g in h.elimination_algebra],
             "order": str(elimination_order(h)),
         }
         for h in p.hypersurfaces
@@ -181,7 +180,7 @@ def _cmd_elim(args, p: LocalPresentation, report: dict) -> List[dict]:
         _check(
             "ambient_order_is_one",
             amb_order.is_exact and amb_order.value == 1,
-            witness=str(amb),
+            witness="[" + ", ".join(map(str, amb)) + "]",
         )
     ]
 

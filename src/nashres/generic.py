@@ -46,7 +46,7 @@ from .presentation import (
     LocalPresentation,
     TschirnhausenHypersurface,
 )
-from .rees import ReesAlgebra
+from .rees import ReesGenerator
 from .series import PowerSeries, _convolve, _square, compose_integers
 
 T = "t"
@@ -70,7 +70,7 @@ def unit_tuples(d: int, bound: int) -> Iterator[Tuple[int, ...]]:
 
 
 def admissible_unit_tuples(
-    algebras: Sequence[ReesAlgebra], d: int, bound: int
+    algebras: Sequence[Sequence[ReesGenerator]], d: int, bound: int
 ) -> Iterator[Tuple[int, ...]]:
     """Unit tuples at which no minimizing generator's initial form vanishes.
 
@@ -81,14 +81,14 @@ def admissible_unit_tuples(
     """
     forms: List[MultiPoly] = []
     for algebra in algebras:
-        if algebra.is_empty():
+        if not algebra:
             raise MaxMultArcError(
                 "arc necessarily inside Max mult: an elimination algebra is empty"
             )
-        quotients = [g.f.order_at_origin().divided_by(g.weight) for g in algebra.generators]
+        quotients = [g.f.order_at_origin().divided_by(g.weight) for g in algebra]
         order = ext_min(quotients)
         forms.extend(
-            g.f.initial_form() for g, q in zip(algebra.generators, quotients) if q == order
+            g.f.initial_form() for g, q in zip(algebra, quotients) if q == order
         )
     for u in unit_tuples(d, bound):
         if all(form.eval_at(u) != 0 for form in forms):
@@ -530,7 +530,7 @@ def lift_monomial_base(
         raise ValidationError("base exponents must be >= 1")
     parts = []
     for h in p.hypersurfaces:
-        if h.elimination_algebra.is_empty():
+        if not h.elimination_algebra:
             raise MaxMultArcError(
                 "arc necessarily inside Max mult: the equation is a pure power"
             )

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .extorder import ExtOrder, ext_min
 from .poly import MultiPoly, fraction_text
-from .rees import ReesAlgebra, ReesGenerator, _tschirnhausen_split, diff_closure
+from .rees import ReesGenerator, _tschirnhausen_split, diff_closure
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class TschirnhausenHypersurface:
         return MultiPoly._raw(self.ambient_vars, nums, den)
 
     @cached_property
-    def elimination_algebra(self) -> ReesAlgebra:
+    def elimination_algebra(self) -> Tuple[ReesGenerator, ...]:
         return elimination_algebra(self)
 
 
@@ -113,7 +113,7 @@ def tschirnhausen_normalize(f: MultiPoly, var: str) -> TschirnhausenHypersurface
     return TschirnhausenHypersurface(var, b, base_vars, bs)
 
 
-def elimination_algebra(h: TschirnhausenHypersurface) -> ReesAlgebra:
+def elimination_algebra(h: TschirnhausenHypersurface) -> Tuple[ReesGenerator, ...]:
     """Differential closure of the coefficient generators B_i W^(b-i).
 
     A diff-closed Rees algebra over the base variables; read it through the
@@ -124,7 +124,7 @@ def elimination_algebra(h: TschirnhausenHypersurface) -> ReesAlgebra:
         for i, B in enumerate(h.coeffs)
         if not B.is_zero()
     ]
-    return diff_closure(ReesAlgebra(h.base_vars, gens))
+    return diff_closure(gens)
 
 
 def elimination_order(h: TschirnhausenHypersurface) -> ExtOrder:
@@ -172,36 +172,34 @@ class LocalPresentation:
         return tuple(h.var for h in self.hypersurfaces) + self.base_vars
 
     @cached_property
-    def ambient_algebra(self) -> ReesAlgebra:
+    def ambient_algebra(self) -> Tuple[ReesGenerator, ...]:
         return ambient_algebra(self)
 
     @cached_property
     def elimination_order(self) -> ExtOrder:
-        return presentation_elimination_order(self)
+        """Hironaka's order in base dimension: min over hypersurfaces."""
+        return ext_min(elimination_order(h) for h in self.hypersurfaces)
 
 
-def presentation_elimination_order(p: LocalPresentation) -> ExtOrder:
-    """Hironaka's order in base dimension: min over hypersurfaces.  Read it
-    through the cached `p.elimination_order`."""
-    return ext_min(elimination_order(h) for h in p.hypersurfaces)
-
-
-def ambient_algebra(p: LocalPresentation) -> ReesAlgebra:
+def ambient_algebra(p: LocalPresentation) -> Tuple[ReesGenerator, ...]:
     """Diff-closed algebra representing the top multiplicity stratum.
 
     Generated by x_i W for every distinguished variable together with all
     elimination generators, everything extended to the joint ambient ring.
-    Read it through the cached `p.ambient_algebra`.
+    Two hypersurfaces can share an elimination generator: the first copy of
+    each `dedup_key` is kept, in order.  Read it through the cached
+    `p.ambient_algebra`.
     """
     ambient = p.ambient_vars
-    gens = [
-        ReesGenerator(MultiPoly.variable(ambient, h.var), 1)
-        for h in p.hypersurfaces
+    gens = [ReesGenerator(MultiPoly.variable(ambient, h.var), 1) for h in p.hypersurfaces]
+    gens += [
+        ReesGenerator(g.f.extend_vars(ambient), g.weight)
+        for h in p.hypersurfaces for g in h.elimination_algebra
     ]
-    for h in p.hypersurfaces:
-        for g in h.elimination_algebra.generators:
-            gens.append(ReesGenerator(g.f.extend_vars(ambient), g.weight))
-    return ReesAlgebra(ambient, gens)
+    first = {}
+    for g in gens:
+        first.setdefault(g.dedup_key(), g)
+    return tuple(first.values())
 
 
 def hypersurface_multiplicity_at(h: TschirnhausenHypersurface, point: Sequence) -> int:
@@ -211,20 +209,3 @@ def hypersurface_multiplicity_at(h: TschirnhausenHypersurface, point: Sequence) 
         at = ", ".join(map(fraction_text, point))
         raise ValidationError(f"point not on hypersurface: f({at}) != 0")
     return f.order_at(point).value
-
-
-def max_mult_contains(p: LocalPresentation, point: Sequence) -> bool:
-    """True when every hypersurface has order >= b_i at the point."""
-    ambient = p.ambient_vars
-    pt = [Fraction(c) for c in point]
-    if len(pt) != len(ambient):
-        raise DimensionMismatchError(
-            f"point has {len(pt)} coordinates, presentation ambient is {ambient}"
-        )
-    coord = dict(zip(ambient, pt))
-    for h in p.hypersurfaces:
-        sub = [coord[v] for v in h.ambient_vars]
-        o = h.polynomial.order_at(sub)
-        if o.value < h.b:
-            return False
-    return True

@@ -1,11 +1,11 @@
-"""Rees algebras as weighted generator lists.
+"""Rees algebras as tuples of weighted generators.
 
-An algebra is a finite list of pairs f*W^n (polynomial, positive weight).
-The operations here are the ones every invariant in the toolkit reduces to:
-differential closure, order at a point, and the one-dimensional transform
-model over K[[t]] that computes blow-up counts by repeated subtraction.
-`_tschirnhausen_split` is the one reader of the Tschirnhausen form, for
-`diff_closure` and for `presentation.tschirnhausen_normalize` alike.
+An algebra is a tuple of `ReesGenerator`s f*W^n (polynomial, positive weight)
+over one variable list.  The operations here are the ones every invariant in
+the toolkit reduces to: differential closure, order at a point, and the
+one-dimensional transform model over K[[t]] that computes blow-up counts by
+repeated subtraction.  `_tschirnhausen_split` is the one reader of the
+Tschirnhausen form, for `diff_closure` and `presentation.tschirnhausen_normalize`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
-    DimensionMismatchError,
     InsufficientPrecisionError,
     NotPermissibleError,
     ValidationError,
@@ -46,40 +45,6 @@ class ReesGenerator:
         return f"{body}*W^{self.weight}"
 
 
-class ReesAlgebra:
-    __slots__ = ("ambient_vars", "generators")
-
-    def __init__(self, ambient_vars: Sequence[str], generators: Sequence[ReesGenerator] = ()):
-        self.ambient_vars: Tuple[str, ...] = tuple(ambient_vars)
-        gens: list[ReesGenerator] = []
-        seen = set()
-        for g in generators:
-            if g.f.vars != self.ambient_vars:
-                raise DimensionMismatchError(
-                    f"generator over {g.f.vars} does not match ambient {self.ambient_vars}"
-                )
-            key = g.dedup_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            gens.append(g)
-        self.generators: Tuple[ReesGenerator, ...] = tuple(gens)
-
-    @staticmethod
-    def from_pairs(ambient_vars: Sequence[str], pairs) -> "ReesAlgebra":
-        return ReesAlgebra(
-            ambient_vars, [ReesGenerator(f, n) for f, n in pairs]
-        )
-
-    def is_empty(self) -> bool:
-        return not self.generators
-
-    def __str__(self) -> str:
-        if not self.generators:
-            return "[]"
-        return "[" + ", ".join(str(g) for g in self.generators) + "]"
-
-
 def _tschirnhausen_split(f: MultiPoly, var: str, b: int) -> Optional[Dict[int, MultiPoly]]:
     """{i: B_i} when f = lead * (var^b + sum_{i<=b-2} B_i var^i) for a
     constant lead and b >= 2; None otherwise.  The B_i keep f's variables."""
@@ -95,18 +60,19 @@ def _tschirnhausen_split(f: MultiPoly, var: str, b: int) -> Optional[Dict[int, M
     return {i: g.scale(1 / c) for i, g in coeffs.items()}
 
 
-def diff_closure(algebra: ReesAlgebra) -> ReesAlgebra:
+def diff_closure(generators: Sequence[ReesGenerator]) -> Tuple[ReesGenerator, ...]:
     """Close under weighted differential operators.
 
     Plain generators contribute all iterated partial derivatives with the
     weight dropped accordingly.  A generator that is (a constant multiple of)
     a Tschirnhausen polynomial x^b + sum B_i x^i of degree b equal to its
     weight is replaced by x*W and the coefficient generators B_i*W^(b-i),
-    which generate the same closure with a smaller set.  Idempotent.
+    which generate the same closure with a smaller set.  Idempotent, and no
+    two results share a `dedup_key`: each is the key it was visited under.
     """
     out: list[ReesGenerator] = []
     visited = set()
-    queue = deque((g.f, g.weight, True) for g in algebra.generators)
+    queue = deque((g.f, g.weight, True) for g in generators)
     while queue:
         f, n, original = queue.popleft()
         key = (f.monic_normalized(), n)
@@ -127,18 +93,12 @@ def diff_closure(algebra: ReesAlgebra) -> ReesAlgebra:
                     d = f.derive(var)
                     if not d.is_zero():
                         queue.append((d, n - 1, False))
-    return ReesAlgebra(algebra.ambient_vars, out)
+    return tuple(out)
 
 
-def algebra_order_at(algebra: ReesAlgebra, point: Sequence) -> ExtOrder:
-    """min over generators of ord_p(f)/weight; infinite for the empty algebra."""
-    if not algebra.generators:
-        return INFINITE
-    quotients = []
-    for g in algebra.generators:
-        o = g.f.order_at(point)
-        quotients.append(o.divided_by(g.weight))
-    return ext_min(quotients)
+def algebra_order_at(generators: Sequence[ReesGenerator], point: Sequence) -> ExtOrder:
+    """min over generators of ord_p(f)/weight; infinite for no generators."""
+    return ext_min(g.f.order_at(point).divided_by(g.weight) for g in generators)
 
 
 # -- one-dimensional model over K[[t]] ---------------------------------------

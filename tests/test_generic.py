@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nashres import (
-    ReesAlgebra,
+    ReesGenerator,
     algebra_order_at,
     arc_order,
     build_diagonal_arc,
@@ -17,7 +17,6 @@ from nashres import (
     lift_monomial_base,
     lift_to_presentation,
     parse_poly,
-    presentation_elimination_order,
     tschirnhausen_normalize,
     validate_arc,
 )
@@ -50,7 +49,7 @@ def test_find_units_umbrella(umbrella):
 def test_find_units_skips_vanishing_initial_form():
     # raw z1^2 - z2^2 at weight 2: first tuple with u1^2 != u2^2 is (-2, -1)
     f = parse_poly("z1^2 - z2^2")
-    algebra = ReesAlgebra.from_pairs(("z1", "z2"), [(f, 2)])
+    algebra = (ReesGenerator(f, 2),)
     assert next(admissible_unit_tuples([algebra], 2, 8)) == (-2, -1)
 
 
@@ -61,10 +60,10 @@ def _reference_admissible(algebras, d, bound, first_only=False):
     only the first minimizing generator of each algebra is kept."""
     witnesses = []
     for algebra in algebras:
-        origin = (Fraction(0),) * len(algebra.ambient_vars)
+        origin = (Fraction(0),) * len(algebra[0].f.vars)
         order = algebra_order_at(algebra, origin)
         minimizing = [
-            g.f for g in algebra.generators if g.f.order_at(origin).divided_by(g.weight) == order
+            g.f for g in algebra if g.f.order_at(origin).divided_by(g.weight) == order
         ]
         witnesses += minimizing[:1] if first_only else minimizing
     return [
@@ -90,7 +89,7 @@ def _random_algebra(rng, variables):
         for _ in range(rng.randint(2, 3)):
             terms[exponent(low)] = rng.choice([-2, -1, 1, 2])
         pairs.append((MultiPoly(variables, terms), w))
-    return ReesAlgebra.from_pairs(variables, pairs)
+    return tuple(ReesGenerator(f, n) for f, n in pairs)
 
 
 def test_unit_search_matches_the_reference_on_the_workload_presentations():
@@ -187,7 +186,7 @@ def test_only_a_polynomial_root_of_the_residual_comes_back_exact(precision, expe
 
 def test_truncated_lift_still_attains_the_order():
     p = make_presentation(1, ("x", "x^2 - z^2 - z^3"))
-    assert presentation_elimination_order(p).value == 1
+    assert p.elimination_order.value == 1
     result = construct_generic_arc(p, precision=16)
     assert contact_order(result.arc).r_bar == 1
     assert result.arc.vanishing["x"] is not None
@@ -458,12 +457,12 @@ def test_every_lift_validates_exactly(two_hyp, umbrella):
         result = construct_generic_arc(p)
         for n in result.arc.vanishing.values():
             assert n is None
-        assert result.arc.contact.r_bar == presentation_elimination_order(p).value
+        assert result.arc.contact.r_bar == p.elimination_order.value
 
 
 def test_rho_bar_attained_after_denominator_reparametrization(cusp):
     result = construct_generic_arc(cusp)
-    ord_d = presentation_elimination_order(cusp).value
+    ord_d = cusp.elimination_order.value
     repar = validate_arc(result.arc.arc.reparametrize(ord_d.denominator), cusp)
     assert contact_order(repar).rho_bar == ord_d
 

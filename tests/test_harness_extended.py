@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from nashres import presentation_elimination_order
 from nashres.cli import verify_main_theorem
 
 from conftest import make_presentation
@@ -43,7 +42,7 @@ CASES = [
 @pytest.mark.parametrize("name,d,equations,expected", [c for c in CASES], ids=[c[0] for c in CASES])
 def test_verify_harness_extended(name, d, equations, expected):
     p = make_presentation(d, *equations)
-    assert presentation_elimination_order(p).value == expected
+    assert p.elimination_order.value == expected
     results, checks = verify_main_theorem(p, trials=10, seed=11, precision=64)
     failed = [c for c in checks if c["status"] != "pass"]
     assert not failed, f"{name}: {failed}"
