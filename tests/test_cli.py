@@ -109,12 +109,6 @@ def test_mult_command(tmp_path, capsys):
     assert code == 0
     assert report["results"]["hypersurfaces"][0]["multiplicity"] == 2
     assert report["results"]["in_max_mult"] is True
-    cusp = write(tmp_path, "cusp.json", CUSP)
-    for point, multiplicity, inside in (("0,0", 2, True), ("1,1", 1, False)):
-        code, report = run_json(capsys, "mult", cusp, "--point", point)
-        assert code == 0
-        assert report["results"]["hypersurfaces"][0]["multiplicity"] == multiplicity
-        assert report["results"]["in_max_mult"] is inside
 
 
 @pytest.mark.parametrize("point", ["1e5000,0", "1.5,0", "2^30000,0"])

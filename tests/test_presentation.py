@@ -15,6 +15,7 @@ from nashres import (
 from nashres.errors import NotCenteredError, ValidationError
 
 from conftest import a_n, make_presentation
+from test_cli import CUSP, UMBRELLA, run_json, write
 from test_harness_extended import CASES as EXTENDED_CASES
 
 
@@ -139,6 +140,19 @@ def test_multiplicity_point_off_hypersurface():
     h = normalize("x^2 - z^3")
     with pytest.raises(ValidationError, match="not on hypersurface"):
         hypersurface_multiplicity_at(h, (1, 0))
+
+
+def test_max_mult_contains(tmp_path, capsys):
+    # the mult command reads Max-mult membership from the multiplicities it reports
+    for doc, point, multiplicity, inside in (
+        (CUSP, "0,0", 2, True),
+        (CUSP, "1,1", 1, False),
+        (UMBRELLA, "0,0,5", 2, True),
+    ):
+        code, report = run_json(capsys, "mult", write(tmp_path, "p.json", doc), "--point", point)
+        assert code == 0
+        assert report["results"]["hypersurfaces"][0]["multiplicity"] == multiplicity
+        assert report["results"]["in_max_mult"] is inside
 
 
 def test_ambient_algebra_order_is_one(cusp, umbrella, two_hyp):
