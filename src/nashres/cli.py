@@ -9,7 +9,11 @@ Exit codes: 0 pass, 2 parse/validation error, 3 insufficient precision,
 
 `main` reads its presentation file on every call and loads each distinct
 text once: it keeps the presentations of the last PRESENTATION_MEMO_SIZE = 64
-distinct texts, keyed on the exact text (`_loaded_presentation`).
+distinct texts, keyed on the exact text (`_loaded_presentation`).  Beside it,
+`verify` keeps what its sampler learns in `_sampler`: one slot per
+(presentation, alpha, search bound, precision), keyed on the presentation's
+value, for the last PRESENTATION_MEMO_SIZE keys, shared by every verify call
+of the process.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import sys
 import time
 from fractions import Fraction
 from math import floor
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .arcs import Arc, ContactResult, ValidatedArc, contact_order_without_x, validate_arc
 from .errors import (
@@ -92,7 +96,20 @@ def _load_json(path: str, decode=_decode_json):
 
 
 # The most presentation texts `main` keeps loaded; the perfbench tables hold 27.
+# `_sampler` keeps as many (presentation, alpha, search bound, precision)
+# slots, and a verify call starts its slot afresh when the slot already holds
+# more than MAX_TRIALS arcs.
 PRESENTATION_MEMO_SIZE = 64
+
+# The largest --trials accepted.  Every trial keeps its sample row until the
+# report is written: verify on x^2 - z^3 at seed 7 takes 0.94 s and 49 MB
+# peak RSS at 10,000 trials, with a 3.6 MB JSON report (subprocess).  The
+# worst case measured is d = 3: on x^2 - z1^3 - z2^4 - z3^5 the same call
+# takes about 8 s and 150 MB with a 43 MB report, 166 MB once verify on 64
+# distinct such presentations (z3^5 .. z3^68) has filled every sampler slot,
+# and 176 MB after two more such calls on that slot (in-process `main`;
+# 2-core Intel Xeon x86, Python 3.11.7).
+MAX_TRIALS = 10000
 
 
 @functools.lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
@@ -300,31 +317,61 @@ def _arc_key(arc: Arc) -> tuple:
     return tuple(sorted(arc.coords.items()))
 
 
+class _Sampler:
+    """What verify learns on one presentation at one (alpha, search bound,
+    precision), kept for every later call on its `_sampler` slot."""
+
+    def __init__(self, generic: GenericArcResult):
+        self.generic = generic
+        self.restart()
+
+    def restart(self) -> None:
+        g = self.generic
+        diagonal = (g.base.alpha,) * len(g.base.units)
+        self.arcs = {_arc_key(g.arc.arc): g.arc}  # an arc's content -> its ValidatedArc
+        # (units, exponents) -> its lift, or None when it needs an algebraic extension
+        self.lifts = {(u, diagonal): None for u in g.failed_units}
+        self.lifts[g.base.units, diagonal] = g.arc
+        self.rows = {}  # id of a ValidatedArc of arcs -> its row without the name
+
+    def validated(self, arc: Arc, p: LocalPresentation, lifted: Optional[ValidatedArc] = None):
+        """The ValidatedArc of arc's content: the first one kept, else lifted
+        or validate_arc(arc, p)."""
+        key = _arc_key(arc)
+        if key not in self.arcs:
+            self.arcs[key] = lifted or validate_arc(arc, p)
+        return self.arcs[key]
+
+
+@functools.lru_cache(maxsize=PRESENTATION_MEMO_SIZE)
+def _sampler(p: LocalPresentation, alpha: int, search_bound: int, precision: int) -> _Sampler:
+    """The slot of an equal presentation at these settings.  A search that
+    raises keeps no slot (`lru_cache` stores no exception)."""
+    return _Sampler(
+        construct_generic_arc(p, alpha=alpha, search_bound=search_bound, precision=precision)
+    )
+
+
 def _sample_arcs(
     p: LocalPresentation,
-    generic: GenericArcResult,
+    sampler: _Sampler,
     trials: int,
     rng: random.Random,
     precision: int,
     search_bound: int,
-    arcs: Dict[tuple, ValidatedArc],
 ) -> List[ValidatedArc]:
     """Deterministic corpus of valid arcs: transformations of the generic
     branch plus fresh lifts over other admissible diagonal bases.
 
     Each draw takes the one path of `tests/test_cli.py::_reference_samples`,
-    which recomputes every sample with no reuse.  A repeated arc reuses the
-    first draw's ValidatedArc: every arc resolves through `arcs`, the run's
-    map from an arc's content to it, and `lifts` maps each (units,
-    exponents) to its lift, or to None when it needs an algebraic extension,
-    starting from the generic-arc search's lifts.  The draws are the same,
-    in the same order, whether or not one repeats.
+    which recomputes every sample with no reuse.  A repeated arc, or a
+    repeated (units, exponents), reuses what the sampler's slot holds, from
+    this call or an earlier one.  The draws are the same, in the same order,
+    whether or not one repeats.
     """
     algebras = [h.elimination_algebra for h in p.hypersurfaces]
     admissible = list(itertools.islice(admissible_unit_tuples(algebras, p.d, search_bound), 6))
-    diagonal = (generic.base.alpha,) * p.d
-    lifts: Dict[tuple, Optional[ValidatedArc]] = {(u, diagonal): None for u in generic.failed_units}
-    lifts[generic.base.units, diagonal] = generic.arc
+    generic, lifts = sampler.generic, sampler.lifts
     samples = []
     for _ in range(trials):
         kind = rng.choice(("reparam", "scale", "deform", "fresh", "skew", "reparam_scale"))
@@ -350,10 +397,7 @@ def _sample_arcs(
             arc = arc.scale_parameter(rng.choice(_SCALES))
         if kind == "deform":
             arc = arc.substitute_parameter(PowerSeries((0, 1, rng.choice(_SCALES))))
-        key = _arc_key(arc)
-        if key not in arcs:
-            arcs[key] = lifted or validate_arc(arc, p)
-        samples.append(arcs[key])
+        samples.append(sampler.validated(arc, p, lifted))
     return samples
 
 
@@ -386,10 +430,11 @@ def verify_main_theorem(
     simulation; the reparametrized arc attains rho-bar; and the chain
     r_bar >= rho_bar >= floor(order) holds throughout.
 
-    Within one call every distinct arc, the rho-bar-attaining one included,
-    is validated once through the content memo `arcs` (see _sample_arcs),
-    and its one-dimensional steps, Nash sequence and arc document are
-    computed once, in one row that its repeats reuse.
+    Every distinct arc, the rho-bar-attaining one included, is validated
+    once through the slot of (p, alpha, search_bound, precision) in
+    `_sampler`, and its one-dimensional steps, Nash sequence and arc
+    document are computed once, in one row that its repeats reuse, in this
+    call and in every later call on that slot.
     """
     results: dict = {}
     checks: List[dict] = []
@@ -401,9 +446,10 @@ def verify_main_theorem(
     ord_d = Fraction(ord_ext.expect_exact("elimination order"))
     results["elimination_order"] = fraction_text(ord_d)
 
-    generic = construct_generic_arc(
-        p, alpha=alpha, search_bound=search_bound, precision=precision
-    )
+    sampler = _sampler(p, alpha, search_bound, precision)
+    if len(sampler.arcs) > MAX_TRIALS:
+        sampler.restart()
+    generic = sampler.generic
     gen_contact = generic.arc.contact
     results["generic_arc"] = arc_to_document(generic.arc.arc)
     results["generic_r_bar"] = fraction_text(gen_contact.r_bar)
@@ -415,25 +461,22 @@ def verify_main_theorem(
         )
     )
 
-    rng = random.Random(seed)
-    arcs = {_arc_key(generic.arc.arc): generic.arc}
-    samples = _sample_arcs(p, generic, trials, rng, precision, search_bound, arcs)
-    # id of each distinct sampled ValidatedArc -> its row without the name
-    seen: Dict[int, dict] = {}
+    samples = _sample_arcs(p, sampler, trials, random.Random(seed), precision, search_bound)
+    rows = sampler.rows
     for va in samples:
-        if id(va) not in seen:
+        if id(va) not in rows:
             c = va.contact
             try:
                 geo_rho: Optional[int] = nash_sequence_presentation(va).rho
             except IdentityViolationError:
                 geo_rho = None
-            seen[id(va)] = {
+            rows[id(va)] = {
                 "arc": arc_to_document(va.arc),
                 **_contact_fields(c),
                 "rho_onedim": onedim_resolution_steps(c.image),
                 "rho_geometric": geo_rho,
             }
-    sampled = [(va.contact, seen[id(va)]) for va in samples]
+    sampled = [(va.contact, rows[id(va)]) for va in samples]
     results["samples"] = [{"name": f"trial-{k}", **row} for k, (_, row) in enumerate(sampled)]
     min_rbar = min([gen_contact.r_bar] + [c.r_bar for c, _ in sampled])
     minimizing_rho_bars = [gen_contact.rho_bar] + [c.rho_bar for c, _ in sampled if c.r_bar == ord_d]
@@ -453,7 +496,7 @@ def verify_main_theorem(
     ]
 
     arc = generic.arc.arc.reparametrize(ord_d.denominator)
-    attaining = arcs.get(_arc_key(arc)) or validate_arc(arc, p)
+    attaining = sampler.validated(arc, p)
     att_contact = attaining.contact
     results["rho_bar_arc"] = arc_to_document(attaining.arc)
     results["rho_bar_attained"] = fraction_text(att_contact.rho_bar)
@@ -501,12 +544,6 @@ def _cmd_verify(args, p: LocalPresentation, report: dict) -> List[dict]:
 # 2).  An --alpha above it would only build a longer diagonal arc that the
 # lift cannot reach.
 MAX_PRECISION = 1024
-
-# The largest --trials accepted.  Every trial keeps its sample row until the
-# report is written, about 3 KB each: verify on x^2 - z^3 at seed 7 takes
-# 0.94 s and 49 MB peak RSS at 10,000 trials, with a 3.6 MB JSON report
-# (subprocess, 2-core Intel Xeon x86, Python 3.11.7).
-MAX_TRIALS = 10000
 
 
 def _int_in(low: int, high: Optional[int] = None):

@@ -56,11 +56,13 @@ def exact_arc(**coords):
 
 @pytest.fixture(autouse=True)
 def _no_loaded_presentations():
-    """Each test starts with no presentation kept by `cli.main`, so a test
-    that spies on the loading path through `main` sees its own loads."""
-    from nashres.cli import _loaded_presentation
+    """Each test starts with no presentation kept by `cli.main` and no slot
+    kept by verify's sampler, so a test that spies on the loading or the
+    sampling path sees its own work."""
+    from nashres.cli import _loaded_presentation, _sampler
 
     _loaded_presentation.cache_clear()
+    _sampler.cache_clear()
 
 
 @pytest.fixture

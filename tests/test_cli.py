@@ -874,18 +874,22 @@ def _reference_samples(p, trials, seed, precision=64, search_bound=8):
 @pytest.mark.parametrize("name", ["cusp", "two_hyp"])
 @pytest.mark.parametrize("seed", [7, 3])
 def test_verify_computes_each_distinct_sampled_arc_once(monkeypatch, name, seed):
+    # within one call, and across a second call at the other seed on an
+    # equal presentation loaded apart, which shares the sampler slot
     from collections import Counter
 
     from nashres import cli as climod
     from nashres.parsing import load_presentation
 
-    p = load_presentation(CUSP if name == "cusp" else TWO_HYP)
-    validated, lifted, nash_runs = Counter(), Counter(), Counter()
+    doc, other_seed = CUSP if name == "cusp" else TWO_HYP, {7: 3, 3: 7}[seed]
+    p, again = load_presentation(doc), load_presentation(doc)
+    assert p == again and p is not again
+    validated, lifted, nash_runs, searched = Counter(), Counter(), Counter(), Counter()
 
     def spy(counter, key, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counter[key(*args)] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(
@@ -899,23 +903,35 @@ def test_verify_computes_each_distinct_sampled_arc_once(monkeypatch, name, seed)
         climod, "nash_sequence_presentation",
         spy(nash_runs, lambda va: _content(va.arc), climod.nash_sequence_presentation),
     )
+    monkeypatch.setattr(
+        climod, "construct_generic_arc",
+        spy(searched, lambda p: p, climod.construct_generic_arc),
+    )
     results, checks = climod.verify_main_theorem(p, trials=20, seed=seed)
+    first_runs = sum(nash_runs.values())
+    more, more_checks = climod.verify_main_theorem(again, trials=20, seed=other_seed)
     monkeypatch.undo()
 
-    assert all(c["status"] == "pass" for c in checks)
+    assert all(c["status"] == "pass" for c in checks + more_checks)
+    assert sum(searched.values()) == 1
     assert set(validated.values()) <= {1}
     assert set(lifted.values()) <= {1}
     assert set(nash_runs.values()) <= {1}
-    # repeats occur at these seeds, so the reuse is exercised
-    assert sum(nash_runs.values()) < 20
+    # repeats occur within the first call and between the two calls, so the
+    # reuse is exercised
+    assert first_runs < 20
+    distinct = {json.dumps(row["arc"], sort_keys=True) for row in more["samples"]}
+    assert sum(nash_runs.values()) - first_runs < len(distinct)
     assert results["samples"] == _reference_samples(p, trials=20, seed=seed)
+    assert more["samples"] == _reference_samples(again, trials=20, seed=other_seed)
 
 
 @pytest.mark.parametrize("seed", [7, 3])
 def test_verify_lifts_each_units_and_exponents_once(monkeypatch, seed):
     # The generic-arc search and the sampler share their lifts, failed ones
     # included: over the acceptance and extended corpora, no (units,
-    # exponents) is lifted twice in one verify run.
+    # exponents) is lifted twice in one verify run that starts with no
+    # sampler slot (cusp and A_2 are equal, and would share one).
     from collections import Counter
 
     from nashres import cli as climod
@@ -948,6 +964,7 @@ def test_verify_lifts_each_units_and_exponents_once(monkeypatch, seed):
     monkeypatch.setattr(climod, "lift_monomial_base", spy)
     for p in corpus:
         lifted.clear()
+        climod._sampler.cache_clear()
         climod.verify_main_theorem(p, trials=20, seed=seed)
         assert set(lifted.values()) == {1}, [k for k, n in lifted.items() if n > 1]
     assert failed  # failed lifts are exercised, not only successful ones
@@ -1096,18 +1113,89 @@ def test_a_kept_presentation_gives_the_same_report(tmp_path, capsys, monkeypatch
 
 
 def test_main_keeps_at_most_its_stated_number_of_presentations(tmp_path, capsys):
-    from nashres.cli import PRESENTATION_MEMO_SIZE, _loaded_presentation
+    # and verify keeps as many sampler slots, one per presentation here
+    from nashres.cli import PRESENTATION_MEMO_SIZE, _loaded_presentation, _sampler
 
     paths = [
         write(tmp_path, f"a{n}.json", {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": f"x^2 - z^{n}"}]})
         for n in range(2, PRESENTATION_MEMO_SIZE + 7)
     ]
     for path in paths:
-        assert run(capsys, "tsch", path)[0] == 0
-    info = _loaded_presentation.cache_info()
-    assert (info.currsize, info.maxsize, info.misses) == (PRESENTATION_MEMO_SIZE,) * 2 + (len(paths),)
+        assert run(capsys, "verify", path, "--trials", "0")[0] == 0
+    for memo in (_loaded_presentation, _sampler):
+        info = memo.cache_info()
+        assert (info.currsize, info.maxsize, info.misses) == (PRESENTATION_MEMO_SIZE,) * 2 + (len(paths),)
     # the last one read is kept, the first was dropped
-    run(capsys, "tsch", paths[-1])
-    run(capsys, "tsch", paths[0])
-    info = _loaded_presentation.cache_info()
-    assert (info.hits, info.misses) == (1, len(paths) + 1)
+    run(capsys, "verify", paths[-1], "--trials", "0")
+    run(capsys, "verify", paths[0], "--trials", "0")
+    for memo in (_loaded_presentation, _sampler):
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (1, len(paths) + 1)
+
+
+# its generic arc, x = t^2 (1 - t)^(1/2) along z = -t at alpha 1, is no
+# polynomial, so the report shows both the precision and alpha
+TAIL = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^4 - z^5"}]}
+
+
+@pytest.mark.parametrize(
+    "option, first, second",
+    [("--precision", "16", "64"), ("--alpha", "1", "2"), ("--search-bound", "4", "8")],
+)
+def test_verify_after_another_setting_reports_what_it_reports_with_nothing_kept(
+    tmp_path, capsys, option, first, second
+):
+    from nashres.cli import _loaded_presentation, _sampler
+
+    pres = write(tmp_path, "p.json", TAIL)
+
+    def report(value):
+        code, out = run(capsys, "verify", pres, option, value, "--json")
+        assert code == 0
+        return re.sub(r'"elapsed_ms": [0-9]+', "", out)
+
+    kept = [report(first), report(second)]
+    assert _sampler.cache_info().currsize == 2
+    fresh = []
+    for value in (first, second):
+        _loaded_presentation.cache_clear()
+        _sampler.cache_clear()
+        fresh.append(report(value))
+    assert kept == fresh
+
+
+def test_a_verify_whose_generic_arc_search_raises_keeps_no_sampler_slot(tmp_path, capsys):
+    from nashres.cli import _sampler
+
+    pres = write(tmp_path, "p.json", COMPLEX_BRANCH)
+    for _ in range(2):
+        code, report = run_json(capsys, "verify", pres)
+        assert code == 4 and "extension" in report["results"]["error"]
+        assert _sampler.cache_info().currsize == 0
+
+
+def test_a_sampler_slot_holding_more_than_max_trials_arcs_starts_afresh(monkeypatch):
+    from nashres import cli as climod
+    from nashres.parsing import load_presentation
+
+    p = load_presentation(TWO_HYP)
+
+    def kept_after(seed):
+        results, _ = climod.verify_main_theorem(p, trials=20, seed=seed)
+        slot = climod._sampler(p, 1, 8, 64)  # alpha, search bound and precision by default
+        return results, set(slot.arcs)
+
+    alone = {}
+    for seed in (7, 3):
+        climod._sampler.cache_clear()
+        alone[seed] = kept_after(seed)
+    held = len(alone[7][1])
+    assert alone[7][1] - alone[3][1]  # so whether the slot started afresh shows
+    # a slot of `held` arcs is kept at MAX_TRIALS = held, started afresh below it
+    for limit, arcs in ((held, alone[7][1] | alone[3][1]), (held - 1, alone[3][1])):
+        monkeypatch.setattr(climod, "MAX_TRIALS", limit)
+        climod._sampler.cache_clear()
+        kept_after(7)
+        results, kept = kept_after(3)
+        assert kept == arcs
+        assert results == alone[3][0]
