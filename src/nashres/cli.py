@@ -538,11 +538,11 @@ def _cmd_verify(args, p: LocalPresentation, report: dict) -> List[dict]:
 
 # The largest --precision and --alpha accepted.  Lifting costs grow quickly
 # with the precision.  The worst input known is the double branch
-# x^4 - 2 (z^2 + z^3) x^2 + (z^2 + z^3)^2: generic-arc on it takes 2.3 s at
-# precision 256 and 26 s at 512 (subprocess wall time, 2-core Intel Xeon
-# x86, Python 3.11.7), and does not finish in minutes at 1024 (ROADMAP item
-# 2).  An --alpha above it would only build a longer diagonal arc that the
-# lift cannot reach.
+# x^4 - 2 (z^2 + z^3) x^2 + (z^2 + z^3)^2: generic-arc on it takes 0.20,
+# 0.54, 3.48 and 34.7 s at precision 64, 128, 256 and 512 (subprocess wall
+# time, 2-core x86, Python 3.11.7), and does not finish in minutes at 1024
+# (ROADMAP item 2).  An --alpha above it would only build a longer diagonal
+# arc that the lift cannot reach.
 MAX_PRECISION = 1024
 
 
@@ -562,8 +562,13 @@ def _int_in(low: int, high: Optional[int] = None):
     return parse
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> Tuple[argparse.ArgumentParser, dict]:
+    """The nashres parser, built once, and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="nashres",
         description="Exact arc-based resolution invariants for local presentations.",
@@ -597,12 +602,60 @@ def _build_parser() -> argparse.ArgumentParser:
     lifting(sp)
     sp.add_argument("--trials", type=_int_in(0, MAX_TRIALS), default=DEFAULT_TRIALS)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
+    """_build_parser().parse_args(argv), in one pass of the subcommand's own
+    parser when argv[0] names one and it reads every argument.  Anything
+    else (help, a usage error, an unknown command) goes to the whole parser,
+    so its messages and exit codes are argparse's own."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_STR_KEYS = {str}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), each line break written
+    as `newline`.  With an indent, json runs its pure-Python encoder; this
+    writes dicts with str keys, lists and tuples itself, each str by json's
+    C ASCII encoder and each int by int.__repr__, as json does.  Any other
+    value goes to json.dumps and is re-indented, which is exact because JSON
+    text holds no raw line break."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is dict and value and set(map(type, value)) == _STR_KEYS:
+        items = []
+        for key in sorted(value):
+            v = value[key]
+            text = (
+                _encode_str(v) if type(v) is str
+                else int.__repr__(v) if type(v) is int
+                else _json_text(v, inner)
+            )
+            items.append(f"{_encode_str(key)}: {text}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if (kind is list or kind is tuple) and value:
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
         return
     print(f"command: {report['command']}")
     for key, value in report["results"].items():
@@ -615,8 +668,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     started = time.monotonic()
     # a subcommand without the option echoes the default it runs with
     seed = getattr(args, "seed", DEFAULT_SEED)

@@ -374,11 +374,16 @@ def fraction_text(value) -> str:
     return ratio_text(*Fraction(value).as_integer_ratio())
 
 
+# The int-to-str digit limit in force (0: none, as before Python 3.11).
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _digits(n: int) -> str:
     """str(n) for n >= 0, split at a power of ten into halves that each stay
     within the digit limit (0: none; a limit is at least 640 digits, and
-    3 bits per digit keeps n below it)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    3 bits per digit keeps n below it).  The limit is read on each call:
+    sys.set_int_max_str_digits can change it at run time."""
+    limit = _int_max_str_digits()
     if not limit or n.bit_length() <= 3 * limit:
         return str(n)
     k = n.bit_length() * 3 // 20  # about half of n's digits

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from nashres import parse_poly
-from nashres.cli import MAX_TRIALS, _build_parser, main
+from nashres.cli import MAX_TRIALS, _build_parser, _parse_args, main
 
 CUSP = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^3"}]}
 TWO_HYP = {
@@ -765,6 +765,48 @@ def test_every_subcommand_takes_exactly_its_documented_options():
         assert taken - {"-h", "--help"} == documented[name], name
     assert sum(map(len, documented.values())) == 17
     assert documented["verify"] >= {"--precision", "--alpha", "--search-bound", "--trials", "--seed"}
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code or None, stdout, stderr, namespace or None) of parse(argv)."""
+    try:
+        namespace, code = parse(argv), None
+    except SystemExit as stop:
+        namespace, code = None, stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus", "PRES"],
+        ["contact"],
+        ["contact", "-h"],
+        ["contact", "PRES", "ARC", "--bogus"],
+        ["elim", "PRES", "extra"],
+        ["generic-arc", "PRES", "--prec", "8"],
+        ["generic-arc", "PRES", "--precision=8"],
+        ["verify", "PRES", "--trials", "many"],
+        ["contact", "--", "PRES", "ARC"],
+        ["--json", "contact", "PRES", "ARC"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_main_parses_its_arguments_as_the_whole_parser_does(tmp_path, capsys, argv):
+    files = {"PRES": write(tmp_path, "p.json", CUSP), "ARC": write(tmp_path, "a.json", CUSP_ARC)}
+    argv = [files.get(a, a) for a in argv]
+    code, out, err, expected = _parse_outcome(capsys, _build_parser().parse_args, argv)
+    if expected is None:
+        assert code == (0 if "-h" in argv else 2)
+        assert _parse_outcome(capsys, main, argv) == (code, out, err, None)
+    else:
+        assert _parse_outcome(capsys, _parse_args, argv)[:3] == (None, "", "")
+        assert vars(_parse_args(argv)) == vars(expected)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
