@@ -18,10 +18,15 @@ one, and the Taylor shift by each center p/q is the integer grouped shift
 whose centre is the chart origin keeps the chart's output as it is: the
 exponent map is one-to-one and leaves every numerator alone.  This is the
 chart move that a Newton-Puiseux stage in `generic` makes, on the same
-integer shift.  Every step checks that the arc still lies on the transform
-by a full evaluation through the integer back end `series.compose_integers`;
-step 0 is the equation itself, which `validate_arc` has already seen vanish
-when the sequence starts from a validated arc.
+integer shift.  A step does not check the arc.  A sequence checks that the
+arc lies on its last transform, by one full evaluation through the integer
+back end `series.compose_integers`: a correct step divides the residual
+g(arc) by t^m and takes one unit off the arc's precision, so a residual
+term that any earlier transform shows, the last one shows too.  Only when
+that check fails, or the run raises, does the sequence run again from the
+start with a check after every step, to name the first step whose transform
+the arc left.  Step 0 is the equation itself: a sequence checks it first,
+unless `validate_arc` has already seen it vanish on the arc.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .errors import (
     IdentityViolationError,
     InsufficientPrecisionError,
     MaxMultArcError,
+    NashresError,
     ValidationError,
 )
 from .poly import MultiPoly, shift_integer_terms
@@ -102,7 +108,8 @@ def nash_step(state: NashState, m0: int) -> NashState:
     new constant terms.  Each coordinate is read once, in order: a nonzero
     constant term has escaped the t-chart, and a coordinate known only below
     t^1 (or t^0) raises InsufficientPrecisionError naming the terms the
-    sequence needs.
+    sequence needs.  The step does not check that the arc lies on the
+    transform it builds; `nash_sequence_equation` does.
     """
     m = state.multiplicity()
     if m != m0:
@@ -143,9 +150,7 @@ def nash_step(state: NashState, m0: int) -> NashState:
         G, scale = shift_integer_terms(G, i, p, q)
         D *= scale
     transform = MultiPoly.from_integers(g.vars, G, D) if shifts else MultiPoly._raw(g.vars, G, D)
-    out = NashState(transform, tuple(forms), state.step + 1, tuple(center))
-    out.check_arc_on_transform()
-    return out
+    return NashState(transform, tuple(forms), state.step + 1, tuple(center))
 
 
 def nash_sequence_equation(
@@ -157,16 +162,41 @@ def nash_sequence_equation(
 ) -> NashSequence:
     """Run the directed blow-up sequence for one centered hypersurface equation.
 
-    The arc must satisfy the equation (checked to its precision, unless
-    `validated` says that `validate_arc` has seen f vanish on it) and
-    must not be contained in the top multiplicity stratum, or the sequence
-    would never drop.  A sequence that runs past `bound`, a proved upper
-    bound on rho, is an identity violation; without a bound it stops after
-    _MAX_STEPS blow-ups.
+    The arc must satisfy the equation (checked first, unless `validated`
+    says that `validate_arc` has seen f vanish on it) and must not be
+    contained in the top multiplicity stratum, or the sequence would never
+    drop.  A sequence that runs past `bound`, a proved upper bound on rho,
+    is an identity violation; without a bound it stops after _MAX_STEPS
+    blow-ups.
+
+    The steps run unchecked, and the arc is checked once, on the last
+    transform.  If that check fails or the run raises, the sequence runs
+    again from the start with the arc checked on every transform, and raises
+    what that run raises: the first step whose transform the arc left, or
+    the error of the unchecked run.
     """
-    state = NashState.from_poly(f.extend_vars(f.vars + (T,)), coords)
+    start = NashState.from_poly(f.extend_vars(f.vars + (T,)), coords)
     if not validated:
-        state.check_arc_on_transform()
+        start.check_arc_on_transform()
+    try:
+        seq, last = _directed_run(start, f, coords, trace, bound, checked=False)
+        last.check_arc_on_transform()
+        return seq
+    except NashresError:
+        pass
+    return _directed_run(start, f, coords, trace, bound, checked=True)[0]
+
+
+def _directed_run(
+    state: NashState,
+    f: MultiPoly,
+    coords: Dict[str, PowerSeries],
+    trace: bool,
+    bound: Optional[int],
+    checked: bool,
+) -> Tuple[NashSequence, NashState]:
+    """The blow-ups from `state` to the first drop, and the last transform;
+    with `checked`, the arc is checked on every transform a step builds."""
     m0 = state.multiplicity()
     mults = [m0]
     centers = []
@@ -184,21 +214,23 @@ def nash_sequence_equation(
                 f"no multiplicity drop after {_MAX_STEPS} blow-ups of {f} = 0 "
                 f"along an arc known {known}; is the arc inside the top stratum?"
             )
-        nxt = nash_step(state, m0)
-        centers.append(nxt.center_pq)
-        m = nxt.multiplicity()
+        state = nash_step(state, m0)
+        if checked:
+            state.check_arc_on_transform()
+        centers.append(state.center_pq)
+        m = state.multiplicity()
         mults.append(m)
         if equations is not None:
-            equations.append(str(nxt.g))
-        state = nxt
+            equations.append(str(state.g))
         if m < m0:
             break
-    return NashSequence(
+    seq = NashSequence(
         multiplicities=tuple(mults),
         rho=len(mults) - 1,
         center_pq=tuple(centers),
         equations=None if equations is None else tuple(equations),
     )
+    return seq, state
 
 
 @dataclass(frozen=True)

@@ -1023,30 +1023,38 @@ MIXED_WEIGHTS = {
 
 @pytest.mark.parametrize("name", ["cusp", "two_hyp", "mixed_weights"])
 @pytest.mark.parametrize("seed", ["7", "3"])
-def test_verify_checks_the_arc_once_per_blow_up(tmp_path, capsys, monkeypatch, name, seed):
-    # validate_arc has certified the equation on the arc, so a sequence
-    # checks its arc only on the transforms that its steps build
+def test_verify_checks_the_arc_once_per_run_on_its_last_transform(
+    tmp_path, capsys, monkeypatch, name, seed
+):
+    # a sequence that passes checks its arc once, on the transform at step rho
+    # where the multiplicity dropped, and makes each of its blow-ups once
     from nashres import nash
 
     doc = {"cusp": CUSP, "two_hyp": TWO_HYP, "mixed_weights": MIXED_WEIGHTS}[name]
-    checked, steps = [], []
-    check, step = nash.NashState.check_arc_on_transform, nash.nash_step
+    checked, rhos, steps = [], [], []
+    check, run, step = nash.NashState.check_arc_on_transform, nash.nash_sequence_equation, nash.nash_step
 
     def check_spy(state):
         checked.append(state.step)
         return check(state)
+
+    def run_spy(*args, **kwargs):
+        seq = run(*args, **kwargs)
+        rhos.append(seq.rho)
+        return seq
 
     def step_spy(state, m0):
         steps.append(state.step + 1)
         return step(state, m0)
 
     monkeypatch.setattr(nash.NashState, "check_arc_on_transform", check_spy)
+    monkeypatch.setattr(nash, "nash_sequence_equation", run_spy)
     monkeypatch.setattr(nash, "nash_step", step_spy)
     code, report = run_json(capsys, "verify", write(tmp_path, "p.json", doc), "--seed", seed)
     assert code == 0
     assert all(c["status"] == "pass" for c in report["checks"])
-    assert steps and checked == steps
-    assert 0 not in checked
+    assert rhos and checked == rhos
+    assert len(steps) == sum(rhos)
 
 
 # -- the presentations main keeps, by file text ---------------------------------

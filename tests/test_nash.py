@@ -199,6 +199,34 @@ def test_a_direct_run_checks_its_arc_at_step_0():
         nash_sequence_equation(f, coords)
 
 
+@pytest.mark.parametrize("bad", [1, 2, 7, 20])
+def test_a_transform_made_wrong_at_one_step_is_named(monkeypatch, bad):
+    # the cusp along (t^30, t^20) has rho = 30.  A t^4 added to the transform
+    # of step `bad` keeps its multiplicity, and its chart drops two steps
+    # later: the unchecked run ends there, fails its one check, and the replay
+    # from the start checks every transform and names the wrong one
+    f = parse_poly("x^2 - z^3")
+    coords = {"x": PowerSeries.t_power(30), "z": PowerSeries.t_power(20)}
+    t4 = MultiPoly(("x", "z", "t"), {(0, 0, 4): 1})
+    step, check, checked = nash.nash_step, NashState.check_arc_on_transform, []
+
+    def wrong_at_bad(state, m0):
+        out = step(state, m0)
+        if out.step == bad:
+            out = NashState(out.g + t4, out.forms, out.step, out.center_pq)
+        return out
+
+    def check_spy(state):
+        checked.append(state.step)
+        return check(state)
+
+    monkeypatch.setattr(nash, "nash_step", wrong_at_bad)
+    monkeypatch.setattr(NashState, "check_arc_on_transform", check_spy)
+    with pytest.raises(IdentityViolationError, match=f"left the strict transform at step {bad}: "):
+        nash_sequence_equation(f, coords, validated=True)
+    assert checked == [bad + 2] + list(range(1, bad + 1))
+
+
 def test_step_cap_error_names_equation_and_precision(monkeypatch):
     # x = t^9, z = t^2 on A_8 has rho = 9; a cap of 4 steps trips first
     monkeypatch.setattr(nash, "_MAX_STEPS", 4)

@@ -22,6 +22,7 @@ from nashres import (
     elimination_order,
     lift_monomial_base,
     nash_sequence_equation,
+    parse_poly,
     poly_compose_series,
     tschirnhausen_normalize,
 )
@@ -1941,6 +1942,16 @@ def lifted_arcs(draw):
 _CUSP = MultiPoly(("x", "z"), {(2, 0): 1, (0, 3): -1})
 _ESCAPING = {"x": PowerSeries([1, 3, 3, 1]), "z": PowerSeries([1, 2, 1])}  # through (1, 1)
 _INSIDE_TOP_STRATUM = {"x": PowerSeries.zero(), "z": PowerSeries.zero()}
+# tests/test_cli.py's TRUNCATED_LIFT_DEFECT at precision 21: the arc leaves the
+# transform at step 2, and the unchecked run goes on to drop at step 6
+_TRUNCATED_LIFT_DEFECT = parse_poly(
+    "x^3 - 1/4 x z1^2 z2^2 - 1/3 x z1^4 z2^4 + 1/6 z1^4 z2^4 - 2/27 z1^6 z2^6"
+)
+_OFF_AT_STEP_2 = {
+    "x": PowerSeries.zero(21),
+    "z1": PowerSeries.monomial(-3, 3, 21),
+    "z2": PowerSeries.monomial(Fraction(-3, 2), 3, 21),
+}
 
 
 @seed(20151111)
@@ -1948,6 +1959,7 @@ _INSIDE_TOP_STRATUM = {"x": PowerSeries.zero(), "z": PowerSeries.zero()}
 @given(lifted_arcs())
 @example((_CUSP, _ESCAPING, False))
 @example((_CUSP, _INSIDE_TOP_STRATUM, False))
+@example((_TRUNCATED_LIFT_DEFECT, _OFF_AT_STEP_2, True))
 def test_integer_nash_sequence_matches_the_multipoly_loop(case):
     # same multiplicities, centers, rho and traced equations, or the same
     # typed error with the same message (which names the step); an arc as
