@@ -26,7 +26,6 @@ from .errors import (
     NashresError,
     NotCenteredError,
     NotOnVarietyError,
-    NotPermissibleError,
     ParseError,
     ValidationError,
 )
@@ -69,7 +68,6 @@ from .rees import (
     algebra_order_at,
     diff_closure,
     onedim_resolution_steps,
-    onedim_transform,
 )
 from .series import PowerSeries, poly_compose_series
 

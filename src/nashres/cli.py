@@ -562,10 +562,6 @@ def _int_in(low: int, high: Optional[int] = None):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> Tuple[argparse.ArgumentParser, dict]:
     """The nashres parser, built once, and its subparsers by command name."""
@@ -606,7 +602,7 @@ def _parsers() -> Tuple[argparse.ArgumentParser, dict]:
 
 
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
-    """_build_parser().parse_args(argv), in one pass of the subcommand's own
+    """_parsers()[0].parse_args(argv), in one pass of the subcommand's own
     parser when argv[0] names one and it reads every argument.  Anything
     else (help, a usage error, an unknown command) goes to the whole parser,
     so its messages and exit codes are argparse's own."""

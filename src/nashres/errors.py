@@ -44,10 +44,6 @@ class MaxMultArcError(ValidationError):
     """The arc lies inside the top multiplicity stratum; contact invariants undefined."""
 
 
-class NotPermissibleError(ValidationError):
-    """Blow-up requested at a point outside the singular locus."""
-
-
 class InsufficientPrecisionError(NashresError):
     """A censored order blocked a comparison; more arc coefficients are needed."""
 

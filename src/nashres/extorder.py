@@ -57,11 +57,6 @@ class ExtOrder:
             )
         raise InsufficientPrecisionError(f"{context} is infinite")
 
-    def shifted(self, delta: Number) -> "ExtOrder":
-        if self.is_infinite:
-            return self
-        return ExtOrder(self.kind, self.value + delta)
-
     def divided_by(self, weight: int) -> "ExtOrder":
         if self.is_infinite:
             return self

@@ -113,7 +113,7 @@ def nash_step(state: NashState, m0: int) -> NashState:
     """
     m = state.multiplicity()
     if m != m0:
-        raise ValidationError(f"multiplicity already dropped: {m} != {m0}")
+        raise ValidationError(f"multiplicity changed by step {state.step}: {m} != {m0}")
     g = state.g
     ti = g.vars.index(T)
     # the chart: x -> t x for every ambient x, then t^m divides out

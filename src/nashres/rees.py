@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import (
-    InsufficientPrecisionError,
-    NotPermissibleError,
-    ValidationError,
-)
+from .errors import InsufficientPrecisionError, ValidationError
 from .extorder import INFINITE, ExtOrder, ext_min
 from .poly import MultiPoly
 
@@ -117,9 +113,6 @@ class OneDimGenerator:
         if self.a.is_infinite:
             raise ValidationError("infinite exponents are dropped, not stored")
 
-    def __str__(self) -> str:
-        return f"t^{self.a}*W^{self.l}"
-
 
 def onedim_order_witness(algebra: Sequence[OneDimGenerator]) -> Tuple[Fraction, int]:
     """Exact order together with the index of the first generator whose
@@ -147,52 +140,26 @@ def onedim_order_witness(algebra: Sequence[OneDimGenerator]) -> Tuple[Fraction, 
     return Fraction(a, l), i
 
 
-def onedim_transform(algebra: Sequence[OneDimGenerator]) -> Tuple[OneDimGenerator, ...]:
-    """Blow-up transform at the origin: t^a W^l  ->  t^(a-l) W^l.
-
-    Permissible only when every quotient a/l is >= 1.
-    """
-    if not algebra:
-        raise ValidationError("cannot transform the empty algebra")
-    new = []
-    for g in algebra:
-        bound = g.a.value
-        if bound < g.l:
-            if g.a.is_censored:
-                raise InsufficientPrecisionError(
-                    f"exponent of {g} only known to be >= {bound}, need >= {g.l}"
-                )
-            raise NotPermissibleError(
-                f"not permissible: generator {g} has order {Fraction(bound, g.l)} < 1"
-            )
-        new.append(OneDimGenerator(g.a.shifted(-g.l), g.l))
-    return tuple(new)
-
-
 def onedim_resolution_steps(algebra: Sequence[OneDimGenerator]) -> int:
-    """Number of transforms until the order drops below 1.
+    """Number of transforms t^a W^l -> t^(a-l) W^l until the order drops below 1.
 
-    Equals floor(min_j a_j/l_j); computed by literal iteration.
+    Equals floor(min_j a_j/l_j); computed by literal iteration on the
+    exponents, each generator read once as (a, censored, l).  A censored
+    exponent below its weight, with no exact one below its own, raises
+    InsufficientPrecisionError.
     """
     if not algebra:
         raise ValidationError("resolution steps undefined for the empty algebra")
+    exponents = [(g.a.value, g.a.is_censored, g.l) for g in algebra]
     steps = 0
-    current = algebra
     while True:
-        censored_low = False
-        done = False
-        for g in current:
-            if g.a.value < g.l:
-                if g.a.is_censored:
-                    censored_low = True
-                else:
-                    done = True
-        if done:
-            return steps
-        if censored_low:
+        low = [censored for a, censored, l in exponents if a < l]
+        if low:
+            if not all(low):
+                return steps
             raise InsufficientPrecisionError(
                 "resolution step count blocked by a censored exponent; "
                 "supply the arc to more terms"
             )
-        current = onedim_transform(current)
+        exponents = [(a - l, censored, l) for a, censored, l in exponents]
         steps += 1

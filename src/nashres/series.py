@@ -163,10 +163,6 @@ class PowerSeries:
         return s
 
     @staticmethod
-    def zero(precision: int | None = None) -> "PowerSeries":
-        return PowerSeries.from_integers((), 1, precision)
-
-    @staticmethod
     def t_power(k: int, precision: int | None = None) -> "PowerSeries":
         return PowerSeries.from_integers((0,) * k + (1,), 1, precision)
 

@@ -34,7 +34,7 @@ def test_arc_requires_origin():
 
 def test_arc_rejects_zero_tuple():
     with pytest.raises(ValidationError):
-        Arc({"x": PowerSeries.zero(), "z": PowerSeries.zero()})
+        Arc({"x": PowerSeries(()), "z": PowerSeries(())})
 
 
 def test_arc_order_examples(cusp):
@@ -44,7 +44,7 @@ def test_arc_order_examples(cusp):
 
 
 def test_arc_order_censored():
-    arc = Arc({"x": PowerSeries.zero(4), "z": PowerSeries.zero(6)})
+    arc = Arc({"x": PowerSeries((), 4), "z": PowerSeries((), 6)})
     with pytest.raises(InsufficientPrecisionError):
         arc_order(arc)
 
@@ -72,7 +72,7 @@ def test_validate_zero_to_precision_certificate(cusp):
 
 
 def test_in_max_mult_flag(umbrella):
-    inside = Arc({"x": PowerSeries.zero(), "z1": PowerSeries.zero(), "z2": PowerSeries.t_power(1)})
+    inside = Arc({"x": PowerSeries(()), "z1": PowerSeries(()), "z2": PowerSeries.t_power(1)})
     va = validate_arc(inside, umbrella)
     assert va.in_max_mult
     with pytest.raises(MaxMultArcError):
@@ -82,8 +82,8 @@ def test_in_max_mult_flag(umbrella):
 def test_in_max_mult_censored_raises(umbrella):
     arc = Arc(
         {
-            "x": PowerSeries.zero(2),
-            "z1": PowerSeries.zero(2),
+            "x": PowerSeries((), 2),
+            "z1": PowerSeries((), 2),
             "z2": PowerSeries.t_power(1),
         }
     )

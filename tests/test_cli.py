@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from nashres import parse_poly
-from nashres.cli import MAX_TRIALS, _build_parser, _parse_args, main
+from nashres.cli import MAX_TRIALS, _parse_args, _parsers, main
 
 CUSP = {"d": 1, "hypersurfaces": [{"var": "x", "b": 2, "f": "x^2 - z^3"}]}
 TWO_HYP = {
@@ -680,9 +680,8 @@ def test_parser_is_built_once_and_calls_stay_independent(tmp_path):
     from pathlib import Path
 
     import nashres
-    from nashres.cli import _build_parser
 
-    assert _build_parser() is _build_parser()
+    assert _parsers() is _parsers()
     env = dict(os.environ, PYTHONPATH=str(Path(nashres.__file__).parents[1]))
 
     def fresh_process(*calls):
@@ -758,7 +757,7 @@ def test_every_subcommand_takes_exactly_its_documented_options():
     import argparse
 
     documented = _documented_options()
-    (subcommands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (subcommands,) = [a for a in _parsers()[0]._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(subcommands.choices) == set(documented)
     for name, sp in subcommands.choices.items():
         taken = {option for action in sp._actions for option in action.option_strings}
@@ -798,7 +797,7 @@ def _parse_outcome(capsys, parse, argv):
 def test_main_parses_its_arguments_as_the_whole_parser_does(tmp_path, capsys, argv):
     files = {"PRES": write(tmp_path, "p.json", CUSP), "ARC": write(tmp_path, "a.json", CUSP_ARC)}
     argv = [files.get(a, a) for a in argv]
-    code, out, err, expected = _parse_outcome(capsys, _build_parser().parse_args, argv)
+    code, out, err, expected = _parse_outcome(capsys, _parsers()[0].parse_args, argv)
     if expected is None:
         assert code == (0 if "-h" in argv else 2)
         assert _parse_outcome(capsys, main, argv) == (code, out, err, None)

@@ -46,7 +46,6 @@ def test_scaling_and_division():
     o = ExtOrder.exact(3)
     assert o.divided_by(2).value == Fraction(3, 2)
     assert INFINITE.divided_by(5).is_infinite
-    assert ExtOrder.at_least(4).shifted(-1) == ExtOrder.at_least(3)
 
 
 def test_str_forms():

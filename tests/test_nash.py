@@ -59,6 +59,17 @@ def test_nash_step_third_transform_drops_order():
     assert state.multiplicity() == 1
 
 
+def test_a_step_at_a_changed_multiplicity_names_its_step():
+    # the guard reads the multiplicity either way: fallen below m0 or risen past it
+    dropped = nash_step(nash_step(nash_step(cusp_state(), 2), 2), 2)
+    with pytest.raises(ValidationError) as info:
+        nash_step(dropped, 2)
+    assert str(info.value) == "multiplicity changed by step 3: 1 != 2"
+    with pytest.raises(ValidationError) as info:
+        nash_step(cusp_state(), 1)
+    assert str(info.value) == "multiplicity changed by step 0: 2 != 1"
+
+
 def test_nash_sequence_cusp(cusp, cusp_arc):
     seq = sequence_of(cusp_arc)
     assert seq.multiplicities == (2, 2, 2, 1)
@@ -162,8 +173,8 @@ def test_a_step_names_the_terms_the_sequence_needs():
     # the coordinates in order, so a short x raises before z's escape is seen
     g = parse_poly("x^2 - z^3").extend_vars(("x", "z", "t"))
     x, z = PowerSeries.t_power(3), PowerSeries.t_power(2)
-    cases = [(PowerSeries.zero(1), z, 0), (PowerSeries.zero(1), z, 3), (PowerSeries.zero(0), z, 4)]
-    cases += [(x, PowerSeries.zero(1), 2), (PowerSeries.zero(1), PowerSeries([1]), 1)]
+    cases = [(PowerSeries((), 1), z, 0), (PowerSeries((), 1), z, 3), (PowerSeries((), 0), z, 4)]
+    cases += [(x, PowerSeries((), 1), 2), (PowerSeries((), 1), PowerSeries([1]), 1)]
     for x_form, z_form, step in cases:
         state = NashState(g, (x_form, z_form, PowerSeries.t_power(1)), step)
         with pytest.raises(InsufficientPrecisionError) as info:
@@ -267,8 +278,8 @@ def test_censored_elimination_images_of_one_hypersurface_stop_its_sequence(two_h
         {
             "x1": PowerSeries.t_power(3),
             "z1": PowerSeries.t_power(2),
-            "x2": PowerSeries.zero(6),
-            "z2": PowerSeries.zero(6),
+            "x2": PowerSeries((), 6),
+            "z2": PowerSeries((), 6),
         }
     )
     va = validate_arc(arc, two_hyp)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from nashres import (
     OneDimGenerator,
@@ -8,12 +10,8 @@ from nashres import (
     algebra_order_at,
     diff_closure,
     onedim_resolution_steps,
-    onedim_transform,
 )
-from nashres.errors import (
-    InsufficientPrecisionError,
-    NotPermissibleError,
-)
+from nashres.errors import InsufficientPrecisionError
 from nashres.extorder import ExtOrder
 
 V = ("x", "z")
@@ -79,24 +77,6 @@ def test_order_never_increases_under_closure():
         assert after.value <= before.value
 
 
-def test_onedim_transform():
-    a = _exact([(3, 1)])
-    assert [(g.a.value, g.l) for g in onedim_transform(a)] == [(2, 1)]
-    b = _exact([(6, 2), (4, 1)])
-    assert [(g.a.value, g.l) for g in onedim_transform(b)] == [(4, 2), (3, 1)]
-    with pytest.raises(NotPermissibleError, match="not permissible"):
-        onedim_transform(_exact([(1, 2)]))
-
-
-def test_onedim_transform_censored():
-    low = [_censored(1, 2)]
-    with pytest.raises(InsufficientPrecisionError):
-        onedim_transform(low)
-    fine = [_censored(5, 2)]
-    out = onedim_transform(fine)[0]
-    assert out.a.is_censored and out.a.value == 3
-
-
 def _exact(pairs):
     return [OneDimGenerator(ExtOrder.exact(a), l) for a, l in pairs]
 
@@ -115,6 +95,31 @@ def test_onedim_resolution_steps_censored():
     algebra = [_censored(3, 2)]
     with pytest.raises(InsufficientPrecisionError):
         onedim_resolution_steps(algebra)
+
+
+@seed(20151118)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=6)),
+        min_size=1,
+        max_size=5,
+    )
+)
+@example([(False, 4, 2), (True, 5, 2)])  # a censored quotient ties the exact minimum
+@example([(False, 3, 3), (False, 7, 2)])  # an exact exponent equal to its weight
+@example([(True, 9, 2), (True, 12, 3)])  # no exact generator
+def test_onedim_resolution_steps_is_the_least_exact_floor(gens):
+    # independent of the loop: s = min floor(a/l) over the exact generators,
+    # and a censored (b, l) can only be trusted while floor(b/l) >= s
+    algebra = [OneDimGenerator((ExtOrder.at_least if c else ExtOrder.exact)(a), l) for c, a, l in gens]
+    exact = [a // l for censored, a, l in gens if not censored]
+    s = min(exact, default=None)
+    if s is not None and all(b // l >= s for censored, b, l in gens if censored):
+        assert onedim_resolution_steps(algebra) == s
+    else:
+        with pytest.raises(InsufficientPrecisionError, match="blocked by a censored exponent"):
+            onedim_resolution_steps(algebra)
 
 
 def test_onedim_order_witness_keeps_the_first_minimizer():

@@ -15,13 +15,13 @@ def test_order_exact():
 
 
 def test_order_censored():
-    s = PowerSeries.zero(8)
+    s = PowerSeries((), 8)
     o = s.order()
     assert o.is_censored and o.value == 8
 
 
 def test_order_of_exact_zero_is_infinite():
-    assert PowerSeries.zero().order().is_infinite
+    assert PowerSeries(()).order().is_infinite
 
 
 def test_compose_cusp_parametrization():
