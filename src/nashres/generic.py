@@ -590,8 +590,9 @@ def construct_generic_arc(
     search_bound: int = DEFAULT_SEARCH_BOUND,
     precision: int = DEFAULT_PRECISION,
 ) -> GenericArcResult:
-    """Find units, lift, and verify; retries the unit search past branches
-    that would need an algebraic extension, at most MAX_FAILED_LIFTS times."""
+    """Find units and lift; retries the unit search past branches that would
+    need an algebraic extension, at most MAX_FAILED_LIFTS times.  Whether the
+    lift attains the elimination order is for the reports to decide."""
     algebras = [h.elimination_algebra for h in p.hypersurfaces]
     failed: List[Tuple[int, ...]] = []
     last_error: Optional[ExtensionRequiredError] = None
@@ -609,15 +610,9 @@ def construct_generic_arc(
             failed.append(u)
             last_error = err
             continue
-        contact = va.contact
         order = p.elimination_order.expect_exact("elimination order")
-        if contact.r_bar != order:
-            raise IdentityViolationError(
-                f"lifted arc of a diagonal-generic base is not generic: "
-                f"r_bar = {contact.r_bar} != {order}"
-            )
         if order != 1 and any(
-            va.arc.coords[h.var].order() == ExtOrder.exact(contact.arc_order)
+            va.arc.coords[h.var].order() == ExtOrder.exact(va.contact.arc_order)
             for h in p.hypersurfaces
         ):
             raise IdentityViolationError(

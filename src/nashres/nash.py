@@ -246,8 +246,8 @@ def nash_sequence_presentation(va: ValidatedArc, trace: bool = False) -> Present
     drops and contributes no finite candidate (recorded as None).  Every other
     runs to a bound: rho = floor(r), and r is at most a/l for every exact
     elimination image t^a W^l, so min floor(a/l) over those images bounds
-    rho.  The result is cross-checked against floor(r) from the contact
-    algebra; disagreement is a hard identity violation.
+    rho.  The reports compare this rho with floor(r) from the contact
+    algebra; nothing here does.
     """
     runs = []
     for h in va.presentation.hypersurfaces:
@@ -266,9 +266,4 @@ def nash_sequence_presentation(va: ValidatedArc, trace: bool = False) -> Present
     rhos = [seq.rho for _, seq in runs if seq is not None]
     if not rhos:
         raise MaxMultArcError("arc inside Max mult: no hypersurface sequence drops")
-    rho = min(rhos)
-    if rho != va.contact.rho:
-        raise IdentityViolationError(
-            f"geometric persistance {rho} != floor(r) = {va.contact.rho}"
-        )
-    return PresentationNashSummary(rho=rho, per_hypersurface=tuple(runs))
+    return PresentationNashSummary(rho=min(rhos), per_hypersurface=tuple(runs))

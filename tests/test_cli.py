@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 import random
@@ -515,6 +516,93 @@ def test_verify_reports_a_nash_run_that_violates_an_identity_and_exits_5(
     status = {c["name"]: c["status"] for c in report["checks"]}
     assert status.pop("samples_rho_three_ways") == "fail"
     assert set(status.values()) == {"pass"}
+
+
+def _plant_a_nash_run_off_floor_r(monkeypatch):
+    """Make every Nash run report its rho plus one."""
+    from nashres import nash
+
+    true_run = nash.nash_sequence_equation
+
+    def planted(*args, **kwargs):
+        seq = true_run(*args, **kwargs)
+        return dataclasses.replace(seq, rho=seq.rho + 1)
+
+    monkeypatch.setattr(nash, "nash_sequence_equation", planted)
+
+
+def test_nash_reports_the_rho_of_a_run_off_floor_r_and_exits_5(tmp_path, capsys, monkeypatch):
+    # the simulation returns what it computed, and the report's check decides
+    _plant_a_nash_run_off_floor_r(monkeypatch)
+    pres, arc = write(tmp_path, "p.json", CUSP), write(tmp_path, "a.json", CUSP_ARC)
+    code, report = run_json(capsys, "nash", pres, arc)
+    assert code == 5
+    assert report["results"]["rho"] == 4  # floor(r) = 3 along (t^3, t^2)
+    assert report["checks"] == [
+        {"name": "geometric_rho_is_floor_r", "status": "fail", "witness": ""}
+    ]
+
+
+def test_verify_rows_carry_the_rho_of_a_run_off_floor_r_and_exit_5(tmp_path, capsys, monkeypatch):
+    _plant_a_nash_run_off_floor_r(monkeypatch)
+    code, report = run_json(capsys, "verify", write(tmp_path, "p.json", CUSP), "--trials", "3")
+    assert code == 5
+    rows = report["results"]["samples"]
+    assert [row["rho_geometric"] for row in rows] == [row["rho"] + 1 for row in rows]
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status.pop("samples_rho_three_ways") == "fail"
+    assert set(status.values()) == {"pass"}
+
+
+EMPTY_ALGEBRA = {
+    "d": 1,
+    "hypersurfaces": [
+        {"var": "x1", "b": 2, "f": "x1^2 - z^3"},
+        {"var": "x2", "b": 2, "f": "x2^2"},
+    ],
+}
+NO_UNIT_TUPLE = {"d": 2, "hypersurfaces": [{"var": "x", "b": 3, "f": "x^3 - (z1^2 - z2^2)(z1 + 2 z2)"}]}
+
+# case -> (command, presentation, arc or None, options, exit code, message fragment)
+TYPED_ERRORS = {
+    "generic_arc_on_an_empty_algebra": (
+        "generic-arc", EMPTY_ALGEBRA, None, [], 2, "an elimination algebra is empty"
+    ),
+    "verify_on_an_empty_algebra": ("verify", EMPTY_ALGEBRA, None, [], 2, "an elimination algebra is empty"),
+    "no_unit_tuple_within_the_bound": (
+        "generic-arc", NO_UNIT_TUPLE, None, ["--search-bound", "1"], 2, "no unit tuple within bound 1"
+    ),
+    "the_unit_search_limit": (
+        "generic-arc", COMPLEX_BRANCH, None, [], 4,
+        "the first 3 admissible unit tuples within bound 8 need an algebraic extension, "
+        "and the unit search stops at that limit",
+    ),
+    "an_arc_coordinate_named_t": (
+        "contact", CUSP, {"precision": "exact", "coords": {"x": "t^3", "z": "t^2", "t": "t"}}, [], 2,
+        "bad coordinate name 't'",
+    ),
+    "a_presentation_without_d": (
+        "elim", {"hypersurfaces": CUSP["hypersurfaces"]}, None, [], 2, 'needs "d" and "hypersurfaces"'
+    ),
+    "a_point_of_the_wrong_width": (
+        "mult", UMBRELLA, None, ["--point", "0"], 2, "point needs 3 coordinates, got 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_ERRORS))
+def test_typed_errors_exit_code_and_message(tmp_path, capsys, monkeypatch, case):
+    from nashres import generic
+
+    command, presentation, arc, options, expected, fragment = TYPED_ERRORS[case]
+    # only the_unit_search_limit reaches the limit, after its first 3 failed lifts
+    monkeypatch.setattr(generic, "MAX_FAILED_LIFTS", 3)
+    argv = [command, write(tmp_path, "p.json", presentation)]
+    if arc is not None:
+        argv.append(write(tmp_path, "a.json", arc))
+    code, report = run_json(capsys, *argv, *options)
+    assert code == expected
+    assert fragment in report["results"]["error"]
 
 
 # Lifted over z = (-3 t^3, -3/2 t^3) at precision 21 and 30, this equation's
